@@ -2,8 +2,10 @@
 
 States are sparse maps from Fock multi-indices to amplitudes, capped at a
 small total photon number.  A mode unitary V acts by the stellar
-substitution z -> Vz on the state's polynomial; the permanent formula is
-available as an independent implementation of the same action.
+substitution z -> Vz on the state's polynomial; with each photon sector a
+symmetric tensor, it and the overlap gradients in V are tensor contractions
+(Chabaud, Markham, Grosshans, PRL 124, 063605, 2020).  The permanent
+formula is kept only as an independent cross-check of the same action.
 """
 from __future__ import annotations
 
@@ -11,7 +13,8 @@ import csv
 import json
 import math
 from dataclasses import dataclass
-from itertools import permutations
+from functools import lru_cache
+from itertools import permutations, product
 from typing import Optional
 
 import numpy as np
@@ -166,28 +169,40 @@ def encode_graph_bosonic(g: Graph) -> CoreState:
 # Linear-optical action
 # ----------------------------------------------------------------------
 
-def _poly_mul(p: dict, q: dict, n: int) -> dict:
+@lru_cache(maxsize=None)
+def _sector_layout(n: int, r: int) -> tuple:
+    """Flat layout of an (n,)*r sector tensor: its occupation tuples k, the
+    index of k at every flat position, the first flat position of each k,
+    and the entry weight sqrt(k!)/r! of each k."""
+    occ = np.array([[p.count(i) for i in range(n)] for p in product(range(n), repeat=r)])
+    occ, first, slot = np.unique(occ, axis=0, return_index=True, return_inverse=True)
+    keys = tuple(MultiIndex(k) for k in occ.tolist())
+    weight = np.array([math.sqrt(k.factorial()) for k in keys]) / math.factorial(r)
+    slot = slot.reshape(-1)
+    for a in (slot, first, weight):   # shared by every caller through the cache
+        a.flags.writeable = False
+    return keys, slot, first, weight
+
+
+def _sector_tensors(amps: dict, n: int) -> dict:
+    """{r: T_r}, T_r[i_1..i_r] = psi_k sqrt(k!)/r! where k counts the i's, so
+    sum T_r[i] z_{i_1}..z_{i_r} is sector r of the stellar polynomial.
+    The amplitudes need not be normalized."""
     out = {}
-    for ka, ca in p.items():
-        for kb, cb in q.items():
-            k = tuple(a + b for a, b in zip(ka, kb))
-            out[k] = out.get(k, 0j) + ca * cb
+    for r in sorted({k.r for k in amps}):
+        keys, slot, _, weight = _sector_layout(n, r)
+        vec = np.array([amps.get(k, 0j) for k in keys], dtype=complex) * weight
+        out[r] = vec[slot].reshape((n,) * r)
     return out
 
 
-def _substitute_monomial(k: MultiIndex, v: np.ndarray) -> dict:
-    """Expand prod_i (sum_j V_ij z_j)^{k_i} into monomial coefficients."""
-    n = len(k)
-    poly = {tuple([0] * n): 1.0 + 0j}
-    for i, ki in enumerate(k):
-        row = {}
-        for j in range(n):
-            if v[i, j] != 0:
-                key = tuple(1 if t == j else 0 for t in range(n))
-                row[key] = complex(v[i, j])
-        for _ in range(ki):
-            poly = _poly_mul(poly, row, n)
-    return poly
+def _contract_leading(t: np.ndarray, v: np.ndarray, m: int) -> np.ndarray:
+    """Contract V into the leading axis of t, m times; each new axis goes
+    to the back, so the result is 2-d: (remaining axes, new axes)."""
+    n = v.shape[0]
+    for _ in range(m):
+        t = t.reshape(n, -1).T @ v
+    return t
 
 
 def permanent(m: np.ndarray) -> complex:
@@ -203,19 +218,14 @@ def permanent(m: np.ndarray) -> complex:
     return total
 
 
-def _repeat_matrix(v: np.ndarray, k: MultiIndex, j: MultiIndex) -> np.ndarray:
-    rows = [i for i, c in enumerate(k) for _ in range(c)]
-    cols = [i for i, c in enumerate(j) for _ in range(c)]
-    return v[np.ix_(rows, cols)]
-
-
 def transition_amplitude(v: np.ndarray, k: MultiIndex, j: MultiIndex) -> complex:
     """<k|R(V)|j> = Per(V^T[k|j]) / sqrt(k! j!) in the substitution
     convention (the transpose is pinned by the equivalence with z -> Vz)."""
     if k.r != j.r:
         return 0j
-    sub = _repeat_matrix(v.T, k, j)
-    return permanent(sub) / math.sqrt(k.factorial() * j.factorial())
+    rows = [i for i, c in enumerate(k) for _ in range(c)]
+    cols = [i for i, c in enumerate(j) for _ in range(c)]
+    return permanent(v.T[np.ix_(rows, cols)]) / math.sqrt(k.factorial() * j.factorial())
 
 
 def apply_linear_optical(v: ModeUnitary, c: CoreState,
@@ -227,11 +237,13 @@ def apply_linear_optical(v: ModeUnitary, c: CoreState,
         raise BosonicError("mode unitary dimension mismatch")
     mat = v.matrix.conj().T if adjoint else v.matrix
     if method == "substitution":
-        out_poly = {}
-        for k, coeff in c.to_polynomial().items():
-            for mono, w in _substitute_monomial(k, mat).items():
-                out_poly[mono] = out_poly.get(mono, 0j) + coeff * w
-        return CoreState.from_polynomial(c.n_modes, c.r_max, out_poly)
+        # S_r = T_r with V contracted into every axis; psi'_k = S_r[k] r!/sqrt(k!)
+        out = {}
+        for r, t in _sector_tensors(c.amplitudes, c.n_modes).items():
+            keys, _, first, weight = _sector_layout(c.n_modes, r)
+            s = _contract_leading(t, mat, r).reshape(-1)
+            out.update(zip(keys, (s[first] / weight).tolist()))
+        return CoreState(c.n_modes, c.r_max, out)
     if method == "permanent":
         by_sector = {}
         for j, amp in c.amplitudes.items():
@@ -310,10 +322,7 @@ def haar_mode_unitary(n: int, seed) -> ModeUnitary:
     """Exact Haar sample: complex Ginibre QR with the phase correction."""
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     g = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / math.sqrt(2)
-    q, r = np.linalg.qr(g)
-    d = np.diagonal(r)
-    q = q * (d / np.abs(d))
-    return ModeUnitary(n, q)
+    return ModeUnitary(n, _qr_retract(g))
 
 
 # ----------------------------------------------------------------------
@@ -363,14 +372,14 @@ def orbit_distance(z: np.ndarray, basis: list, c: CoreState,
     unitary and converts the best overlap to a distance.  Stops early if
     the distance already falls below ``good_enough``.
     """
-    n = c.n_modes
-    z_amps = {k: a for k, a in zip(basis, z) if a != 0}
+    src = _sector_tensors(c.amplitudes, c.n_modes)
+    tgt = _sector_tensors({k: a for k, a in zip(basis, z) if a != 0}, c.n_modes)
     z_norm_sq = float(np.vdot(z, z).real)
     # overlap needed to certify dist <= good_enough
     stop_at = (z_norm_sq + 1.0 - good_enough**2) / 2.0
     best = 0.0
     for u0 in warm_starts:
-        _, _, val = _ascend(u0, c.amplitudes, z_amps, n, iters, stop_at=stop_at)
+        _, _, val = _ascend(u0, src, tgt, iters, stop_at=stop_at)
         best = max(best, val)
         if best >= stop_at:
             break
@@ -390,6 +399,9 @@ def estimate_tv_gap(c1: CoreState, c2: CoreState, sigma: float, n_samples: int,
     """
     if c1.n_modes != c2.n_modes:
         raise BosonicError("mode count mismatch")
+    if n_samples < 1 or not 1 <= n_warm <= n_reference:
+        raise BosonicError("need n_samples >= 1 and 1 <= n_warm <= n_reference, got "
+                           f"{n_samples}, {n_warm}, {n_reference}")
     rng = np.random.default_rng(seed)
     basis = truncated_basis(c1.n_modes, max(c1.r_max, c2.r_max))
     refs = []
@@ -420,31 +432,22 @@ def estimate_tv_gap(c1: CoreState, c2: CoreState, sigma: float, n_samples: int,
 # Overlap optimization over U(n)
 # ----------------------------------------------------------------------
 
-def _overlap_and_gradient(v: np.ndarray, amps1: dict, amps2: dict, n: int):
-    """f = <target|R(V)|source> and its holomorphic gradient dF/dV_ab, using
-    dPer(V[k|j])/dV_ab = k_a j_b Per(V[k - e_a | j - e_b]).  The target
-    amplitudes need not be normalized."""
-    f = 0j
-    grad = np.zeros((n, n), dtype=complex)
-    vt = v.T
-    for k, a2 in amps2.items():
-        for j, a1 in amps1.items():
-            if k.r != j.r:
-                continue
-            w = a2.conjugate() * a1 / math.sqrt(k.factorial() * j.factorial())
-            f += w * permanent(_repeat_matrix(vt, k, j))
-            for a in range(n):
-                if k[a] == 0:
-                    continue
-                ka = MultiIndex(tuple(c - (1 if t == a else 0) for t, c in enumerate(k)))
-                for bcol in range(n):
-                    if j[bcol] == 0:
-                        continue
-                    jb = MultiIndex(tuple(c - (1 if t == bcol else 0) for t, c in enumerate(j)))
-                    minor = permanent(_repeat_matrix(vt, ka, jb))
-                    # d/dV_{b,a} since the permanent acts on V^T
-                    grad[bcol, a] += w * k[a] * j[bcol] * minor
-    return f, grad
+def _overlap_grad(v: np.ndarray, src: dict, tgt: dict):
+    """f = <target|R(V)|source> and grad[a, b] = df/dV_ab from the sector
+    tensors: with M = T1_r contracted with V on axes 2..r, grad_r =
+    r r! M T2_r^dagger, and f_r = sum(V * grad_r) / r by homogeneity."""
+    n = v.shape[0]
+    f, grad = 0j, np.zeros((n, n), dtype=complex)
+    for r in sorted(src.keys() & tgt.keys()):
+        t1, t2 = src[r], tgt[r]
+        if r == 0:
+            f += complex(t2.conjugate() * t1)
+            continue
+        m = _contract_leading(t1, v, r - 1).reshape(n, -1)
+        g = (r * math.factorial(r)) * (m @ t2.reshape(n, -1).conj().T)
+        f += np.sum(v * g) / r
+        grad += g
+    return complex(f), grad
 
 
 def _qr_retract(m: np.ndarray) -> np.ndarray:
@@ -453,14 +456,15 @@ def _qr_retract(m: np.ndarray) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def _ascend(v: np.ndarray, amps1: dict, amps2: dict, n: int, iters: int,
+def _ascend(v: np.ndarray, src: dict, tgt: dict, iters: int,
             stop_at: float = np.inf):
     """Riemannian ascent of |<target|R(V)|source>| from a fixed start.
 
-    Stops early once the value reaches ``stop_at``.
+    ``src``/``tgt`` are sector tensors; each trial point costs one
+    _overlap_grad.  Stops early once the value reaches ``stop_at``.
     """
     step = 0.5
-    f, grad = _overlap_and_gradient(v, amps1, amps2, n)
+    f, grad = _overlap_grad(v, src, tgt)
     val = abs(f)
     for _ in range(iters):
         if val >= stop_at:
@@ -474,7 +478,7 @@ def _ascend(v: np.ndarray, amps1: dict, amps2: dict, n: int, iters: int,
         improved = False
         while step > 1e-10:
             v_new = _qr_retract(v + step * rgrad)
-            f_new, grad_new = _overlap_and_gradient(v_new, amps1, amps2, n)
+            f_new, grad_new = _overlap_grad(v_new, src, tgt)
             if abs(f_new) > val + 1e-14:
                 v, f, grad, val = v_new, f_new, grad_new, abs(f_new)
                 improved = True
@@ -491,20 +495,23 @@ def optimize_overlap(c1: CoreState, c2: CoreState, restarts: int = 50,
                      trace_file: Optional[str] = None) -> tuple:
     """Random-restart Riemannian ascent of |<c2|R(V)|c1>| over U(n).
 
+    Starts at the identity, then at Haar draws from ``seed``; the overlap
+    and its gradient come from sector tensors built once per call.
     Returns (best ModeUnitary, best |overlap|, Re overlap at the best V).
     Non-convergence is reflected in the returned value, never raised.
     """
     if c1.n_modes != c2.n_modes:
         raise BosonicError("mode count mismatch")
+    if restarts < 1:
+        raise BosonicError(f"restarts must be >= 1, got {restarts}")
     n = c1.n_modes
+    src, tgt = _sector_tensors(c1.amplitudes, n), _sector_tensors(c2.amplitudes, n)
     rng = np.random.default_rng(seed)
-    best_val = -1.0
-    best_v = np.eye(n, dtype=complex)
-    best_f = 0j
+    best_val, best_v, best_f = -1.0, None, 0j
     rows = []
     for restart in range(restarts):
         v0 = np.eye(n, dtype=complex) if restart == 0 else haar_mode_unitary(n, rng).matrix
-        v, f, val = _ascend(v0, c1.amplitudes, c2.amplitudes, n, iters)
+        v, f, val = _ascend(v0, src, tgt, iters)
         rows.append((restart, val))
         if val > best_val:
             best_val, best_v, best_f = val, v, f

@@ -26,7 +26,9 @@ from stateiso.bosonic import (
     sector_dimension,
     szk_sampler,
     transition_amplitude,
-    _overlap_and_gradient,
+    truncated_basis,
+    _overlap_grad,
+    _sector_tensors,
 )
 from stateiso.graphs import Graph
 
@@ -41,6 +43,17 @@ def random_core(n, r, rng, n_terms=4):
         amps[basis[i]] = complex(rng.normal(), rng.normal())
     nrm = math.sqrt(sum(abs(a) ** 2 for a in amps.values()))
     return CoreState(n, r, {k: a / nrm for k, a in amps.items()})
+
+
+def mixed_core(n, r_max, rng, n_terms=3):
+    """A random core with terms in every sector 0..r_max."""
+    amps = {}
+    for r in range(r_max + 1):
+        basis = sector_basis(n, r)
+        for i in rng.choice(len(basis), size=min(n_terms, len(basis)), replace=False):
+            amps[basis[i]] = complex(rng.normal(), rng.normal())
+    nrm = math.sqrt(sum(abs(a) ** 2 for a in amps.values()))
+    return CoreState(n, r_max, {k: a / nrm for k, a in amps.items()})
 
 
 class TestBasics:
@@ -188,25 +201,63 @@ class TestOptimizer:
         c1 = random_core(2, 3, rng)
         c2 = random_core(2, 3, rng)
         v = haar_mode_unitary(2, rng).matrix
-        f, grad = _overlap_and_gradient(v, c1.amplitudes, c2.amplitudes, 2)
+        src = _sector_tensors(c1.amplitudes, 2)
+        tgt = _sector_tensors(c2.amplitudes, 2)
+        f, grad = _overlap_grad(v, src, tgt)
         eps = 1e-6
         for a in range(2):
             for b in range(2):
                 dv = np.zeros((2, 2), dtype=complex)
                 dv[a, b] = eps
-                fp, _ = _overlap_and_gradient(v + dv, c1.amplitudes,
-                                              c2.amplitudes, 2)
-                fm, _ = _overlap_and_gradient(v - dv, c1.amplitudes,
-                                              c2.amplitudes, 2)
-                fip, _ = _overlap_and_gradient(v + 1j * dv, c1.amplitudes,
-                                               c2.amplitudes, 2)
-                fim, _ = _overlap_and_gradient(v - 1j * dv, c1.amplitudes,
-                                               c2.amplitudes, 2)
+                fp, _ = _overlap_grad(v + dv, src, tgt)
+                fm, _ = _overlap_grad(v - dv, src, tgt)
+                fip, _ = _overlap_grad(v + 1j * dv, src, tgt)
+                fim, _ = _overlap_grad(v - 1j * dv, src, tgt)
                 # holomorphic derivative from real/imag partials
                 d_re = (fp - fm) / (2 * eps)
                 d_im = (fip - fim) / (2 * eps)
                 want = (d_re - 1j * d_im) / 2
                 assert abs(grad[a, b] - want) < 1e-5
+
+    def test_sector_kernel_matches_permanent_formula(self):
+        """f from the sector tensors, and the tensor substitution, against
+        the permanent formula, for sparse and dense (unnormalized) targets."""
+        rng = np.random.default_rng(61)
+        for n in range(1, 6):
+            for r in range(5):
+                for c1 in (random_core(n, r, rng), mixed_core(n, r, rng)):
+                    v = haar_mode_unitary(n, rng)
+                    moved = apply_linear_optical(v, c1, method="permanent")
+                    assert abs(core_overlap(apply_linear_optical(v, c1), moved) - 1) < 1e-12
+                    src = _sector_tensors(c1.amplitudes, n)
+                    c2 = mixed_core(n, r, rng)
+                    f, _ = _overlap_grad(v.matrix, src,
+                                         _sector_tensors(c2.amplitudes, n))
+                    assert abs(f - core_overlap(c2, moved)) < 1e-12
+                    basis = truncated_basis(n, r)
+                    z = rng.normal(size=len(basis)) + 1j * rng.normal(size=len(basis))
+                    f, _ = _overlap_grad(v.matrix, src,
+                                         _sector_tensors(dict(zip(basis, z)), n))
+                    assert abs(f - np.vdot(z, moved.dense(basis))) < 1e-12
+
+    def test_sector_kernel_gradient_is_directional_derivative(self):
+        rng = np.random.default_rng(62)
+        for n, r in ((1, 4), (3, 2), (4, 3), (5, 4)):
+            src = _sector_tensors(mixed_core(n, r, rng).amplitudes, n)
+            tgt = _sector_tensors(mixed_core(n, r, rng).amplitudes, n)
+            v = haar_mode_unitary(n, rng).matrix
+            e = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            _, grad = _overlap_grad(v, src, tgt)
+            eps = 1e-6
+            fp, _ = _overlap_grad(v + eps * e, src, tgt)
+            fm, _ = _overlap_grad(v - eps * e, src, tgt)
+            assert abs((fp - fm) / (2 * eps) - np.sum(grad * e)) < 1e-6
+
+    @pytest.mark.parametrize("restarts", [0, -3])
+    def test_nonpositive_restarts_rejected(self, restarts):
+        c = encode_graph_bosonic(Graph.path(3))
+        with pytest.raises(BosonicError):
+            optimize_overlap(c, c, restarts=restarts)
 
     def test_isomorphic_graphs_reach_one(self):
         g1 = Graph.path(4)
@@ -256,13 +307,21 @@ class TestSzkSampler:
     def test_orbit_distance_same_orbit(self):
         rng = np.random.default_rng(8)
         c = encode_graph_bosonic(Graph.path(3))
-        from stateiso.bosonic import truncated_basis
         basis = truncated_basis(3, 3)
         u = haar_mode_unitary(3, rng)
         z = apply_linear_optical(u, c).dense(basis)
         warm = [haar_mode_unitary(3, rng).matrix for _ in range(3)] + [u.matrix]
         d = orbit_distance(z, basis, c, warm, iters=40)
         assert d < 1e-4
+
+    @pytest.mark.parametrize("kwargs", [
+        {"n_samples": 0}, {"n_samples": -1}, {"n_warm": 0},
+        {"n_warm": 4, "n_reference": 3}])
+    def test_estimate_tv_gap_rejects_bad_counts(self, kwargs):
+        c = encode_graph_bosonic(Graph.path(3))
+        args = {"n_samples": 1, "n_reference": 3, "n_warm": 1, **kwargs}
+        with pytest.raises(BosonicError):
+            estimate_tv_gap(c, c, 0.02, seed=0, b=0.5, **args)
 
     def test_estimate_tv_gap_isomorphic_near_zero(self):
         g = Graph.path(4)

@@ -172,6 +172,31 @@ class TestBosonicCommands:
         assert res.exit_code == 0
         assert _json_body(res.output)["best_abs"] > 1 - 1e-7
 
+    def _encoded_pair(self, runner, tmp_path):
+        pa = _write_graph(tmp_path / "a.txt", Graph.path(3))
+        pb = _write_graph(tmp_path / "b.txt", Graph.star(3))
+        ea, eb = tmp_path / "a.json", tmp_path / "b.json"
+        runner.invoke(main, ["bosonic", "encode", pa, "--out", str(ea)])
+        runner.invoke(main, ["bosonic", "encode", pb, "--out", str(eb)])
+        return str(ea), str(eb)
+
+    @pytest.mark.parametrize("restarts", ["0", "-3"])
+    def test_optimize_nonpositive_restarts_is_config_error(self, runner, tmp_path,
+                                                           restarts):
+        ea, eb = self._encoded_pair(runner, tmp_path)
+        res = runner.invoke(main, ["bosonic", "optimize", ea, eb,
+                                   "--restarts", restarts])
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        assert "restarts" in res.output and "Traceback" not in res.output
+
+    def test_tv_gap_zero_samples_is_config_error(self, runner, tmp_path):
+        ea, eb = self._encoded_pair(runner, tmp_path)
+        res = runner.invoke(main, ["bosonic", "tv-gap", ea, eb, "--samples", "0"])
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        assert "n_samples" in res.output and "Traceback" not in res.output
+
 
 class TestDeterminism:
     def test_psgi_output_reproducible(self, runner):
