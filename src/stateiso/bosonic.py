@@ -121,6 +121,9 @@ class CoreState:
     @staticmethod
     def from_json(text: str) -> "CoreState":
         obj = json.loads(text)
+        missing = [f for f in ("n_modes", "r_max", "amplitudes") if f not in obj]
+        if missing:
+            raise BosonicError(f"core state JSON lacks {', '.join(missing)}")
         amps = {
             MultiIndex(e["k"]): complex(e["amp"][0], e["amp"][1])
             for e in obj["amplitudes"]
@@ -341,12 +344,18 @@ def default_sigma(b: float, n: int, r: int) -> float:
     return b / n ** (r / 2)
 
 
+def _check_sigma(sigma: float) -> None:
+    if not sigma > 0:
+        raise BosonicError(f"noise scale sigma must be > 0, got {sigma}")
+
+
 def szk_sampler(c: CoreState, sigma: float, seed,
                 basis: Optional[list] = None) -> tuple:
     """One sample |c_U> + eta with U Haar and eta ~ N_C(0, sigma^2 I).
 
     Returns (noisy dense vector, basis, U).
     """
+    _check_sigma(sigma)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     u = haar_mode_unitary(c.n_modes, rng)
     moved = apply_linear_optical(u, c)
@@ -402,6 +411,7 @@ def estimate_tv_gap(c1: CoreState, c2: CoreState, sigma: float, n_samples: int,
     if n_samples < 1 or not 1 <= n_warm <= n_reference:
         raise BosonicError("need n_samples >= 1 and 1 <= n_warm <= n_reference, got "
                            f"{n_samples}, {n_warm}, {n_reference}")
+    _check_sigma(sigma)
     rng = np.random.default_rng(seed)
     basis = truncated_basis(c1.n_modes, max(c1.r_max, c2.r_max))
     refs = []

@@ -9,7 +9,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import click
@@ -35,7 +34,7 @@ from .groups import (
     group_from_spec,
     pauli_group,
 )
-from .linalg import DensityMatrix, StateVector
+from .linalg import DensityMatrix, StateVector, random_density
 from .paulis import enumerate_cliffords
 from .protocols import (
     qcszk_context,
@@ -45,7 +44,6 @@ from .protocols import (
     run_trials,
     szk_lowrank_context,
     szk_lowrank_round,
-    wilson_interval,
     write_summary_csv,
 )
 from .psgi import (
@@ -113,24 +111,23 @@ def _emit(obj: dict, out: str):
         click.echo(text)
 
 
-def _read_json(path: str) -> dict:
+def _read_text(path: str) -> str:
     if not os.path.exists(path):
         _config_error(f"input file not found: {path}")
     with open(path) as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            _config_error(f"bad JSON in {path}: {exc}")
+        return fh.read()
+
+
+def _read_json(path: str) -> dict:
+    return json.loads(_read_text(path))
 
 
 def _read_graph(path: str) -> Graph:
-    if not os.path.exists(path):
-        _config_error(f"input file not found: {path}")
-    with open(path) as fh:
-        try:
-            return Graph.from_edge_list_text(fh.read())
-        except ValueError as exc:
-            _config_error(f"bad edge list in {path}: {exc}")
+    return Graph.from_edge_list_text(_read_text(path))
+
+
+def _read_core(path: str) -> CoreState:
+    return CoreState.from_json(_read_text(path))
 
 
 def _state_obj(psi: StateVector) -> dict:
@@ -156,7 +153,25 @@ def _config_error(msg: str):
     sys.exit(EXIT_CONFIG)
 
 
-@click.group()
+class _ConfigErrorBoundary(click.Group):
+    """Root group that turns malformed input into exit 2 for every command.
+
+    Library errors are ValueError subclasses (JSON decode errors among
+    them); a bundle or spec without a required field raises KeyError and
+    an out-of-range index IndexError.  None of them may surface as a
+    traceback with exit 1, which would read as a NO decision.
+    """
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except KeyError as exc:
+            _config_error(f"missing field {exc}")
+        except (ValueError, IndexError) as exc:
+            _config_error(str(exc))
+
+
+@click.group(cls=_ConfigErrorBoundary)
 @click.version_option(__version__)
 def main():
     """State-isomorphism simulation toolkit.
@@ -195,31 +210,27 @@ def cmd_psgi(instance_path, use_oracle, group, n_qubits, same_state, kind,
     cfg = ExperimentConfig("psgi", [p for p in [instance_path] if p], out, seed,
                            {"oracle": use_oracle, "group": group, "n": n_qubits})
     cfg.announce()
-    try:
-        if instance_path:
-            bundle = _read_json(instance_path)
-            if bundle.get("type") == "gi_clifford":
-                _run_gi_clifford_bundle(bundle, sweep_count, seed, out)
-                return
-            inst = _psgi_from_bundle(bundle)
+    if instance_path:
+        bundle = _read_json(instance_path)
+        if bundle.get("type") == "gi_clifford":
+            _run_gi_clifford_bundle(bundle, sweep_count, seed, out)
+            return
+        inst = _psgi_from_bundle(bundle)
+    else:
+        thresholds = DecisionThresholds(alpha, beta)
+        rep = group_from_spec({"type": group, "n": n_qubits})
+        rng = np.random.default_rng(seed)
+        if same_state:
+            psi = random_state(n_qubits, rng)
+            inst = PsgiInstance(psi, psi, rep, thresholds)
         else:
-            thresholds = DecisionThresholds(alpha, beta)
-            rep = group_from_spec({"type": group, "n": n_qubits})
-            rng = np.random.default_rng(seed)
-            if same_state:
-                psi = random_state(n_qubits, rng)
-                inst = PsgiInstance(psi, psi, rep, thresholds)
-            else:
-                inst = random_pauli_psgi_instance(n_qubits, thresholds, kind, rng,
-                                                  rep=rep)
-        if use_oracle:
-            verdict = psgi_oracle(inst)
-        else:
-            verdict = pauli_psgi_quantum(inst, m=copies, seed=seed,
-                                         shot_mode=shot_mode, shots=shots)
-    except ValueError as exc:
-        _config_error(str(exc))
-        return
+            inst = random_pauli_psgi_instance(n_qubits, thresholds, kind, rng,
+                                              rep=rep)
+    if use_oracle:
+        verdict = psgi_oracle(inst)
+    else:
+        verdict = pauli_psgi_quantum(inst, m=copies, seed=seed,
+                                     shot_mode=shot_mode, shots=shots)
     witness = verdict.witness
     if witness is not None and witness == inst.rep.identity:
         witness_text = "identity"
@@ -289,8 +300,8 @@ def cmd_reduce():
 @click.argument("graph2", type=str)
 @click.option("--out", default="", help="Bundle path (default stdout).")
 def reduce_gi_clifford(graph1, graph2, out):
-    g1, g2 = _read_graph(graph1), _read_graph(graph2)
     ExperimentConfig("reduce gi-clifford", [graph1, graph2], out).announce()
+    g1, g2 = _read_graph(graph1), _read_graph(graph2)
     inst = gi_to_clifford(g1, g2)
     bundle = {
         "version": SCHEMA_VERSION, "type": "gi_clifford",
@@ -313,13 +324,9 @@ def reduce_gi_clifford(graph1, graph2, out):
               help="Override the graph-component weight b.")
 @click.option("--out", default="")
 def reduce_gi_lowrank(graph1, graph2, graph_weight, out):
-    g1, g2 = _read_graph(graph1), _read_graph(graph2)
     ExperimentConfig("reduce gi-lowrank", [graph1, graph2], out).announce()
-    try:
-        result = lowrank_gi_instance(g1, g2, graph_weight=graph_weight)
-    except ValueError as exc:
-        _config_error(str(exc))
-        return
+    g1, g2 = _read_graph(graph1), _read_graph(graph2)
+    result = lowrank_gi_instance(g1, g2, graph_weight=graph_weight)
     if hasattr(result, "decision"):
         _emit({"version": SCHEMA_VERSION, "type": "gi_lowrank",
                "note": "vertex or edge counts differ; instance is NO"}, out)
@@ -340,13 +347,9 @@ def reduce_gi_lowrank(graph1, graph2, graph_weight, out):
 @click.argument("graph2", type=str)
 @click.option("--out", default="")
 def reduce_gi_bosonic(graph1, graph2, out):
-    g1, g2 = _read_graph(graph1), _read_graph(graph2)
     ExperimentConfig("reduce gi-bosonic", [graph1, graph2], out).announce()
-    try:
-        c1, c2 = encode_graph_bosonic(g1), encode_graph_bosonic(g2)
-    except ValueError as exc:
-        _config_error(str(exc))
-        return
+    g1, g2 = _read_graph(graph1), _read_graph(graph2)
+    c1, c2 = encode_graph_bosonic(g1), encode_graph_bosonic(g2)
     thresholds = lowrank_thresholds(g1.n)
     _emit({
         "version": SCHEMA_VERSION, "type": "gi_bosonic",
@@ -364,15 +367,11 @@ def reduce_gi_bosonic(graph1, graph2, out):
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", default="")
 def reduce_qsd_msgi(sigma1, sigma2, group, n_qubits, seed, out):
-    s1 = DensityMatrix.from_json(json.dumps(_read_json(sigma1)))
-    s2 = DensityMatrix.from_json(json.dumps(_read_json(sigma2)))
     ExperimentConfig("reduce qsd-msgi", [sigma1, sigma2], out, seed).announce()
-    try:
-        rep = group_from_spec({"type": group, "n": n_qubits})
-        inst = qsd_to_msgi(s1, s2, rep, seed)
-    except ValueError as exc:
-        _config_error(str(exc))
-        return
+    s1 = DensityMatrix.from_json(_read_text(sigma1))
+    s2 = DensityMatrix.from_json(_read_text(sigma2))
+    rep = group_from_spec({"type": group, "n": n_qubits})
+    inst = qsd_to_msgi(s1, s2, rep, seed)
     _emit({
         "version": SCHEMA_VERSION, "type": "msgi",
         "sigma1": _density_obj(inst.sigma1), "sigma2": _density_obj(inst.sigma2),
@@ -391,16 +390,12 @@ def reduce_qsd_msgi(sigma1, sigma2, group, n_qubits, seed, out):
               help="Index of the involution h in the group's element list.")
 @click.option("--out", default="")
 def reduce_qsd_mixedhsp(sigma1, sigma2, group, n_qubits, h_index, out):
-    s1 = DensityMatrix.from_json(json.dumps(_read_json(sigma1)))
-    s2 = DensityMatrix.from_json(json.dumps(_read_json(sigma2)))
     ExperimentConfig("reduce qsd-mixedhsp", [sigma1, sigma2], out).announce()
-    try:
-        rep = group_from_spec({"type": group, "n": n_qubits})
-        h = rep.elements[h_index]
-        inst = qsd_to_mixed_hsp(s1, s2, rep, h)
-    except (ValueError, IndexError) as exc:
-        _config_error(str(exc))
-        return
+    s1 = DensityMatrix.from_json(_read_text(sigma1))
+    s2 = DensityMatrix.from_json(_read_text(sigma2))
+    rep = group_from_spec({"type": group, "n": n_qubits})
+    h = rep.elements[h_index]
+    inst = qsd_to_mixed_hsp(s1, s2, rep, h)
     lhs, rhs = trace_distance_transfer(inst, s1, s2)
     _emit({
         "version": SCHEMA_VERSION, "type": "mixed_hsp",
@@ -416,12 +411,8 @@ def reduce_qsd_mixedhsp(sigma1, sigma2, group, n_qubits, h_index, out):
 @click.option("--out", default="")
 def reduce_psgi_statehsp(instance, copies, out):
     ExperimentConfig("reduce psgi-statehsp", [instance], out).announce()
-    try:
-        inst = _psgi_from_bundle(_read_json(instance))
-        phi, rep, bounds = psgi_to_statehsp(inst, m=copies)
-    except ValueError as exc:
-        _config_error(str(exc))
-        return
+    inst = _psgi_from_bundle(_read_json(instance))
+    phi, rep, bounds = psgi_to_statehsp(inst, m=copies)
     _emit({
         "version": SCHEMA_VERSION, "type": "state_hsp",
         "phi": _state_obj(phi), "group_order": rep.order,
@@ -453,14 +444,9 @@ def cmd_verify():
 def verify_lemma_perm_cmd(n_qubits, exhaustive, samples, seed, threshold, out):
     ExperimentConfig("verify lemma-perm", [], out, seed,
                      {"n": n_qubits, "exhaustive": exhaustive}).announce()
-    try:
-        report = verify_lemma_perm(n_qubits,
-                                   mode="exhaustive" if exhaustive else "sampled",
-                                   samples=samples, seed=seed,
-                                   threshold=threshold)
-    except ValueError as exc:
-        _config_error(str(exc))
-        return
+    report = verify_lemma_perm(n_qubits,
+                               mode="exhaustive" if exhaustive else "sampled",
+                               samples=samples, seed=seed, threshold=threshold)
     report["passed"] = not report["violations"]
     _finish_report(report, out)
 
@@ -479,8 +465,8 @@ def verify_twirl_bound(instances, n_qubits, seed, out):
     min_slack = math.inf
     failures = 0
     for _ in range(instances):
-        rho = _random_density(dim, rng)
-        sigma = _random_density(dim, rng)
+        rho = random_density(dim, rng)
+        sigma = random_density(dim, rng)
         rpt = check_twirl_fidelity_bound(rep, rho, sigma)
         min_slack = min(min_slack, rpt.slack)
         failures += not rpt.satisfied
@@ -488,13 +474,6 @@ def verify_twirl_bound(instances, n_qubits, seed, out):
         "version": SCHEMA_VERSION, "instances": instances,
         "min_slack": min_slack, "failures": failures, "passed": failures == 0,
     }, out)
-
-
-def _random_density(dim: int, rng) -> DensityMatrix:
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    m = a @ a.conj().T
-    n_qubits = dim.bit_length() - 1
-    return DensityMatrix(n_qubits, m / np.trace(m).real)
 
 
 @cmd_verify.command("helper-gapped-cv")
@@ -545,8 +524,8 @@ def verify_trace_transfer(count, n_qubits, seed, out):
              and np.allclose(rep.unitary(g) @ rep.unitary(g), np.eye(rep.dim)))
     worst = 0.0
     for _ in range(count):
-        s1 = _random_density(rep.dim, rng)
-        s2 = _random_density(rep.dim, rng)
+        s1 = random_density(rep.dim, rng)
+        s2 = random_density(rep.dim, rng)
         inst = qsd_to_mixed_hsp(s1, s2, rep, h)
         lhs, rhs = trace_distance_transfer(inst, s1, s2)
         worst = max(worst, abs(lhs - rhs))
@@ -587,28 +566,6 @@ def verify_shadow_unbiased(seed, out):
 # protocol
 # ----------------------------------------------------------------------
 
-def _parallel_trials(round_fn, trials: int, seed: int, threads: int) -> dict:
-    if threads <= 1:
-        return run_trials(round_fn, trials, seed)
-    rng = np.random.default_rng(seed)
-    seeds = [int(s) for s in rng.integers(0, 1 << 31, size=trials)]
-    chunks = [seeds[i::threads] for i in range(threads)]
-
-    def work(chunk):
-        return sum(round_fn(s).accept for s in chunk)
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        accepts = sum(pool.map(work, chunks))
-    low, high = wilson_interval(accepts, trials)
-    return {"trials": trials, "accepts": accepts,
-            "accept_rate": accepts / trials,
-            "wilson_low": low, "wilson_high": high}
-
-
-def _default_threads() -> int:
-    return os.cpu_count() or 1
-
-
 def _emit_protocol(rows: list, out: str):
     for row in rows:
         click.echo(json.dumps(row, sort_keys=True))
@@ -627,27 +584,19 @@ def cmd_protocol():
 @click.option("--shadows", type=int, default=2000, show_default=True)
 @click.option("--n", "n_qubits", type=int, default=2, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--threads", type=int, default=None,
-              help="Worker threads (default: logical cores).")
 @click.option("--out", default="", help="Summary CSV path.")
-def protocol_qcszk(trials, shadows, n_qubits, seed, threads, out):
-    threads = threads or _default_threads()
+def protocol_qcszk(trials, shadows, n_qubits, seed, out):
     ExperimentConfig("protocol qcszk", [], out, seed,
-                     {"trials": trials, "shadows": shadows,
-                      "threads": threads}).announce()
+                     {"trials": trials, "shadows": shadows}).announce()
     thresholds = DecisionThresholds(0.6, 0.99)
     rng = np.random.default_rng(seed)
     rows = []
     for label, kind in (("isomorphic", "yes"), ("non-isomorphic", "no")):
-        try:
-            inst = random_pauli_psgi_instance(n_qubits, thresholds, kind, rng)
-        except ValueError as exc:
-            _config_error(str(exc))
-            return
+        inst = random_pauli_psgi_instance(n_qubits, thresholds, kind, rng)
         ctx = qcszk_context(inst)
-        res = _parallel_trials(
+        res = run_trials(
             lambda s: qcszk_round(inst, n_shadows=shadows, seed=s, context=ctx),
-            trials, seed, threads)
+            trials, seed)
         rows.append({"instance": label, **res})
     _emit_protocol(rows, out)
 
@@ -656,18 +605,15 @@ def protocol_qcszk(trials, shadows, n_qubits, seed, threads, out):
 @click.option("--trials", type=int, default=2000, show_default=True)
 @click.option("--k", "k_copies", type=int, default=4, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--threads", type=int, default=None)
 @click.option("--out", default="")
-def protocol_qszk_mixed(trials, k_copies, seed, threads, out):
+def protocol_qszk_mixed(trials, k_copies, seed, out):
     from .reductions import MsgiInstance
-    threads = threads or _default_threads()
     ExperimentConfig("protocol qszk-mixed", [], out, seed,
-                     {"trials": trials, "k": k_copies,
-                      "threads": threads}).announce()
+                     {"trials": trials, "k": k_copies}).announce()
     rep = pauli_group(2)
     thresholds = DecisionThresholds(0.6, 0.99)
     rng = np.random.default_rng(seed)
-    s1 = _random_density(rep.dim, rng)
+    s1 = random_density(rep.dim, rng)
     u = rep.unitary(rep.elements[len(rep.elements) // 2])
     iso = MsgiInstance(s1, DensityMatrix(2, u @ s1.matrix @ u.conj().T),
                        rep, thresholds)
@@ -677,14 +623,10 @@ def protocol_qszk_mixed(trials, k_copies, seed, threads, out):
         rep, thresholds)
     rows = []
     for label, inst in (("isomorphic", iso), ("alpha-far", far)):
-        try:
-            ctx = qszk_mixed_context(inst, k_copies)
-        except ValueError as exc:
-            _config_error(str(exc))
-            return
-        res = _parallel_trials(
+        ctx = qszk_mixed_context(inst, k_copies)
+        res = run_trials(
             lambda s: qszk_mixed_round(inst, k_copies, s, context=ctx),
-            trials, seed, threads)
+            trials, seed)
         rows.append({"instance": label,
                      "twirled_distance": ctx["distance"], **res})
     _emit_protocol(rows, out)
@@ -695,27 +637,21 @@ def protocol_qszk_mixed(trials, k_copies, seed, threads, out):
 @click.option("--gamma", type=float, default=0.05, show_default=True)
 @click.option("--graph-weight", type=float, default=0.7, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--threads", type=int, default=None)
 @click.option("--out", default="")
-def protocol_szk_lowrank(trials, gamma, graph_weight, seed, threads, out):
-    threads = threads or _default_threads()
+def protocol_szk_lowrank(trials, gamma, graph_weight, seed, out):
     ExperimentConfig("protocol szk-lowrank", [], out, seed,
                      {"trials": trials, "gamma": gamma,
-                      "graph_weight": graph_weight, "threads": threads}).announce()
+                      "graph_weight": graph_weight}).announce()
     g1 = Graph.path(4)
     pairs = (("isomorphic", g1.relabel((2, 0, 3, 1))),
              ("non-isomorphic", Graph.star(4)))
     rows = []
     for label, g2 in pairs:
-        try:
-            lr1, lr2, _ = lowrank_gi_instance(g1, g2, graph_weight=graph_weight)
-            ctx = szk_lowrank_context(lr1, lr2)
-        except ValueError as exc:
-            _config_error(str(exc))
-            return
-        res = _parallel_trials(
+        lr1, lr2, _ = lowrank_gi_instance(g1, g2, graph_weight=graph_weight)
+        ctx = szk_lowrank_context(lr1, lr2)
+        res = run_trials(
             lambda s: szk_lowrank_round(lr1, lr2, gamma, s, context=ctx),
-            trials, seed, threads)
+            trials, seed)
         rows.append({"instance": label, **res})
     _emit_protocol(rows, out)
 
@@ -733,14 +669,9 @@ def cmd_bosonic():
 @click.argument("graph", type=str)
 @click.option("--out", default="")
 def bosonic_encode(graph, out):
-    g = _read_graph(graph)
     ExperimentConfig("bosonic encode", [graph], out).announce()
-    try:
-        c = encode_graph_bosonic(g)
-    except ValueError as exc:
-        _config_error(str(exc))
-        return
-    _emit(json.loads(c.to_json()), out)
+    g = _read_graph(graph)
+    _emit(json.loads(encode_graph_bosonic(g).to_json()), out)
 
 
 @cmd_bosonic.command("apply")
@@ -752,13 +683,9 @@ def bosonic_encode(graph, out):
 def bosonic_apply(state, unitary, method, out):
     ExperimentConfig("bosonic apply", [state, unitary], out,
                      params={"method": method}).announce()
-    try:
-        c = CoreState.from_json(json.dumps(_read_json(state)))
-        v = _unitary_from_obj(_read_json(unitary))
-        moved = apply_linear_optical(v, c, method=method)
-    except ValueError as exc:
-        _config_error(str(exc))
-        return
+    c = _read_core(state)
+    v = _unitary_from_obj(_read_json(unitary))
+    moved = apply_linear_optical(v, c, method=method)
     _emit(json.loads(moved.to_json()), out)
 
 
@@ -768,13 +695,7 @@ def bosonic_apply(state, unitary, method, out):
 @click.option("--out", default="")
 def bosonic_overlap(state1, state2, out):
     ExperimentConfig("bosonic overlap", [state1, state2], out).announce()
-    try:
-        c1 = CoreState.from_json(json.dumps(_read_json(state1)))
-        c2 = CoreState.from_json(json.dumps(_read_json(state2)))
-        ov = core_overlap(c1, c2)
-    except ValueError as exc:
-        _config_error(str(exc))
-        return
+    ov = core_overlap(_read_core(state1), _read_core(state2))
     _emit({"version": SCHEMA_VERSION, "overlap": [ov.real, ov.imag],
            "abs": abs(ov)}, out)
 
@@ -789,15 +710,9 @@ def bosonic_overlap(state1, state2, out):
 def bosonic_optimize(state1, state2, restarts, seed, trace_path, out):
     ExperimentConfig("bosonic optimize", [state1, state2], out, seed,
                      {"restarts": restarts}).announce()
-    try:
-        c1 = CoreState.from_json(json.dumps(_read_json(state1)))
-        c2 = CoreState.from_json(json.dumps(_read_json(state2)))
-        v, best_abs, best_re = optimize_overlap(
-            c1, c2, restarts=restarts, seed=seed,
-            trace_file=_resolve_out(trace_path) or None)
-    except ValueError as exc:
-        _config_error(str(exc))
-        return
+    v, best_abs, best_re = optimize_overlap(
+        _read_core(state1), _read_core(state2), restarts=restarts, seed=seed,
+        trace_file=_resolve_out(trace_path) or None)
     _emit({"version": SCHEMA_VERSION, "best_abs": best_abs, "best_re": best_re,
            "unitary": _unitary_obj(v)}, out)
 
@@ -812,13 +727,8 @@ def bosonic_optimize(state1, state2, restarts, seed, trace_path, out):
 def bosonic_tv_gap(state1, state2, sigma, samples, seed, out):
     ExperimentConfig("bosonic tv-gap", [state1, state2], out, seed,
                      {"sigma": sigma, "samples": samples}).announce()
-    try:
-        c1 = CoreState.from_json(json.dumps(_read_json(state1)))
-        c2 = CoreState.from_json(json.dumps(_read_json(state2)))
-        tv, diag = estimate_tv_gap(c1, c2, sigma, samples, seed)
-    except ValueError as exc:
-        _config_error(str(exc))
-        return
+    tv, diag = estimate_tv_gap(_read_core(state1), _read_core(state2), sigma,
+                               samples, seed)
     _emit({"version": SCHEMA_VERSION, "tv_lower": tv, **diag}, out)
 
 

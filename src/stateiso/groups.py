@@ -81,6 +81,14 @@ class FiniteGroupRep:
             self._cache[g] = u
         return u
 
+    def acts_trivially(self, g) -> bool:
+        """Whether R(g) is a global phase times the identity, so that g
+        leaves every state unchanged."""
+        u = self.unitary(g)
+        tr = np.trace(u) / self.dim
+        return bool(abs(tr) > 1 - 1e-10
+                    and np.max(np.abs(u - tr * np.eye(self.dim))) < 1e-10)
+
     def is_abelian(self, rng: Optional[np.random.Generator] = None,
                    max_pairs: int = 10_000) -> bool:
         els = self.elements
@@ -237,15 +245,10 @@ def max_trace_ratio(rep: FiniteGroupRep) -> float:
     trivially on states and are skipped along with the identity label.
     """
     mu = 0.0
-    eye = np.eye(rep.dim)
     for g in rep.elements:
-        if g == rep.identity:
+        if g == rep.identity or rep.acts_trivially(g):
             continue
-        u = rep.unitary(g)
-        tr = np.trace(u) / rep.dim
-        if abs(tr) > 1 - 1e-10 and np.max(np.abs(u - tr * eye)) < 1e-10:
-            continue
-        mu = max(mu, abs(tr))
+        mu = max(mu, abs(np.trace(rep.unitary(g)) / rep.dim))
     return float(mu)
 
 
@@ -255,6 +258,8 @@ def max_trace_ratio(rep: FiniteGroupRep) -> float:
 
 def pauli_group(n: int) -> FiniteGroupRep:
     """The full phased Pauli group on n qubits: 4^{n+1} elements (phase, x, z)."""
+    if n < 1:
+        raise GroupError(f"the Pauli group needs at least one qubit, got n={n}")
     elements = [
         (p, x, z)
         for p in range(4)

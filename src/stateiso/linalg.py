@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -257,6 +257,14 @@ def prepare_mixed(c: Circuit) -> DensityMatrix:
     return DensityMatrix(c.n_qubits - len(c.traced), out)
 
 
+def random_density(dim: int, rng: np.random.Generator) -> DensityMatrix:
+    """Random full-rank density matrix A A^dag / Tr(A A^dag) with A a
+    complex Gaussian dim x dim matrix; ``dim`` must be a power of two."""
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    m = a @ a.conj().T
+    return DensityMatrix(dim.bit_length() - 1, m / np.trace(m).real)
+
+
 def inner_product(a: StateVector, b: StateVector) -> complex:
     if a.n_qubits != b.n_qubits:
         raise LinalgError("dimension mismatch in inner product")
@@ -265,10 +273,6 @@ def inner_product(a: StateVector, b: StateVector) -> complex:
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:
     return StateVector(a.n_qubits + b.n_qubits, np.kron(a.amplitudes, b.amplitudes))
-
-
-def tensor_density(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
-    return DensityMatrix(a.n_qubits + b.n_qubits, np.kron(a.matrix, b.matrix))
 
 
 def matrix_sqrt_psd(m: np.ndarray, tol: float = 1e-6) -> np.ndarray:
@@ -290,10 +294,7 @@ def sqrt_fidelity(r: DensityMatrix, s: DensityMatrix) -> float:
     """Square-root fidelity F(rho, sigma) = Tr|sqrt(rho) sqrt(sigma)|."""
     if r.n_qubits != s.n_qubits:
         raise LinalgError("dimension mismatch in fidelity")
-    sr = matrix_sqrt_psd(r.matrix)
-    inner = sr @ s.matrix @ sr
-    evals = np.linalg.eigvalsh((inner + inner.conj().T) / 2)
-    return float(np.sqrt(np.clip(evals, 0.0, None)).sum())
+    return fidelity_matrices(r.matrix, s.matrix)
 
 
 def fidelity_matrices(r: np.ndarray, s: np.ndarray) -> float:

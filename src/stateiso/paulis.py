@@ -145,14 +145,6 @@ class PauliOp:
     def is_hermitian(self) -> bool:
         return (self.phase - (self.x & self.z).bit_count()) % 2 == 0
 
-    @property
-    def x_bits(self) -> tuple:
-        return tuple((self.x >> i) & 1 for i in range(self.n))
-
-    @property
-    def z_bits(self) -> tuple:
-        return tuple((self.z >> i) & 1 for i in range(self.n))
-
     def weight_counts(self) -> tuple:
         """(#X, #Y, #Z) sites of the underlying Pauli string."""
         y = self.x & self.z
@@ -204,20 +196,6 @@ class PauliOp:
         )
 
 
-def pauli_multiply(p: PauliOp, q: PauliOp) -> PauliOp:
-    return p * q
-
-
-def pauli_commutes(p: PauliOp, q: PauliOp) -> bool:
-    return p.commutes(q)
-
-
-def apply_pauli(p: PauliOp, psi: StateVector) -> StateVector:
-    if p.n != psi.n_qubits:
-        raise PauliError("Pauli/state size mismatch")
-    return StateVector(psi.n_qubits, p.apply(psi.amplitudes))
-
-
 def pauli_expectation(psi: StateVector, p: PauliOp) -> complex:
     """<psi|P|psi>; real for Hermitian P."""
     if p.n != psi.n_qubits:
@@ -266,14 +244,6 @@ class CliffordElement:
                 m[j, q] = (img.x >> q) & 1
                 m[j, n + q] = (img.z >> q) & 1
         return m
-
-    def phase_bits(self) -> tuple:
-        """Sign bit of each generator image (0 for +, 1 for -)."""
-        out = []
-        for img in self.images:
-            base = (img.x & img.z).bit_count() & 3
-            out.append(((img.phase - base) >> 1) & 1)
-        return tuple(out)
 
     def is_symplectic(self) -> bool:
         n = self.n
@@ -406,14 +376,6 @@ class CliffordElement:
 def _pauli_matrix_cached(key: tuple, n: int) -> np.ndarray:
     phase, x, z = key
     return PauliOp(n, phase, x, z).to_matrix()
-
-
-def clifford_conjugate(c: CliffordElement, p: PauliOp) -> PauliOp:
-    return c.conjugate(p)
-
-
-def clifford_to_unitary(c: CliffordElement) -> UnitaryMatrix:
-    return c.to_unitary()
 
 
 def _f2_inverse(m: np.ndarray) -> np.ndarray:

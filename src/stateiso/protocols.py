@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .groups import k_twirl
-from .linalg import StateVector, trace_distance
+from .linalg import trace_distance
 from .paulis import enumerate_cliffords, qubit_permutation_clifford, random_clifford
 from .psgi import PsgiInstance
 from .reductions import MsgiInstance
@@ -27,19 +27,6 @@ DEFAULT_SHADOW_DELTA = 0.05
 
 class ProtocolError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class ShadowRecord:
-    """One classical shadow: the sampled Clifford and the measured bits."""
-
-    clifford: object          # CliffordElement
-    bits: tuple
-    seed: int
-
-    def __post_init__(self):
-        if len(self.bits) != self.clifford.n:
-            raise ProtocolError("bit string length does not match the Clifford")
 
 
 @dataclass(frozen=True)
@@ -81,22 +68,6 @@ def _clifford_unitaries(n: int) -> Optional[np.ndarray]:
     return _UNITARY_CACHE[n]
 
 
-def clifford_shadow(psi: StateVector, n_shadows: int, seed: int) -> list:
-    """Global Clifford shadows of psi with exact Born-rule sampling."""
-    if psi.n_qubits > 4:
-        raise ProtocolError("shadow sampling is limited to 4 qubits")
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(n_shadows):
-        c = random_clifford(psi.n_qubits, rng)
-        probs = np.abs(c.apply(psi).amplitudes) ** 2
-        probs /= probs.sum()
-        b = int(rng.choice(psi.dim, p=probs))
-        bits = tuple((b >> (psi.n_qubits - 1 - q)) & 1 for q in range(psi.n_qubits))
-        out.append(ShadowRecord(c, bits, seed))
-    return out
-
-
 def _median_of_means(singles: np.ndarray, n_targets: int,
                      delta: float) -> np.ndarray:
     """Aggregate per-shadow estimates (N x M) with 2*ceil(log(2M/delta))
@@ -109,37 +80,17 @@ def _median_of_means(singles: np.ndarray, n_targets: int,
     return np.median(trimmed.mean(axis=1), axis=0)
 
 
-def fidelity_from_shadows(shadows: list, targets: list,
-                          delta: float = DEFAULT_SHADOW_DELTA) -> np.ndarray:
-    """Estimate |<target|psi>|^2 for each target from shadow records.
-
-    Single-shadow estimator: (2^n + 1) |<b|C|target>|^2 - 1, aggregated by
-    median of means.
-    """
-    if not shadows:
-        raise ProtocolError("no shadows given")
-    n = shadows[0].clifford.n
-    dim = 1 << n
-    if any(t.n_qubits != n for t in targets):
-        raise ProtocolError("targets must share the shadow dimension")
-    tmat = np.stack([t.amplitudes for t in targets])
-    singles = np.empty((len(shadows), len(targets)))
-    for i, rec in enumerate(shadows):
-        b = 0
-        for bit in rec.bits:
-            b = (b << 1) | bit
-        u = rec.clifford.to_unitary().matrix
-        singles[i] = (dim + 1) * np.abs(tmat @ u[b]) ** 2 - 1
-    return _median_of_means(singles, len(targets), delta)
-
-
 def _shadow_estimates(state: np.ndarray, target_mat: np.ndarray,
                       n_shadows: int, rng, delta: float) -> np.ndarray:
-    """Vectorized shadow estimates of |<target_i|state>|^2.
+    """Global-Clifford classical-shadow estimates of |<target_i|state>|^2.
 
-    ``target_mat`` has one target per column; uses the cached full Clifford
-    group when available.
+    Each shadow draws a uniform Clifford U and a Born-rule outcome b of
+    U|state>; its single-shot estimate (2^n + 1) |<b|U|target>|^2 - 1 is
+    aggregated by median of means.  ``target_mat`` has one target per
+    column; uses the cached full Clifford group when available.
     """
+    if n_shadows < 1:
+        raise ProtocolError(f"need at least one shadow, got {n_shadows}")
     dim = state.shape[0]
     n = dim.bit_length() - 1
     unitaries = _clifford_unitaries(n)
@@ -163,10 +114,27 @@ def _shadow_estimates(state: np.ndarray, target_mat: np.ndarray,
 # Protocol rounds
 # ----------------------------------------------------------------------
 
+def _orbit_targets(orbit1: list, orbit2: list) -> dict:
+    """Both orbits as columns of one target matrix, psi1's orbit first."""
+    return {"targets": np.stack(orbit1 + orbit2).T, "split": len(orbit1)}
+
+
+def _orbit_scan(state: np.ndarray, ctx: dict, n_shadows: int, rng,
+                delta: float) -> int:
+    """The prover's answer j': shadow-estimate the fidelity of ``state``
+    with every orbit target and name the orbit with the larger maximum,
+    breaking an exact tie by a fair coin from ``rng``."""
+    ests = _shadow_estimates(state, ctx["targets"], n_shadows, rng, delta)
+    f1 = float(ests[: ctx["split"]].max())
+    f2 = float(ests[ctx["split"]:].max())
+    if f1 == f2:
+        return int(rng.integers(1, 3))
+    return 1 if f1 > f2 else 2
+
+
 def qcszk_context(inst: PsgiInstance) -> dict:
     """Precompute the prover's orbit targets for qcszk_round."""
-    targets = []
-    split = None
+    orbits = []
     for psi in (inst.psi1, inst.psi2):
         seen = {}
         for g in inst.rep.elements:
@@ -174,12 +142,9 @@ def qcszk_context(inst: PsgiInstance) -> dict:
             key = tuple(np.round(np.abs(vec), 10)) + tuple(
                 np.round(np.angle(vec * np.exp(-1j * np.angle(vec[np.argmax(np.abs(vec))]))), 8)
             )
-            if key not in seen:
-                seen[key] = vec
-        if split is None:
-            split = len(seen)
-        targets.extend(seen.values())
-    return {"targets": np.stack(targets).T, "split": split}
+            seen.setdefault(key, vec)
+        orbits.append(list(seen.values()))
+    return _orbit_targets(*orbits)
 
 
 def qcszk_round(inst: PsgiInstance, n_shadows: int = 2000, seed: int = 0,
@@ -193,13 +158,7 @@ def qcszk_round(inst: PsgiInstance, n_shadows: int = 2000, seed: int = 0,
     g = inst.rep.elements[int(rng.integers(inst.rep.order))]
     psi = inst.psi1 if j == 1 else inst.psi2
     state = inst.rep.unitary(g) @ psi.amplitudes
-    ests = _shadow_estimates(state, ctx["targets"], n_shadows, rng, delta)
-    f1 = float(ests[: ctx["split"]].max())
-    f2 = float(ests[ctx["split"]:].max())
-    if f1 == f2:
-        j_prime = int(rng.integers(1, 3))
-    else:
-        j_prime = 1 if f1 > f2 else 2
+    j_prime = _orbit_scan(state, ctx, n_shadows, rng, delta)
     return ProtocolTranscript(
         j=j, g=g, message={"type": "shadows", "count": n_shadows},
         j_prime=j_prime, accept=(j == j_prime),
@@ -238,17 +197,12 @@ def szk_lowrank_context(lr1, lr2) -> dict:
     n = psi1.n_qubits
     perms = _all_permutations(n)
     unis = [qubit_permutation_clifford(p, n).to_unitary().matrix for p in perms]
-    targets = []
-    split = None
+    orbits = []
     for psi in (psi1, psi2):
         orbit = {tuple(np.round(u @ psi.amplitudes, 10)) for u in unis}
-        if split is None:
-            split = len(orbit)
-        targets.extend(np.array(v) for v in orbit)
-    return {
-        "psi": (psi1, psi2), "perms": perms, "unitaries": unis,
-        "targets": np.stack(targets).T, "split": split,
-    }
+        orbits.append([np.array(v) for v in orbit])
+    return {"psi": (psi1, psi2), "perms": perms, "unitaries": unis,
+            **_orbit_targets(*orbits)}
 
 
 def _all_permutations(n: int):
@@ -275,13 +229,7 @@ def szk_lowrank_round(lr1, lr2, gamma: float = 0.05, seed: int = 0,
     gi = int(rng.integers(len(ctx["perms"])))
     psi = ctx["psi"][j - 1]
     state = ctx["unitaries"][gi] @ psi.amplitudes
-    ests = _shadow_estimates(state, ctx["targets"], n_shadows, rng, gamma)
-    f1 = float(ests[: ctx["split"]].max())
-    f2 = float(ests[ctx["split"]:].max())
-    if f1 == f2:
-        j_prime = int(rng.integers(1, 3))
-    else:
-        j_prime = 1 if f1 > f2 else 2
+    j_prime = _orbit_scan(state, ctx, n_shadows, rng, gamma)
     return ProtocolTranscript(
         j=j, g=ctx["perms"][gi],
         message={"type": "shadows", "count": n_shadows},

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .linalg import StateVector
-from .groups import DecisionThresholds, FiniteGroupRep, GroupError, dihedralize
+from .groups import DecisionThresholds, FiniteGroupRep, dihedralize
 from .paulis import PauliOp
 
 DEFAULT_SAMPLE_CONSTANT = 6

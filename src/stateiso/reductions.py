@@ -23,7 +23,7 @@ from .groups import DecisionThresholds, FiniteGroupRep
 from .paulis import (
     _PARITY16, _revbits, CliffordElement, PauliOp, enumerate_cliffords,
     graph_state, qubit_permutation_clifford, r_minus_state, r_overlap_sq_images,
-    r_state, r_state_product, random_clifford_rows, rows_to_clifford,
+    r_state, r_state_product, random_clifford_rows,
     is_qubit_permutation_images, _rows_to_images,
 )
 from .psgi import PsgiInstance, PsgiVerdict
@@ -425,14 +425,11 @@ def bqp_hardness_instance(q: Circuit, phi: Circuit, rep: FiniteGroupRep,
         abs(np.vdot(psi2.amplitudes, rep.unitary(g) @ zero))
         for g in rep.elements
     )
-    eye = np.eye(rep.dim)
-    self_ov = 0.0
-    for g in rep.elements:
-        u = rep.unitary(g)
-        tr = np.trace(u) / rep.dim
-        if abs(tr) > 1 - 1e-10 and np.max(np.abs(u - tr * eye)) < 1e-10:
-            continue  # trivially-acting element
-        self_ov = max(self_ov, abs(np.vdot(psi2.amplitudes, u @ psi2.amplitudes)))
+    self_ov = max(
+        (abs(np.vdot(psi2.amplitudes, rep.unitary(g) @ psi2.amplitudes))
+         for g in rep.elements if not rep.acts_trivially(g)),
+        default=0.0,
+    )
     diag = {"max_hiding_overlap": float(hiding),
             "max_self_overlap": float(self_ov)}
     return inst, diag

@@ -36,6 +36,7 @@ from stateiso.linalg import (
     DensityMatrix,
     StateVector,
     fidelity_matrices,
+    random_density,
     sqrt_fidelity,
 )
 from stateiso.paulis import PauliOp, pauli_expectation, r_state_product, COS8, SIN8
@@ -74,12 +75,6 @@ def _report(criterion, passed, detail=""):
         line += f" ({detail})"
     print(line)
     assert passed, line
-
-
-def _random_density(dim, rng):
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    m = a @ a.conj().T
-    return DensityMatrix(dim.bit_length() - 1, m / np.trace(m).real)
 
 
 def test_criterion_1_solver_oracle_agreement():
@@ -153,14 +148,14 @@ def test_criterion_4_twirl_fidelity_bound():
     min_slack = math.inf
     for _ in range(1000):
         rep = reps[int(rng.integers(len(reps)))]
-        rpt = check_twirl_fidelity_bound(rep, _random_density(rep.dim, rng),
-                                         _random_density(rep.dim, rng))
+        rpt = check_twirl_fidelity_bound(rep, random_density(rep.dim, rng),
+                                         random_density(rep.dim, rng))
         min_slack = min(min_slack, rpt.slack)
     decay_ok = True
     rep = z2k_group(1)
     for _ in range(25):
-        rho = _random_density(2, rng)
-        sigma = _random_density(2, rng)
+        rho = random_density(2, rng)
+        sigma = random_density(2, rng)
         eps = max(
             fidelity_matrices(rho.matrix,
                               rep.unitary(w) @ sigma.matrix @ rep.unitary(w).conj().T)
@@ -186,8 +181,8 @@ def test_criterion_5_trace_distance_transfer():
     involutions = [g for g in rep.elements if _usable(g)]
     worst = 0.0
     for _ in range(200):
-        s1 = _random_density(2, rng)
-        s2 = _random_density(2, rng)
+        s1 = random_density(2, rng)
+        s2 = random_density(2, rng)
         h = involutions[int(rng.integers(len(involutions)))]
         inst = qsd_to_mixed_hsp(s1, s2, rep, h)
         lhs, rhs = trace_distance_transfer(inst, s1, s2)
@@ -280,7 +275,7 @@ def test_criterion_8_protocol_gaps():
     qcszk_ok = abs(iso_rate - 0.5) <= 0.02 and no_rate >= 0.9
 
     rep = pauli_group(2)
-    s1 = _random_density(4, rng)
+    s1 = random_density(4, rng)
     g = rep.elements[7]
     u = rep.unitary(g)
     miso = MsgiInstance(s1, DensityMatrix(2, u @ s1.matrix @ u.conj().T),

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -99,6 +100,15 @@ class TestGraphEncoding:
     def test_empty_graph_rejected(self):
         with pytest.raises(BosonicError):
             encode_graph_bosonic(Graph(3, ()))
+
+
+class TestCoreStateJson:
+    @pytest.mark.parametrize("field", ["n_modes", "r_max", "amplitudes"])
+    def test_missing_field_named(self, field):
+        obj = json.loads(encode_graph_bosonic(Graph.path(3)).to_json())
+        del obj[field]
+        with pytest.raises(BosonicError, match=field):
+            CoreState.from_json(json.dumps(obj))
 
 
 class TestLinearOptics:
@@ -322,6 +332,15 @@ class TestSzkSampler:
         args = {"n_samples": 1, "n_reference": 3, "n_warm": 1, **kwargs}
         with pytest.raises(BosonicError):
             estimate_tv_gap(c, c, 0.02, seed=0, b=0.5, **args)
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, float("nan")])
+    def test_nonpositive_sigma_rejected(self, sigma):
+        c = encode_graph_bosonic(Graph.path(3))
+        with pytest.raises(BosonicError, match="sigma"):
+            szk_sampler(c, sigma, 0)
+        with pytest.raises(BosonicError, match="sigma"):
+            estimate_tv_gap(c, c, sigma, n_samples=1, seed=0, n_reference=3,
+                            n_warm=1, b=0.5)
 
     def test_estimate_tv_gap_isomorphic_near_zero(self):
         g = Graph.path(4)

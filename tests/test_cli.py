@@ -198,6 +198,81 @@ class TestBosonicCommands:
         assert "n_samples" in res.output and "Traceback" not in res.output
 
 
+def _malformed_inputs(runner, tmp_path):
+    """(id, argv) pairs of malformed inputs that must be config errors."""
+    state = {"n_qubits": 1, "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}
+    no_psi1 = tmp_path / "no_psi1.json"
+    no_psi1.write_text(json.dumps({"version": 1, "type": "psgi", "psi2": state,
+                                   "group": {"type": "pauli", "n": 1},
+                                   "alpha": 0.6, "beta": 0.99}))
+    g1 = _write_graph(tmp_path / "g1.txt", Graph.path(4))
+    g2 = _write_graph(tmp_path / "g2.txt", Graph.path(4).relabel((3, 2, 1, 0)))
+    lowrank = tmp_path / "lowrank.json"
+    res = runner.invoke(main, ["reduce", "gi-lowrank", g1, g2, "--out", str(lowrank)])
+    assert res.exit_code == 0
+    trace2 = tmp_path / "trace2.json"
+    trace2.write_text(json.dumps({"n_qubits": 1,
+                                  "matrix": [[[2, 0], [0, 0]], [[0, 0], [0, 0]]]}))
+    pure = tmp_path / "pure.json"
+    pure.write_text(DensityMatrix(1, np.diag([1.0, 0.0]).astype(complex)).to_json())
+    core = tmp_path / "c.json"
+    res = runner.invoke(main, ["bosonic", "encode", g1, "--out", str(core)])
+    assert res.exit_code == 0
+    bad_core = tmp_path / "bad.json"
+    bad_core.write_text(json.dumps({"n_modes": 4, "r_max": 3}))
+    return {
+        "psgi-bundle-without-psi1": ["psgi", "--instance", str(no_psi1)],
+        "psgi-isomorphic-gi-lowrank-bundle": ["psgi", "--instance", str(lowrank)],
+        "reduce-qsd-msgi-trace-2": ["reduce", "qsd-msgi", str(trace2), str(pure)],
+        "bosonic-optimize-core-without-amplitudes":
+            ["bosonic", "optimize", str(core), str(bad_core), "--restarts", "1"],
+        "bosonic-overlap-core-without-amplitudes":
+            ["bosonic", "overlap", str(core), str(bad_core)],
+        "verify-trace-transfer-zero-qubits": ["verify", "trace-transfer", "--n", "0"],
+    }
+
+
+def _assert_config_error(res):
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert "Traceback" not in res.output
+    errors = [ln for ln in res.stderr.splitlines() if ln.startswith("config error:")]
+    assert len(errors) == 1, res.stderr
+
+
+class TestConfigErrorBoundary:
+    @pytest.mark.parametrize("case", [
+        "psgi-bundle-without-psi1",
+        "psgi-isomorphic-gi-lowrank-bundle",
+        "reduce-qsd-msgi-trace-2",
+        "bosonic-optimize-core-without-amplitudes",
+        "bosonic-overlap-core-without-amplitudes",
+        "verify-trace-transfer-zero-qubits",
+    ])
+    def test_malformed_input_exits_two(self, runner, tmp_path, case):
+        args = _malformed_inputs(runner, tmp_path)[case]
+        _assert_config_error(runner.invoke(main, args))
+
+    @pytest.mark.parametrize("args", [
+        ["protocol", "qcszk", "--n", "0", "--trials", "1", "--shadows", "10"],
+        ["protocol", "qcszk", "--trials", "1", "--shadows", "0"],
+        ["psgi", "--n", "0"],
+        ["verify", "twirl-bound", "--n", "0", "--instances", "1"],
+    ], ids=["qcszk-zero-qubits", "qcszk-zero-shadows", "psgi-zero-qubits",
+            "twirl-bound-zero-qubits"])
+    def test_empty_sizes_exit_two(self, runner, args):
+        _assert_config_error(runner.invoke(main, args))
+
+    def test_tv_gap_nonpositive_sigma(self, runner, tmp_path):
+        core = tmp_path / "c.json"
+        g = _write_graph(tmp_path / "g.txt", Graph.path(4))
+        runner.invoke(main, ["bosonic", "encode", g, "--out", str(core)])
+        res = runner.invoke(main, ["bosonic", "tv-gap", str(core), str(core),
+                                   "--samples", "1", "--sigma", "-1"])
+        _assert_config_error(res)
+        assert "sigma" in res.stderr
+
+
 class TestDeterminism:
     def test_psgi_output_reproducible(self, runner):
         args = ["psgi", "--n", "2", "--kind", "yes", "--seed", "9"]

@@ -17,15 +17,9 @@ from stateiso.groups import (
     two_copy_pauli,
     z2k_group,
 )
-from stateiso.linalg import DensityMatrix
+from stateiso.linalg import random_density
 
 RNG = np.random.default_rng(99)
-
-
-def random_density(dim):
-    a = RNG.normal(size=(dim, dim)) + 1j * RNG.normal(size=(dim, dim))
-    m = a @ a.conj().T
-    return DensityMatrix(dim.bit_length() - 1, m / np.trace(m).real)
 
 
 class TestThresholds:
@@ -49,6 +43,11 @@ class TestGroupConstructions:
             assert rep.order == 4 ** (n + 1)
             assert rep.check_homomorphism(np.random.default_rng(1), samples=60) < 1e-8
             assert not rep.is_abelian()
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_pauli_group_needs_a_qubit(self, n):
+        with pytest.raises(GroupError):
+            pauli_group(n)
 
     def test_two_copy_pauli(self):
         rep = two_copy_pauli(1)
@@ -95,25 +94,25 @@ class TestTwirl:
         # the Pauli group is a unitary 1-design: E(rho) = I/d
         for n in (1, 2):
             rep = pauli_group(n)
-            rho = random_density(rep.dim)
+            rho = random_density(rep.dim, RNG)
             out = twirl(rep, rho)
             assert np.allclose(out.matrix, np.eye(rep.dim) / rep.dim, atol=1e-10)
 
     def test_twirl_is_idempotent(self):
         rep = cyclic_group(4, "shift")
-        rho = random_density(4)
+        rho = random_density(4, RNG)
         once = twirl(rep, rho)
         assert np.allclose(twirl(rep, once).matrix, once.matrix, atol=1e-10)
 
     def test_k_twirl_reduces_to_twirl(self):
         rep = z2k_group(2)
-        rho = random_density(4)
+        rho = random_density(4, RNG)
         assert np.allclose(k_twirl(rep, rho, 1).matrix, twirl(rep, rho).matrix)
 
     def test_k_twirl_guard(self):
         rep = pauli_group(2)
         with pytest.raises(GroupError):
-            k_twirl(rep, random_density(4), 20)
+            k_twirl(rep, random_density(4, RNG), 20)
 
 
 class TestTwirlBound:
@@ -122,14 +121,14 @@ class TestTwirlBound:
         for _ in range(60):
             rep = reps[int(RNG.integers(len(reps)))]
             report = check_twirl_fidelity_bound(
-                rep, random_density(rep.dim), random_density(rep.dim))
+                rep, random_density(rep.dim, RNG), random_density(rep.dim, RNG))
             assert report.satisfied
             assert report.slack >= -1e-7
             assert abs(report.bound - rep.order * report.epsilon) < 1e-12
 
     def test_equal_states_saturate_epsilon(self):
         rep = z2k_group(1)
-        rho = random_density(2)
+        rho = random_density(2, RNG)
         report = check_twirl_fidelity_bound(rep, rho, rho)
         assert report.epsilon >= 1 - 1e-10
 

@@ -14,6 +14,7 @@ from stateiso.linalg import (
     matrix_sqrt_psd,
     partial_trace,
     prepare_mixed,
+    random_density,
     run_circuit,
     sqrt_fidelity,
     tensor,
@@ -27,13 +28,6 @@ RNG = np.random.default_rng(20240817)
 def random_state(n):
     v = RNG.normal(size=2**n) + 1j * RNG.normal(size=2**n)
     return StateVector(n, v / np.linalg.norm(v))
-
-
-def random_density(n):
-    d = 2**n
-    a = RNG.normal(size=(d, d)) + 1j * RNG.normal(size=(d, d))
-    m = a @ a.conj().T
-    return DensityMatrix(n, m / np.trace(m).real)
 
 
 class TestStateVector:
@@ -75,7 +69,7 @@ class TestDensityMatrix:
             DensityMatrix(1, np.diag([1.5, -0.5]))
 
     def test_json_roundtrip(self):
-        rho = random_density(2)
+        rho = random_density(4, RNG)
         back = DensityMatrix.from_json(rho.to_json())
         assert np.allclose(back.matrix, rho.matrix)
 
@@ -164,25 +158,25 @@ class TestMetrics:
         assert abs(d - np.sqrt(1 - f)) < 1e-8
 
     def test_fidelity_bounds_and_symmetry(self):
-        r, s = random_density(2), random_density(2)
+        r, s = random_density(4, RNG), random_density(4, RNG)
         f1, f2 = sqrt_fidelity(r, s), sqrt_fidelity(s, r)
         assert abs(f1 - f2) < 1e-8
         assert -1e-10 <= f1 <= 1 + 1e-10
         assert abs(sqrt_fidelity(r, r) - 1) < 1e-8
 
     def test_fidelity_matrices_on_subnormalized(self):
-        r = random_density(1)
+        r = random_density(2, RNG)
         assert abs(fidelity_matrices(r.matrix, r.matrix) - 1) < 1e-8
         half = 0.5 * r.matrix
         assert abs(fidelity_matrices(half, half) - 0.5) < 1e-8
 
     def test_matrix_sqrt_psd(self):
-        r = random_density(2)
+        r = random_density(4, RNG)
         root = matrix_sqrt_psd(r.matrix)
         assert np.allclose(root @ root, r.matrix)
 
     def test_trace_norm_of_difference(self):
-        a, b = random_density(2), random_density(2)
+        a, b = random_density(4, RNG), random_density(4, RNG)
         m = a.matrix - b.matrix
         want = np.abs(np.linalg.eigvalsh(m)).sum()
         assert abs(trace_norm(m) - want) < 1e-10

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -12,12 +10,10 @@ from stateiso.paulis import (
     PauliError,
     PauliOp,
     clifford_group_order,
-    clifford_to_unitary,
     enumerate_cliffords,
     graph_stabilizer,
     graph_state,
     is_qubit_permutation_images,
-    pauli_commutes,
     pauli_expectation,
     qubit_permutation_clifford,
     r_overlap_sq,
@@ -71,7 +67,7 @@ class TestPauliOp:
             n = int(RNG.integers(1, 4))
             a, b = _random_pauli(n), _random_pauli(n)
             da, db = dense_pauli(a), dense_pauli(b)
-            assert pauli_commutes(a, b) == np.allclose(da @ db, db @ da)
+            assert a.commutes(b) == np.allclose(da @ db, db @ da)
 
     def test_apply_matches_matrix(self):
         for _ in range(50):
@@ -143,7 +139,7 @@ class TestCliffordElement:
     def test_unitary_is_unitary(self):
         for n in (1, 2, 3):
             c = random_clifford(n, RNG)
-            u = clifford_to_unitary(c).matrix
+            u = c.to_unitary().matrix
             assert np.allclose(u @ u.conj().T, np.eye(1 << n), atol=1e-10)
 
     def test_seed_reproducibility(self):

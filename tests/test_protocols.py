@@ -5,14 +5,12 @@ import pytest
 
 from stateiso.graphs import Graph
 from stateiso.groups import DecisionThresholds, clifford_group, pauli_group
-from stateiso.linalg import DensityMatrix, StateVector
-from stateiso.paulis import random_clifford
+from stateiso.linalg import DensityMatrix
 from stateiso.protocols import (
+    DEFAULT_SHADOW_DELTA,
     ProtocolError,
     ProtocolTranscript,
-    ShadowRecord,
-    clifford_shadow,
-    fidelity_from_shadows,
+    _shadow_estimates,
     qcszk_context,
     qcszk_round,
     qszk_mixed_context,
@@ -23,18 +21,13 @@ from stateiso.protocols import (
     wilson_interval,
     write_summary_csv,
 )
-from stateiso.psgi import PsgiInstance, random_pauli_psgi_instance, random_state
+from stateiso.psgi import random_pauli_psgi_instance, random_state
 from stateiso.reductions import MsgiInstance, lowrank_gi_instance
 
 THRESHOLDS = DecisionThresholds(0.6, 0.99)
 
 
 class TestRecords:
-    def test_shadow_record_length_check(self):
-        c = random_clifford(2, 3)
-        with pytest.raises(ProtocolError):
-            ShadowRecord(c, (0,), seed=0)
-
     def test_transcript_accept_invariant(self):
         with pytest.raises(ProtocolError):
             ProtocolTranscript(j=1, g=None, message={}, j_prime=2, accept=True)
@@ -46,14 +39,19 @@ class TestRecords:
         assert back["accept"] is True and back["j"] == 1
 
 
+def _estimates(psi, targets, n_shadows, seed):
+    target_mat = np.stack([t.amplitudes for t in targets]).T
+    return _shadow_estimates(psi.amplitudes, target_mat, n_shadows,
+                             np.random.default_rng(seed), DEFAULT_SHADOW_DELTA)
+
+
 class TestShadows:
     def test_seed_reproducible(self):
         rng = np.random.default_rng(0)
         psi = random_state(2, rng)
-        a = clifford_shadow(psi, 10, seed=7)
-        b = clifford_shadow(psi, 10, seed=7)
-        assert all(x.clifford == y.clifford and x.bits == y.bits
-                   for x, y in zip(a, b))
+        a = _estimates(psi, [psi], 10, seed=7)
+        b = _estimates(psi, [psi], 10, seed=7)
+        assert np.array_equal(a, b)
 
     def test_estimator_unbiased_single_qubit(self):
         # enumerate all 24 Cliffords x outcomes: the single-shadow
@@ -76,21 +74,16 @@ class TestShadows:
         rng = np.random.default_rng(2)
         psi = random_state(2, rng)
         other = random_state(2, rng)
-        shadows = clifford_shadow(psi, 6000, seed=3)
-        ests = fidelity_from_shadows(shadows, [psi, other])
+        ests = _estimates(psi, [psi, other], 6000, seed=3)
         assert abs(ests[0] - 1) < 0.15
         want = abs(np.vdot(other.amplitudes, psi.amplitudes)) ** 2
         assert abs(ests[1] - want) < 0.15
 
     def test_empty_shadows_rejected(self):
         rng = np.random.default_rng(4)
+        psi = random_state(1, rng)
         with pytest.raises(ProtocolError):
-            fidelity_from_shadows([], [random_state(1, rng)])
-
-    def test_shadow_qubit_guard(self):
-        rng = np.random.default_rng(5)
-        with pytest.raises(ProtocolError):
-            clifford_shadow(random_state(5, rng), 1, 0)
+            _estimates(psi, [psi], 0, seed=0)
 
 
 class TestQcszk:

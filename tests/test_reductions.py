@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from stateiso.graphs import Graph
-from stateiso.groups import DecisionThresholds, cyclic_group, pauli_group
-from stateiso.linalg import Circuit, DensityMatrix, run_circuit, trace_norm
+from stateiso.groups import cyclic_group, pauli_group
+from stateiso.linalg import Circuit, random_density, run_circuit, trace_norm
 from stateiso.paulis import (
     CliffordElement,
-    enumerate_cliffords,
     random_clifford,
     random_clifford_rows,
     rows_to_clifford,
@@ -36,13 +35,6 @@ from stateiso.reductions import (
 )
 
 RNG = np.random.default_rng(2024)
-
-
-def random_density(n):
-    d = 1 << n
-    a = RNG.normal(size=(d, d)) + 1j * RNG.normal(size=(d, d))
-    m = a @ a.conj().T
-    return DensityMatrix(n, m / np.trace(m).real)
 
 
 class TestGiClifford:
@@ -248,7 +240,7 @@ class TestBqpHardness:
 
 class TestDistinguishability:
     def test_msgi_padding_halves_distance(self):
-        s1, s2 = random_density(2), random_density(2)
+        s1, s2 = random_density(4, RNG), random_density(4, RNG)
         inst = qsd_to_msgi(s1, s2, pauli_group(2), seed=0)
         lhs = trace_norm(inst.sigma1.matrix - inst.sigma2.matrix)
         rhs = trace_norm(s1.matrix - s2.matrix)
@@ -257,7 +249,7 @@ class TestDistinguishability:
         assert inst.diagnostics["max_fidelity"] >= inst.diagnostics["identity_fidelity"] - 1e-9
 
     def test_msgi_seed_reproducible(self):
-        s1, s2 = random_density(1), random_density(1)
+        s1, s2 = random_density(2, RNG), random_density(2, RNG)
         a = qsd_to_msgi(s1, s2, pauli_group(1), seed=4)
         b = qsd_to_msgi(s1, s2, pauli_group(1), seed=4)
         assert np.allclose(a.sigma1.matrix, b.sigma1.matrix)
@@ -265,7 +257,7 @@ class TestDistinguishability:
     def test_mixed_hsp_label_vectors(self):
         rep = cyclic_group(4, "shift")
         h = rep.elements[2]  # order-2 element of Z4
-        s1, s2 = random_density(2), random_density(2)
+        s1, s2 = random_density(4, RNG), random_density(4, RNG)
         inst = qsd_to_mixed_hsp(s1, s2, rep, h)
         rh = rep.unitary(h)
         assert np.allclose(rh @ inst.v1, inst.v2, atol=1e-10)
@@ -275,7 +267,7 @@ class TestDistinguishability:
         rep = cyclic_group(4, "shift")
         h = rep.elements[2]
         for _ in range(20):
-            s1, s2 = random_density(2), random_density(2)
+            s1, s2 = random_density(4, RNG), random_density(4, RNG)
             inst = qsd_to_mixed_hsp(s1, s2, rep, h)
             lhs, rhs = trace_distance_transfer(inst, s1, s2)
             assert abs(lhs - rhs) < 1e-7
@@ -284,11 +276,11 @@ class TestDistinguishability:
         rep = cyclic_group(4, "shift")
         h = rep.elements[1]  # order 4, not an involution
         with pytest.raises(ReductionError):
-            qsd_to_mixed_hsp(random_density(2), random_density(2), rep, h)
+            qsd_to_mixed_hsp(random_density(4, RNG), random_density(4, RNG), rep, h)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ReductionError):
-            qsd_to_msgi(random_density(1), random_density(1), pauli_group(2), 0)
+            qsd_to_msgi(random_density(2, RNG), random_density(2, RNG), pauli_group(2), 0)
 
 
 class TestThresholdHelpers:
