@@ -119,7 +119,18 @@ def _read_text(path: str) -> str:
 
 
 def _read_json(path: str) -> dict:
-    return json.loads(_read_text(path))
+    obj = json.loads(_read_text(path))
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(obj).__name__}")
+    return obj
+
+
+def _field(bundle: dict, key: str, kind, what: str):
+    """bundle[key], refused unless it is of the JSON kind ``what``."""
+    value = bundle[key]
+    if not isinstance(value, kind):
+        raise ValueError(f"bundle field {key!r} must be {what}, got {type(value).__name__}")
+    return value
 
 
 def _read_graph(path: str) -> Graph:
@@ -157,9 +168,10 @@ class _ConfigErrorBoundary(click.Group):
     """Root group that turns malformed input into exit 2 for every command.
 
     Library errors are ValueError subclasses (JSON decode errors among
-    them); a bundle or spec without a required field raises KeyError and
-    an out-of-range index IndexError.  None of them may surface as a
-    traceback with exit 1, which would read as a NO decision.
+    them); a bundle or spec without a required field raises KeyError, an
+    out-of-range index IndexError, and an input or ``--out`` path that
+    cannot be opened OSError.  None of them may surface as a traceback
+    with exit 1, which would read as a NO decision.
     """
 
     def invoke(self, ctx):
@@ -167,7 +179,7 @@ class _ConfigErrorBoundary(click.Group):
             return super().invoke(ctx)
         except KeyError as exc:
             _config_error(f"missing field {exc}")
-        except (ValueError, IndexError) as exc:
+        except (ValueError, IndexError, OSError) as exc:
             _config_error(str(exc))
 
 
@@ -255,16 +267,17 @@ def _decision_code(decision: str) -> int:
 
 
 def _psgi_from_bundle(bundle: dict) -> PsgiInstance:
-    psi1 = StateVector.from_json(json.dumps(bundle["psi1"]))
-    psi2 = StateVector.from_json(json.dumps(bundle["psi2"]))
-    rep = group_from_spec(bundle["group"])
-    thresholds = DecisionThresholds(bundle["alpha"], bundle["beta"])
+    psi1 = StateVector.from_json(json.dumps(_field(bundle, "psi1", dict, "an object")))
+    psi2 = StateVector.from_json(json.dumps(_field(bundle, "psi2", dict, "an object")))
+    rep = group_from_spec(_field(bundle, "group", dict, "an object"))
+    thresholds = DecisionThresholds(_field(bundle, "alpha", (int, float), "a number"),
+                                    _field(bundle, "beta", (int, float), "a number"))
     return PsgiInstance(psi1, psi2, rep, thresholds)
 
 
 def _run_gi_clifford_bundle(bundle: dict, sweep_count: int, seed: int, out: str):
-    g1 = Graph.from_edge_list_text(bundle["graph1"])
-    g2 = Graph.from_edge_list_text(bundle["graph2"])
+    g1 = Graph.from_edge_list_text(_field(bundle, "graph1", str, "a string"))
+    g2 = Graph.from_edge_list_text(_field(bundle, "graph2", str, "a string"))
     inst = gi_to_clifford(g1, g2)
     if hasattr(inst, "decision"):        # mismatched counts: immediate NO
         _emit({"version": SCHEMA_VERSION, "decision": "NO", "witness": None,

@@ -3,14 +3,22 @@
 A Pauli is stored as ``i^phase * X^x Z^z`` with ``x``, ``z`` bitmasks
 (bit i = qubit i) and the phase exponent tracked exactly mod 4.  A
 Clifford is stored by its conjugation images of the generators
-X_0..X_{n-1}, Z_0..Z_{n-1}; no global phase is carried.  Whenever a dense
-unitary is needed, the phase is fixed canonically by making the first
-nonzero amplitude of C|0^n> real positive.
+X_0..X_{n-1}, Z_0..Z_{n-1}; no global phase is carried.
+
+There is one sampler and one dense action.  Cliffords are indexed in the
+Koenig-Smolin order (J. Math. Phys. 55, 122202, 2014) on symplectic rows
+packed into ints; ``enumerate_cliffords`` walks the indices and
+``random_clifford`` / ``random_clifford_rows`` draw one.  The action reads
+C|b> = P_b C|0^n>, where P_b is the product of the X-generator images
+selected by the bits of b, so a walk over the basis that multiplies in one
+image per step tabulates every column.  ``stabilized_state``, ``apply``
+and ``to_unitary`` all read that walk.  Phase convention: C|0^n> is fixed
+by making its first nonzero amplitude real positive, so the first nonzero
+entry of column 0 of ``to_unitary`` is real positive.
 """
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import Iterator, Optional
 
 import numpy as np
@@ -41,14 +49,11 @@ def _parity_table(bits: int) -> np.ndarray:
 _PARITY16 = _parity_table(16)
 
 
-def _parity_masked(indices: np.ndarray, mask: int) -> np.ndarray:
-    """Parity of popcount(indices & mask) for an array of basis indices."""
-    v = np.bitwise_and(indices, mask)
+def _parity(v: np.ndarray, bits: int) -> np.ndarray:
+    """Parity of the popcount of each entry of an int array below 2**bits."""
     out = _PARITY16[v & 0xFFFF]
-    v >>= 16
-    while v.any():
-        out ^= _PARITY16[v & 0xFFFF]
-        v >>= 16
+    for shift in range(16, bits, 16):
+        out ^= _PARITY16[(v >> shift) & 0xFFFF]
     return out
 
 
@@ -157,7 +162,7 @@ class PauliOp:
         xi = _revbits(self.x, n)
         zi = _revbits(self.z, n)
         idx = np.arange(1 << n)
-        signs = 1.0 - 2.0 * _parity_masked(idx, zi).astype(float)
+        signs = 1.0 - 2.0 * _parity(idx & zi, n)
         out = np.empty_like(amps, dtype=complex)
         out[idx ^ xi] = _PHASE[self.phase] * signs * amps
         return out
@@ -303,54 +308,49 @@ class CliffordElement:
     def __hash__(self) -> int:
         return hash((self.n,) + self.key())
 
-    # -- dense unitary --------------------------------------------------
+    def __repr__(self) -> str:
+        n = self.n
+        xs = " ".join(repr(img) for img in self.images[:n])
+        zs = " ".join(repr(img) for img in self.images[n:])
+        return f"CliffordElement(X -> {xs}; Z -> {zs})"
+
+    # -- dense action ---------------------------------------------------
     def stabilized_state(self) -> np.ndarray:
         """C|0^n> as a dense vector with canonical phase."""
-        n = self.n
-        d = 1 << n
-        proj = np.eye(d, dtype=complex)
-        for q in range(n):
-            sz = _pauli_matrix_cached(self.images[n + q].key(), n)
-            proj = proj @ (np.eye(d) + sz) / 2
-        # any nonzero column of the projector is the stabilized state
-        col = int(np.argmax(np.abs(proj).sum(axis=0)))
-        vec = proj[:, col]
-        nrm = np.linalg.norm(vec)
-        if nrm < 1e-12:
-            raise PauliError("stabilizer projector vanished")
-        vec = vec / nrm
-        lead = vec[np.argmax(np.abs(vec) > 1e-12)]
-        return vec * (abs(lead) / lead)
+        return _stabilized_state(self.key(), self.n)
 
     def apply(self, psi: StateVector) -> StateVector:
-        """C|psi> under the canonical phase convention."""
+        """C|psi> under the canonical phase convention, accumulated over
+        blocks of basis columns; no d x d array is built."""
         if psi.n_qubits != self.n:
             raise PauliError("size mismatch")
-        n = self.n
-        phi0 = self.stabilized_state()
-        out = np.zeros(1 << n, dtype=complex)
-        for b in range(1 << n):
-            a = psi.amplitudes[b]
-            if a == 0:
-                continue
-            p = PauliOp.identity(n)
-            for q in range(n):
-                if (b >> (n - 1 - q)) & 1:
-                    p = p * self.images[q]
-            out += a * p.apply(phi0)
-        return StateVector(n, out)
+        amps = psi.amplitudes
+        walk = _basis_walk(self.key(), self.n)
+        cols = np.flatnonzero(amps)
+        step = max(1, _BLOCK_ENTRIES >> self.n)
+        out = np.zeros(1 << self.n, dtype=complex)
+        for lo in range(0, len(cols), step):
+            block = cols[lo:lo + step]
+            terms = amps[block, None] * _basis_columns(walk, block)
+            # an axis-0 sum adds the rows one after another in basis order, so
+            # the result depends neither on the block size nor on BLAS
+            out = np.vstack((out, terms)).sum(axis=0)
+        return StateVector(self.n, out)
 
     def to_unitary(self) -> UnitaryMatrix:
+        """C as a dense matrix under the canonical phase convention; a
+        matrix over the ``_DENSE_BUDGET`` byte budget raises PauliError."""
         n = self.n
         d = 1 << n
-        phi0 = self.stabilized_state()
-        u = np.zeros((d, d), dtype=complex)
-        for b in range(d):
-            p = PauliOp.identity(n)
-            for q in range(n):
-                if (b >> (n - 1 - q)) & 1:
-                    p = p * self.images[q]
-            u[:, b] = p.apply(phi0)
+        if 16 * d * d > _DENSE_BUDGET:
+            raise PauliError(
+                f"a {n}-qubit unitary takes {16 * d * d >> 20} MiB, over the "
+                f"{_DENSE_BUDGET >> 20} MiB budget for dense Clifford matrices")
+        walk = _basis_walk(self.key(), n)
+        step = max(1, _BLOCK_ENTRIES >> n)
+        u = np.empty((d, d), dtype=complex)
+        for lo in range(0, d, step):
+            u[:, lo:lo + step] = _basis_columns(walk, slice(lo, lo + step)).T
         return UnitaryMatrix(d, u)
 
     def is_qubit_permutation(self) -> Optional[tuple]:
@@ -370,12 +370,6 @@ class CliffordElement:
         if sorted(perm) != list(range(n)):
             return None
         return tuple(perm)
-
-
-@lru_cache(maxsize=4096)
-def _pauli_matrix_cached(key: tuple, n: int) -> np.ndarray:
-    phase, x, z = key
-    return PauliOp(n, phase, x, z).to_matrix()
 
 
 def _f2_inverse(m: np.ndarray) -> np.ndarray:
@@ -399,8 +393,90 @@ def _f2_inverse(m: np.ndarray) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# Symplectic group enumeration / uniform sampling (canonical indexing)
+# Dense action kernel
 # ----------------------------------------------------------------------
+# Basis indices put qubit 0 in the most significant bit, so the walk keeps
+# its Pauli masks in index space (bit-reversed qubit masks).
+
+_PHASES = np.array(_PHASE)
+_BLOCK_ENTRIES = 1 << 14     # dense entries built at once by apply / to_unitary
+_DENSE_BUDGET = 1 << 28      # bytes allowed for one d x d Clifford unitary
+
+
+def _pauli_gather(ph, xs, zs, n: int):
+    """(src, factor) with (P_r v)[j] = factor[r, j] * v[src[r, j]] for the
+    Paulis P_r = i^ph[r] X^xs[r] Z^zs[r] (index-space masks), from
+    (X^x Z^z v)[j] = (-1)^{|(j ^ x) & z|} v[j ^ x]."""
+    src = xs[:, None] ^ np.arange(1 << n)
+    return src, _PHASES[(ph[:, None] + 2 * _parity(src & zs[:, None], n)) & 3]
+
+
+def _stabilized_state(images, n: int) -> np.ndarray:
+    """C|0^n> (canonical phase) from raw Z-generator image triples.
+
+    A fixed start vector projected onto the joint +1 eigenspace of the
+    Z images fixes the support and the quarter phases; the amplitudes are
+    then set exactly to i^k / sqrt(|support|).
+    """
+    ph, xs, zs = np.array([(p, _revbits(x, n), _revbits(z, n)) for p, x, z in images[n:]]).T
+    src, factor = _pauli_gather(ph, xs, zs, n)
+    v = np.exp(0.37j * np.arange(1 << n))
+    rng = None
+    while True:
+        for s, f in zip(src, factor):
+            v = (v + f * v[s]) / 2
+        mag = np.abs(v)
+        if mag.max() > 1e-9:
+            break
+        # the start vector was orthogonal to the stabilized state
+        rng = rng or np.random.default_rng(1)
+        v = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    support = mag > 0.5 * mag.max()
+    quarter = np.rint(np.angle(v[support]) / (np.pi / 2)).astype(int)
+    out = np.zeros(1 << n, dtype=complex)
+    # the first nonzero amplitude is made real positive
+    out[support] = _PHASES[(quarter - quarter[0]) & 3] / math.sqrt(len(quarter))
+    return out
+
+
+def _basis_walk(images, n: int):
+    """(ph, xs, zs, phi0) with C|b> = i^ph[b] X^xs[b] Z^zs[b] phi0 for every
+    basis index b, where phi0 = C|0^n> and the masks are in index space.
+
+    The walk visits b in binary order: entry b + 2^t is entry b times the
+    image of the X generator on index bit t, one Pauli product per entry.
+    """
+    ph, xs, zs = [0], [0], [0]
+    for t in range(n):
+        p, x, z = images[n - 1 - t]
+        x, z = _revbits(x, n), _revbits(z, n)
+        ph += [(q + p + 2 * (w & x).bit_count()) & 3 for q, w in zip(ph, zs)]
+        xs += [w ^ x for w in xs]
+        zs += [w ^ z for w in zs]
+    return np.array(ph), np.array(xs), np.array(zs), _stabilized_state(images, n)
+
+
+def _basis_columns(walk, cols) -> np.ndarray:
+    """Row r holds C|cols[r]>; ``cols`` is an index array or a slice."""
+    ph, xs, zs, phi0 = walk
+    src, factor = _pauli_gather(ph[cols], xs[cols], zs[cols], len(phi0).bit_length() - 1)
+    return factor * phi0[src]
+
+
+# ----------------------------------------------------------------------
+# Koenig-Smolin indexing and uniform sampling
+# ----------------------------------------------------------------------
+# Vectors over F2^{2n} are packed into ints with interleaved coordinates:
+# bit 2q is the X part of qubit q, bit 2q + 1 the Z part.
+
+_EVEN_MASK = sum(1 << (2 * q) for q in range(32))
+# byte -> (its even bits, its odd bits), each packed into a nibble
+_SPLIT = tuple(
+    (sum((b >> (2 * q) & 1) << q for q in range(4)),
+     sum((b >> (2 * q + 1) & 1) << q for q in range(4)))
+    for b in range(256)
+)
+
 
 def symplectic_group_order(n: int) -> int:
     order = 1 << (n * n)
@@ -414,107 +490,102 @@ def clifford_group_order(n: int) -> int:
     return symplectic_group_order(n) << (2 * n)
 
 
-def _sym_inner(v: np.ndarray, w: np.ndarray) -> int:
-    t = 0
-    for i in range(0, len(v), 2):
-        t ^= int(v[i] & w[i + 1]) ^ int(w[i] & v[i + 1])
-    return t
+def _inner_int(v: int, w: int) -> int:
+    return (((v & (w >> 1)) ^ ((v >> 1) & w)) & _EVEN_MASK).bit_count() & 1
 
 
-def _transvection(k: np.ndarray, v: np.ndarray) -> np.ndarray:
-    if not k.any():
-        return v.copy()
-    return (v + _sym_inner(k, v) * k) % 2
+def _transvection_int(k: int, v: int) -> int:
+    return v ^ k if _inner_int(k, v) else v
 
 
-def _int2bits(i: int, n: int) -> np.ndarray:
-    return np.array([(i >> j) & 1 for j in range(n)], dtype=np.uint8)
-
-
-def _find_transvection(x: np.ndarray, y: np.ndarray):
+def _find_transvection_int(x: int, y: int, n: int):
     """h0, h1 with y = T_{h0} T_{h1} x (Koenig-Smolin Lemma 2)."""
-    nn = len(x)
-    zero = np.zeros(nn, dtype=np.uint8)
-    if np.array_equal(x, y):
-        return zero, zero
-    if _sym_inner(x, y) == 1:
-        return (x + y) % 2, zero
-    z = np.zeros(nn, dtype=np.uint8)
-    for i in range(0, nn, 2):
-        if (x[i] | x[i + 1]) and (y[i] | y[i + 1]):
-            z[i] = (x[i] + y[i]) % 2
-            z[i + 1] = (x[i + 1] + y[i + 1]) % 2
-            if z[i] == 0 and z[i + 1] == 0:
-                z[i + 1] = 1
-                if x[i] != x[i + 1]:
-                    z[i] = 1
-            return (x + z) % 2, (y + z) % 2
-    for i in range(0, nn, 2):
-        if (x[i] | x[i + 1]) and not (y[i] | y[i + 1]):
-            if x[i] == x[i + 1]:
-                z[i + 1] = 1
+    if x == y:
+        return 0, 0
+    if _inner_int(x, y):
+        return x ^ y, 0
+    z = 0
+    for q in range(n):
+        xp = (x >> (2 * q)) & 3
+        yp = (y >> (2 * q)) & 3
+        if xp and yp:
+            zp = xp ^ yp
+            if zp == 0:
+                zp = 2
+                if (xp & 1) != (xp >> 1):
+                    zp = 3
+            z = zp << (2 * q)
+            return x ^ z, y ^ z
+    for q in range(n):
+        xp = (x >> (2 * q)) & 3
+        yp = (y >> (2 * q)) & 3
+        if xp and not yp:
+            if (xp & 1) == (xp >> 1):
+                z |= 2 << (2 * q)
             else:
-                z[i + 1] = x[i]
-                z[i] = x[i + 1]
+                z |= ((xp & 1) << 1 | (xp >> 1)) << (2 * q)
             break
-    for i in range(0, nn, 2):
-        if not (x[i] | x[i + 1]) and (y[i] | y[i + 1]):
-            if y[i] == y[i + 1]:
-                z[i + 1] = 1
+    for q in range(n):
+        xp = (x >> (2 * q)) & 3
+        yp = (y >> (2 * q)) & 3
+        if yp and not xp:
+            if (yp & 1) == (yp >> 1):
+                z |= 2 << (2 * q)
             else:
-                z[i + 1] = y[i]
-                z[i] = y[i + 1]
+                z |= ((yp & 1) << 1 | (yp >> 1)) << (2 * q)
             break
-    return (x + z) % 2, (y + z) % 2
+    return x ^ z, y ^ z
 
 
-def symplectic_from_index(i: int, n: int) -> np.ndarray:
-    """The i-th element of Sp(2n, F2) in the Koenig-Smolin canonical order,
-    returned in interleaved (x1, z1, x2, z2, ...) coordinates."""
+def _symplectic_rows_int(i: int, n: int):
+    """Rows of the i-th element of Sp(2n, F2) in the Koenig-Smolin order,
+    as packed ints."""
     nn = 2 * n
     s = (1 << nn) - 1
-    k = (i % s) + 1
+    f1 = (i % s) + 1
     i //= s
-    f1 = _int2bits(k, nn)
-    e1 = np.zeros(nn, dtype=np.uint8)
-    e1[0] = 1
-    t0, t1 = _find_transvection(e1, f1)
-    bits = _int2bits(i % (1 << (nn - 1)), nn - 1)
-    eprime = e1.copy()
-    for j in range(2, nn):
-        eprime[j] = bits[j - 1]
-    h0 = _transvection(t1, eprime)
-    h0 = _transvection(t0, h0)
-    if bits[0] == 1:
-        f1 = np.zeros(nn, dtype=np.uint8)
+    t0, t1 = _find_transvection_int(1, f1, n)
+    bits = i % (1 << (nn - 1))
+    i >>= nn - 1
+    eprime = 1 | ((bits >> 1) << 2)
+    h0 = _transvection_int(t1, eprime)
+    h0 = _transvection_int(t0, h0)
+    if bits & 1:
+        f1 = 0
     if n == 1:
-        g = np.eye(2, dtype=np.uint8)
+        rows = [1, 2]
     else:
-        sub = symplectic_from_index(i >> (nn - 1), n - 1)
-        g = np.zeros((nn, nn), dtype=np.uint8)
-        g[:2, :2] = np.eye(2, dtype=np.uint8)
-        g[2:, 2:] = sub
-    for j in range(nn):
-        row = _transvection(t1, g[j])
-        row = _transvection(t0, row)
-        row = _transvection(h0, row)
-        row = _transvection(f1, row)
-        g[j] = row
-    return g
+        rows = [1, 2] + [r << 2 for r in _symplectic_rows_int(i, n - 1)]
+    out = []
+    for r in rows:
+        r = _transvection_int(t1, r)
+        r = _transvection_int(t0, r)
+        r = _transvection_int(h0, r)
+        if f1:
+            r = _transvection_int(f1, r)
+        out.append(r)
+    return out
 
 
-def _clifford_from_parts(sym_interleaved: np.ndarray, signs: int, n: int) -> CliffordElement:
-    """Build a tableau Clifford from an interleaved symplectic matrix plus
-    2n sign bits (bit j flips the sign of generator image j)."""
+def _rows_to_images(rows, signs: int, n: int):
+    """(phase, x, z) triples for generators X_0..X_{n-1}, Z_0..Z_{n-1}."""
     images = []
     for j in range(2 * n):
-        # generator order: X_0..X_{n-1}, Z_0..Z_{n-1}
-        row = sym_interleaved[2 * (j % n) + (j // n)]
-        x = sum(int(row[2 * q]) << q for q in range(n))
-        z = sum(int(row[2 * q + 1]) << q for q in range(n))
+        row = rows[2 * (j % n) + (j // n)]
+        x = z = 0
+        for q in range(0, n, 4):
+            bx, bz = _SPLIT[(row >> (2 * q)) & 0xFF]
+            x |= bx << q
+            z |= bz << q
         phase = ((x & z).bit_count() & 1) + 2 * ((signs >> j) & 1)
-        images.append(PauliOp(n, phase, x, z))
-    return CliffordElement(n, images)
+        images.append((phase, x, z))
+    return images
+
+
+def rows_to_clifford(rows, signs: int, n: int) -> CliffordElement:
+    return CliffordElement(
+        n, [PauliOp(n, p, x, z) for p, x, z in _rows_to_images(rows, signs, n)]
+    )
 
 
 def enumerate_cliffords(n: int, allow_large: bool = False) -> Iterator[CliffordElement]:
@@ -525,11 +596,10 @@ def enumerate_cliffords(n: int, allow_large: bool = False) -> Iterator[CliffordE
     """
     if n > 3 or (n == 3 and not allow_large):
         raise PauliError("enumeration supported for n <= 2 (n = 3 behind allow_large)")
-    order = symplectic_group_order(n)
-    for i in range(order):
-        sym = symplectic_from_index(i, n)
+    for i in range(symplectic_group_order(n)):
+        rows = _symplectic_rows_int(i, n)
         for signs in range(1 << (2 * n)):
-            yield _clifford_from_parts(sym, signs, n)
+            yield rows_to_clifford(rows, signs, n)
 
 
 def _random_symplectic_index(rng: np.random.Generator, n: int) -> int:
@@ -545,15 +615,25 @@ def _random_symplectic_index(rng: np.random.Generator, n: int) -> int:
     return i % order
 
 
+def _draw_rows(rng: np.random.Generator, n: int):
+    i = _random_symplectic_index(rng, n)
+    signs = int(rng.integers(1 << (2 * n)))
+    return _symplectic_rows_int(i, n), signs
+
+
+def random_clifford_rows(rng: np.random.Generator, n: int):
+    """(rows, signs) of a uniform Clifford modulo phase; packed-int form."""
+    return _draw_rows(rng, n)
+
+
 def random_clifford(n: int, seed) -> CliffordElement:
     """Uniform Clifford modulo global phase, reproducible under the seed.
 
     ``seed`` may be an int or a numpy Generator.
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    i = _random_symplectic_index(rng, n)
-    signs = int(rng.integers(1 << (2 * n)))
-    return _clifford_from_parts(symplectic_from_index(i, n), signs, n)
+    rows, signs = _draw_rows(rng, n)
+    return rows_to_clifford(rows, signs, n)
 
 
 # ----------------------------------------------------------------------
@@ -625,128 +705,13 @@ def r_state_pauli_expectation(p: PauliOp) -> float:
     return s * (COS8**nx) * (SIN8**ny)
 
 
-# ----------------------------------------------------------------------
-# Fast integer path for large R-overlap sweeps
-# ----------------------------------------------------------------------
-# Vectors over F2^{2n} are packed into ints with interleaved coordinates:
-# bit 2q is the X part of qubit q, bit 2q + 1 the Z part.
-
-_EVEN_MASK = sum(1 << (2 * q) for q in range(32))
-
-
-def _inner_int(v: int, w: int) -> int:
-    a = (v & (w >> 1)) & _EVEN_MASK
-    b = ((v >> 1) & w) & _EVEN_MASK
-    return (a.bit_count() + b.bit_count()) & 1
-
-
-def _transvection_int(k: int, v: int) -> int:
-    return v ^ k if _inner_int(k, v) else v
-
-
-def _find_transvection_int(x: int, y: int, n: int):
-    if x == y:
-        return 0, 0
-    if _inner_int(x, y):
-        return x ^ y, 0
-    z = 0
-    for q in range(n):
-        xp = (x >> (2 * q)) & 3
-        yp = (y >> (2 * q)) & 3
-        if xp and yp:
-            zp = xp ^ yp
-            if zp == 0:
-                zp = 2
-                if (xp & 1) != (xp >> 1):
-                    zp = 3
-            z = zp << (2 * q)
-            return x ^ z, y ^ z
-    for q in range(n):
-        xp = (x >> (2 * q)) & 3
-        yp = (y >> (2 * q)) & 3
-        if xp and not yp:
-            if (xp & 1) == (xp >> 1):
-                z |= 2 << (2 * q)
-            else:
-                z |= ((xp & 1) << 1 | (xp >> 1)) << (2 * q)
-            break
-    for q in range(n):
-        xp = (x >> (2 * q)) & 3
-        yp = (y >> (2 * q)) & 3
-        if yp and not xp:
-            if (yp & 1) == (yp >> 1):
-                z |= 2 << (2 * q)
-            else:
-                z |= ((yp & 1) << 1 | (yp >> 1)) << (2 * q)
-            break
-    return x ^ z, y ^ z
-
-
-def _symplectic_rows_int(i: int, n: int):
-    """Rows of the i-th symplectic matrix as packed ints (fast path)."""
-    nn = 2 * n
-    s = (1 << nn) - 1
-    f1 = (i % s) + 1
-    i //= s
-    t0, t1 = _find_transvection_int(1, f1, n)
-    bits = i % (1 << (nn - 1))
-    i >>= nn - 1
-    eprime = 1 | ((bits >> 1) << 2)
-    h0 = _transvection_int(t1, eprime)
-    h0 = _transvection_int(t0, h0)
-    if bits & 1:
-        f1 = 0
-    if n == 1:
-        rows = [1, 2]
-    else:
-        rows = [1, 2] + [r << 2 for r in _symplectic_rows_int(i, n - 1)]
-    out = []
-    for r in rows:
-        r = _transvection_int(t1, r)
-        r = _transvection_int(t0, r)
-        r = _transvection_int(h0, r)
-        if f1:
-            r = _transvection_int(f1, r)
-        out.append(r)
-    return out
-
-
-def _rows_to_images(rows, signs: int, n: int):
-    """(phase, x, z) triples for generators X_0..X_{n-1}, Z_0..Z_{n-1}."""
-    images = []
-    for j in range(2 * n):
-        row = rows[2 * (j % n) + (j // n)]
-        x = z = 0
-        for q in range(n):
-            x |= ((row >> (2 * q)) & 1) << q
-            z |= ((row >> (2 * q + 1)) & 1) << q
-        phase = ((x & z).bit_count() & 1) + 2 * ((signs >> j) & 1)
-        images.append((phase, x, z))
-    return images
-
-
-def rows_to_clifford(rows, signs: int, n: int) -> CliffordElement:
-    return CliffordElement(
-        n, [PauliOp(n, p, x, z) for p, x, z in _rows_to_images(rows, signs, n)]
-    )
-
-
-def random_clifford_rows(rng: np.random.Generator, n: int):
-    """(rows, signs) of a uniform Clifford modulo phase; fast-path form."""
-    i = _random_symplectic_index(rng, n)
-    signs = int(rng.integers(1 << (2 * n)))
-    return _symplectic_rows_int(i, n), signs
-
-
 def r_overlap_sq(c: CliffordElement) -> float:
     """|<R^n| C |R^n>|^2 from the Pauli coefficient expansion.
 
     Uses |R><R| = (I + cos(pi/8) X + sin(pi/8) Y)/2 per qubit, so only the
     3^n strings over {I, X, Y} contribute.
     """
-    return r_overlap_sq_images(
-        [(img.phase, img.x, img.z) for img in c.images], c.n
-    )
+    return r_overlap_sq_images(c.key(), c.n)
 
 
 def r_overlap_sq_images(images, n: int) -> float:
@@ -778,16 +743,3 @@ def r_overlap_sq_images(images, n: int) -> float:
                 total += ncoef * (val if disp == 0 else -val)
     return total / (1 << n)
 
-
-def is_qubit_permutation_images(images, n: int) -> bool:
-    """Tableau-level permutation test on raw (phase, x, z) triples."""
-    perm = [None] * n
-    for i in range(n):
-        px, xx, zx = images[i]
-        pz, xz, zz = images[n + i]
-        if px or pz or zx or xz:
-            return False
-        if xx.bit_count() != 1 or xx != zz:
-            return False
-        perm[i] = xx
-    return len(set(perm)) == n

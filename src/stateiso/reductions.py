@@ -21,10 +21,8 @@ from .linalg import (
 from .graphs import Graph, find_isomorphism
 from .groups import DecisionThresholds, FiniteGroupRep
 from .paulis import (
-    _PARITY16, _revbits, CliffordElement, PauliOp, enumerate_cliffords,
-    graph_state, qubit_permutation_clifford, r_minus_state, r_overlap_sq_images,
-    r_state, r_state_product, random_clifford_rows,
-    is_qubit_permutation_images, _rows_to_images,
+    CliffordElement, enumerate_cliffords, graph_state, qubit_permutation_clifford,
+    r_minus_state, r_overlap_sq, r_state, r_state_product, random_clifford,
 )
 from .psgi import PsgiInstance, PsgiVerdict
 
@@ -93,79 +91,8 @@ def gi_to_clifford(g1: Graph, g2: Graph):
 
 
 # ----------------------------------------------------------------------
-# Fast random-Clifford overlap sweeps
+# Random-Clifford overlap sweeps
 # ----------------------------------------------------------------------
-
-def _stabilized_state_fast(images, n: int) -> np.ndarray:
-    """C|0^n> (canonical phase) from raw Z-generator image triples."""
-    d = 1 << n
-    v = np.exp(0.37j * np.arange(d))
-    for j in range(n):
-        p, x, z = images[n + j]
-        v = (v + PauliOp(n, p, x, z).apply(v)) / 2
-    nrm = np.linalg.norm(v)
-    if nrm < 1e-9:
-        # fixed start vector was orthogonal to the stabilized state
-        rng = np.random.default_rng(1)
-        while nrm < 1e-9:
-            v = rng.normal(size=d) + 1j * rng.normal(size=d)
-            for j in range(n):
-                p, x, z = images[n + j]
-                v = (v + PauliOp(n, p, x, z).apply(v)) / 2
-            nrm = np.linalg.norm(v)
-    v = v / nrm
-    lead = v[np.argmax(np.abs(v) > 1e-12)]
-    return v * (abs(lead) / lead)
-
-
-_PHASES = np.array([1, 1j, -1, -1j])
-
-
-def _gray_tables(images, n: int, amps: np.ndarray):
-    """Tables for C|psi> = sum_b psi_b prod_q img(X_q)^{b_q} C|0^n>,
-    with the Pauli product maintained along a Gray-code basis walk."""
-    if n > 16:
-        raise ReductionError("fast path limited to 16 qubits")
-    d = 1 << n
-    phi0 = _stabilized_state_fast(images, n)
-    # X-generator images with index-space masks (qubit 0 = MSB)
-    gens = [
-        (p, _revbits(x, n), _revbits(z, n)) for p, x, z in images[:n]
-    ]
-    ph = np.empty(d, dtype=np.int8)
-    xs = np.empty(d, dtype=np.int64)
-    zs = np.empty(d, dtype=np.int64)
-    coeff = np.empty(d, dtype=complex)
-    p = x = z = 0
-    g_prev = 0
-    for k in range(d):
-        gray = k ^ (k >> 1)
-        if k:
-            bit = (gray ^ g_prev).bit_length() - 1
-            gp, gx, gz = gens[n - 1 - bit]
-            p = (p + gp + 2 * (z & gx).bit_count()) & 3
-            x ^= gx
-            z ^= gz
-        g_prev = gray
-        ph[k] = p
-        xs[k] = x
-        zs[k] = z
-        coeff[k] = amps[gray]
-    return ph, xs, zs, coeff, phi0
-
-
-def _apply_clifford_fast(images, n: int, amps: np.ndarray) -> np.ndarray:
-    """C|psi> from raw image triples, vectorized over basis terms."""
-    d = 1 << n
-    ph, xs, zs, coeff, phi0 = _gray_tables(images, n, amps)
-    idx = np.arange(d)
-    signs = 1.0 - 2.0 * _PARITY16[np.bitwise_and(zs[:, None], idx[None, :]) & 0xFFFF]
-    terms = (coeff * _PHASES[ph])[:, None] * signs * phi0[None, :]
-    # terms[k, i] lands at index i XOR x_k; scatter-add in one shot
-    out = np.zeros(d, dtype=complex)
-    np.add.at(out, np.bitwise_xor(idx[None, :], xs[:, None]), terms)
-    return out
-
 
 def clifford_overlap_sweep(psi1: StateVector, psi2: StateVector, count: int,
                            seed: int, threshold: float) -> dict:
@@ -175,20 +102,11 @@ def clifford_overlap_sweep(psi1: StateVector, psi2: StateVector, count: int,
     if psi2.n_qubits != n:
         raise ReductionError("state size mismatch")
     rng = np.random.default_rng(seed)
-    a1 = psi1.amplitudes.conj()
-    a2 = psi2.amplitudes
-    idx = np.arange(1 << n)
     max_ov = 0.0
     exceed = 0
     for _ in range(count):
-        rows, signs = random_clifford_rows(rng, n)
-        images = _rows_to_images(rows, signs, n)
-        ph, xs, zs, coeff, phi0 = _gray_tables(images, n, a2)
-        s = 1.0 - 2.0 * _PARITY16[np.bitwise_and(zs[:, None], idx[None, :]) & 0xFFFF]
-        gathered = a1[np.bitwise_xor(idx[None, :], xs[:, None])]
-        ov = abs(np.sum(
-            (coeff * _PHASES[ph])[:, None] * s * phi0[None, :] * gathered
-        ))
+        c = random_clifford(n, rng)
+        ov = abs(np.vdot(psi1.amplitudes, c.apply(psi2).amplitudes))
         if ov > max_ov:
             max_ov = ov
         if ov > threshold:
@@ -213,34 +131,23 @@ def verify_lemma_perm(n: int, mode: str = "exhaustive", samples: int = 0,
                       threshold: float = LEMMA_PERM_THRESHOLD) -> dict:
     """Check that every Clifford with |<R^n|C|R^n>|^2 >= threshold is a
     qubit permutation.  Exhaustive for n <= 2, sampled otherwise."""
-    above = 0
-    perms = 0
-    violations = []
     if mode == "exhaustive":
-        checked = 0
-        for c in enumerate_cliffords(n):
-            checked += 1
-            images = [(img.phase, img.x, img.z) for img in c.images]
-            if r_overlap_sq_images(images, n) >= threshold:
-                above += 1
-                if is_qubit_permutation_images(images, n):
-                    perms += 1
-                else:
-                    violations.append(c.key())
+        cliffords = enumerate_cliffords(n)
     elif mode == "sampled":
         rng = np.random.default_rng(seed)
-        checked = samples
-        for _ in range(samples):
-            rows, signs = random_clifford_rows(rng, n)
-            images = _rows_to_images(rows, signs, n)
-            if r_overlap_sq_images(images, n) >= threshold:
-                above += 1
-                if is_qubit_permutation_images(images, n):
-                    perms += 1
-                else:
-                    violations.append((rows, signs))
+        cliffords = (random_clifford(n, rng) for _ in range(samples))
     else:
         raise ReductionError(f"unknown mode {mode!r}")
+    checked = above = perms = 0
+    violations = []
+    for c in cliffords:
+        checked += 1
+        if r_overlap_sq(c) >= threshold:
+            above += 1
+            if c.is_qubit_permutation() is not None:
+                perms += 1
+            else:
+                violations.append(c.key())
     return {
         "n": n, "mode": mode, "checked": checked, "threshold": threshold,
         "above_threshold": above, "permutations": perms,
@@ -368,6 +275,9 @@ def lowrank_gi_instance(g1: Graph, g2: Graph, graph_weight: Optional[float] = No
         terms = tuple((a * c, f) for c, f in m.terms) + ((b, (("graph", g),)),)
         states.append(LowRankState(n, terms, rank_bound=len(m.terms) + 1))
     return states[0], states[1], lowrank_thresholds(n)
+
+
+_PHASES = np.array([1, 1j, -1, -1j])
 
 
 def diagonal_permutation_overlap_sweep(psi1: StateVector, psi2: StateVector,

@@ -70,6 +70,19 @@ class TestReducePipeline:
         assert body["decision"] == "YES"
         assert abs(body["achieved_overlap"][0] - 1) < 1e-9
 
+    def test_gi_clifford_witness_is_stable(self, runner, tmp_path):
+        p1 = _write_graph(tmp_path / "g1.txt", Graph.path(4))
+        p2 = _write_graph(tmp_path / "g2.txt", Graph.path(4).relabel((2, 0, 3, 1)))
+        bundle = tmp_path / "bundle.json"
+        runner.invoke(main, ["reduce", "gi-clifford", p1, p2, "--out", str(bundle)])
+        witnesses = [
+            _json_body(runner.invoke(main, ["psgi", "--instance", str(bundle)]).output)["witness"]
+            for _ in range(2)
+        ]
+        assert witnesses[0] == witnesses[1]
+        assert witnesses[0].startswith("CliffordElement(X -> ")
+        assert "0x" not in witnesses[0]
+
     def test_gi_clifford_non_isomorphic_pipeline(self, runner, tmp_path):
         p1 = _write_graph(tmp_path / "g1.txt", Graph.path(4))
         p2 = _write_graph(tmp_path / "g2.txt", Graph.star(4))
@@ -220,8 +233,19 @@ def _malformed_inputs(runner, tmp_path):
     assert res.exit_code == 0
     bad_core = tmp_path / "bad.json"
     bad_core.write_text(json.dumps({"n_modes": 4, "r_max": 3}))
+    as_list = tmp_path / "list.json"
+    as_list.write_text(json.dumps([state, state]))
+    as_string = tmp_path / "string.json"
+    as_string.write_text(json.dumps("psgi"))
+    psi1_number = tmp_path / "psi1_number.json"
+    psi1_number.write_text(json.dumps({"version": 1, "type": "psgi", "psi1": 5,
+                                       "psi2": state, "group": {"type": "pauli", "n": 1},
+                                       "alpha": 0.6, "beta": 0.99}))
     return {
         "psgi-bundle-without-psi1": ["psgi", "--instance", str(no_psi1)],
+        "psgi-bundle-json-list": ["psgi", "--instance", str(as_list)],
+        "psgi-bundle-json-string": ["psgi", "--instance", str(as_string)],
+        "psgi-bundle-psi1-number": ["psgi", "--instance", str(psi1_number)],
         "psgi-isomorphic-gi-lowrank-bundle": ["psgi", "--instance", str(lowrank)],
         "reduce-qsd-msgi-trace-2": ["reduce", "qsd-msgi", str(trace2), str(pure)],
         "bosonic-optimize-core-without-amplitudes":
@@ -243,6 +267,9 @@ def _assert_config_error(res):
 class TestConfigErrorBoundary:
     @pytest.mark.parametrize("case", [
         "psgi-bundle-without-psi1",
+        "psgi-bundle-json-list",
+        "psgi-bundle-json-string",
+        "psgi-bundle-psi1-number",
         "psgi-isomorphic-gi-lowrank-bundle",
         "reduce-qsd-msgi-trace-2",
         "bosonic-optimize-core-without-amplitudes",
@@ -262,6 +289,11 @@ class TestConfigErrorBoundary:
             "twirl-bound-zero-qubits"])
     def test_empty_sizes_exit_two(self, runner, args):
         _assert_config_error(runner.invoke(main, args))
+
+    def test_out_into_missing_directory(self, runner, tmp_path):
+        out = tmp_path / "missing" / "x.json"
+        _assert_config_error(runner.invoke(main, ["psgi", "--n", "2", "--out", str(out)]))
+        assert not out.exists()
 
     def test_tv_gap_nonpositive_sigma(self, runner, tmp_path):
         core = tmp_path / "c.json"

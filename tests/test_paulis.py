@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,6 @@ from stateiso.paulis import (
     enumerate_cliffords,
     graph_stabilizer,
     graph_state,
-    is_qubit_permutation_images,
     pauli_expectation,
     qubit_permutation_clifford,
     r_overlap_sq,
@@ -107,6 +108,20 @@ class TestCliffordElement:
         assert count == 11520
 
     def test_conjugation_matches_unitary(self):
+        # the dense Paulis here are built by Kronecker products, independent
+        # of the tableau action kernel
+        rng = np.random.default_rng(12)
+        for n in range(1, 6):
+            for _ in range(6 if n < 5 else 2):
+                c = random_clifford(n, rng)
+                u = c.to_unitary().matrix
+                for j in range(n):
+                    for kind, img in (("X", c.images[j]), ("Z", c.images[n + j])):
+                        gen = dense_pauli(PauliOp.single(n, j, kind))
+                        assert np.allclose(u @ gen @ u.conj().T, dense_pauli(img),
+                                           atol=1e-10)
+                lead = u[np.flatnonzero(np.abs(u[:, 0]) > 1e-12)[0], 0]
+                assert abs(lead.imag) < 1e-12 and lead.real > 0
         for _ in range(30):
             n = int(RNG.integers(1, 4))
             c = random_clifford(n, RNG)
@@ -144,6 +159,56 @@ class TestCliffordElement:
 
     def test_seed_reproducibility(self):
         assert random_clifford(2, 5) == random_clifford(2, 5)
+
+    def test_repr_is_deterministic(self):
+        c = qubit_permutation_clifford((1, 0), 2)
+        assert repr(c) == "CliffordElement(X -> +IX +XI; Z -> +IZ +ZI)"
+        assert repr(random_clifford(3, 4)) == repr(random_clifford(3, 4))
+
+    def test_apply_memory_at_twelve_qubits(self):
+        n = 12
+        c = random_clifford(n, 3)
+        psi = r_state_product(n)
+        tracemalloc.start()
+        try:
+            out = c.apply(psi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
+        assert abs(np.linalg.norm(out.amplitudes) - 1) < 1e-9
+
+    def test_dense_unitary_size_guard(self):
+        # 13 qubits would need a 1 GiB matrix; refused before any allocation
+        c = CliffordElement.identity(13)
+        tracemalloc.start()
+        try:
+            with pytest.raises(PauliError, match="budget"):
+                c.to_unitary()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
+class TestStreamPins:
+    """Literal keys recorded before the sampler and action were unified;
+    they pin the Koenig-Smolin ordering and the random stream."""
+
+    def test_random_clifford_keys(self):
+        assert random_clifford(3, 0).key() == (
+            (0, 5, 2), (1, 6, 4), (1, 7, 4), (2, 2, 0), (1, 7, 1), (3, 4, 5))
+        assert random_clifford(3, 1).key() == (
+            (0, 5, 0), (0, 6, 7), (0, 4, 2), (0, 6, 6), (1, 7, 7), (2, 6, 0))
+        assert random_clifford(3, 2).key() == (
+            (0, 3, 7), (0, 6, 7), (1, 4, 5), (1, 3, 6), (2, 0, 3), (0, 0, 7))
+
+    def test_enumeration_keys(self):
+        table = list(enumerate_cliffords(2))
+        assert table[0].key() == ((0, 1, 0), (0, 2, 0), (0, 0, 1), (0, 0, 2))
+        assert table[1].key() == ((2, 1, 0), (0, 2, 0), (0, 0, 1), (0, 0, 2))
+        assert table[5000].key() == ((1, 3, 2), (1, 3, 1), (0, 2, 0), (2, 2, 1))
+        assert table[11519].key() == ((2, 3, 3), (3, 2, 2), (2, 1, 0), (2, 1, 2))
 
 
 class TestRStates:
@@ -188,8 +253,6 @@ class TestFastIntPath:
                 assert c.is_symplectic()
                 images = [(p.phase, p.x, p.z) for p in c.images]
                 assert abs(r_overlap_sq_images(images, n) - r_overlap_sq(c)) < 1e-12
-                assert (bool(is_qubit_permutation_images(images, n))
-                        == (c.is_qubit_permutation() is not None))
 
     def test_random_rows_uniformity_smoke(self):
         # all 24 single-qubit Cliffords appear in a modest sample

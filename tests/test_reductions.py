@@ -11,14 +11,12 @@ from stateiso.paulis import (
     random_clifford,
     random_clifford_rows,
     rows_to_clifford,
-    _rows_to_images,
 )
 from stateiso.psgi import PsgiVerdict
 from stateiso.reductions import (
     GI_THRESHOLDS,
     NONISO_LIBRARY,
     ReductionError,
-    _apply_clifford_fast,
     bqp_hardness_instance,
     brick_layer_circuit,
     build_m_state,
@@ -72,18 +70,19 @@ class TestGiClifford:
 
 class TestFastCliffordApply:
     def test_matches_element_apply(self):
+        from stateiso.linalg import StateVector
         rng = np.random.default_rng(5)
-        for n in (1, 2, 3):
-            for _ in range(20):
+        for n in range(1, 7):
+            for _ in range(20 if n < 4 else 3):
                 rows, signs = random_clifford_rows(rng, n)
                 c = rows_to_clifford(rows, signs, n)
-                images = _rows_to_images(rows, signs, n)
+                u = c.to_unitary().matrix
+                assert np.array_equal(c.stabilized_state(), u[:, 0])
                 v = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+                v[1:][rng.random((1 << n) - 1) < 0.3] = 0    # apply skips zero amplitudes
                 v /= np.linalg.norm(v)
-                from stateiso.linalg import StateVector
-                want = c.apply(StateVector(n, v)).amplitudes
-                got = _apply_clifford_fast(images, n, v)
-                assert np.allclose(got, want, atol=1e-10)
+                got = c.apply(StateVector(n, v)).amplitudes
+                assert np.allclose(got, u @ v, atol=1e-10)
 
     def test_sweep_matches_dense_max(self):
         from stateiso.linalg import StateVector
@@ -104,6 +103,14 @@ class TestFastCliffordApply:
             u = c.to_unitary().matrix
             max_ov = max(max_ov, abs(np.vdot(psi1.amplitudes, u @ psi2.amplitudes)))
         assert abs(report["max_overlap"] - max_ov) < 1e-9
+
+    def test_sweep_pinned(self):
+        # literal values recorded before the sampler and action were unified
+        inst = gi_to_clifford(*NONISO_LIBRARY[0])
+        report = clifford_overlap_sweep(inst.psi1, inst.psi2, count=50, seed=0,
+                                        threshold=GI_THRESHOLDS.alpha)
+        assert report["exceed_count"] == 0
+        assert abs(report["max_overlap"] - 0.37372633971464314) < 1e-12
 
     def test_sweep_finds_planted_witness(self):
         from stateiso.linalg import StateVector
@@ -134,6 +141,15 @@ class TestLemmaPerm:
     def test_bad_mode(self):
         with pytest.raises(ReductionError):
             verify_lemma_perm(1, mode="nope")
+
+    def test_sampled_stream_pinned(self):
+        # literal values recorded before the sampler and action were unified
+        report = verify_lemma_perm(3, "sampled", 2000, seed=0)
+        assert report["checked"] == 2000
+        assert report["above_threshold"] == 0
+        assert report["permutations"] == 0
+        assert report["violations"] == []
+        assert report["fraction_permutations"] == 1.0
 
     def test_first_qubit_claim(self):
         pairs = [(Graph.path(3), Graph.path(3).relabel((1, 0, 2))),
