@@ -35,7 +35,7 @@ from .groups import (
     pauli_group,
 )
 from .linalg import DensityMatrix, StateVector, random_density
-from .paulis import enumerate_cliffords
+from .paulis import batch_unitaries, clifford_batches
 from .protocols import (
     qcszk_context,
     qcszk_round,
@@ -555,13 +555,13 @@ def verify_shadow_unbiased(seed, out):
     """Exact single-shadow expectation at one qubit by full enumeration."""
     ExperimentConfig("verify shadow-unbiased", [], out, seed).announce()
     rng = np.random.default_rng(seed)
+    units = batch_unitaries(next(clifford_batches(1, 24)))
     worst = 0.0
     for _ in range(20):
         psi = random_state(1, rng)
         phi = random_state(1, rng)
         expect = 0.0
-        for c in enumerate_cliffords(1):
-            u = c.to_unitary().matrix
+        for u in units:
             rot_psi = u @ psi.amplitudes
             rot_phi = u @ phi.amplitudes
             for b in range(2):

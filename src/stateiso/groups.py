@@ -14,7 +14,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .linalg import DensityMatrix, fidelity_matrices, sqrt_fidelity
-from .paulis import PauliOp, CliffordElement, enumerate_cliffords
+from .paulis import (PauliOp, CliffordElement, batch_unitaries, clifford_batches,
+                     clifford_group_order, enumerate_cliffords)
 
 HOM_TOL = 1e-8
 
@@ -312,6 +313,7 @@ def clifford_group(n: int) -> FiniteGroupRep:
         raise GroupError("explicit Clifford group supported for n <= 2")
     table = list(enumerate_cliffords(n))
     index = {c.key(): i for i, c in enumerate(table)}
+    mats = batch_unitaries(next(clifford_batches(n, clifford_group_order(n))))
 
     def multiply(a, b):
         return index[table[a].compose(table[b]).key()]
@@ -320,7 +322,7 @@ def clifford_group(n: int) -> FiniteGroupRep:
         return index[table[a].inverse().key()]
 
     def unitary(a):
-        return table[a].to_unitary().matrix
+        return mats[a]
 
     ident = index[CliffordElement.identity(n).key()]
     rep = FiniteGroupRep(range(len(table)), ident, multiply, inverse, unitary,

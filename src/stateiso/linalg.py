@@ -78,9 +78,24 @@ class StateVector:
 
     @staticmethod
     def from_json(text: str) -> "StateVector":
-        obj = json.loads(text)
-        amps = np.array([complex(re, im) for re, im in obj["amplitudes"]])
-        return StateVector(obj["n_qubits"], amps)
+        return StateVector(*_read_pairs(text, "amplitudes"))
+
+
+def _read_pairs(text: str, key: str):
+    """(n_qubits, complex array) of a JSON state or matrix whose ``key``
+    field nests [re, im] pairs; a field of the wrong kind raises LinalgError
+    and the constructor checks the shape."""
+    obj = json.loads(text)
+    n = obj["n_qubits"] if isinstance(obj, dict) else None
+    if type(n) is not int:
+        raise LinalgError(f"n_qubits must be an integer, got {n!r}")
+    try:
+        pairs = np.array(obj[key], dtype=float)
+    except (TypeError, ValueError):
+        pairs = np.zeros(0)
+    if pairs.ndim < 2 or pairs.shape[-1] != 2 or not np.isfinite(pairs).all():
+        raise LinalgError(f"{key} must nest [re, im] pairs of finite numbers")
+    return n, pairs.view(complex)[..., 0]
 
 
 def basis_state(n_qubits: int, index: int = 0) -> StateVector:
@@ -124,9 +139,7 @@ class DensityMatrix:
 
     @staticmethod
     def from_json(text: str) -> "DensityMatrix":
-        obj = json.loads(text)
-        m = np.array([[complex(re, im) for re, im in row] for row in obj["matrix"]])
-        return DensityMatrix(obj["n_qubits"], m)
+        return DensityMatrix(*_read_pairs(text, "matrix"))
 
 
 @dataclass(frozen=True)

@@ -5,21 +5,22 @@ A Pauli is stored as ``i^phase * X^x Z^z`` with ``x``, ``z`` bitmasks
 Clifford is stored by its conjugation images of the generators
 X_0..X_{n-1}, Z_0..Z_{n-1}; no global phase is carried.
 
-There is one sampler and one dense action.  Cliffords are indexed in the
-Koenig-Smolin order (J. Math. Phys. 55, 122202, 2014) on symplectic rows
-packed into ints; ``enumerate_cliffords`` walks the indices and
-``random_clifford`` / ``random_clifford_rows`` draw one.  The action reads
-C|b> = P_b C|0^n>, where P_b is the product of the X-generator images
-selected by the bits of b, so a walk over the basis that multiplies in one
-image per step tabulates every column.  ``stabilized_state``, ``apply``
-and ``to_unitary`` all read that walk.  Phase convention: C|0^n> is fixed
-by making its first nonzero amplitude real positive, so the first nonzero
-entry of column 0 of ``to_unitary`` is real positive.
+There is one Clifford kernel, with a batch axis: a ``CliffordBatch`` holds
+B tableaus as (B, 2n) int64 arrays in the convention of
+``CliffordElement.key``.  ``random_clifford_batch`` and ``clifford_batches``
+draw and enumerate them in the Koenig-Smolin order (J. Math. Phys. 55,
+122202, 2014); ``batch_r_overlap_sq``, ``batch_overlaps`` and
+``batch_unitaries`` score and apply them.  The action reads C|b> = P_b
+C|0^n>, P_b the product of the X-generator images selected by the bits of
+b, from one walk over the basis, built for ``_BLOCK_ENTRIES // d``
+Cliffords at a time and gathered in blocks of at most ``_BLOCK_ENTRIES``
+entries.  The ``CliffordElement`` methods are the kernel at B=1.  Phase
+convention: the first nonzero amplitude of C|0^n> is real positive.
 """
 from __future__ import annotations
 
 import math
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -39,30 +40,31 @@ class PauliError(ValueError):
     pass
 
 
-def _parity_table(bits: int) -> np.ndarray:
-    tab = np.zeros(1 << bits, dtype=np.int8)
-    for i in range(1, 1 << bits):
-        tab[i] = tab[i >> 1] ^ (i & 1)
-    return tab
+# 16-bit popcount table, built by doubling (entry i + 2^k is entry i plus one
+# for i < 2^k) so that no temporary is larger than the uint8 table itself
+_POP16 = np.zeros(1, dtype=np.uint8)
+for _ in range(16):
+    _POP16 = np.concatenate((_POP16, _POP16 + 1))
 
 
-_PARITY16 = _parity_table(16)
+def _popcount(v: np.ndarray, bits: int) -> np.ndarray:
+    """Popcount of each entry of a non-negative int array below 2**bits."""
+    out = _POP16[v if bits <= 16 else v & 0xFFFF]
+    for shift in range(16, bits, 16):
+        out = out + _POP16[(v >> shift) & 0xFFFF]
+    return out
 
 
 def _parity(v: np.ndarray, bits: int) -> np.ndarray:
     """Parity of the popcount of each entry of an int array below 2**bits."""
-    out = _PARITY16[v & 0xFFFF]
-    for shift in range(16, bits, 16):
-        out ^= _PARITY16[(v >> shift) & 0xFFFF]
-    return out
+    return _popcount(v, bits) & 1
 
 
-def _revbits(v: int, n: int) -> int:
-    out = 0
-    for i in range(n):
-        if v >> i & 1:
-            out |= 1 << (n - 1 - i)
-    return out
+def _index_masks(v: np.ndarray, n: int) -> np.ndarray:
+    """Qubit masks (bit q = qubit q) as basis-index masks (qubit 0 = most
+    significant bit)."""
+    q = np.arange(n)
+    return (((v[..., None] >> q) & 1) << (n - 1 - q)).sum(axis=-1)
 
 
 class PauliOp:
@@ -159,8 +161,7 @@ class PauliOp:
     def apply(self, amps: np.ndarray) -> np.ndarray:
         """Apply to a dense amplitude vector (qubit 0 = most significant)."""
         n = self.n
-        xi = _revbits(self.x, n)
-        zi = _revbits(self.z, n)
+        xi, zi = _index_masks(np.array([self.x, self.z]), n).tolist()
         idx = np.arange(1 << n)
         signs = 1.0 - 2.0 * _parity(idx & zi, n)
         out = np.empty_like(amps, dtype=complex)
@@ -235,20 +236,14 @@ class CliffordElement:
 
     @staticmethod
     def identity(n: int) -> "CliffordElement":
-        imgs = [PauliOp.single(n, q, "X") for q in range(n)]
-        imgs += [PauliOp.single(n, q, "Z") for q in range(n)]
-        return CliffordElement(n, imgs)
+        return qubit_permutation_clifford(range(n), n)
 
     # -- symplectic form ----------------------------------------------
     def symplectic_matrix(self) -> np.ndarray:
         """2n x 2n binary matrix; row j = (x-bits, z-bits) of images[j]."""
-        n = self.n
-        m = np.zeros((2 * n, 2 * n), dtype=np.uint8)
-        for j, img in enumerate(self.images):
-            for q in range(n):
-                m[j, q] = (img.x >> q) & 1
-                m[j, n + q] = (img.z >> q) & 1
-        return m
+        _, _, x, z = _as_batch(self)
+        q = np.arange(self.n)
+        return np.hstack(((x[0, :, None] >> q) & 1, (z[0, :, None] >> q) & 1)).astype(np.uint8)
 
     def is_symplectic(self) -> bool:
         n = self.n
@@ -317,7 +312,7 @@ class CliffordElement:
     # -- dense action ---------------------------------------------------
     def stabilized_state(self) -> np.ndarray:
         """C|0^n> as a dense vector with canonical phase."""
-        return _stabilized_state(self.key(), self.n)
+        return _stabilized_states(_as_batch(self))[0]
 
     def apply(self, psi: StateVector) -> StateVector:
         """C|psi> under the canonical phase convention, accumulated over
@@ -325,13 +320,10 @@ class CliffordElement:
         if psi.n_qubits != self.n:
             raise PauliError("size mismatch")
         amps = psi.amplitudes
-        walk = _basis_walk(self.key(), self.n)
         cols = np.flatnonzero(amps)
-        step = max(1, _BLOCK_ENTRIES >> self.n)
         out = np.zeros(1 << self.n, dtype=complex)
-        for lo in range(0, len(cols), step):
-            block = cols[lo:lo + step]
-            terms = amps[block, None] * _basis_columns(walk, block)
+        for walk, _, c in _blocks(_as_batch(self), len(cols)):
+            terms = amps[cols[c], None] * _basis_columns(walk, cols[c])[0]
             # an axis-0 sum adds the rows one after another in basis order, so
             # the result depends neither on the block size nor on BLAS
             out = np.vstack((out, terms)).sum(axis=0)
@@ -340,18 +332,7 @@ class CliffordElement:
     def to_unitary(self) -> UnitaryMatrix:
         """C as a dense matrix under the canonical phase convention; a
         matrix over the ``_DENSE_BUDGET`` byte budget raises PauliError."""
-        n = self.n
-        d = 1 << n
-        if 16 * d * d > _DENSE_BUDGET:
-            raise PauliError(
-                f"a {n}-qubit unitary takes {16 * d * d >> 20} MiB, over the "
-                f"{_DENSE_BUDGET >> 20} MiB budget for dense Clifford matrices")
-        walk = _basis_walk(self.key(), n)
-        step = max(1, _BLOCK_ENTRIES >> n)
-        u = np.empty((d, d), dtype=complex)
-        for lo in range(0, d, step):
-            u[:, lo:lo + step] = _basis_columns(walk, slice(lo, lo + step)).T
-        return UnitaryMatrix(d, u)
+        return UnitaryMatrix(1 << self.n, batch_unitaries(_as_batch(self))[0])
 
     def is_qubit_permutation(self) -> Optional[tuple]:
         """Return the permutation pi (as a tuple, qubit i -> pi[i]) if the
@@ -393,89 +374,165 @@ def _f2_inverse(m: np.ndarray) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# Dense action kernel
+# Batched Clifford kernel
 # ----------------------------------------------------------------------
 # Basis indices put qubit 0 in the most significant bit, so the walk keeps
 # its Pauli masks in index space (bit-reversed qubit masks).
 
 _PHASES = np.array(_PHASE)
-_BLOCK_ENTRIES = 1 << 14     # dense entries built at once by apply / to_unitary
+_BLOCK_ENTRIES = 1 << 14     # entries of one intermediate kernel array
 _DENSE_BUDGET = 1 << 28      # bytes allowed for one d x d Clifford unitary
 
 
+class CliffordBatch(NamedTuple):
+    """B Cliffords as (B, 2n) int64 arrays: [b, j] holds the (phase, x, z) of
+    row b's image of X_j (j < n) or Z_{j-n} (j >= n), as ``CliffordElement.key``."""
+
+    n: int
+    ph: np.ndarray
+    x: np.ndarray
+    z: np.ndarray
+
+
+def _as_batch(c: CliffordElement) -> CliffordBatch:
+    ph, x, z = np.array(c.key(), dtype=np.int64).reshape(-1, 3).T
+    return CliffordBatch(c.n, ph[None], x[None], z[None])
+
+
+def batch_element(batch: CliffordBatch, b: int) -> CliffordElement:
+    """Row ``b`` of a batch as a CliffordElement."""
+    n, ph, x, z = batch
+    return CliffordElement(n, [PauliOp(n, *t) for t in zip(ph[b].tolist(), x[b].tolist(),
+                                                             z[b].tolist())])
+
+
+def batch_block_size(entries: int) -> int:
+    """Cliffords per block that keeps ``entries`` entries each within budget."""
+    return max(1, _BLOCK_ENTRIES // entries)
+
+
 def _pauli_gather(ph, xs, zs, n: int):
-    """(src, factor) with (P_r v)[j] = factor[r, j] * v[src[r, j]] for the
-    Paulis P_r = i^ph[r] X^xs[r] Z^zs[r] (index-space masks), from
+    """(src, factor) with (P v)[j] = factor[..., j] * v[src[..., j]] for the
+    Paulis P = i^ph X^xs Z^zs (index-space masks, any leading shape), from
     (X^x Z^z v)[j] = (-1)^{|(j ^ x) & z|} v[j ^ x]."""
-    src = xs[:, None] ^ np.arange(1 << n)
-    return src, _PHASES[(ph[:, None] + 2 * _parity(src & zs[:, None], n)) & 3]
+    src = xs[..., None] ^ np.arange(1 << n)
+    return src, _PHASES[(ph[..., None] + 2 * _parity(src & zs[..., None], n)) & 3]
 
 
-def _stabilized_state(images, n: int) -> np.ndarray:
-    """C|0^n> (canonical phase) from raw Z-generator image triples.
+def _stabilized_states(batch: CliffordBatch) -> np.ndarray:
+    """C_b|0^n> (canonical phase) for every row, shape (B, d): a fixed start
+    vector projected onto the joint +1 eigenspace of the Z images fixes the
+    support and the quarter phases, and the amplitudes are set exactly to
+    i^k / sqrt(|support|)."""
+    n = batch.n
+    d = 1 << n
+    ph, (xs, zs) = batch.ph[:, n:], _index_masks(np.stack((batch.x[:, n:], batch.z[:, n:])), n)
 
-    A fixed start vector projected onto the joint +1 eigenspace of the
-    Z images fixes the support and the quarter phases; the amplitudes are
-    then set exactly to i^k / sqrt(|support|).
-    """
-    ph, xs, zs = np.array([(p, _revbits(x, n), _revbits(z, n)) for p, x, z in images[n:]]).T
-    src, factor = _pauli_gather(ph, xs, zs, n)
-    v = np.exp(0.37j * np.arange(1 << n))
-    rng = None
-    while True:
-        for s, f in zip(src, factor):
-            v = (v + f * v[s]) / 2
-        mag = np.abs(v)
-        if mag.max() > 1e-9:
-            break
-        # the start vector was orthogonal to the stabilized state
-        rng = rng or np.random.default_rng(1)
-        v = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-    support = mag > 0.5 * mag.max()
-    quarter = np.rint(np.angle(v[support]) / (np.pi / 2)).astype(int)
-    out = np.zeros(1 << n, dtype=complex)
+    def project(v, rows):
+        base = d * np.arange(len(v))[:, None]
+        for t in range(n):
+            src, factor = _pauli_gather(ph[rows, t], xs[rows, t], zs[rows, t], n)
+            v = (v + factor * v.ravel()[base + src]) / 2
+        return v
+
+    v = project(np.tile(np.exp(0.37j * np.arange(d)), (len(ph), 1)), slice(None))
+    for b in np.flatnonzero(np.abs(v).max(axis=1) <= 1e-9):
+        # the start vector was orthogonal to this stabilized state
+        rng = np.random.default_rng(1)
+        while np.abs(v[b]).max() <= 1e-9:
+            v[b] = project((rng.normal(size=d) + 1j * rng.normal(size=d))[None], [b])[0]
+    mag = np.abs(v)
+    support = mag > 0.5 * mag.max(axis=1, keepdims=True)
+    quarter = np.rint(np.angle(v) / (np.pi / 2)).astype(np.int64)
     # the first nonzero amplitude is made real positive
-    out[support] = _PHASES[(quarter - quarter[0]) & 3] / math.sqrt(len(quarter))
-    return out
+    lead = quarter[np.arange(len(v)), support.argmax(axis=1), None]
+    amps = _PHASES[(quarter - lead) & 3] / np.sqrt(support.sum(axis=1, keepdims=True))
+    return np.where(support, amps, 0)
 
 
-def _basis_walk(images, n: int):
-    """(ph, xs, zs, phi0) with C|b> = i^ph[b] X^xs[b] Z^zs[b] phi0 for every
-    basis index b, where phi0 = C|0^n> and the masks are in index space.
-
-    The walk visits b in binary order: entry b + 2^t is entry b times the
-    image of the X generator on index bit t, one Pauli product per entry.
-    """
-    ph, xs, zs = [0], [0], [0]
-    for t in range(n):
-        p, x, z = images[n - 1 - t]
-        x, z = _revbits(x, n), _revbits(z, n)
-        ph += [(q + p + 2 * (w & x).bit_count()) & 3 for q, w in zip(ph, zs)]
-        xs += [w ^ x for w in xs]
-        zs += [w ^ z for w in zs]
-    return np.array(ph), np.array(xs), np.array(zs), _stabilized_state(images, n)
+def _basis_walk(batch: CliffordBatch):
+    """(ph, xs, zs, phi0), each (B, d), with C_b|j> = i^ph X^xs Z^zs phi0 for
+    every basis index j, phi0 = C_b|0^n> and index-space masks.  Entry
+    j + 2^t is entry j times the image of the X generator on index bit t,
+    one Pauli product per entry."""
+    n = batch.n
+    xi, zi = _index_masks(np.stack((batch.x[:, :n], batch.z[:, :n])), n)
+    ph = xs = zs = np.zeros((len(xi), 1), dtype=np.int64)
+    for g in range(n - 1, -1, -1):
+        p, x, z = batch.ph[:, g, None], xi[:, g, None], zi[:, g, None]
+        ph = np.hstack((ph, (ph + p + 2 * _parity(zs & x, n)) & 3))
+        xs = np.hstack((xs, xs ^ x))
+        zs = np.hstack((zs, zs ^ z))
+    return ph, xs, zs, _stabilized_states(batch)
 
 
 def _basis_columns(walk, cols) -> np.ndarray:
-    """Row r holds C|cols[r]>; ``cols`` is an index array or a slice."""
+    """Entry [b, r] holds C_b|cols[r]>; ``cols`` is an index array or a slice."""
     ph, xs, zs, phi0 = walk
-    src, factor = _pauli_gather(ph[cols], xs[cols], zs[cols], len(phi0).bit_length() - 1)
-    return factor * phi0[src]
+    n = phi0.shape[1].bit_length() - 1
+    src, factor = _pauli_gather(ph[:, cols], xs[:, cols], zs[:, cols], n)
+    return factor * phi0.ravel()[(np.arange(len(phi0)) << n)[:, None, None] + src]
+
+
+def _blocks(batch: CliffordBatch, ncols: int):
+    """(walk, rows, cols) blocks covering every row of the batch and column
+    indices 0..ncols-1.  The walk is built for ``batch_block_size(d)`` rows
+    at a time, and no block gathers more than ``_BLOCK_ENTRIES`` entries."""
+    n = batch.n
+    cstep = max(1, min(ncols, _BLOCK_ENTRIES >> n))
+    bstep = batch_block_size(cstep << n)
+    wstep = batch_block_size(1 << n)
+    for lo in range(0, len(batch.ph), wstep):
+        walk = _basis_walk(CliffordBatch(n, *(a[lo:lo + wstep] for a in batch[1:])))
+        for b in range(0, len(walk[0]), bstep):
+            sub = tuple(a[b:b + bstep] for a in walk)
+            for c in range(0, ncols, cstep):
+                yield sub, slice(lo + b, lo + b + bstep), slice(c, c + cstep)
+
+
+def batch_overlaps(batch: CliffordBatch, psi1: StateVector, psi2: StateVector) -> np.ndarray:
+    """<psi1|C_b|psi2> for every row b under the canonical phase convention.
+
+    For each nonzero amplitude c of psi2, substituting k = j ^ xs[c] gives
+    <psi1|C_b|c> = i^ph[c] sum_k phi0[k] (-1)^{|k & zs[c]|} conj(psi1[k ^ xs[c]]),
+    so only psi1, with its signs, is gathered."""
+    n = batch.n
+    if psi1.n_qubits != n or psi2.n_qubits != n:
+        raise PauliError("size mismatch")
+    cols = np.flatnonzero(psi2.amplitudes)
+    bra = psi1.amplitudes.conj()
+    bra, ket, k = np.concatenate((bra, -bra)), psi2.amplitudes[cols], np.arange(1 << n)
+    out = np.zeros(len(batch.ph), dtype=complex)
+    for (ph, xs, zs, phi0), rows, c in _blocks(batch, len(cols)):
+        col = cols[c]
+        sign = _parity(zs[:, col, None] & k, n).astype(np.int64) << n
+        amps = (bra[(xs[:, col, None] ^ k) | sign] @ phi0[:, :, None])[..., 0]
+        out[rows] += (_PHASES[ph[:, col]] * amps) @ ket[c]
+    return out
+
+
+def batch_unitaries(batch: CliffordBatch) -> np.ndarray:
+    """The dense matrices of every row, shape (B, d, d), under the canonical
+    phase convention; a matrix over the ``_DENSE_BUDGET`` byte budget raises
+    PauliError."""
+    n = batch.n
+    d = 1 << n
+    if 16 * d * d > _DENSE_BUDGET:
+        raise PauliError(f"a {n}-qubit unitary takes {16 * d * d >> 20} MiB, over the "
+                         f"{_DENSE_BUDGET >> 20} MiB budget for dense Clifford matrices")
+    out = np.empty((len(batch.ph), d, d), dtype=complex)
+    for walk, rows, c in _blocks(batch, d):
+        out[rows, :, c] = np.swapaxes(_basis_columns(walk, c), 1, 2)
+    return out
 
 
 # ----------------------------------------------------------------------
 # Koenig-Smolin indexing and uniform sampling
 # ----------------------------------------------------------------------
-# Vectors over F2^{2n} are packed into ints with interleaved coordinates:
+# Vectors over F2^{2n} are packed into int64 with interleaved coordinates:
 # bit 2q is the X part of qubit q, bit 2q + 1 the Z part.
 
-_EVEN_MASK = sum(1 << (2 * q) for q in range(32))
-# byte -> (its even bits, its odd bits), each packed into a nibble
-_SPLIT = tuple(
-    (sum((b >> (2 * q) & 1) << q for q in range(4)),
-     sum((b >> (2 * q + 1) & 1) << q for q in range(4)))
-    for b in range(256)
-)
+_EVEN_MASK = 0x5555555555555555
 
 
 def symplectic_group_order(n: int) -> int:
@@ -490,102 +547,79 @@ def clifford_group_order(n: int) -> int:
     return symplectic_group_order(n) << (2 * n)
 
 
-def _inner_int(v: int, w: int) -> int:
-    return (((v & (w >> 1)) ^ ((v >> 1) & w)) & _EVEN_MASK).bit_count() & 1
+def _transvect(k, v, bits: int):
+    """T_k v = v + <k, v> k on packed vectors below 2**bits; T_0 is the identity."""
+    return v ^ (k * _parity(((v & (k >> 1)) ^ ((v >> 1) & k)) & _EVEN_MASK, bits))
 
 
-def _transvection_int(k: int, v: int) -> int:
-    return v ^ k if _inner_int(k, v) else v
+def _transvections_from_e1(f):
+    """(h0, h1) with f = T_{h0} T_{h1} e1 for every entry of f: Koenig-Smolin
+    Lemma 2 at x = e1, in closed form."""
+    # f & 3 == 0: z = Z_0 + w_q on the lowest nonzero qubit pair q of f, with
+    # w_q = X_q where f has Z_q, else Z_q
+    low = (f & -f).astype(float)
+    bit = (np.frexp(low)[1] - 1) & ~1
+    z = 2 | (np.where((f >> bit) & 3 == 2, 1, 2) << bit)
+    cases = [f == 1, (f & 2) != 0, (f & 3) == 1]
+    return (np.select(cases, [0, f ^ 1, 2], 1 ^ z),
+            np.select(cases, [0, 0, f ^ 3], f ^ z))
 
 
-def _find_transvection_int(x: int, y: int, n: int):
-    """h0, h1 with y = T_{h0} T_{h1} x (Koenig-Smolin Lemma 2)."""
-    if x == y:
-        return 0, 0
-    if _inner_int(x, y):
-        return x ^ y, 0
-    z = 0
+def _symplectic_rows(indices, n: int) -> np.ndarray:
+    """(B, 2n) packed rows of the elements of Sp(2n, F2) with the given
+    Koenig-Smolin indices.  The per-level digits come from Python divmod (an
+    index exceeds int64 at n >= 6); the transvections run over the batch."""
+    radices = [((1 << (2 * m)) - 1, 1 << (2 * m - 1)) for m in range(n, 0, -1)]
+    digits = []
+    for i in indices:
+        for s, t in radices:
+            i, f1 = divmod(i, s)
+            i, bits = divmod(i, t)
+            digits += (f1 + 1, bits)
+    digits = np.array(digits, dtype=np.int64).reshape(-1, n, 2)
+    rows = np.zeros((len(digits), 0), dtype=np.int64)
+    # the innermost level acts on the last qubit; each outer level shifts the
+    # rows up by one qubit, prepends X_0 and Z_0 (packed 1 and 2) and
+    # transvects every row
+    for m in range(1, n + 1):
+        f1, bits = digits[:, n - m].T
+        h0, h1 = _transvections_from_e1(f1)
+        e = _transvect(h0, _transvect(h1, 1 | ((bits >> 1) << 2), 2 * m), 2 * m)
+        rows = np.hstack((np.broadcast_to([[1, 2]], (len(rows), 2)), rows << 2))
+        for k in (h1, h0, e, np.where(bits & 1, 0, f1)):
+            rows = _transvect(k[:, None], rows, 2 * m)
+    return rows
+
+
+def _rows_to_batch(rows: np.ndarray, signs: np.ndarray, n: int) -> CliffordBatch:
+    """Generator j reads packed row 2 (j mod n) + j // n and sign bit j."""
+    rows = rows[:, np.r_[0:2 * n:2, 1:2 * n:2]]
+    x = z = np.zeros_like(rows)
     for q in range(n):
-        xp = (x >> (2 * q)) & 3
-        yp = (y >> (2 * q)) & 3
-        if xp and yp:
-            zp = xp ^ yp
-            if zp == 0:
-                zp = 2
-                if (xp & 1) != (xp >> 1):
-                    zp = 3
-            z = zp << (2 * q)
-            return x ^ z, y ^ z
-    for q in range(n):
-        xp = (x >> (2 * q)) & 3
-        yp = (y >> (2 * q)) & 3
-        if xp and not yp:
-            if (xp & 1) == (xp >> 1):
-                z |= 2 << (2 * q)
-            else:
-                z |= ((xp & 1) << 1 | (xp >> 1)) << (2 * q)
-            break
-    for q in range(n):
-        xp = (x >> (2 * q)) & 3
-        yp = (y >> (2 * q)) & 3
-        if yp and not xp:
-            if (yp & 1) == (yp >> 1):
-                z |= 2 << (2 * q)
-            else:
-                z |= ((yp & 1) << 1 | (yp >> 1)) << (2 * q)
-            break
-    return x ^ z, y ^ z
+        x = x | ((rows >> (2 * q)) & 1) << q
+        z = z | ((rows >> (2 * q + 1)) & 1) << q
+    ph = _parity(x & z, n) + 2 * ((signs[:, None] >> np.arange(2 * n)) & 1)
+    return CliffordBatch(n, ph, x, z)
 
 
-def _symplectic_rows_int(i: int, n: int):
-    """Rows of the i-th element of Sp(2n, F2) in the Koenig-Smolin order,
-    as packed ints."""
-    nn = 2 * n
-    s = (1 << nn) - 1
-    f1 = (i % s) + 1
-    i //= s
-    t0, t1 = _find_transvection_int(1, f1, n)
-    bits = i % (1 << (nn - 1))
-    i >>= nn - 1
-    eprime = 1 | ((bits >> 1) << 2)
-    h0 = _transvection_int(t1, eprime)
-    h0 = _transvection_int(t0, h0)
-    if bits & 1:
-        f1 = 0
-    if n == 1:
-        rows = [1, 2]
-    else:
-        rows = [1, 2] + [r << 2 for r in _symplectic_rows_int(i, n - 1)]
-    out = []
-    for r in rows:
-        r = _transvection_int(t1, r)
-        r = _transvection_int(t0, r)
-        r = _transvection_int(h0, r)
-        if f1:
-            r = _transvection_int(f1, r)
-        out.append(r)
-    return out
+def _batch_range(n: int, lo: int, hi: int) -> CliffordBatch:
+    """Elements lo..hi-1 of the enumeration order, where element e has the
+    symplectic index e >> 2n and the sign bits e mod 4^n."""
+    k = 2 * n
+    first = lo >> k
+    rows = _symplectic_rows(range(first, ((hi - 1) >> k) + 1), n)
+    e = np.arange(lo, hi)
+    return _rows_to_batch(rows[(e >> k) - first], e & ((1 << k) - 1), n)
 
 
-def _rows_to_images(rows, signs: int, n: int):
-    """(phase, x, z) triples for generators X_0..X_{n-1}, Z_0..Z_{n-1}."""
-    images = []
-    for j in range(2 * n):
-        row = rows[2 * (j % n) + (j // n)]
-        x = z = 0
-        for q in range(0, n, 4):
-            bx, bz = _SPLIT[(row >> (2 * q)) & 0xFF]
-            x |= bx << q
-            z |= bz << q
-        phase = ((x & z).bit_count() & 1) + 2 * ((signs >> j) & 1)
-        images.append((phase, x, z))
-    return images
-
-
-def rows_to_clifford(rows, signs: int, n: int) -> CliffordElement:
-    return CliffordElement(
-        n, [PauliOp(n, p, x, z) for p, x, z in _rows_to_images(rows, signs, n)]
-    )
+def clifford_batches(n: int, size: int, allow_large: bool = False) -> Iterator[CliffordBatch]:
+    """The elements of ``enumerate_cliffords``, in its order, as batches of
+    at most ``size`` rows."""
+    if n > 3 or (n == 3 and not allow_large):
+        raise PauliError("enumeration supported for n <= 2 (n = 3 behind allow_large)")
+    total = clifford_group_order(n)
+    for lo in range(0, total, size):
+        yield _batch_range(n, lo, min(lo + size, total))
 
 
 def enumerate_cliffords(n: int, allow_large: bool = False) -> Iterator[CliffordElement]:
@@ -594,18 +628,13 @@ def enumerate_cliffords(n: int, allow_large: bool = False) -> Iterator[CliffordE
     Counts: 24 at n=1, 11520 at n=2.  n=3 (about 9.3e7 elements) must be
     explicitly enabled with ``allow_large``.
     """
-    if n > 3 or (n == 3 and not allow_large):
-        raise PauliError("enumeration supported for n <= 2 (n = 3 behind allow_large)")
-    for i in range(symplectic_group_order(n)):
-        rows = _symplectic_rows_int(i, n)
-        for signs in range(1 << (2 * n)):
-            yield rows_to_clifford(rows, signs, n)
+    for batch in clifford_batches(n, 1 << 10, allow_large):
+        yield from (batch_element(batch, b) for b in range(len(batch.ph)))
 
 
-def _random_symplectic_index(rng: np.random.Generator, n: int) -> int:
+def _random_symplectic_index(rng: np.random.Generator, order: int) -> int:
     """Uniform index below the symplectic group order, which can exceed
     the int64 range of Generator.integers at n >= 6."""
-    order = symplectic_group_order(n)
     if order < (1 << 62):
         return int(rng.integers(order))
     chunks = (order.bit_length() + 64 + 31) // 32
@@ -615,15 +644,20 @@ def _random_symplectic_index(rng: np.random.Generator, n: int) -> int:
     return i % order
 
 
-def _draw_rows(rng: np.random.Generator, n: int):
-    i = _random_symplectic_index(rng, n)
-    signs = int(rng.integers(1 << (2 * n)))
-    return _symplectic_rows_int(i, n), signs
+def _draw(rng: np.random.Generator, n: int, count: int):
+    """Packed rows and sign bits of ``count`` uniform Cliffords; each draws
+    its symplectic index, then its signs."""
+    order, indices, signs = symplectic_group_order(n), [], []
+    for _ in range(count):
+        indices.append(_random_symplectic_index(rng, order))
+        signs.append(int(rng.integers(1 << (2 * n))))
+    return _symplectic_rows(indices, n), np.array(signs, dtype=np.int64)
 
 
-def random_clifford_rows(rng: np.random.Generator, n: int):
-    """(rows, signs) of a uniform Clifford modulo phase; packed-int form."""
-    return _draw_rows(rng, n)
+def random_clifford_batch(n: int, rng: np.random.Generator, count: int) -> CliffordBatch:
+    """``count`` uniform Cliffords modulo phase, making the draws of
+    ``count`` successive ``random_clifford(n, rng)`` calls."""
+    return _rows_to_batch(*_draw(rng, n, count), n)
 
 
 def random_clifford(n: int, seed) -> CliffordElement:
@@ -632,8 +666,7 @@ def random_clifford(n: int, seed) -> CliffordElement:
     ``seed`` may be an int or a numpy Generator.
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    rows, signs = _draw_rows(rng, n)
-    return rows_to_clifford(rows, signs, n)
+    return batch_element(random_clifford_batch(n, rng, 1), 0)
 
 
 # ----------------------------------------------------------------------
@@ -706,40 +739,33 @@ def r_state_pauli_expectation(p: PauliOp) -> float:
 
 
 def r_overlap_sq(c: CliffordElement) -> float:
-    """|<R^n| C |R^n>|^2 from the Pauli coefficient expansion.
+    """|<R^n| C |R^n>|^2, the batch kernel at B=1."""
+    return float(batch_r_overlap_sq(_as_batch(c))[0])
+
+
+def batch_r_overlap_sq(batch: CliffordBatch) -> np.ndarray:
+    """|<R^n| C_b |R^n>|^2 for every row b, from the Pauli coefficient expansion.
 
     Uses |R><R| = (I + cos(pi/8) X + sin(pi/8) Y)/2 per qubit, so only the
-    3^n strings over {I, X, Y} contribute.
-    """
-    return r_overlap_sq_images(c.key(), c.n)
-
-
-def r_overlap_sq_images(images, n: int) -> float:
-    """Fast-path overlap from raw (phase, x, z) generator image triples."""
-    # conjugated single-qubit X and Y = i X Z images per qubit
-    gens = []
+    3^n strings P over {I, X, Y} contribute, each with its coefficient times
+    <R^n|C P C^dag|R^n>; the conjugated strings are built one qubit at a
+    time as (B, 3^k) arrays with exact phases mod 4."""
+    n, ph, x, z = batch
+    ps = xs = zs = np.zeros((len(ph), 1), dtype=np.int64)
+    coef = np.ones(1)
     for q in range(n):
-        px, xx, zx = images[q]
-        pz, xz, zz = images[n + q]
-        py = (1 + px + pz + 2 * (zx & xz).bit_count()) & 3
-        gens.append(((px, xx, zx, COS8), (py, xx ^ xz, zx ^ zz, SIN8)))
-    total = 1.0  # the identity term
-    stack = [(0, 0, 0, 0, 1.0)]
-    while stack:
-        q, p, x, z, coef = stack.pop()
-        if q == n:
-            continue
-        # extend the partial product with I, X_q or Y_q on qubit q
-        stack.append((q + 1, p, x, z, coef))
-        for gp, gx, gz, w in gens[q]:
-            np_ = (p + gp + 2 * (z & gx).bit_count()) & 3
-            nx, nz = x ^ gx, z ^ gz
-            ncoef = coef * w
-            stack.append((q + 1, np_, nx, nz, ncoef))
-            if nz & ~nx == 0:
-                y = nx & nz
-                disp = (np_ + 3 * y.bit_count()) & 3
-                val = COS8 ** (nx & ~y).bit_count() * SIN8 ** y.bit_count()
-                total += ncoef * (val if disp == 0 else -val)
-    return total / (1 << n)
-
+        # the images of X_q and of Y_q = i X_q Z_q
+        px, xx, zx = ph[:, q, None], x[:, q, None], z[:, q, None]
+        pz, xz, zz = ph[:, n + q, None], x[:, n + q, None], z[:, n + q, None]
+        py = (1 + px + pz + 2 * _parity(zx & xz, n)) & 3
+        # extend every partial product with I, X_q or Y_q
+        ps = np.hstack((ps, (ps + px + 2 * _parity(zs & xx, n)) & 3,
+                        (ps + py + 2 * _parity(zs & (xx ^ xz), n)) & 3))
+        xs = np.hstack((xs, xs ^ xx, xs ^ xx ^ xz))
+        zs = np.hstack((zs, zs ^ zx, zs ^ zx ^ zz))
+        coef = np.concatenate((coef, COS8 * coef, SIN8 * coef))
+    # <R^n|P|R^n> = s 0^{#Z} cos(pi/8)^{#X} sin(pi/8)^{#Y} for P = s X..Y..
+    ny = _popcount(xs & zs, n)
+    sign = 1 - ((ps + 3 * ny) & 3)      # phase 0 or 2 on every string without Z
+    val = coef * sign * COS8 ** (_popcount(xs, n) - ny) * SIN8 ** ny
+    return np.where((zs & ~xs) == 0, val, 0.0).sum(axis=1) / (1 << n)

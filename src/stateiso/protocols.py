@@ -18,7 +18,8 @@ import numpy as np
 
 from .groups import k_twirl
 from .linalg import trace_distance
-from .paulis import enumerate_cliffords, qubit_permutation_clifford, random_clifford
+from .paulis import (batch_unitaries, clifford_batches, clifford_group_order,
+                     qubit_permutation_clifford, random_clifford_batch)
 from .psgi import PsgiInstance
 from .reductions import MsgiInstance
 
@@ -63,8 +64,8 @@ def _clifford_unitaries(n: int) -> Optional[np.ndarray]:
     if n > 2:
         return None
     if n not in _UNITARY_CACHE:
-        mats = [c.to_unitary().matrix for c in enumerate_cliffords(n)]
-        _UNITARY_CACHE[n] = np.stack(mats)
+        group = next(clifford_batches(n, clifford_group_order(n)))
+        _UNITARY_CACHE[n] = batch_unitaries(group)
     return _UNITARY_CACHE[n]
 
 
@@ -98,8 +99,7 @@ def _shadow_estimates(state: np.ndarray, target_mat: np.ndarray,
         idx = rng.integers(0, len(unitaries), size=n_shadows)
         us = unitaries[idx]
     else:
-        us = np.stack([random_clifford(n, rng).to_unitary().matrix
-                       for _ in range(n_shadows)])
+        us = batch_unitaries(random_clifford_batch(n, rng, n_shadows))
     rotated = us @ state                       # (N, dim)
     probs = np.abs(rotated) ** 2
     probs /= probs.sum(axis=1, keepdims=True)

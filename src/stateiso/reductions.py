@@ -21,8 +21,9 @@ from .linalg import (
 from .graphs import Graph, find_isomorphism
 from .groups import DecisionThresholds, FiniteGroupRep
 from .paulis import (
-    CliffordElement, enumerate_cliffords, graph_state, qubit_permutation_clifford,
-    r_minus_state, r_overlap_sq, r_state, r_state_product, random_clifford,
+    CliffordElement, batch_block_size, batch_element, batch_overlaps,
+    batch_r_overlap_sq, clifford_batches, graph_state, qubit_permutation_clifford,
+    r_minus_state, r_state, r_state_product, random_clifford_batch,
 )
 from .psgi import PsgiInstance, PsgiVerdict
 
@@ -104,13 +105,12 @@ def clifford_overlap_sweep(psi1: StateVector, psi2: StateVector, count: int,
     rng = np.random.default_rng(seed)
     max_ov = 0.0
     exceed = 0
-    for _ in range(count):
-        c = random_clifford(n, rng)
-        ov = abs(np.vdot(psi1.amplitudes, c.apply(psi2).amplitudes))
-        if ov > max_ov:
-            max_ov = ov
-        if ov > threshold:
-            exceed += 1
+    step = batch_block_size(1 << n)
+    for lo in range(0, count, step):
+        batch = random_clifford_batch(n, rng, min(step, count - lo))
+        ov = np.abs(batch_overlaps(batch, psi1, psi2))
+        max_ov = max(max_ov, ov.max())
+        exceed += int(np.count_nonzero(ov > threshold))
     return {"count": count, "seed": seed, "threshold": threshold,
             "max_overlap": float(max_ov), "exceed_count": exceed}
 
@@ -131,19 +131,24 @@ def verify_lemma_perm(n: int, mode: str = "exhaustive", samples: int = 0,
                       threshold: float = LEMMA_PERM_THRESHOLD) -> dict:
     """Check that every Clifford with |<R^n|C|R^n>|^2 >= threshold is a
     qubit permutation.  Exhaustive for n <= 2, sampled otherwise."""
+    step = batch_block_size(3 ** n)
     if mode == "exhaustive":
-        cliffords = enumerate_cliffords(n)
+        batches = clifford_batches(n, step)
     elif mode == "sampled":
         rng = np.random.default_rng(seed)
-        cliffords = (random_clifford(n, rng) for _ in range(samples))
+        batches = (random_clifford_batch(n, rng, min(step, samples - lo))
+                   for lo in range(0, samples, step))
     else:
         raise ReductionError(f"unknown mode {mode!r}")
     checked = above = perms = 0
     violations = []
-    for c in cliffords:
-        checked += 1
-        if r_overlap_sq(c) >= threshold:
+    for batch in batches:
+        scores = batch_r_overlap_sq(batch)
+        checked += len(scores)
+        # only the few rows at or above the threshold become elements
+        for b in np.flatnonzero(scores >= threshold):
             above += 1
+            c = batch_element(batch, b)
             if c.is_qubit_permutation() is not None:
                 perms += 1
             else:

@@ -241,7 +241,17 @@ def _malformed_inputs(runner, tmp_path):
     psi1_number.write_text(json.dumps({"version": 1, "type": "psgi", "psi1": 5,
                                        "psi2": state, "group": {"type": "pauli", "n": 1},
                                        "alpha": 0.6, "beta": 0.99}))
+    bad_states = {}
+    for case, psi1 in (("amplitudes-number", {"n_qubits": 1, "amplitudes": 5}),
+                       ("n-qubits-string", {"n_qubits": "one", "amplitudes": state["amplitudes"]}),
+                       ("amplitude-string", {"n_qubits": 1, "amplitudes": [[1, 0], ["a", 0]]})):
+        path = tmp_path / f"psi1_{case}.json"
+        path.write_text(json.dumps({"version": 1, "type": "psgi", "psi1": psi1,
+                                    "psi2": state, "group": {"type": "pauli", "n": 1},
+                                    "alpha": 0.6, "beta": 0.99}))
+        bad_states[f"psgi-bundle-psi1-{case}"] = ["psgi", "--instance", str(path)]
     return {
+        **bad_states,
         "psgi-bundle-without-psi1": ["psgi", "--instance", str(no_psi1)],
         "psgi-bundle-json-list": ["psgi", "--instance", str(as_list)],
         "psgi-bundle-json-string": ["psgi", "--instance", str(as_string)],
@@ -270,6 +280,9 @@ class TestConfigErrorBoundary:
         "psgi-bundle-json-list",
         "psgi-bundle-json-string",
         "psgi-bundle-psi1-number",
+        "psgi-bundle-psi1-amplitudes-number",
+        "psgi-bundle-psi1-n-qubits-string",
+        "psgi-bundle-psi1-amplitude-string",
         "psgi-isomorphic-gi-lowrank-bundle",
         "reduce-qsd-msgi-trace-2",
         "bosonic-optimize-core-without-amplitudes",

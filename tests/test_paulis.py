@@ -8,9 +8,15 @@ from stateiso.graphs import Graph
 from stateiso.paulis import (
     COS8,
     SIN8,
+    CliffordBatch,
     CliffordElement,
     PauliError,
     PauliOp,
+    batch_element,
+    batch_overlaps,
+    batch_r_overlap_sq,
+    batch_unitaries,
+    clifford_batches,
     clifford_group_order,
     enumerate_cliffords,
     graph_stabilizer,
@@ -18,13 +24,11 @@ from stateiso.paulis import (
     pauli_expectation,
     qubit_permutation_clifford,
     r_overlap_sq,
-    r_overlap_sq_images,
     r_state,
     r_state_pauli_expectation,
     r_state_product,
     random_clifford,
-    random_clifford_rows,
-    rows_to_clifford,
+    random_clifford_batch,
     symplectic_group_order,
 )
 
@@ -248,20 +252,85 @@ class TestFastIntPath:
         rng = np.random.default_rng(11)
         for n in (1, 2, 3):
             for _ in range(30):
-                rows, signs = random_clifford_rows(rng, n)
-                c = rows_to_clifford(rows, signs, n)
+                c = random_clifford(n, rng)
                 assert c.is_symplectic()
                 images = [(p.phase, p.x, p.z) for p in c.images]
-                assert abs(r_overlap_sq_images(images, n) - r_overlap_sq(c)) < 1e-12
+                batch = CliffordBatch(n, *(np.array([t]) for t in zip(*images)))
+                psi = r_state_product(n).amplitudes
+                dense = abs(np.vdot(psi, c.to_unitary().matrix @ psi)) ** 2
+                assert abs(batch_r_overlap_sq(batch)[0] - dense) < 1e-12
 
     def test_random_rows_uniformity_smoke(self):
         # all 24 single-qubit Cliffords appear in a modest sample
         rng = np.random.default_rng(3)
         seen = set()
         for _ in range(2000):
-            rows, signs = random_clifford_rows(rng, 1)
-            seen.add(rows_to_clifford(rows, signs, 1).key())
+            seen.add(random_clifford(1, rng).key())
         assert len(seen) == 24
+
+
+class TestBatchedKernel:
+    """The batch kernel against the element path and the dense unitary."""
+
+    def test_random_batch_matches_successive_draws(self):
+        # n >= 6 draws the symplectic index in several chunks
+        for n in range(1, 9):
+            rng1, rng2 = np.random.default_rng(n), np.random.default_rng(n)
+            batch = random_clifford_batch(n, rng1, 12)
+            assert batch.ph.shape == batch.x.shape == batch.z.shape == (12, 2 * n)
+            for b in range(12):
+                assert batch_element(batch, b).key() == random_clifford(n, rng2).key()
+            # both generators stand at the same point of the stream
+            assert rng1.integers(1 << 40) == rng2.integers(1 << 40)
+
+    def test_enumeration_batches_cover_the_group(self):
+        for n, size in ((1, 5), (2, 1000)):
+            keys = [batch_element(b, r).key()
+                    for b in clifford_batches(n, size) for r in range(len(b.ph))]
+            assert len(keys) == len(set(keys)) == clifford_group_order(n)
+            assert keys == [c.key() for c in enumerate_cliffords(n)]
+            for b in clifford_batches(n, size):
+                assert all(batch_element(b, r).is_symplectic() for r in range(len(b.ph)))
+
+    def test_r_overlap_matches_dense(self):
+        rng = np.random.default_rng(21)
+        for n in range(1, 5):
+            batch = random_clifford_batch(n, rng, 25)
+            psi = r_state_product(n).amplitudes
+            dense = [abs(np.vdot(psi, batch_element(batch, b).to_unitary().matrix @ psi)) ** 2
+                     for b in range(25)]
+            assert np.allclose(batch_r_overlap_sq(batch), dense, rtol=0, atol=1e-12)
+
+    def test_overlaps_match_dense(self):
+        rng = np.random.default_rng(22)
+        for n in range(1, 7):
+            d = 1 << n
+            batch = random_clifford_batch(n, rng, 9)
+            us = batch_unitaries(batch)
+            for sparse in (False, True):
+                v1 = rng.normal(size=d) + 1j * rng.normal(size=d)
+                v2 = rng.normal(size=d) + 1j * rng.normal(size=d)
+                if sparse:
+                    v1[rng.random(d) < 0.5] = 0
+                    v2[1:][rng.random(d - 1) < 0.7] = 0
+                psi1 = StateVector(n, v1 / np.linalg.norm(v1))
+                psi2 = StateVector(n, v2 / np.linalg.norm(v2))
+                want = [np.vdot(psi1.amplitudes, u @ psi2.amplitudes) for u in us]
+                assert np.allclose(batch_overlaps(batch, psi1, psi2), want,
+                                   rtol=0, atol=1e-12)
+            for b in range(9):
+                assert np.array_equal(us[b], batch_element(batch, b).to_unitary().matrix)
+
+    def test_uniform_over_the_single_qubit_group(self):
+        # 24,000 draws over the 24 elements of C_1: chi-square with 23
+        # degrees of freedom stays below 49.73, its 0.999 quantile
+        batch = random_clifford_batch(1, np.random.default_rng(2024), 24000)
+        index = {c.key(): i for i, c in enumerate(enumerate_cliffords(1))}
+        hits = np.bincount([index[batch_element(batch, b).key()] for b in range(24000)],
+                           minlength=24)
+        assert len(hits) == 24 and hits.min() > 0
+        chi2 = float(((hits - 1000.0) ** 2 / 1000.0).sum())
+        assert chi2 < 49.73
 
 
 class TestGraphStates:

@@ -9,8 +9,6 @@ from stateiso.linalg import Circuit, random_density, run_circuit, trace_norm
 from stateiso.paulis import (
     CliffordElement,
     random_clifford,
-    random_clifford_rows,
-    rows_to_clifford,
 )
 from stateiso.psgi import PsgiVerdict
 from stateiso.reductions import (
@@ -74,8 +72,7 @@ class TestFastCliffordApply:
         rng = np.random.default_rng(5)
         for n in range(1, 7):
             for _ in range(20 if n < 4 else 3):
-                rows, signs = random_clifford_rows(rng, n)
-                c = rows_to_clifford(rows, signs, n)
+                c = random_clifford(n, rng)
                 u = c.to_unitary().matrix
                 assert np.array_equal(c.stabilized_state(), u[:, 0])
                 v = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
@@ -98,8 +95,7 @@ class TestFastCliffordApply:
         rng2 = np.random.default_rng(3)
         max_ov = 0.0
         for _ in range(200):
-            rows, signs = random_clifford_rows(rng2, n)
-            c = rows_to_clifford(rows, signs, n)
+            c = random_clifford(n, rng2)
             u = c.to_unitary().matrix
             max_ov = max(max_ov, abs(np.vdot(psi1.amplitudes, u @ psi2.amplitudes)))
         assert abs(report["max_overlap"] - max_ov) < 1e-9
@@ -111,6 +107,21 @@ class TestFastCliffordApply:
                                         threshold=GI_THRESHOLDS.alpha)
         assert report["exceed_count"] == 0
         assert abs(report["max_overlap"] - 0.37372633971464314) < 1e-12
+
+    def test_sweep_memory_is_blocked(self):
+        # 2,000 Cliffords at n=6: every kernel array stays within the block
+        # budget, so the peak does not grow with the count
+        import tracemalloc
+        inst = gi_to_clifford(*NONISO_LIBRARY[1])
+        tracemalloc.start()
+        try:
+            report = clifford_overlap_sweep(inst.psi1, inst.psi2, count=2000, seed=4,
+                                            threshold=GI_THRESHOLDS.alpha)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report["count"] == 2000 and report["exceed_count"] == 0
+        assert peak < 4 << 20
 
     def test_sweep_finds_planted_witness(self):
         from stateiso.linalg import StateVector
