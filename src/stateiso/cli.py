@@ -72,6 +72,11 @@ EXIT_NO = 1
 EXIT_CONFIG = 2
 EXIT_PROMISE = 3
 
+# Work allowed for the NO-side sweep of a gi_clifford bundle, in entries of
+# the Clifford action (count * n * 2^n).  Sweeps cost about 40 ns per entry
+# at n = 9..13 (2 vCPUs, numpy 2.4), so this is about a minute.
+SWEEP_ENTRY_BUDGET = 1_500_000_000
+
 
 @dataclass
 class ExperimentConfig:
@@ -291,6 +296,11 @@ def _run_gi_clifford_bundle(bundle: dict, sweep_count: int, seed: int, out: str)
                "witness": repr(witness),
                "achieved_overlap": [overlap.real, overlap.imag]}, out)
         sys.exit(EXIT_YES)
+    work = sweep_count * inst.n_qubits << inst.n_qubits
+    if work > SWEEP_ENTRY_BUDGET:
+        _config_error(f"a {sweep_count}-Clifford sweep on {inst.n_qubits} qubits is "
+                      f"{work:.2e} action entries, over the {SWEEP_ENTRY_BUDGET:.1e} budget; "
+                      f"lower --sweep-count")
     sweep = clifford_overlap_sweep(inst.psi1, inst.psi2, sweep_count, seed,
                                    inst.thresholds.alpha)
     _emit({"version": SCHEMA_VERSION, "decision": "NO", "witness": None,

@@ -10,20 +10,25 @@ B tableaus as (B, 2n) int64 arrays in the convention of
 ``CliffordElement.key``.  ``random_clifford_batch`` and ``clifford_batches``
 draw and enumerate them in the Koenig-Smolin order (J. Math. Phys. 55,
 122202, 2014); ``batch_r_overlap_sq``, ``batch_overlaps`` and
-``batch_unitaries`` score and apply them.  The action reads C|b> = P_b
-C|0^n>, P_b the product of the X-generator images selected by the bits of
-b, from one walk over the basis, built for ``_BLOCK_ENTRIES // d``
-Cliffords at a time and gathered in blocks of at most ``_BLOCK_ENTRIES``
-entries.  The ``CliffordElement`` methods are the kernel at B=1.  Phase
-convention: the first nonzero amplitude of C|0^n> is real positive.
+``batch_unitaries`` score and apply them.  The action factors every
+Clifford as C = F1 H_S F2 with F1, F2 Hadamard-free (Bravyi-Maslov), found
+by GF(2) elimination over the packed masks of a whole block, so C|psi>
+costs two phase-permutations and one Hadamard layer, O(n 2^n), and every
+amplitude of C is an exact quarter phase over sqrt(2^|S|).  Blocks hold
+as many Cliffords as keep each intermediate array within
+``_BLOCK_ENTRIES`` entries.  The ``CliffordElement`` methods are the
+kernel at B=1.  Phase convention: the first nonzero amplitude of C|0^n>
+is real positive.
 """
 from __future__ import annotations
 
+import functools
 import math
 from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
+from . import obs
 from .linalg import StateVector, UnitaryMatrix
 
 _PHASE = (1, 1j, -1, -1j)
@@ -40,31 +45,41 @@ class PauliError(ValueError):
     pass
 
 
-# 16-bit popcount table, built by doubling (entry i + 2^k is entry i plus one
-# for i < 2^k) so that no temporary is larger than the uint8 table itself
+# 16-bit popcount and parity tables, built by doubling (entry i + 2^k is
+# entry i plus one for i < 2^k) so that no temporary is larger than the
+# uint8 table itself
 _POP16 = np.zeros(1, dtype=np.uint8)
 for _ in range(16):
     _POP16 = np.concatenate((_POP16, _POP16 + 1))
+_PAR16 = _POP16 & 1
 
 
 def _popcount(v: np.ndarray, bits: int) -> np.ndarray:
     """Popcount of each entry of a non-negative int array below 2**bits."""
-    out = _POP16[v if bits <= 16 else v & 0xFFFF]
+    out = _POP16.take(v if bits <= 16 else v & 0xFFFF)
     for shift in range(16, bits, 16):
-        out = out + _POP16[(v >> shift) & 0xFFFF]
+        out = out + _POP16.take((v >> shift) & 0xFFFF)
     return out
 
 
 def _parity(v: np.ndarray, bits: int) -> np.ndarray:
     """Parity of the popcount of each entry of an int array below 2**bits."""
-    return _popcount(v, bits) & 1
+    out = v if bits <= 16 else v & 0xFFFF
+    for shift in range(16, bits, 16):
+        out = out ^ (v >> shift) & 0xFFFF
+    return _PAR16.take(out)
+
+
+_REV8 = (((np.arange(256)[:, None] >> np.arange(8)) & 1) << np.arange(7, -1, -1)).sum(axis=1)
 
 
 def _index_masks(v: np.ndarray, n: int) -> np.ndarray:
     """Qubit masks (bit q = qubit q) as basis-index masks (qubit 0 = most
-    significant bit)."""
-    q = np.arange(n)
-    return (((v[..., None] >> q) & 1) << (n - 1 - q)).sum(axis=-1)
+    significant bit), reversed a byte at a time."""
+    out = _REV8.take(v & 255)
+    for k in range(8, n, 8):
+        out = out << 8 | _REV8.take(v >> k & 255)
+    return out >> (-n % 8)
 
 
 class PauliOp:
@@ -241,7 +256,7 @@ class CliffordElement:
     # -- symplectic form ----------------------------------------------
     def symplectic_matrix(self) -> np.ndarray:
         """2n x 2n binary matrix; row j = (x-bits, z-bits) of images[j]."""
-        _, _, x, z = _as_batch(self)
+        _, _, x, z = batch_of([self])
         q = np.arange(self.n)
         return np.hstack(((x[0, :, None] >> q) & 1, (z[0, :, None] >> q) & 1)).astype(np.uint8)
 
@@ -275,8 +290,8 @@ class CliffordElement:
 
     def inverse(self) -> "CliffordElement":
         n = self.n
-        m = self.symplectic_matrix().astype(int)
-        minv = _f2_inverse(m)
+        # a symplectic M has the inverse Omega M^T Omega, Omega = [[0, I], [I, 0]]
+        minv = np.roll(self.symplectic_matrix(), n, axis=(0, 1)).T
         images = []
         for j in range(2 * n):
             x = sum(int(minv[j, q]) << q for q in range(n))
@@ -312,27 +327,25 @@ class CliffordElement:
     # -- dense action ---------------------------------------------------
     def stabilized_state(self) -> np.ndarray:
         """C|0^n> as a dense vector with canonical phase."""
-        return _stabilized_states(_as_batch(self))[0]
+        return self.apply(StateVector(self.n, np.eye(1, 1 << self.n, dtype=complex)[0])).amplitudes
 
     def apply(self, psi: StateVector) -> StateVector:
-        """C|psi> under the canonical phase convention, accumulated over
-        blocks of basis columns; no d x d array is built."""
+        """C|psi> = F1 H_S F2 |psi> under the canonical phase convention, in
+        O(n 2^n): a phase-scatter, one Hadamard layer, a phase-scatter."""
         if psi.n_qubits != self.n:
             raise PauliError("size mismatch")
-        amps = psi.amplitudes
-        cols = np.flatnonzero(amps)
-        out = np.zeros(1 << self.n, dtype=complex)
-        for walk, _, c in _blocks(_as_batch(self), len(cols)):
-            terms = amps[cols[c], None] * _basis_columns(walk, cols[c])[0]
-            # an axis-0 sum adds the rows one after another in basis order, so
-            # the result depends neither on the block size nor on BLAS
-            out = np.vstack((out, terms)).sum(axis=0)
+        f = _factor(batch_of([self]))
+        v = np.zeros((1 << self.n, 1), dtype=complex)
+        v[f.pi[:, 0], 0] = _PHASES.take(f.a[:, 0]) * psi.amplitudes
+        v = _hadamard(v, f.s, self.n)[:, 0] / np.sqrt(1 << f.h[0])
+        out = np.empty_like(v)
+        out[f.idx[:, 0]] = _PHASES.take(f.phi[:, 0]) * v
         return StateVector(self.n, out)
 
     def to_unitary(self) -> UnitaryMatrix:
         """C as a dense matrix under the canonical phase convention; a
         matrix over the ``_DENSE_BUDGET`` byte budget raises PauliError."""
-        return UnitaryMatrix(1 << self.n, batch_unitaries(_as_batch(self))[0])
+        return UnitaryMatrix(1 << self.n, batch_unitaries(batch_of([self]))[0])
 
     def is_qubit_permutation(self) -> Optional[tuple]:
         """Return the permutation pi (as a tuple, qubit i -> pi[i]) if the
@@ -353,31 +366,19 @@ class CliffordElement:
         return tuple(perm)
 
 
-def _f2_inverse(m: np.ndarray) -> np.ndarray:
-    n = m.shape[0]
-    a = np.concatenate([m.astype(np.uint8) % 2, np.eye(n, dtype=np.uint8)], axis=1)
-    row = 0
-    for col in range(n):
-        piv = None
-        for r in range(row, n):
-            if a[r, col]:
-                piv = r
-                break
-        if piv is None:
-            raise PauliError("matrix not invertible over F2")
-        a[[row, piv]] = a[[piv, row]]
-        for r in range(n):
-            if r != row and a[r, col]:
-                a[r] ^= a[row]
-        row += 1
-    return a[:, n:]
-
-
 # ----------------------------------------------------------------------
 # Batched Clifford kernel
 # ----------------------------------------------------------------------
-# Basis indices put qubit 0 in the most significant bit, so the walk keeps
+# Basis indices put qubit 0 in the most significant bit, so the kernel keeps
 # its Pauli masks in index space (bit-reversed qubit masks).
+#
+# The action factors each Clifford as C = F1 H_S F2 (Bravyi-Maslov, IEEE
+# TIT 67(7), 2021): H_S is a Hadamard on every qubit of a set S, and F1, F2
+# are Hadamard-free, so each maps a basis state to a quarter phase times a
+# basis state (Dehaene-De Moor, PRA 68, 042318, 2003).  With
+# F1|z> = i^phi[z] |idx[z]> and F2|j> = i^a[j] |pi[j]>,
+#   C|j> = 2^{-h/2} sum_{z ^ pi[j] in S} i^{phi[z] + a[j] + 2 |z & pi[j]|} |idx[z]>,
+# h = |S|, so C|psi> costs two phase-gathers and one Hadamard layer.
 
 _PHASES = np.array(_PHASE)
 _BLOCK_ENTRIES = 1 << 14     # entries of one intermediate kernel array
@@ -394,9 +395,11 @@ class CliffordBatch(NamedTuple):
     z: np.ndarray
 
 
-def _as_batch(c: CliffordElement) -> CliffordBatch:
-    ph, x, z = np.array(c.key(), dtype=np.int64).reshape(-1, 3).T
-    return CliffordBatch(c.n, ph[None], x[None], z[None])
+def batch_of(elements) -> CliffordBatch:
+    """The given CliffordElements, all on the same qubits, as one batch."""
+    elements = list(elements)
+    keys = np.array([c.key() for c in elements], dtype=np.int64)
+    return CliffordBatch(elements[0].n, *keys.transpose(2, 0, 1))
 
 
 def batch_element(batch: CliffordBatch, b: int) -> CliffordElement:
@@ -411,103 +414,178 @@ def batch_block_size(entries: int) -> int:
     return max(1, _BLOCK_ENTRIES // entries)
 
 
-def _pauli_gather(ph, xs, zs, n: int):
-    """(src, factor) with (P v)[j] = factor[..., j] * v[src[..., j]] for the
-    Paulis P = i^ph X^xs Z^zs (index-space masks, any leading shape), from
-    (X^x Z^z v)[j] = (-1)^{|(j ^ x) & z|} v[j ^ x]."""
-    src = xs[..., None] ^ np.arange(1 << n)
-    return src, _PHASES[(ph[..., None] + 2 * _parity(src & zs[..., None], n)) & 3]
+def _walk(ph, x, z, n: int):
+    """(phase, index), each (d, B): F|j> = i^phase[j] |index[j]> for the
+    Hadamard-free F with F|0^n> = |0^n> whose image of X_q is i^ph X^x Z^z
+    at [q].  Entry j + 2^t is entry j times the image of the X generator on
+    index bit t, one Pauli product per entry."""
+    p, xs, zs = np.zeros((3, 1 << n, x.shape[1]), dtype=np.int64)
+    for t in range(n):
+        lo, hi, g = slice(0, 1 << t), slice(1 << t, 2 << t), n - 1 - t
+        p[hi] = p[lo] + ph[g] + 2 * _parity(zs[lo] & x[g], n)
+        np.bitwise_xor(xs[lo], x[g], out=xs[hi])
+        np.bitwise_xor(zs[lo], z[g], out=zs[hi])
+    return p & 3, xs
 
 
-def _stabilized_states(batch: CliffordBatch) -> np.ndarray:
-    """C_b|0^n> (canonical phase) for every row, shape (B, d): a fixed start
-    vector projected onto the joint +1 eigenspace of the Z images fixes the
-    support and the quarter phases, and the amplitudes are set exactly to
-    i^k / sqrt(|support|)."""
+def _product_phases(sel, ph, x, z, n: int):
+    """Phase exponents of the products of the commuting Paulis i^ph X^x Z^z
+    at [q] that the index masks ``sel[k]`` select (the index bit of qubit q
+    selects [q]): the sum of their phases plus 2 |z_q & x_q'| over the
+    selected pairs q < q'."""
+    bits = 1 << np.arange(n - 1, -1, -1)
+    # anti[q]: index mask of the q' > q with |z_q & x_q'| odd
+    later = bits * (np.arange(n)[:, None] < np.arange(n))
+    anti = (_parity(z[:, None] & x, n) * later[..., None]).sum(axis=1)
+    on = (sel[:, None] & bits[:, None]) != 0
+    pairs = on & _parity(sel[:, None] & anti, n)
+    return (on * ph).sum(axis=1) + 2 * pairs.sum(axis=1, dtype=np.int64)
+
+
+class _Factors(NamedTuple):
+    """C = F1 H_S F2 for every column b of a block: F1|z> = i^phi[z] |idx[z]>,
+    F2|j> = i^a[j] |pi[j]> (each (d, B)), s the index mask of S and h = |S|.
+    C|0^n> has its first nonzero amplitude at idx[0], real positive."""
+
+    phi: np.ndarray
+    idx: np.ndarray
+    a: np.ndarray
+    pi: np.ndarray
+    s: np.ndarray
+    h: np.ndarray
+
+
+def _factor(batch: CliffordBatch) -> _Factors:
+    """Factor every row as C = F1 H_S F2, by GF(2) elimination over the
+    packed masks of the batch.  Arrays keep the batch on their last axis."""
     n = batch.n
     d = 1 << n
-    ph, (xs, zs) = batch.ph[:, n:], _index_masks(np.stack((batch.x[:, n:], batch.z[:, n:])), n)
+    if 3 * n > 63:
+        raise PauliError(f"the Clifford kernel packs 3n bits per row; n={n} is too large")
+    bits = (1 << np.arange(n - 1, -1, -1))[:, None]     # index bit of each qubit
+    cols = np.arange(len(batch.ph))
+    x, z = _index_masks(np.stack((batch.x.T, batch.z.T)), n)
+    # The Z images generate the stabilizer group of C|0^n>.  Gauss-Jordan
+    # elimination of their X parts, highest index bit first, on packed rows
+    # x | z << n | r << 2n (r marks the images whose product the row is)
+    # leaves h rows i^p X^G Z^v whose G are in reduced echelon form with
+    # pivot qubits S, and n - h rows +-Z^w.  The candidates for the pivot of bit t
+    # are the rows whose highest X bit is t; a missing pivot is the identity
+    # row, so that step changes nothing for that Clifford.
+    w = x[n:] | z[n:] << n | bits << 2 * n
+    s = np.zeros_like(cols)
+    pivot_row = np.zeros_like(w)
+    for q in range(n):
+        t = n - 1 - q
+        high = w >> t
+        cand = high & ((d - 1) >> t) == 1
+        piv = cand.argmax(axis=0)
+        found = cand[piv, cols]
+        pw = found * w[piv, cols]
+        has = high & 1
+        has[piv, cols] = 0
+        w ^= has * pw
+        s |= found << t
+        pivot_row[q] = piv
+    # every row is a product of commuting Z images, which fixes its phase
+    ph = _product_phases(w >> 2 * n, batch.ph[:, n:].T, x[n:], z[n:], n) & 3
+    # The support of C|0^n> is x0 + span(G): x0 is the one index outside S
+    # with |w & x0| odd exactly for the rows -Z^w, read off a doubling table
+    # of those parities over all indices
+    zw = (w >> n & (d - 1)) * (w & (d - 1) == 0)
+    m = (1 << np.arange(n))[:, None]
+    syn = np.empty((d, len(cols)), dtype=np.int64)
+    syn[0] = ((ph >> 1) * (zw != 0) * m).sum(axis=0)
+    syn_bits = (((zw >> np.arange(n)[:, None, None]) & 1) * m).sum(axis=1)
+    for t in range(n):
+        np.bitwise_xor(syn[:1 << t], syn_bits[t], out=syn[1 << t:2 << t])
+    x0 = ((syn == 0) & (np.arange(d)[:, None] & s == 0)).argmax(axis=0)
+    # F1 maps |0> to |x0> and X_q to X_q off S.  On S, C|0^n> has the
+    # amplitudes i^f(y) over x0 + G^T y, with f(e_k) = l_k = p_k + 2 v_k.x0
+    # and cross terms 2 (v_k . G_m) y_k y_m, so F1 maps X_{s_k} to
+    # i^l_k X^G_k Z^B_k, B_k the qubits s_m of S whose G_m anticommute with v_k
+    in_s = (s & bits) != 0
+    gw, gp = w[pivot_row, cols], ph[pivot_row, cols]
+    gx = np.where(in_s, gw & (d - 1), bits)
+    gv = (gw >> n & (d - 1)) * in_s
+    gp = (gp + 2 * _parity(gv & x0, n)) * in_s & 3
+    gz = (_parity(gv[:, None] & gx, n) * (bits & s)).sum(axis=1)
+    # F2 = H_S F1^dag C maps X_q to H_S F1^dag P F1 H_S for C's image
+    # P = i^p X^u Z^v of X_q.  F1 X^u F1^dag, the product of F1's images
+    # selected by u, has the phase i^f(u) and the X part A u, so
+    # F1^dag P F1 = i^{p - f(u) + 2 v.x0} X^{A u} Z^v' with v' the qubits
+    # whose F1 image of X anticommutes with P; then H_S swaps the X and Z
+    # bits on S, and each Y there changes sign
+    p, u, v = batch.ph[:, :n].T, x[:n], z[:n]
+    u2 = np.bitwise_xor.reduce(((u[:, None] & bits) != 0) * gx, axis=1)
+    v2 = (_parity((gx & v[:, None]) ^ (gz & u[:, None]), n) * bits).sum(axis=1)
+    p2 = (p - _product_phases(u, gp, gx, gz, n) + 2 * _parity(v & x0, n)
+          + 2 * _parity(u2 & v2 & s, n)) & 3
+    # one walk for both Hadamard-free factors
+    phase, index = _walk(np.hstack((gp, p2)), np.hstack((gx, (u2 & ~s) | (v2 & s))),
+                         np.hstack((gz, (v2 & ~s) | (u2 & s))), n)
+    b = len(cols)
+    return _Factors(phase[:, :b], index[:, :b] ^ x0, phase[:, b:], index[:, b:],
+                    s, _popcount(s, n).astype(np.int64))
 
-    def project(v, rows):
-        base = d * np.arange(len(v))[:, None]
-        for t in range(n):
-            src, factor = _pauli_gather(ph[rows, t], xs[rows, t], zs[rows, t], n)
-            v = (v + factor * v.ravel()[base + src]) / 2
-        return v
 
-    v = project(np.tile(np.exp(0.37j * np.arange(d)), (len(ph), 1)), slice(None))
-    for b in np.flatnonzero(np.abs(v).max(axis=1) <= 1e-9):
-        # the start vector was orthogonal to this stabilized state
-        rng = np.random.default_rng(1)
-        while np.abs(v[b]).max() <= 1e-9:
-            v[b] = project((rng.normal(size=d) + 1j * rng.normal(size=d))[None], [b])[0]
-    mag = np.abs(v)
-    support = mag > 0.5 * mag.max(axis=1, keepdims=True)
-    quarter = np.rint(np.angle(v) / (np.pi / 2)).astype(np.int64)
-    # the first nonzero amplitude is made real positive
-    lead = quarter[np.arange(len(v)), support.argmax(axis=1), None]
-    amps = _PHASES[(quarter - lead) & 3] / np.sqrt(support.sum(axis=1, keepdims=True))
-    return np.where(support, amps, 0)
-
-
-def _basis_walk(batch: CliffordBatch):
-    """(ph, xs, zs, phi0), each (B, d), with C_b|j> = i^ph X^xs Z^zs phi0 for
-    every basis index j, phi0 = C_b|0^n> and index-space masks.  Entry
-    j + 2^t is entry j times the image of the X generator on index bit t,
-    one Pauli product per entry."""
+def _blocks(batch: CliffordBatch):
+    """(rows, factors) over the batch, so many rows at a time that no array
+    of the factorization, the two stacked (d, B) walk tables included,
+    exceeds ``_BLOCK_ENTRIES`` entries."""
     n = batch.n
-    xi, zi = _index_masks(np.stack((batch.x[:, :n], batch.z[:, :n])), n)
-    ph = xs = zs = np.zeros((len(xi), 1), dtype=np.int64)
-    for g in range(n - 1, -1, -1):
-        p, x, z = batch.ph[:, g, None], xi[:, g, None], zi[:, g, None]
-        ph = np.hstack((ph, (ph + p + 2 * _parity(zs & x, n)) & 3))
-        xs = np.hstack((xs, xs ^ x))
-        zs = np.hstack((zs, zs ^ z))
-    return ph, xs, zs, _stabilized_states(batch)
+    step = batch_block_size(max(2 << n, n * n))
+    for lo in range(0, len(batch.ph), step):
+        rows = slice(lo, lo + step)
+        yield rows, _factor(CliffordBatch(n, *(a[rows] for a in batch[1:])))
 
 
-def _basis_columns(walk, cols) -> np.ndarray:
-    """Entry [b, r] holds C_b|cols[r]>; ``cols`` is an index array or a slice."""
-    ph, xs, zs, phi0 = walk
-    n = phi0.shape[1].bit_length() - 1
-    src, factor = _pauli_gather(ph[:, cols], xs[:, cols], zs[:, cols], n)
-    return factor * phi0.ravel()[(np.arange(len(phi0)) << n)[:, None, None] + src]
+def _hadamard(v: np.ndarray, s: np.ndarray, n: int) -> np.ndarray:
+    """Unnormalized H, in place, on the qubits of the index mask s[b] of
+    column b of v (shape (d, B)): one butterfly per index bit in some S."""
+    for t in range(n):
+        on = (s >> t) & 1 != 0
+        if on.any():
+            w = v.reshape(-1, 2, 1 << t, v.shape[1])
+            lo, hi = w[:, 0], w[:, 1]
+            plus, minus = lo + hi, lo - hi
+            np.copyto(lo, plus, where=on)
+            np.copyto(hi, minus, where=on)
+    return v
 
 
-def _blocks(batch: CliffordBatch, ncols: int):
-    """(walk, rows, cols) blocks covering every row of the batch and column
-    indices 0..ncols-1.  The walk is built for ``batch_block_size(d)`` rows
-    at a time, and no block gathers more than ``_BLOCK_ENTRIES`` entries."""
-    n = batch.n
-    cstep = max(1, min(ncols, _BLOCK_ENTRIES >> n))
-    bstep = batch_block_size(cstep << n)
-    wstep = batch_block_size(1 << n)
-    for lo in range(0, len(batch.ph), wstep):
-        walk = _basis_walk(CliffordBatch(n, *(a[lo:lo + wstep] for a in batch[1:])))
-        for b in range(0, len(walk[0]), bstep):
-            sub = tuple(a[b:b + bstep] for a in walk)
-            for c in range(0, ncols, cstep):
-                yield sub, slice(lo + b, lo + b + bstep), slice(c, c + cstep)
+def _columns(f: _Factors, cols) -> np.ndarray:
+    """Entry [b, z, c] holds <idx[z, b]|C_b|cols[c]> under the canonical
+    phase, built exactly as i^k / sqrt(2^h); ``cols`` is an index array or
+    a slice."""
+    n = len(f.idx).bit_length() - 1
+    zs = np.arange(1 << n)[:, None]
+    pi, s = f.pi[cols].T[:, None, :], f.s[:, None, None]
+    k = f.phi.T[:, :, None] + f.a[cols].T[:, None, :] + 2 * _parity(zs & pi & s, n)
+    # each row's four amplitudes i^k / sqrt(2^h), and a zero (k = 4) off its support
+    amps = np.hstack((_PHASES / np.sqrt(1 << f.h)[:, None], np.zeros((len(f.h), 1))))
+    k = np.where((zs ^ pi) & ~s == 0, k & 3, 4)
+    return amps[np.arange(len(f.h))[:, None, None], k]
 
 
 def batch_overlaps(batch: CliffordBatch, psi1: StateVector, psi2: StateVector) -> np.ndarray:
-    """<psi1|C_b|psi2> for every row b under the canonical phase convention.
-
-    For each nonzero amplitude c of psi2, substituting k = j ^ xs[c] gives
-    <psi1|C_b|c> = i^ph[c] sum_k phi0[k] (-1)^{|k & zs[c]|} conj(psi1[k ^ xs[c]]),
-    so only psi1, with its signs, is gathered."""
+    """<psi1|C_b|psi2> for every row b under the canonical phase convention,
+    as <F1^dag psi1| H_S |F2 psi2>: only the nonzero amplitudes of psi2 are
+    read."""
     n = batch.n
     if psi1.n_qubits != n or psi2.n_qubits != n:
         raise PauliError("size mismatch")
     cols = np.flatnonzero(psi2.amplitudes)
-    bra = psi1.amplitudes.conj()
-    bra, ket, k = np.concatenate((bra, -bra)), psi2.amplitudes[cols], np.arange(1 << n)
-    out = np.zeros(len(batch.ph), dtype=complex)
-    for (ph, xs, zs, phi0), rows, c in _blocks(batch, len(cols)):
-        col = cols[c]
-        sign = _parity(zs[:, col, None] & k, n).astype(np.int64) << n
-        amps = (bra[(xs[:, col, None] ^ k) | sign] @ phi0[:, :, None])[..., 0]
-        out[rows] += (_PHASES[ph[:, col]] * amps) @ ket[c]
+    bra, ket = psi1.amplitudes.conj(), psi2.amplitudes[cols]
+    out = np.empty(len(batch.ph), dtype=complex)
+    for rows, f in _blocks(batch):
+        w = _hadamard(_PHASES.take(f.phi) * bra.take(f.idx), f.s, n)
+        amps = _PHASES.take(f.a[cols]) * w[f.pi[cols], np.arange(len(f.s))]
+        # einsum keeps this small product off the threaded BLAS, whose
+        # wake-up can cost milliseconds between numpy calls
+        out[rows] = np.einsum("m,mb->b", ket, amps) / np.sqrt(1 << f.h)
+    obs.count("paulis.cliffords_applied", len(batch.ph))
+    obs.count("paulis.action_entries", len(batch.ph) * n << n)
     return out
 
 
@@ -521,8 +599,17 @@ def batch_unitaries(batch: CliffordBatch) -> np.ndarray:
         raise PauliError(f"a {n}-qubit unitary takes {16 * d * d >> 20} MiB, over the "
                          f"{_DENSE_BUDGET >> 20} MiB budget for dense Clifford matrices")
     out = np.empty((len(batch.ph), d, d), dtype=complex)
-    for walk, rows, c in _blocks(batch, d):
-        out[rows, :, c] = np.swapaxes(_basis_columns(walk, c), 1, 2)
+    cstep = max(1, min(d, _BLOCK_ENTRIES >> n))
+    bstep = batch_block_size(cstep << n)
+    for rows, f in _blocks(batch):
+        for b in range(0, len(f.s), bstep):
+            sub = _Factors(*(t[..., b:b + bstep] for t in f))
+            at = np.arange(rows.start + b, rows.start + b + len(sub.s))[:, None, None]
+            for c in range(0, d, cstep):
+                out[at, sub.idx.T[:, :, None], np.arange(c, min(d, c + cstep))] = \
+                    _columns(sub, slice(c, c + cstep))
+    obs.count("paulis.cliffords_applied", len(batch.ph))
+    obs.count("paulis.action_entries", len(batch.ph) * d * d)
     return out
 
 
@@ -632,14 +719,19 @@ def enumerate_cliffords(n: int, allow_large: bool = False) -> Iterator[CliffordE
         yield from (batch_element(batch, b) for b in range(len(batch.ph)))
 
 
+def _index_words(order: int) -> int:
+    """32-bit words that make one index below an order of at least 2^62:
+    64 spare bits keep the modulo bias below 2^-64."""
+    return (order.bit_length() + 64 + 31) // 32
+
+
 def _random_symplectic_index(rng: np.random.Generator, order: int) -> int:
     """Uniform index below the symplectic group order, which can exceed
     the int64 range of Generator.integers at n >= 6."""
     if order < (1 << 62):
         return int(rng.integers(order))
-    chunks = (order.bit_length() + 64 + 31) // 32
     i = 0
-    for _ in range(chunks):
+    for _ in range(_index_words(order)):
         i = (i << 32) | int(rng.integers(1 << 32))
     return i % order
 
@@ -647,7 +739,18 @@ def _random_symplectic_index(rng: np.random.Generator, order: int) -> int:
 def _draw(rng: np.random.Generator, n: int, count: int):
     """Packed rows and sign bits of ``count`` uniform Cliffords; each draws
     its symplectic index, then its signs."""
-    order, indices, signs = symplectic_group_order(n), [], []
+    order = symplectic_group_order(n)
+    if order >= 1 << 62 and n <= 16:
+        # Every draw is then one 32-bit word: the index takes whole words,
+        # and Generator.integers(4^n) is the top 2n bits of a word (Lemire's
+        # method never rejects for a power of two).  One call draws the
+        # words of all ``count`` Cliffords in the order of the loop below.
+        words = rng.integers(1 << 32, size=(count, _index_words(order) + 1)).tolist()
+        indices = [functools.reduce(lambda i, w: i << 32 | w, row[:-1]) % order
+                   for row in words]
+        signs = np.array([row[-1] for row in words], dtype=np.int64) >> (32 - 2 * n)
+        return _symplectic_rows(indices, n), signs
+    indices, signs = [], []
     for _ in range(count):
         indices.append(_random_symplectic_index(rng, order))
         signs.append(int(rng.integers(1 << (2 * n))))
@@ -657,6 +760,7 @@ def _draw(rng: np.random.Generator, n: int, count: int):
 def random_clifford_batch(n: int, rng: np.random.Generator, count: int) -> CliffordBatch:
     """``count`` uniform Cliffords modulo phase, making the draws of
     ``count`` successive ``random_clifford(n, rng)`` calls."""
+    obs.count("paulis.cliffords_drawn", count)
     return _rows_to_batch(*_draw(rng, n, count), n)
 
 
@@ -740,7 +844,7 @@ def r_state_pauli_expectation(p: PauliOp) -> float:
 
 def r_overlap_sq(c: CliffordElement) -> float:
     """|<R^n| C |R^n>|^2, the batch kernel at B=1."""
-    return float(batch_r_overlap_sq(_as_batch(c))[0])
+    return float(batch_r_overlap_sq(batch_of([c]))[0])
 
 
 def batch_r_overlap_sq(batch: CliffordBatch) -> np.ndarray:
@@ -768,4 +872,5 @@ def batch_r_overlap_sq(batch: CliffordBatch) -> np.ndarray:
     ny = _popcount(xs & zs, n)
     sign = 1 - ((ps + 3 * ny) & 3)      # phase 0 or 2 on every string without Z
     val = coef * sign * COS8 ** (_popcount(xs, n) - ny) * SIN8 ** ny
+    obs.count("paulis.cliffords_scored", len(ph))
     return np.where((zs & ~xs) == 0, val, 0.0).sum(axis=1) / (1 << n)

@@ -348,11 +348,10 @@ def random_pauli_psgi_instance(n: int, thresholds: DecisionThresholds,
     from .paulis import graph_state, random_clifford
     from .graphs import Graph
 
-    base1 = StateVector(n, np.eye(1 << n, dtype=complex)[0])
     base2 = graph_state(Graph.complete(n))
     for _ in range(max_tries):
         c = random_clifford(n, rng)
-        a1 = c.apply(base1).amplitudes
+        a1 = c.stabilized_state()        # C applied to the basis state |0^n>
         a2 = c.apply(base2).amplitudes
         noise = 0.04 * (rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n))
         a1 = a1 + noise

@@ -14,6 +14,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import obs
 from .linalg import (
     Circuit, DensityMatrix, StateVector, run_circuit, sqrt_fidelity,
     trace_norm,
@@ -102,15 +103,18 @@ def clifford_overlap_sweep(psi1: StateVector, psi2: StateVector, count: int,
     n = psi1.n_qubits
     if psi2.n_qubits != n:
         raise ReductionError("state size mismatch")
+    if count < 1:
+        raise ReductionError(f"a sweep needs at least one Clifford, got count={count}")
     rng = np.random.default_rng(seed)
     max_ov = 0.0
     exceed = 0
     step = batch_block_size(1 << n)
-    for lo in range(0, count, step):
-        batch = random_clifford_batch(n, rng, min(step, count - lo))
-        ov = np.abs(batch_overlaps(batch, psi1, psi2))
-        max_ov = max(max_ov, ov.max())
-        exceed += int(np.count_nonzero(ov > threshold))
+    with obs.span("reductions.clifford_overlap_sweep"):
+        for lo in range(0, count, step):
+            batch = random_clifford_batch(n, rng, min(step, count - lo))
+            ov = np.abs(batch_overlaps(batch, psi1, psi2))
+            max_ov = max(max_ov, ov.max())
+            exceed += int(np.count_nonzero(ov > threshold))
     return {"count": count, "seed": seed, "threshold": threshold,
             "max_overlap": float(max_ov), "exceed_count": exceed}
 

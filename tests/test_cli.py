@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -274,6 +275,14 @@ def _assert_config_error(res):
     assert len(errors) == 1, res.stderr
 
 
+def _gi_clifford_bundle(runner, tmp_path, g1, g2):
+    bundle = str(tmp_path / "bundle.json")
+    res = runner.invoke(main, ["reduce", "gi-clifford", _write_graph(tmp_path / "g1.txt", g1),
+                               _write_graph(tmp_path / "g2.txt", g2), "--out", bundle])
+    assert res.exit_code == 0
+    return bundle
+
+
 class TestConfigErrorBoundary:
     @pytest.mark.parametrize("case", [
         "psgi-bundle-without-psi1",
@@ -303,6 +312,23 @@ class TestConfigErrorBoundary:
     def test_empty_sizes_exit_two(self, runner, args):
         _assert_config_error(runner.invoke(main, args))
 
+    @pytest.mark.parametrize("count", ["0", "-5"])
+    def test_nonpositive_sweep_count(self, runner, tmp_path, count):
+        # a sweep of no Cliffords is no evidence for NO
+        bundle = _gi_clifford_bundle(runner, tmp_path, Graph.path(4), Graph.star(4))
+        res = runner.invoke(main, ["psgi", "--instance", bundle, "--sweep-count", count])
+        _assert_config_error(res)
+
+    def test_sweep_over_work_budget(self, runner, tmp_path):
+        # 13-vertex graphs make 14 qubits: the default 20,000-Clifford sweep
+        # is refused before any Clifford is drawn
+        bundle = _gi_clifford_bundle(runner, tmp_path, Graph.path(13), Graph.star(13))
+        t0 = time.perf_counter()
+        res = runner.invoke(main, ["psgi", "--instance", bundle])
+        assert time.perf_counter() - t0 < 1.0
+        _assert_config_error(res)
+        assert "--sweep-count" in res.stderr
+
     def test_out_into_missing_directory(self, runner, tmp_path):
         out = tmp_path / "missing" / "x.json"
         _assert_config_error(runner.invoke(main, ["psgi", "--n", "2", "--out", str(out)]))
@@ -324,6 +350,19 @@ class TestDeterminism:
         a = runner.invoke(main, args).output
         b = runner.invoke(main, args).output
         assert a == b
+
+    def test_qcszk_stdout_pinned(self, runner):
+        # rows recorded before the Clifford action was factored as F1 H_S F2;
+        # the shadows read batch_unitaries, so they pin its bits end to end
+        res = runner.invoke(main, ["protocol", "qcszk", "--trials", "4", "--shadows", "100",
+                                   "--seed", "7"])
+        assert res.exit_code == 0
+        assert res.stdout.splitlines() == [
+            '{"accept_rate": 0.25, "accepts": 1, "instance": "isomorphic", "trials": 4, '
+            '"wilson_high": 0.6993639475573634, "wilson_low": 0.045586062644636216}',
+            '{"accept_rate": 1.0, "accepts": 4, "instance": "non-isomorphic", "trials": 4, '
+            '"wilson_high": 1.0, "wilson_low": 0.5100999795960008}',
+        ]
 
     def test_version_flag(self, runner):
         res = runner.invoke(main, ["--version"])

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,7 @@ from stateiso.paulis import (
     PauliError,
     PauliOp,
     batch_element,
+    batch_of,
     batch_overlaps,
     batch_r_overlap_sq,
     batch_unitaries,
@@ -136,6 +138,22 @@ class TestCliffordElement:
                 p = PauliOp.single(n, 0, "X")
             lhs = dense_pauli(c.conjugate(p))
             assert np.allclose(lhs, u @ dense_pauli(p) @ u.conj().T, atol=1e-10)
+        # every element at n = 1 (24) and n = 2 (11,520), through batch_unitaries
+        for n in (1, 2):
+            d = 1 << n
+            strings = {(x, z): dense_pauli(PauliOp(n, 0, x, z))
+                       for x in range(d) for z in range(d)}
+            for batch in clifford_batches(n, 2000):
+                us = batch_unitaries(batch)
+                for j in range(2 * n):
+                    gen = dense_pauli(PauliOp.single(n, j % n, "XZ"[j // n]))
+                    want = np.stack([(1, 1j, -1, -1j)[p] * strings[x, z] for p, x, z in
+                                     zip(batch.ph[:, j], batch.x[:, j], batch.z[:, j])])
+                    assert np.allclose(us @ gen @ us.conj().transpose(0, 2, 1), want,
+                                       rtol=0, atol=1e-12)
+                first = (np.abs(us[:, :, 0]) > 1e-12).argmax(axis=1)
+                lead = us[np.arange(len(us)), first, 0]
+                assert (lead.imag == 0).all() and (lead.real > 0).all()
 
     def test_compose_matches_unitary_product(self):
         for _ in range(20):
@@ -213,6 +231,59 @@ class TestStreamPins:
         assert table[1].key() == ((2, 1, 0), (0, 2, 0), (0, 0, 1), (0, 0, 2))
         assert table[5000].key() == ((1, 3, 2), (1, 3, 1), (0, 2, 0), (2, 2, 1))
         assert table[11519].key() == ((2, 3, 3), (3, 2, 2), (2, 1, 0), (2, 1, 2))
+
+    def test_unitaries_digest(self):
+        # sha256 of batch_unitaries over every element at n = 1 and n = 2,
+        # recorded before the action was factored as F1 H_S F2; adding 0.0
+        # maps -0.0 to +0.0, the only freedom the amplitudes i^k / sqrt(2^h)
+        # leave
+        digests = {
+            1: "19653b5f8254948f36061e803929e4ecab89e0b01f0bf947c9846f594febbd4e",
+            2: "a74ff938cfe8e3530ac2d1008bc7c5753b62c8fcdc2b22896be4847c9c009fcb",
+        }
+        for n, want in digests.items():
+            us = batch_unitaries(next(clifford_batches(n, clifford_group_order(n))))
+            got = hashlib.sha256((us.view(np.float64) + 0.0).tobytes()).hexdigest()
+            assert got == want
+
+    def test_wide_index_keys(self):
+        # n >= 6 draws its index in 32-bit words; keys recorded with one
+        # Generator.integers call per word
+        assert random_clifford(6, 0).key() == (
+            (3, 31, 1), (2, 53, 46), (3, 42, 62), (0, 23, 25), (0, 36, 55), (3, 55, 57),
+            (0, 22, 7), (3, 18, 10), (0, 15, 31), (1, 27, 58), (0, 44, 42), (0, 34, 17))
+        rng = np.random.default_rng(11)
+        keys = [random_clifford(7, rng).key() for _ in range(3)]
+        assert keys[2] == (
+            (0, 124, 98), (3, 55, 24), (1, 21, 43), (0, 82, 12), (3, 4, 118), (1, 75, 24),
+            (0, 104, 2), (3, 33, 62), (3, 85, 6), (3, 87, 122), (3, 24, 117), (1, 109, 1),
+            (3, 123, 64), (2, 47, 22))
+        assert int(rng.integers(1 << 40)) == 562279275301
+
+    def test_block_draws_match_scalar_draws(self):
+        # the one-call word draws at 6 <= n <= 16 against the per-Clifford
+        # scalar calls: index words, then the 4^n sign draw
+        for n in (6, 7, 9, 16):
+            order = symplectic_group_order(n)
+            words = (order.bit_length() + 64 + 31) // 32
+            for seed in range(3):
+                rng = np.random.default_rng(seed)
+                batch = random_clifford_batch(n, rng, 40)
+                ref = np.random.default_rng(seed)
+                for b in range(40):
+                    i = 0
+                    for _ in range(words):
+                        i = i << 32 | int(ref.integers(1 << 32))
+                    signs = int(ref.integers(1 << (2 * n)))
+                    got = batch_element(batch, b)
+                    want = batch_element(_batch_from_index(n, i % order, signs), 0)
+                    assert got == want
+                assert rng.integers(1 << 40) == ref.integers(1 << 40)
+
+
+def _batch_from_index(n, index, signs):
+    from stateiso.paulis import _rows_to_batch, _symplectic_rows
+    return _rows_to_batch(_symplectic_rows([index], n), np.array([signs]), n)
 
 
 class TestRStates:
@@ -320,6 +391,25 @@ class TestBatchedKernel:
                                    rtol=0, atol=1e-12)
             for b in range(9):
                 assert np.array_equal(us[b], batch_element(batch, b).to_unitary().matrix)
+        # edge rows, against matrices built without the kernel: H on no qubit
+        # (identity, a qubit permutation) and H on every qubit
+        h1 = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+        for n in range(1, 9):
+            d = 1 << n
+            perm = tuple(int(i) for i in rng.permutation(n))
+            every_h = CliffordElement(n, [PauliOp.single(n, q, "Z") for q in range(n)]
+                                      + [PauliOp.single(n, q, "X") for q in range(n)])
+            batch = batch_of([CliffordElement.identity(n), qubit_permutation_clifford(perm, n),
+                              every_h])
+            hn = np.ones((1, 1))
+            for _ in range(n):
+                hn = np.kron(hn, h1)
+            v1 = rng.normal(size=d) + 1j * rng.normal(size=d)
+            v2 = rng.normal(size=d) + 1j * rng.normal(size=d)
+            v1, v2 = v1 / np.linalg.norm(v1), v2 / np.linalg.norm(v2)
+            moved = [v2, np.transpose(v2.reshape([2] * n), axes=_axes_for(perm)).ravel(), hn @ v2]
+            got = batch_overlaps(batch, StateVector(n, v1), StateVector(n, v2))
+            assert np.allclose(got, [np.vdot(v1, m) for m in moved], rtol=0, atol=1e-12)
 
     def test_uniform_over_the_single_qubit_group(self):
         # 24,000 draws over the 24 elements of C_1: chi-square with 23

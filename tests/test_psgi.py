@@ -278,6 +278,21 @@ class TestInstanceGeneration:
         inst = random_pauli_psgi_instance(2, THRESHOLDS, "no", rng)
         assert psgi_oracle(inst).decision == "NO"
 
+    def test_no_instance_pinned(self):
+        # amplitudes recorded when the |0> base went through CliffordElement.apply
+        inst = random_pauli_psgi_instance(2, DecisionThresholds(0.9, 1.0), "no",
+                                          np.random.default_rng(5))
+        want1 = [-0.053266216033562186 + 0.004412432569892447j,
+                 -0.009989197687819364 - 0.022227682722908558j,
+                 0.7279129708790413 - 0.031564160537028076j,
+                 0.04569221806438608 - 0.6808876695333841j]
+        want2 = [0.06773216050239468 + 0.06629182398837075j,
+                 -0.7211180324285923 + 0.008405804111337845j,
+                 0.6813202153427025 - 0.07176563010317498j,
+                 -0.039702744029564765 - 0.0034676919299717777j]
+        assert np.allclose(inst.psi1.amplitudes, want1, rtol=0, atol=1e-15)
+        assert np.allclose(inst.psi2.amplitudes, want2, rtol=0, atol=1e-15)
+
     def test_no_at_one_qubit_infeasible_at_low_alpha(self):
         # at n=1 every state pair has some Pauli overlap >= 1/sqrt(2)
         rng = np.random.default_rng(22)
