@@ -447,6 +447,14 @@ def reduce_psgi_statehsp(instance, copies, out):
 # verify
 # ----------------------------------------------------------------------
 
+def _at_least_one(ctx, param, value: int) -> int:
+    """Option callback: a check run on no instances passes vacuously, so a
+    count below 1 is a configuration error."""
+    if value < 1:
+        _config_error(f"{param.opts[0]} must be >= 1, got {value}")
+    return value
+
+
 def _finish_report(report: dict, out: str):
     _emit(report, out)
     sys.exit(EXIT_YES if report["passed"] else EXIT_NO)
@@ -475,7 +483,8 @@ def verify_lemma_perm_cmd(n_qubits, exhaustive, samples, seed, threshold, out):
 
 
 @cmd_verify.command("twirl-bound")
-@click.option("--instances", type=int, default=100, show_default=True)
+@click.option("--instances", type=int, default=100, show_default=True,
+              callback=_at_least_one)
 @click.option("--n", "n_qubits", type=int, default=1, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", default="")
@@ -500,7 +509,8 @@ def verify_twirl_bound(instances, n_qubits, seed, out):
 
 
 @cmd_verify.command("helper-gapped-cv")
-@click.option("--count", type=int, default=500, show_default=True)
+@click.option("--count", type=int, default=500, show_default=True,
+              callback=_at_least_one)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", default="")
 def verify_helper_gapped_cv(count, seed, out):
@@ -532,7 +542,8 @@ def verify_helper_gapped_cv(count, seed, out):
 
 
 @cmd_verify.command("trace-transfer")
-@click.option("--count", type=int, default=200, show_default=True)
+@click.option("--count", type=int, default=200, show_default=True,
+              callback=_at_least_one)
 @click.option("--n", "n_qubits", type=int, default=1, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", default="")

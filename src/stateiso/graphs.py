@@ -1,10 +1,9 @@
-"""Simple undirected graphs with edge-list I/O and isomorphism helpers."""
+"""Simple undirected graphs with edge-list I/O and an exact isomorphism search."""
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional
 
-import networkx as nx
 import numpy as np
 
 
@@ -98,22 +97,62 @@ class Graph:
             deg[v] += 1
         return tuple(sorted(deg))
 
-    def to_networkx(self) -> nx.Graph:
-        g = nx.Graph()
-        g.add_nodes_from(range(self.n))
-        g.add_edges_from(self.edges)
-        return g
+
+def _neighbors(g: Graph) -> list:
+    adj = [set() for _ in range(g.n)]
+    for u, v in g.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
+
+
+def _search_order(adj: list) -> list:
+    """Vertices breadth first, each component from its highest degree, so
+    that every vertex after the first of its component has a mapped
+    neighbour when it is tried."""
+    order, seen = [], set()
+    for root in sorted(range(len(adj)), key=lambda v: -len(adj[v])):
+        if root in seen:
+            continue
+        seen.add(root)
+        queue = [root]
+        for u in queue:
+            order.append(u)
+            for w in sorted(adj[u] - seen, key=lambda v: -len(adj[v])):
+                seen.add(w)
+                queue.append(w)
+    return order
 
 
 def find_isomorphism(g1: Graph, g2: Graph) -> Optional[tuple]:
-    """A relabeling perm with g1.relabel(perm) == g2, or None."""
-    if g1.n != g2.n:
+    """A relabeling perm with g1.relabel(perm) == g2, or None.
+
+    Exact backtracking search.  g1's vertices are mapped in breadth-first
+    order, and each only to an unused g2 vertex of the same degree whose
+    adjacency to the vertices mapped so far agrees.
+    """
+    if (g1.n, len(g1.edges), g1.degree_sequence()) != \
+            (g2.n, len(g2.edges), g2.degree_sequence()):
         return None
-    matcher = nx.algorithms.isomorphism.GraphMatcher(g1.to_networkx(), g2.to_networkx())
-    if not matcher.is_isomorphic():
-        return None
-    mapping = matcher.mapping
-    return tuple(mapping[i] for i in range(g1.n))
+    adj1, adj2 = _neighbors(g1), _neighbors(g2)
+    order = _search_order(adj1)
+    perm, used = [None] * g1.n, [False] * g1.n
+    tries = [iter(range(g1.n))]       # tries[i]: g2 vertices left for order[i]
+    while tries and len(tries) <= g1.n:
+        i = len(tries) - 1
+        u = order[i]
+        if perm[u] is not None:         # backtracking: undo the last choice
+            used[perm[u]] = False
+            perm[u] = None
+        for v in tries[i]:
+            if not used[v] and len(adj2[v]) == len(adj1[u]) and all(
+                    (perm[w] in adj2[v]) == (w in adj1[u]) for w in order[:i]):
+                perm[u], used[v] = v, True
+                tries.append(iter(range(g1.n)))
+                break
+        else:
+            tries.pop()
+    return tuple(perm) if tries else None
 
 
 def are_isomorphic(g1: Graph, g2: Graph) -> bool:

@@ -18,6 +18,7 @@ from .paulis import (PauliOp, CliffordElement, batch_unitaries, clifford_batches
                      clifford_group_order, enumerate_cliffords)
 
 HOM_TOL = 1e-8
+_BLOCK_ENTRIES = 1 << 16     # matrix entries per block of group elements in the twirls
 
 
 class GroupError(ValueError):
@@ -180,35 +181,52 @@ def dihedralize(rep: FiniteGroupRep) -> DihedralizedRep:
 # Twirling channels
 # ----------------------------------------------------------------------
 
+def _conjugate_blocks(rep: FiniteGroupRep, m: np.ndarray, step: int):
+    """R(g) m R(g)^dag in element order, as (B, dim, dim) stacks of B <= step."""
+    for lo in range(0, rep.order, step):
+        u = np.stack([rep.unitary(g) for g in rep.elements[lo:lo + step]])
+        yield u @ m @ u.conj().transpose(0, 2, 1)
+
+
+def _vec_kron_powers(t: np.ndarray, a: int) -> np.ndarray:
+    """Rows vec(T^{x a}) of a (B, d, d) stack T: shape (B, d^{2a})."""
+    out = np.ones((len(t), 1, 1), dtype=complex)
+    for _ in range(a):
+        out = np.einsum("gij,gkl->gikjl", out, t).reshape(
+            len(t), out.shape[1] * t.shape[1], -1)
+    return out.reshape(len(t), -1)
+
+
 def twirl(rep: FiniteGroupRep, rho: DensityMatrix) -> DensityMatrix:
     """E(rho) = (1/|G|) sum_g R(g) rho R(g)^dag."""
-    if rho.dim != rep.dim:
-        raise GroupError("density matrix dimension does not match rep")
-    acc = np.zeros((rep.dim, rep.dim), dtype=complex)
-    for g in rep.elements:
-        u = rep.unitary(g)
-        acc += u @ rho.matrix @ u.conj().T
-    return _density(rep.dim, acc / rep.order)
+    return k_twirl(rep, rho, 1)
 
 
 def k_twirl(rep: FiniteGroupRep, rho: DensityMatrix, k: int,
             max_dim: int = 1 << 13) -> DensityMatrix:
-    """(1/|G|) sum_g (R(g) rho R(g)^dag)^{x k}."""
+    """(1/|G|) sum_g (R(g) rho R(g)^dag)^{x k}.
+
+    With T_g = R(g) rho R(g)^dag and a = k // 2, the sum is one product
+    sum_g vec(T_g^{x a}) vec(T_g^{x (k-a)})^T, which a transpose of the
+    row and column indices turns into the k-fold tensor power.
+    """
     if k < 1:
         raise GroupError("k must be a positive integer")
+    if rho.dim != rep.dim:
+        raise GroupError("density matrix dimension does not match rep")
     if rep.dim**k > max_dim:
         raise GroupError(
             f"k-twirl dimension {rep.dim}^{k} exceeds the guard ({max_dim})"
         )
-    dk = rep.dim**k
-    acc = np.zeros((dk, dk), dtype=complex)
-    for g in rep.elements:
-        u = rep.unitary(g)
-        term = u @ rho.matrix @ u.conj().T
-        power = term
-        for _ in range(k - 1):
-            power = np.kron(power, term)
-        acc += power
+    a, b = k // 2, k - k // 2
+    da, db, dk = rep.dim**a, rep.dim**b, rep.dim**k
+    # blocks of elements whose factor rows hold no more entries than the
+    # accumulator (or _BLOCK_ENTRIES), so that memory stays O(d^{2k})
+    step = max(1, max(dk * dk, _BLOCK_ENTRIES) // (da * da + db * db))
+    acc = np.zeros((da * da, db * db), dtype=complex)
+    for t in _conjugate_blocks(rep, rho.matrix, step):
+        acc += _vec_kron_powers(t, a).T @ _vec_kron_powers(t, b)
+    acc = acc.reshape(da, da, db, db).transpose(0, 2, 1, 3).reshape(dk, dk)
     return _density(dk, acc / rep.order)
 
 
@@ -229,10 +247,9 @@ def check_twirl_fidelity_bound(rep: FiniteGroupRep, rho: DensityMatrix,
     Since S is a group, the pairwise maximum reduces to a single sweep
     over w = U^dag V.
     """
-    eps = 0.0
-    for w in rep.elements:
-        u = rep.unitary(w)
-        eps = max(eps, fidelity_matrices(rho.matrix, u @ sigma.matrix @ u.conj().T))
+    step = max(1, _BLOCK_ENTRIES // rep.dim**2)
+    eps = max(0.0, *(float(fidelity_matrices(rho.matrix, t).max())
+                     for t in _conjugate_blocks(rep, sigma.matrix, step)))
     tf = sqrt_fidelity(twirl(rep, rho), twirl(rep, sigma))
     bound = eps * rep.order
     slack = bound - tf

@@ -310,12 +310,17 @@ def sqrt_fidelity(r: DensityMatrix, s: DensityMatrix) -> float:
     return fidelity_matrices(r.matrix, s.matrix)
 
 
-def fidelity_matrices(r: np.ndarray, s: np.ndarray) -> float:
-    """Square-root fidelity on raw PSD matrices (no unit-trace requirement)."""
+def fidelity_matrices(r: np.ndarray, s: np.ndarray):
+    """Square-root fidelity on raw PSD matrices (no unit-trace requirement).
+
+    ``s`` may be a stack of shape (..., d, d); sqrt(r) is then taken once
+    and the result is an array of shape (...), else a float.
+    """
     sr = matrix_sqrt_psd(r)
     inner = sr @ s @ sr
-    evals = np.linalg.eigvalsh((inner + inner.conj().T) / 2)
-    return float(np.sqrt(np.clip(evals, 0.0, None)).sum())
+    evals = np.linalg.eigvalsh((inner + np.swapaxes(inner.conj(), -1, -2)) / 2)
+    f = np.sqrt(np.clip(evals, 0.0, None)).sum(axis=-1)
+    return float(f) if f.ndim == 0 else f
 
 
 def trace_distance(r: DensityMatrix, s: DensityMatrix) -> float:

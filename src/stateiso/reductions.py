@@ -135,6 +135,10 @@ def verify_lemma_perm(n: int, mode: str = "exhaustive", samples: int = 0,
                       threshold: float = LEMMA_PERM_THRESHOLD) -> dict:
     """Check that every Clifford with |<R^n|C|R^n>|^2 >= threshold is a
     qubit permutation.  Exhaustive for n <= 2, sampled otherwise."""
+    if n < 1:
+        raise ReductionError(f"n must be >= 1 qubit, got {n}")
+    if mode == "sampled" and samples < 1:
+        raise ReductionError(f"sampled mode needs samples >= 1, got {samples}")
     step = batch_block_size(3 ** n)
     if mode == "exhaustive":
         batches = clifford_batches(n, step)

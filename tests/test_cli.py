@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -312,6 +315,23 @@ class TestConfigErrorBoundary:
     def test_empty_sizes_exit_two(self, runner, args):
         _assert_config_error(runner.invoke(main, args))
 
+    @pytest.mark.parametrize("args", [
+        ["verify", "twirl-bound", "--instances", "0"],
+        ["verify", "helper-gapped-cv", "--count", "0"],
+        ["verify", "trace-transfer", "--count", "0"],
+        ["verify", "trace-transfer", "--count", "-1"],
+        ["verify", "lemma-perm", "--n", "3", "--sampled", "--samples", "0"],
+        ["verify", "lemma-perm", "--n", "3", "--sampled", "--samples", "-5"],
+        ["verify", "lemma-perm", "--n", "0"],
+        ["verify", "lemma-perm", "--n", "-1"],
+    ], ids=["twirl-bound-zero-instances", "helper-gapped-cv-zero-count",
+            "trace-transfer-zero-count", "trace-transfer-negative-count",
+            "lemma-perm-zero-samples", "lemma-perm-negative-samples",
+            "lemma-perm-zero-qubits", "lemma-perm-negative-qubits"])
+    def test_vacuous_checks_exit_two(self, runner, args):
+        # a check over no instances would pass vacuously
+        _assert_config_error(runner.invoke(main, args))
+
     @pytest.mark.parametrize("count", ["0", "-5"])
     def test_nonpositive_sweep_count(self, runner, tmp_path, count):
         # a sweep of no Cliffords is no evidence for NO
@@ -367,3 +387,33 @@ class TestDeterminism:
     def test_version_flag(self, runner):
         res = runner.invoke(main, ["--version"])
         assert res.exit_code == 0
+
+
+class TestNoNetworkx:
+    """networkx is a test-only dependency: the program never imports it."""
+
+    @staticmethod
+    def _python(code, cwd):
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        env.pop("STATEISO_OUT_DIR", None)
+        return subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    def test_imports_skip_networkx(self, tmp_path):
+        proc = self._python("import sys, stateiso.cli, stateiso.reductions, stateiso.bosonic; "
+                            "assert 'networkx' not in sys.modules", tmp_path)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_gi_clifford_bundles_decide_without_networkx(self, runner, tmp_path):
+        # with networkx unimportable a YES bundle still exits 0 and a NO bundle 1
+        p4 = Graph.path(4)
+        for name, g2, want in (("yes", p4.relabel((2, 0, 3, 1)), 0),
+                               ("no", Graph.star(4), 1)):
+            (tmp_path / name).mkdir()
+            bundle = _gi_clifford_bundle(runner, tmp_path / name, p4, g2)
+            proc = self._python("import sys; sys.modules['networkx'] = None; "
+                                "from stateiso.cli import main; "
+                                f"main(['psgi', '--instance', {bundle!r}])", tmp_path)
+            assert proc.returncode == want, proc.stderr

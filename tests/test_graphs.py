@@ -1,3 +1,7 @@
+import itertools
+import random
+
+import networkx as nx
 import pytest
 
 from stateiso.graphs import Graph, GraphError, are_isomorphic, find_isomorphism
@@ -71,3 +75,49 @@ class TestIsomorphism:
 
     def test_size_mismatch(self):
         assert find_isomorphism(Graph.path(3), Graph.path(4)) is None
+
+    def test_empty_graph(self):
+        assert find_isomorphism(Graph(0, ()), Graph(0, ())) == ()
+
+
+def _nx(g):
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges)
+    return h
+
+
+def _agrees_with_networkx(g1, g2):
+    perm = find_isomorphism(g1, g2)
+    assert (perm is not None) == nx.is_isomorphic(_nx(g1), _nx(g2)), (g1, g2)
+    if perm is not None:
+        assert g1.relabel(perm) == g2
+
+
+class TestAgainstNetworkx:
+    """The backtracking search against networkx's VF2, an independent
+    implementation."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_all_pairs(self, n):
+        pairs = list(itertools.combinations(range(n), 2))
+        graphs = [Graph(n, tuple(e for e, keep in zip(pairs, bits) if keep))
+                  for bits in itertools.product((0, 1), repeat=len(pairs))]
+        for g1, g2 in itertools.product(graphs, repeat=2):
+            _agrees_with_networkx(g1, g2)
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_random_pairs(self, n):
+        # half the pairs are relabelings, half independent draws of one density
+        rnd = random.Random(n)
+        pairs = list(itertools.combinations(range(n), 2))
+        for t in range(800):
+            density = rnd.random()
+            g1 = Graph(n, tuple(e for e in pairs if rnd.random() < density))
+            if t % 2:
+                perm = list(range(n))
+                rnd.shuffle(perm)
+                g2 = g1.relabel(perm)
+            else:
+                g2 = Graph(n, tuple(e for e in pairs if rnd.random() < density))
+            _agrees_with_networkx(g1, g2)

@@ -17,7 +17,7 @@ from stateiso.groups import (
     two_copy_pauli,
     z2k_group,
 )
-from stateiso.linalg import random_density
+from stateiso.linalg import fidelity_matrices, random_density
 
 RNG = np.random.default_rng(99)
 
@@ -115,7 +115,53 @@ class TestTwirl:
             k_twirl(rep, random_density(4, RNG), 20)
 
 
+def _k_twirl_reference(rep, rho, k):
+    """The defining sum, one np.kron power per group element."""
+    acc = 0
+    for g in rep.elements:
+        u = rep.unitary(g)
+        term = u @ rho.matrix @ u.conj().T
+        power = term
+        for _ in range(k - 1):
+            power = np.kron(power, term)
+        acc = acc + power
+    return acc / rep.order
+
+
+class TestKTwirlReference:
+    @pytest.mark.parametrize("group, n, ks", [
+        (pauli_group, 1, (1, 2, 3, 4)),
+        (pauli_group, 2, (1, 2, 3, 4)),
+        (clifford_group, 1, (1, 2)),
+        (clifford_group, 2, (1, 2)),    # 11,520 elements: several blocks
+    ], ids=["pauli1", "pauli2", "clifford1", "clifford2"])
+    def test_matches_kron_loop(self, group, n, ks):
+        rep = group(n)
+        rho = random_density(rep.dim, np.random.default_rng(3))
+        for k in ks:
+            got = k_twirl(rep, rho, k).matrix
+            assert np.abs(got - _k_twirl_reference(rep, rho, k)).max() < 1e-14, k
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(GroupError):
+            k_twirl(pauli_group(2), random_density(2, RNG), 2)
+
+
 class TestTwirlBound:
+    def test_epsilon_matches_per_element_loop(self):
+        rng = np.random.default_rng(17)
+        for rep, count in ((pauli_group(1), 20), (pauli_group(2), 20),
+                           (cyclic_group(8, "shift"), 20), (clifford_group(2), 2)):
+            for _ in range(count):
+                rho = random_density(rep.dim, rng)
+                sigma = random_density(rep.dim, rng)
+                want = 0.0
+                for w in rep.elements:
+                    u = rep.unitary(w)
+                    want = max(want, fidelity_matrices(rho.matrix,
+                                                       u @ sigma.matrix @ u.conj().T))
+                assert check_twirl_fidelity_bound(rep, rho, sigma).epsilon == want
+
     def test_slack_nonnegative_randomized(self):
         reps = [pauli_group(1), cyclic_group(8, "shift"), z2k_group(2)]
         for _ in range(60):

@@ -153,6 +153,17 @@ class TestLemmaPerm:
         with pytest.raises(ReductionError):
             verify_lemma_perm(1, mode="nope")
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_no_qubits(self, n):
+        with pytest.raises(ReductionError, match="n must be >= 1"):
+            verify_lemma_perm(n)
+
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_sampled_without_samples(self, samples):
+        # a sample of nothing would report zero violations
+        with pytest.raises(ReductionError, match="samples"):
+            verify_lemma_perm(3, mode="sampled", samples=samples)
+
     def test_sampled_stream_pinned(self):
         # literal values recorded before the sampler and action were unified
         report = verify_lemma_perm(3, "sampled", 2000, seed=0)
