@@ -6,9 +6,13 @@ substitution z -> Vz on the state's polynomial; with each photon sector a
 symmetric tensor, it and the overlap gradients in V are tensor contractions
 (Chabaud, Markham, Grosshans, PRL 124, 063605, 2020).  The permanent
 formula is kept only as an independent cross-check of the same action.
+The overlap max_V |<c2|R(V)|c1>| is estimated by QR-retraction ascent on
+U(n) (Absil, Mahony, Sepulchre, 2008), with all restarts of one call run in
+lockstep over a stack of unitaries.
 """
 from __future__ import annotations
 
+import cmath
 import csv
 import json
 import math
@@ -19,6 +23,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import obs
 from .graphs import Graph
 from .linalg import UnitaryMatrix
 
@@ -87,6 +92,8 @@ class CoreState:
             if k.r > self.r_max:
                 raise BosonicError(f"index {k} exceeds photon cap {self.r_max}")
             amp = complex(amp)
+            if not cmath.isfinite(amp):
+                raise BosonicError(f"amplitude of {k} is not finite: {amp}")
             if amp != 0:
                 clean[k] = amp
                 total += abs(amp) ** 2
@@ -120,15 +127,28 @@ class CoreState:
 
     @staticmethod
     def from_json(text: str) -> "CoreState":
+        """Read ``to_json`` output; a field of the wrong kind raises
+        BosonicError, and the constructor checks the values."""
         obj = json.loads(text)
+        if not isinstance(obj, dict):
+            raise BosonicError("core state JSON must be an object")
         missing = [f for f in ("n_modes", "r_max", "amplitudes") if f not in obj]
         if missing:
             raise BosonicError(f"core state JSON lacks {', '.join(missing)}")
-        amps = {
-            MultiIndex(e["k"]): complex(e["amp"][0], e["amp"][1])
-            for e in obj["amplitudes"]
-        }
-        return CoreState(obj["n_modes"], obj["r_max"], amps)
+        n, r_max, entries = obj["n_modes"], obj["r_max"], obj["amplitudes"]
+        if type(n) is not int or type(r_max) is not int:
+            raise BosonicError(f"n_modes and r_max must be integers, got {n!r}, {r_max!r}")
+        try:
+            ks = [e["k"] for e in entries]
+            pairs = np.array([e["amp"] for e in entries], dtype=float)
+        except (TypeError, KeyError, ValueError):
+            ks, pairs = [], np.zeros(0)
+        if (not isinstance(entries, list) or pairs.shape != (len(entries), 2)
+                or not all(isinstance(k, list) and all(type(i) is int for i in k)
+                           for k in ks)):
+            raise BosonicError('amplitudes must list {"k": [ints], "amp": [re, im]} entries')
+        return CoreState(n, r_max, dict(zip(map(MultiIndex, ks),
+                                            pairs.view(complex)[:, 0].tolist())))
 
     def dense(self, basis: list) -> np.ndarray:
         return np.array([self.amplitudes.get(k, 0j) for k in basis])
@@ -201,10 +221,12 @@ def _sector_tensors(amps: dict, n: int) -> dict:
 
 def _contract_leading(t: np.ndarray, v: np.ndarray, m: int) -> np.ndarray:
     """Contract V into the leading axis of t, m times; each new axis goes
-    to the back, so the result is 2-d: (remaining axes, new axes)."""
-    n = v.shape[0]
+    to the back, so the result is 2-d: (remaining axes, new axes).  Over a
+    stack v is (R, n, n), and t carries the same leading axis R."""
+    n, lead = v.shape[-1], v.shape[:-2]
+    rest = math.prod(t.shape[len(lead):]) // n
     for _ in range(m):
-        t = t.reshape(n, -1).T @ v
+        t = t.reshape(lead + (n, rest)).swapaxes(-1, -2) @ v
     return t
 
 
@@ -324,8 +346,7 @@ def perturbed_permutation_unitary(rng, n: int, scale: float) -> ModeUnitary:
 def haar_mode_unitary(n: int, seed) -> ModeUnitary:
     """Exact Haar sample: complex Ginibre QR with the phase correction."""
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    g = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / math.sqrt(2)
-    return ModeUnitary(n, _qr_retract(g))
+    return ModeUnitary(n, _haar_stack(n, rng, 1)[0])
 
 
 # ----------------------------------------------------------------------
@@ -377,21 +398,22 @@ def orbit_distance(z: np.ndarray, basis: list, c: CoreState,
                    good_enough: float = 0.0) -> float:
     """Distance from a vector to the linear-optical orbit of c.
 
-    Refines max_U |<z|R(U)|c>| by Riemannian ascent from each warm-start
-    unitary and converts the best overlap to a distance.  Stops early if
-    the distance already falls below ``good_enough``.
+    Refines max_U |<z|R(U)|c>| by Riemannian ascent from the warm-start
+    unitaries, in lockstep, and converts the best overlap to a distance.
+    The best is taken over the starts up to the first whose ascent
+    certifies a distance below ``good_enough``; the later ones stop there.
     """
-    src = _sector_tensors(c.amplitudes, c.n_modes)
-    tgt = _sector_tensors({k: a for k, a in zip(basis, z) if a != 0}, c.n_modes)
+    n = c.n_modes
+    overlap = _overlap_plan(_sector_tensors(c.amplitudes, n),
+                            _sector_tensors({k: a for k, a in zip(basis, z) if a != 0}, n), n)
     z_norm_sq = float(np.vdot(z, z).real)
     # overlap needed to certify dist <= good_enough
     stop_at = (z_norm_sq + 1.0 - good_enough**2) / 2.0
-    best = 0.0
-    for u0 in warm_starts:
-        _, _, val = _ascend(u0, src, tgt, iters, stop_at=stop_at)
-        best = max(best, val)
-        if best >= stop_at:
-            break
+    starts = np.asarray(warm_starts, dtype=complex).reshape(-1, n, n)
+    _, _, val = _ascend(starts, overlap, iters, stop_at=stop_at)
+    # the starts after the first to reach stop_at were never needed
+    val = val[:np.argmax(val >= stop_at) + 1] if (val >= stop_at).any() else val
+    best = float(val.max(initial=0.0))
     return math.sqrt(max(z_norm_sq + 1.0 - 2.0 * best, 0.0))
 
 
@@ -414,10 +436,8 @@ def estimate_tv_gap(c1: CoreState, c2: CoreState, sigma: float, n_samples: int,
     _check_sigma(sigma)
     rng = np.random.default_rng(seed)
     basis = truncated_basis(c1.n_modes, max(c1.r_max, c2.r_max))
-    refs = []
-    for _ in range(n_reference):
-        u = haar_mode_unitary(c1.n_modes, rng)
-        refs.append((u.matrix, apply_linear_optical(u, c1).dense(basis)))
+    refs = [(u, apply_linear_optical(ModeUnitary(c1.n_modes, u), c1).dense(basis))
+            for u in _haar_stack(c1.n_modes, rng, n_reference)]
     if b is None:
         _, best_abs, _ = optimize_overlap(c1, c2, restarts=20, seed=rng.integers(1 << 31))
         b = math.sqrt(max(2.0 - 2.0 * best_abs, 0.0))
@@ -442,62 +462,136 @@ def estimate_tv_gap(c1: CoreState, c2: CoreState, sigma: float, n_samples: int,
 # Overlap optimization over U(n)
 # ----------------------------------------------------------------------
 
-def _overlap_grad(v: np.ndarray, src: dict, tgt: dict):
-    """f = <target|R(V)|source> and grad[a, b] = df/dV_ab from the sector
-    tensors: with M = T1_r contracted with V on axes 2..r, grad_r =
-    r r! M T2_r^dagger, and f_r = sum(V * grad_r) / r by homogeneity."""
-    n = v.shape[0]
-    f, grad = 0j, np.zeros((n, n), dtype=complex)
+def _overlap_plan(src: dict, tgt: dict, n: int):
+    """V -> (f, grad) of _overlap_grad for one pair of sector tensors, over
+    a stack (R, n, n); f has shape (R, 1, 1), so that it broadcasts against
+    the stack.  Built once per ascent.  Each sector r >= 2 contributes
+    T1_r, flattened for its first contraction with V, and Q_r = [P_r,
+    P_r / r] with P_r = r r! T2_r^dagger, so that M_r Q_r holds grad_r next
+    to grad_r / r, whose inner product with V is f_r.  The first
+    contractions of all sectors are one product, and so are the products
+    with Q_r.  Sectors 0 and 1 do not depend on V through M."""
+    f0, base, layout, firsts, qs = 0j, None, [], [], []
     for r in sorted(src.keys() & tgt.keys()):
         t1, t2 = src[r], tgt[r]
         if r == 0:
-            f += complex(t2.conjugate() * t1)
+            f0 = complex(t2.conjugate() * t1)
             continue
-        m = _contract_leading(t1, v, r - 1).reshape(n, -1)
-        g = (r * math.factorial(r)) * (m @ t2.reshape(n, -1).conj().T)
-        f += np.sum(v * g) / r
-        grad += g
-    return complex(f), grad
+        p = (r * math.factorial(r)) * t2.reshape(n, -1).conj().T
+        q = np.concatenate([p, p / r], axis=1)
+        if r == 1:
+            base = t1.reshape(n, 1) @ q
+        else:
+            # rows lo:hi of the first product, and the contractions left
+            lo = sum(len(t) for t in firsts)
+            layout.append((lo, lo + n ** (r - 1), r - 2))
+            firsts.append(t1.reshape(n, -1).T)
+            qs.append(q)
+    if layout:
+        firsts, q_all = np.concatenate(firsts), np.concatenate(qs)
+    elif base is None:
+        base = np.zeros((n, 2 * n), dtype=complex)
+
+    def overlap(v: np.ndarray):
+        if layout:
+            x, ms = firsts @ v, []
+            for lo, hi, more in layout:
+                ms.append(_contract_leading(x[:, lo:hi], v, more).reshape(len(v), n, hi - lo))
+            acc = np.concatenate(ms, axis=2) @ q_all
+            if base is not None:
+                acc += base
+        else:
+            acc = np.broadcast_to(base, (len(v),) + base.shape)
+        f = np.add.reduce(v * acc[:, :, n:], axis=(1, 2), keepdims=True)
+        return (f + f0 if f0 else f), acc[:, :, :n]
+
+    return overlap
+
+
+def _overlap_grad(v: np.ndarray, src: dict, tgt: dict):
+    """f = <target|R(V)|source> and grad[a, b] = df/dV_ab from the sector
+    tensors: with M = T1_r contracted with V on axes 2..r, grad_r =
+    r r! M T2_r^dagger, and f_r = sum(V * grad_r) / r by homogeneity.
+    ``v`` is one (n, n) matrix or a stack (R, n, n)."""
+    f, grad = _overlap_plan(src, tgt, v.shape[-1])(v.reshape((-1,) + v.shape[-2:]))
+    if v.ndim == 2:
+        return complex(f.item()), grad[0]
+    return f[:, 0, 0], grad
 
 
 def _qr_retract(m: np.ndarray) -> np.ndarray:
+    """Q of m = QR with R's diagonal made positive, over a stack (R, n, n)."""
     q, r = np.linalg.qr(m)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    d = r.diagonal(0, 1, 2)
+    return q * (d / np.abs(d))[:, None]
 
 
-def _ascend(v: np.ndarray, src: dict, tgt: dict, iters: int,
-            stop_at: float = np.inf):
-    """Riemannian ascent of |<target|R(V)|source>| from a fixed start.
+def _rgrad(v: np.ndarray, f: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Euclidean ascent direction of |f|^2, projected to the tangent space
+    of U(n) at each V of the stack (f has shape (R, 1, 1))."""
+    egrad = 2 * f * grad.conj()
+    return egrad - v @ egrad.conj().swapaxes(1, 2) @ v
 
-    ``src``/``tgt`` are sector tensors; each trial point costs one
-    _overlap_grad.  Stops early once the value reaches ``stop_at``.
+
+def _going(steps, iters, rgrad, val, stop_at) -> np.ndarray:
+    """Rows whose ascent goes on from their current point: fewer than
+    ``iters`` accepted steps, a Riemannian gradient above 1e-12, and no
+    row up to and including this one at ``stop_at``."""
+    sq = np.add.reduce(np.square(rgrad.view(float)), axis=(1, 2), keepdims=True)
+    return (steps < iters) & (sq >= 1e-24) & np.logical_and.accumulate(val < stop_at)
+
+
+def _ascend(v: np.ndarray, overlap, iters: int, stop_at: float = np.inf):
+    """Riemannian ascent of |<target|R(V)|source>| from a stack of starts.
+
+    ``v`` is (R, n, n) and ``overlap`` comes from _overlap_plan.  The rows
+    run in lockstep: each round, every live row evaluates one trial point,
+    the QR retraction of V + step * rgrad.  An accepted trial advances the
+    row one iteration and multiplies its step by 1.3; a rejected one halves
+    it.  A row stops after ``iters`` accepted steps, once its value reaches
+    ``stop_at``, when its Riemannian gradient vanishes or when its step
+    falls to 1e-10, so it follows the trajectory it would follow alone.
+    Once a row reaches ``stop_at``, every later row stops as well.  The
+    per-row state has shape (R, 1, 1) to broadcast against the stack, and
+    a stopped row gets step 0.  Returns the stack, f and |f| at each row's
+    last accepted point.
     """
-    step = 0.5
-    f, grad = _overlap_grad(v, src, tgt)
-    val = abs(f)
-    for _ in range(iters):
-        if val >= stop_at:
-            break
-        # Euclidean ascent direction for |f|^2, projected to the tangent
-        # space of U(n), then QR retraction
-        egrad = 2 * f * grad.conjugate()
-        rgrad = egrad - v @ egrad.conj().T @ v
-        if np.linalg.norm(rgrad) < 1e-12:
-            break
-        improved = False
-        while step > 1e-10:
-            v_new = _qr_retract(v + step * rgrad)
-            f_new, grad_new = _overlap_grad(v_new, src, tgt)
-            if abs(f_new) > val + 1e-14:
-                v, f, grad, val = v_new, f_new, grad_new, abs(f_new)
-                improved = True
-                step *= 1.3
-                break
-            step /= 2
-        if not improved:
-            break
-    return v, f, val
+    v = np.array(v, dtype=complex)
+    f, grad = overlap(v)
+    val = np.abs(f)
+    rgrad = _rgrad(v, f, grad)
+    steps = np.zeros(val.shape, dtype=int)
+    step = np.where(_going(steps, iters, rgrad, val, stop_at), 0.5, 0.0)
+    trials = 0
+    while trying := np.count_nonzero(live := step > 1e-10):
+        trials += trying
+        trial = _qr_retract(v + step * rgrad)
+        f_t, grad_t = overlap(trial)
+        val_t = np.abs(f_t)
+        acc = live & (val_t > val + 1e-14)
+        step = step * np.where(acc, 1.3, 0.5)
+        moved = np.count_nonzero(acc)
+        if moved == len(v):     # every row moved: the trial is the new state
+            v, f, val, rgrad = trial, f_t, val_t, _rgrad(trial, f_t, grad_t)
+        elif moved:
+            np.copyto(v, trial, where=acc)
+            np.copyto(f, f_t, where=acc)
+            np.copyto(val, val_t, where=acc)
+            np.copyto(rgrad, _rgrad(trial, f_t, grad_t), where=acc)
+        if moved:
+            steps = steps + acc
+            step = np.where(_going(steps, iters, rgrad, val, stop_at), step, 0.0)
+    obs.count("bosonic.restarts", len(v))
+    obs.count("bosonic.ascent_trials", trials)
+    obs.count("bosonic.ascent_steps", steps.sum())
+    return v, f[:, 0, 0], val[:, 0, 0]
+
+
+def _haar_stack(n: int, rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` exact Haar samples: complex Ginibre QR with the phase
+    correction; the draws are those of ``count`` single samples in turn."""
+    g = rng.normal(size=(count, 2, n, n))
+    return _qr_retract((g[:, 0] + 1j * g[:, 1]) / math.sqrt(2))
 
 
 def optimize_overlap(c1: CoreState, c2: CoreState, restarts: int = 50,
@@ -505,29 +599,28 @@ def optimize_overlap(c1: CoreState, c2: CoreState, restarts: int = 50,
                      trace_file: Optional[str] = None) -> tuple:
     """Random-restart Riemannian ascent of |<c2|R(V)|c1>| over U(n).
 
-    Starts at the identity, then at Haar draws from ``seed``; the overlap
-    and its gradient come from sector tensors built once per call.
-    Returns (best ModeUnitary, best |overlap|, Re overlap at the best V).
-    Non-convergence is reflected in the returned value, never raised.
+    Starts at the identity, then at Haar draws from ``seed``, and runs all
+    restarts in lockstep (_ascend); the overlap and its gradient come from
+    sector tensors built once per call.  Returns (best ModeUnitary, best
+    |overlap|, Re overlap at the best V), the best being the first restart
+    with the largest value.  Non-convergence is reflected in the returned
+    value, never raised.
     """
     if c1.n_modes != c2.n_modes:
         raise BosonicError("mode count mismatch")
     if restarts < 1:
         raise BosonicError(f"restarts must be >= 1, got {restarts}")
     n = c1.n_modes
-    src, tgt = _sector_tensors(c1.amplitudes, n), _sector_tensors(c2.amplitudes, n)
+    overlap = _overlap_plan(_sector_tensors(c1.amplitudes, n),
+                            _sector_tensors(c2.amplitudes, n), n)
     rng = np.random.default_rng(seed)
-    best_val, best_v, best_f = -1.0, None, 0j
-    rows = []
-    for restart in range(restarts):
-        v0 = np.eye(n, dtype=complex) if restart == 0 else haar_mode_unitary(n, rng).matrix
-        v, f, val = _ascend(v0, src, tgt, iters)
-        rows.append((restart, val))
-        if val > best_val:
-            best_val, best_v, best_f = val, v, f
+    starts = np.concatenate([np.eye(n, dtype=complex)[None],
+                             _haar_stack(n, rng, restarts - 1)])
+    v, f, val = _ascend(starts, overlap, iters)
+    best = int(np.argmax(val))
     if trace_file is not None:
         with open(trace_file, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["restart", "best_value"])
-            writer.writerows(rows)
-    return ModeUnitary(n, best_v), float(best_val), float(best_f.real)
+            writer.writerows(enumerate(val.tolist()))
+    return ModeUnitary(n, v[best]), float(val[best]), float(f[best].real)

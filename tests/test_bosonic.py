@@ -28,7 +28,11 @@ from stateiso.bosonic import (
     szk_sampler,
     transition_amplitude,
     truncated_basis,
+    _ascend,
+    _haar_stack,
     _overlap_grad,
+    _overlap_plan,
+    _qr_retract,
     _sector_tensors,
 )
 from stateiso.graphs import Graph
@@ -108,6 +112,28 @@ class TestCoreStateJson:
         obj = json.loads(encode_graph_bosonic(Graph.path(3)).to_json())
         del obj[field]
         with pytest.raises(BosonicError, match=field):
+            CoreState.from_json(json.dumps(obj))
+
+    @pytest.mark.parametrize("field, value", [
+        ("amplitudes", 5), ("amplitudes", {}), ("amplitudes", [[1.0, 0.0]]),
+        ("amp", 5), ("amp", [1.0]), ("amp", ["a", 0.0]), ("k", 5), ("k", [1.5, 0, 0]),
+        ("n_modes", "3"), ("r_max", 3.0)])
+    def test_field_of_wrong_kind_rejected(self, field, value):
+        obj = json.loads(encode_graph_bosonic(Graph.path(3)).to_json())
+        if field in ("amp", "k"):
+            obj["amplitudes"][0][field] = value
+        else:
+            obj[field] = value
+        with pytest.raises(BosonicError):
+            CoreState.from_json(json.dumps(obj))
+
+    @pytest.mark.parametrize("amp", [float("nan"), float("inf"), complex(0, float("-inf"))])
+    def test_non_finite_amplitude_rejected(self, amp):
+        with pytest.raises(BosonicError, match="finite"):
+            CoreState(1, 1, {MultiIndex((1,)): amp})
+        obj = json.loads(encode_graph_bosonic(Graph.path(3)).to_json())
+        obj["amplitudes"][0]["amp"] = [amp.real, amp.imag]
+        with pytest.raises(BosonicError, match="finite"):
             CoreState.from_json(json.dumps(obj))
 
 
@@ -292,6 +318,145 @@ class TestOptimizer:
         lines = trace.read_text().strip().splitlines()
         assert lines[0].startswith("restart")
         assert len(lines) == 3
+
+
+def _plan(c1, c2, n):
+    return _overlap_plan(_sector_tensors(c1.amplitudes, n), _sector_tensors(c2.amplitudes, n), n)
+
+
+def _nudge(u, eps, rng):
+    """u times exp(i eps H) for a random Hermitian H."""
+    h = rng.normal(size=u.shape) + 1j * rng.normal(size=u.shape)
+    w, vec = np.linalg.eigh((h + h.conj().T) / 2)
+    return u @ (vec * np.exp(1j * eps * w)) @ vec.conj().T
+
+
+def _sequential_ascent(v, src, tgt, iters, stop_at=np.inf):
+    """The per-start loop that the lockstep kernel replaced, as a reference."""
+    step = 0.5
+    f, grad = _overlap_grad(v, src, tgt)
+    val = abs(f)
+    for _ in range(iters):
+        if val >= stop_at:
+            break
+        egrad = 2 * f * grad.conjugate()
+        rgrad = egrad - v @ egrad.conj().T @ v
+        if np.linalg.norm(rgrad) < 1e-12:
+            break
+        improved = False
+        while step > 1e-10:
+            v_new = _qr_retract((v + step * rgrad)[None])[0]
+            f_new, grad_new = _overlap_grad(v_new, src, tgt)
+            if abs(f_new) > val + 1e-14:
+                v, f, grad, val = v_new, f_new, grad_new, abs(f_new)
+                improved = True
+                step *= 1.3
+                break
+            step /= 2
+        if not improved:
+            break
+    return v, f, val
+
+
+class TestLockstepAscent:
+    def test_rows_match_sequential_ascents(self):
+        rng = np.random.default_rng(64)
+        pairs = [(4, encode_graph_bosonic(Graph.path(4)), encode_graph_bosonic(Graph.star(4)))]
+        pairs += [(n, mixed_core(n, 3, rng), mixed_core(n, 3, rng)) for n in range(2, 6)]
+        for n, c1, c2 in pairs:
+            src, tgt = _sector_tensors(c1.amplitudes, n), _sector_tensors(c2.amplitudes, n)
+            starts = np.concatenate([np.eye(n, dtype=complex)[None], _haar_stack(n, rng, 2)])
+            _, _, val = _ascend(starts, _overlap_plan(src, tgt, n), 60)
+            for i, start in enumerate(starts):
+                # |f| only: near a maximum the phase of f can drift by rounding
+                # along directions that leave |f| flat
+                assert abs(_sequential_ascent(start, src, tgt, 60)[2] - val[i]) <= 1e-12
+
+    def test_rows_match_single_start_ascents(self):
+        rng = np.random.default_rng(63)
+        pairs = [(4, encode_graph_bosonic(Graph.path(4)), encode_graph_bosonic(Graph.star(4)))]
+        pairs += [(n, mixed_core(n, 3, rng), mixed_core(n, 3, rng)) for n in range(2, 6)]
+        for n, c1, c2 in pairs:
+            plan = _plan(c1, c2, n)
+            starts = np.concatenate([np.eye(n, dtype=complex)[None], _haar_stack(n, rng, 4)])
+            v, _, val = _ascend(starts, plan, 60)
+            for i, start in enumerate(starts):
+                assert abs(_ascend(start[None], plan, 60)[2][0] - val[i]) <= 1e-12
+            f_stack, grad_stack = _overlap_grad(v, _sector_tensors(c1.amplitudes, n),
+                                                _sector_tensors(c2.amplitudes, n))
+            for i in range(len(v)):
+                f_row, grad_row = _overlap_grad(v[i], _sector_tensors(c1.amplitudes, n),
+                                                _sector_tensors(c2.amplitudes, n))
+                assert abs(f_row - f_stack[i]) <= 1e-12
+                assert np.abs(grad_row - grad_stack[i]).max() <= 1e-12
+
+    def test_starts_do_not_move(self):
+        v = _haar_stack(3, np.random.default_rng(1), 3)
+        start = v.copy()
+        plan = _plan(mixed_core(3, 2, RNG), mixed_core(3, 2, RNG), 3)
+        _ascend(v, plan, 10)
+        assert np.array_equal(v, start)
+
+    def test_haar_stack_draws_as_single_samples(self):
+        one, many = np.random.default_rng(5), np.random.default_rng(5)
+        singles = [haar_mode_unitary(4, one).matrix for _ in range(6)]
+        assert np.abs(np.array(singles) - _haar_stack(4, many, 6)).max() <= 1e-14
+        assert one.random() == many.random()
+
+    def test_retraction_is_per_matrix(self):
+        rng = np.random.default_rng(6)
+        m = rng.normal(size=(5, 4, 4)) + 1j * rng.normal(size=(5, 4, 4))
+        stacked = _qr_retract(m)
+        for i in range(5):
+            q, r = np.linalg.qr(m[i])
+            d = np.diagonal(r)
+            assert np.abs(stacked[i] - q * (d / np.abs(d))).max() <= 1e-14
+
+    def test_optimize_overlap_pinned(self, tmp_path):
+        """P4 vs K_{1,3}, 6 restarts from seed 0: the values of the
+        sequential per-restart ascent that the lockstep kernel replaced."""
+        c1 = encode_graph_bosonic(Graph.path(4))
+        c2 = encode_graph_bosonic(Graph.star(4))
+        trace = tmp_path / "trace.csv"
+        _, best_abs, best_re = optimize_overlap(c1, c2, restarts=6, seed=0,
+                                                trace_file=str(trace))
+        assert abs(best_abs - 0.8785419149611424) <= 1e-12
+        assert abs(best_re - 0.8785417863973434) <= 1e-12
+        lines = trace.read_text().splitlines()
+        assert lines[0] == "restart,best_value"
+        want = [0.7732613785283363, 0.7732613666180072, 0.7400859576980954,
+                0.7311692769582325, 0.7400771050789404, 0.8785419149611424]
+        rows = [ln.split(",") for ln in lines[1:]]
+        assert [int(r) for r, _ in rows] == list(range(6))
+        assert all(abs(float(x) - w) <= 1e-12 for (_, x), w in zip(rows, want))
+
+    def test_orbit_distance_stops_at_first_start_in_order(self):
+        """Start 2 is at stop_at from the outset, but start 1 is the first in
+        order to reach it, after some steps; start 3 would do better still.
+        The distance is that of the sequential loop over single starts."""
+        rng = np.random.default_rng(9)
+        c = encode_graph_bosonic(Graph.path(4))
+        basis = truncated_basis(4, 3)
+        u = haar_mode_unitary(4, rng).matrix
+        z = apply_linear_optical(ModeUnitary(4, u), c).dense(basis)
+        good_enough = 0.3
+        z_sq = float(np.vdot(z, z).real)
+        stop_at = (z_sq + 1 - good_enough**2) / 2
+        starts = [haar_mode_unitary(4, rng).matrix, _nudge(u, 0.2, rng), _nudge(u, 0.05, rng), u]
+        src, tgt = _sector_tensors(c.amplitudes, 4), _sector_tensors(dict(zip(basis, z)), 4)
+        first = [abs(_overlap_grad(s, src, tgt)[0]) for s in starts]
+        single = [_sequential_ascent(s, src, tgt, 25, stop_at)[2] for s in starts]
+        assert single[0] < stop_at and first[1] < stop_at <= single[1]
+        assert first[2] >= stop_at and single[3] > single[1]
+        best = 0.0
+        for val in single:
+            best = max(best, val)
+            if best >= stop_at:
+                break
+        want = math.sqrt(max(z_sq + 1 - 2 * best, 0.0))
+        got = orbit_distance(z, basis, c, starts, iters=25, good_enough=good_enough)
+        assert abs(got - want) <= 1e-12
+        assert got > 0.1        # the best start alone would give distance 0
 
 
 class TestSzkSampler:

@@ -237,6 +237,21 @@ def _malformed_inputs(runner, tmp_path):
     assert res.exit_code == 0
     bad_core = tmp_path / "bad.json"
     bad_core.write_text(json.dumps({"n_modes": 4, "r_max": 3}))
+    bad_cores = {}
+    for case, entry in (("amp-number", {"k": [0, 0, 0, 3], "amp": 5}),
+                        ("k-number", {"k": 5, "amp": [1.0, 0.0]}),
+                        ("nan-amplitude", {"k": [0, 0, 0, 3], "amp": [float("nan"), 0.0]}),
+                        ("inf-amplitude", {"k": [0, 0, 0, 3], "amp": [float("inf"), 0.0]}),
+                        ("amplitudes-number", None)):
+        obj = json.loads(core.read_text())
+        if entry is None:
+            obj["amplitudes"] = 5
+        else:
+            obj["amplitudes"][0] = entry
+        path = tmp_path / f"core_{case}.json"
+        path.write_text(json.dumps(obj))
+        bad_cores[f"bosonic-optimize-core-{case}"] = [
+            "bosonic", "optimize", str(core), str(path), "--restarts", "1"]
     as_list = tmp_path / "list.json"
     as_list.write_text(json.dumps([state, state]))
     as_string = tmp_path / "string.json"
@@ -256,6 +271,7 @@ def _malformed_inputs(runner, tmp_path):
         bad_states[f"psgi-bundle-psi1-{case}"] = ["psgi", "--instance", str(path)]
     return {
         **bad_states,
+        **bad_cores,
         "psgi-bundle-without-psi1": ["psgi", "--instance", str(no_psi1)],
         "psgi-bundle-json-list": ["psgi", "--instance", str(as_list)],
         "psgi-bundle-json-string": ["psgi", "--instance", str(as_string)],
@@ -299,6 +315,11 @@ class TestConfigErrorBoundary:
         "reduce-qsd-msgi-trace-2",
         "bosonic-optimize-core-without-amplitudes",
         "bosonic-overlap-core-without-amplitudes",
+        "bosonic-optimize-core-amp-number",
+        "bosonic-optimize-core-k-number",
+        "bosonic-optimize-core-nan-amplitude",
+        "bosonic-optimize-core-inf-amplitude",
+        "bosonic-optimize-core-amplitudes-number",
         "verify-trace-transfer-zero-qubits",
     ])
     def test_malformed_input_exits_two(self, runner, tmp_path, case):

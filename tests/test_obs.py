@@ -1,6 +1,11 @@
 import numpy as np
 
 from stateiso import obs
+from stateiso.bosonic import (
+    apply_linear_optical, encode_graph_bosonic, haar_mode_unitary, optimize_overlap,
+    orbit_distance, truncated_basis,
+)
+from stateiso.graphs import Graph
 from stateiso.paulis import batch_unitaries, random_clifford_batch
 from stateiso.reductions import (
     GI_THRESHOLDS, NONISO_LIBRARY, clifford_overlap_sweep, gi_to_clifford, verify_lemma_perm,
@@ -45,3 +50,35 @@ def test_nothing_is_kept_outside_a_recording():
     with obs.recording() as rec:
         pass
     assert rec.counts == {} and rec.spans == {}
+
+
+def _ascents():
+    c1, c2 = encode_graph_bosonic(Graph.path(4)), encode_graph_bosonic(Graph.star(4))
+    v, best_abs, best_re = optimize_overlap(c1, c2, restarts=4, iters=40, seed=5)
+    rng = np.random.default_rng(6)
+    basis = truncated_basis(4, 3)
+    z = apply_linear_optical(haar_mode_unitary(4, rng), c1).dense(basis)
+    warm = [haar_mode_unitary(4, rng).matrix for _ in range(3)]
+    dist = orbit_distance(z, basis, c1, warm, iters=25, good_enough=0.2)
+    return v.matrix, best_abs, best_re, dist
+
+
+def test_ascent_counts_repeat_under_a_seed():
+    with obs.recording() as first:
+        _ascents()
+    with obs.recording() as second:
+        _ascents()
+    assert first.counts == second.counts
+    counts = first.counts
+    assert counts["bosonic.restarts"] == 4 + 3
+    # every accepted step is a trial, and every live row tries once a round
+    assert 0 < counts["bosonic.ascent_steps"] <= counts["bosonic.ascent_trials"]
+    assert counts["bosonic.ascent_steps"] <= 4 * 40 + 3 * 25
+
+
+def test_ascent_outputs_same_with_counting_on_and_off():
+    off = _ascents()
+    with obs.recording():
+        on = _ascents()
+    assert np.array_equal(on[0], off[0])
+    assert on[1:] == off[1:]
