@@ -15,7 +15,7 @@ import numpy as np
 
 from .linalg import DensityMatrix, fidelity_matrices, sqrt_fidelity
 from .paulis import (PauliOp, CliffordElement, batch_unitaries, clifford_batches,
-                     clifford_group_order, enumerate_cliffords)
+                     clifford_group_order)
 
 HOM_TOL = 1e-8
 _BLOCK_ENTRIES = 1 << 16     # matrix entries per block of group elements in the twirls
@@ -328,24 +328,23 @@ def clifford_group(n: int) -> FiniteGroupRep:
     """The Clifford group modulo global phase (n <= 2), labels are indices."""
     if n > 2:
         raise GroupError("explicit Clifford group supported for n <= 2")
-    table = list(enumerate_cliffords(n))
-    index = {c.key(): i for i, c in enumerate(table)}
-    mats = batch_unitaries(next(clifford_batches(n, clifford_group_order(n))))
+    group = next(clifford_batches(n, clifford_group_order(n)))
+    rows = np.stack((group.ph, group.x, group.z), axis=-1).tolist()
+    index = {tuple(map(tuple, row)): i for i, row in enumerate(rows)}
+    mats = batch_unitaries(group)
 
     def multiply(a, b):
-        return index[table[a].compose(table[b]).key()]
+        return index[group.row(a).compose(group.row(b)).key()]
 
     def inverse(a):
-        return index[table[a].inverse().key()]
+        return index[group.row(a).inverse().key()]
 
     def unitary(a):
         return mats[a]
 
     ident = index[CliffordElement.identity(n).key()]
-    rep = FiniteGroupRep(range(len(table)), ident, multiply, inverse, unitary,
-                         1 << n, name=f"clifford({n})", phase_free=True)
-    rep.table = table
-    return rep
+    return FiniteGroupRep(range(len(rows)), ident, multiply, inverse, unitary,
+                          1 << n, name=f"clifford({n})", phase_free=True)
 
 
 def cyclic_group(order: int, rep_kind: str = "phase") -> FiniteGroupRep:

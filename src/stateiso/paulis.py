@@ -1,24 +1,23 @@
 """Symplectic Pauli algebra and tableau Cliffords.
 
 A Pauli is stored as ``i^phase * X^x Z^z`` with ``x``, ``z`` bitmasks
-(bit i = qubit i) and the phase exponent tracked exactly mod 4.  A
-Clifford is stored by its conjugation images of the generators
-X_0..X_{n-1}, Z_0..Z_{n-1}; no global phase is carried.
+(bit i = qubit i) and the phase exponent tracked exactly mod 4.
 
-There is one Clifford kernel, with a batch axis: a ``CliffordBatch`` holds
-B tableaus as (B, 2n) int64 arrays in the convention of
-``CliffordElement.key``.  ``random_clifford_batch`` and ``clifford_batches``
-draw and enumerate them in the Koenig-Smolin order (J. Math. Phys. 55,
-122202, 2014); ``batch_r_overlap_sq``, ``batch_overlaps`` and
-``batch_unitaries`` score and apply them.  The action factors every
-Clifford as C = F1 H_S F2 with F1, F2 Hadamard-free (Bravyi-Maslov), found
-by GF(2) elimination over the packed masks of a whole block, so C|psi>
-costs two phase-permutations and one Hadamard layer, O(n 2^n), and every
-amplitude of C is an exact quarter phase over sqrt(2^|S|).  Blocks hold
-as many Cliffords as keep each intermediate array within
-``_BLOCK_ENTRIES`` entries.  The ``CliffordElement`` methods are the
-kernel at B=1.  Phase convention: the first nonzero amplitude of C|0^n>
-is real positive.
+A Clifford has one format, packed tableau rows: a ``CliffordBatch`` holds
+B Cliffords as (B, 2n) int64 arrays of the (phase, x, z) images of the
+generators X_0..X_{n-1}, Z_0..Z_{n-1} under conjugation; no global phase
+is carried.  A ``CliffordElement`` is a batch of one row.  ``compose`` and
+``inverse`` run on the rows (Aaronson-Gottesman, PRA 70, 052328, 2004).
+``random_clifford_batch`` and ``clifford_batches`` draw and enumerate
+Cliffords in the Koenig-Smolin order (J. Math. Phys. 55, 122202, 2014);
+``batch_r_overlap_sq``, ``batch_overlaps`` and ``batch_unitaries`` score
+and apply them.  The action factors every Clifford as C = F1 H_S F2 with
+F1, F2 Hadamard-free (Bravyi-Maslov), found by GF(2) elimination over the
+packed masks of a whole block, so C|psi> costs two phase-permutations and
+one Hadamard layer, O(n 2^n), and every amplitude of C is an exact quarter
+phase over sqrt(2^|S|).  Blocks hold as many Cliffords as keep each
+intermediate array within ``_BLOCK_ENTRIES`` entries.  Phase convention:
+the first nonzero amplitude of C|0^n> is real positive.
 """
 from __future__ import annotations
 
@@ -229,25 +228,65 @@ def pauli_expectation(psi: StateVector, p: PauliOp) -> complex:
 # Clifford tableau
 # ----------------------------------------------------------------------
 
-class CliffordElement:
-    """Clifford stored by its conjugation images of X_j and Z_j.
+class CliffordBatch(NamedTuple):
+    """B Cliffords as (B, 2n) int64 arrays: [b, j] holds the (phase, x, z) of
+    row b's image i^phase X^x Z^z of X_j (j < n) or Z_{j-n} (j >= n) under
+    conjugation.  Every image is Hermitian; no global phase is represented."""
 
-    ``images[j]`` is C X_j C^dag for j < n and C Z_{j-n} C^dag for j >= n.
-    All images are Hermitian Paulis; no global phase is represented.
-    """
+    n: int
+    ph: np.ndarray
+    x: np.ndarray
+    z: np.ndarray
 
-    __slots__ = ("n", "images")
+    def row(self, b: int) -> "CliffordElement":
+        """Row ``b`` as a CliffordElement, a one-row slice of the arrays."""
+        return CliffordElement(self.n, *(a[b:b + 1] for a in self[1:]))
 
-    def __init__(self, n: int, images):
-        if len(images) != 2 * n:
-            raise PauliError(f"expected {2*n} generator images")
-        for img in images:
-            if img.n != n:
-                raise PauliError("image size mismatch")
-            if not img.is_hermitian():
-                raise PauliError("generator image must be Hermitian")
-        self.n = n
-        self.images = tuple(images)
+    def compose(self, first: "CliffordBatch") -> "CliffordBatch":
+        """self o first, row by row, i.e. apply ``first`` then ``self``: the
+        image i^p X^u Z^v of ``first`` becomes i^p times the product of the
+        images of ``self`` that the bits of u | v << n select."""
+        n = self.n
+        if first.n != n:
+            raise PauliError("size mismatch in composition")
+        sel = first.x | first.z << n
+        on = (sel[:, :, None] >> np.arange(2 * n)) & 1
+        x = np.bitwise_xor.reduce(on * self.x[:, None], axis=2)
+        z = np.bitwise_xor.reduce(on * self.z[:, None], axis=2)
+        ph = first.ph + _product_phases(_index_masks(sel.T, 2 * n), self.ph.T,
+                                        self.x.T, self.z.T, n).T
+        return type(self)(n, ph & 3, x, z)
+
+    def inverse(self) -> "CliffordBatch":
+        """The inverse of every row."""
+        n = self.n
+        # a symplectic M has the inverse Omega M^T Omega, Omega = [[0, I], [I, 0]]:
+        # t[b, i, j] is bit j + n (mod 2n) of the packed row x | z << n of image i
+        t = np.roll((self.x | self.z << n)[:, :, None] >> np.arange(2 * n) & 1, n, axis=2)
+        q = (1 << np.arange(n))[:, None]
+        x, z = (t[:, n:] * q).sum(axis=1), (t[:, :n] * q).sum(axis=1)
+        cand = type(self)(n, _parity(x & z, n), x, z)
+        # C conjugates each Hermitian candidate to +-(its generator); the
+        # phase 2 of a minus sign flips the candidate's sign
+        return type(self)(n, (cand.ph + self.compose(cand).ph) & 3, x, z)
+
+    def permutation_mask(self) -> np.ndarray:
+        """Whether each row maps X_i -> +X_{pi(i)} and Z_i -> +Z_{pi(i)} for
+        a permutation pi of the qubits."""
+        n = self.n
+        xs = self.x[:, :n]
+        # n masks of at most one bit each cover all n qubits only if each
+        # holds a distinct one
+        single = ((xs == self.z[:, n:]) & ((xs & (xs - 1)) == 0)
+                  & ((self.z[:, :n] | self.x[:, n:]) == 0))
+        return ((self.ph == 0).all(axis=1) & single.all(axis=1)
+                & (np.bitwise_or.reduce(xs, axis=1) == (1 << n) - 1))
+
+
+class CliffordElement(CliffordBatch):
+    """One Clifford: a CliffordBatch of one row, compared and hashed by ``key``."""
+
+    __slots__ = ()
 
     @staticmethod
     def identity(n: int) -> "CliffordElement":
@@ -255,10 +294,10 @@ class CliffordElement:
 
     # -- symplectic form ----------------------------------------------
     def symplectic_matrix(self) -> np.ndarray:
-        """2n x 2n binary matrix; row j = (x-bits, z-bits) of images[j]."""
-        _, _, x, z = batch_of([self])
+        """2n x 2n binary matrix; row j = (x-bits, z-bits) of image j."""
         q = np.arange(self.n)
-        return np.hstack(((x[0, :, None] >> q) & 1, (z[0, :, None] >> q) & 1)).astype(np.uint8)
+        return np.hstack(((self.x[0, :, None] >> q) & 1,
+                          (self.z[0, :, None] >> q) & 1)).astype(np.uint8)
 
     def is_symplectic(self) -> bool:
         n = self.n
@@ -268,49 +307,9 @@ class CliffordElement:
         )
         return bool(np.array_equal((m @ omega @ m.T) % 2, omega))
 
-    # -- action --------------------------------------------------------
-    def conjugate(self, p: PauliOp) -> PauliOp:
-        """C P C^dag via exact phase-tracked generator products."""
-        if p.n != self.n:
-            raise PauliError("size mismatch in conjugation")
-        out = PauliOp(self.n, p.phase, 0, 0)
-        for q in range(self.n):
-            if (p.x >> q) & 1:
-                out = out * self.images[q]
-        for q in range(self.n):
-            if (p.z >> q) & 1:
-                out = out * self.images[self.n + q]
-        return out
-
-    def compose(self, first: "CliffordElement") -> "CliffordElement":
-        """self o first, i.e. apply ``first`` then ``self``."""
-        if first.n != self.n:
-            raise PauliError("size mismatch in composition")
-        return CliffordElement(self.n, [self.conjugate(img) for img in first.images])
-
-    def inverse(self) -> "CliffordElement":
-        n = self.n
-        # a symplectic M has the inverse Omega M^T Omega, Omega = [[0, I], [I, 0]]
-        minv = np.roll(self.symplectic_matrix(), n, axis=(0, 1)).T
-        images = []
-        for j in range(2 * n):
-            x = sum(int(minv[j, q]) << q for q in range(n))
-            z = sum(int(minv[j, n + q]) << q for q in range(n))
-            cand = PauliOp(n, (x & z).bit_count(), x, z)  # Hermitian rep
-            # fix the sign so that C cand C^dag equals the j-th generator
-            target = (
-                PauliOp.single(n, j, "X") if j < n else PauliOp.single(n, j - n, "Z")
-            )
-            got = self.conjugate(cand)
-            if got.x != target.x or got.z != target.z:
-                raise PauliError("symplectic inverse inconsistent")
-            if got.phase != target.phase:
-                cand = PauliOp(n, cand.phase + 2, cand.x, cand.z)
-            images.append(cand)
-        return CliffordElement(n, images)
-
     def key(self) -> tuple:
-        return tuple(img.key() for img in self.images)
+        """The images as (phase, x, z) triples of Python ints."""
+        return tuple(zip(self.ph[0].tolist(), self.x[0].tolist(), self.z[0].tolist()))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, CliffordElement) and self.n == other.n and self.key() == other.key()
@@ -320,9 +319,8 @@ class CliffordElement:
 
     def __repr__(self) -> str:
         n = self.n
-        xs = " ".join(repr(img) for img in self.images[:n])
-        zs = " ".join(repr(img) for img in self.images[n:])
-        return f"CliffordElement(X -> {xs}; Z -> {zs})"
+        images = [repr(PauliOp(n, *t)) for t in self.key()]
+        return f"CliffordElement(X -> {' '.join(images[:n])}; Z -> {' '.join(images[n:])})"
 
     # -- dense action ---------------------------------------------------
     def stabilized_state(self) -> np.ndarray:
@@ -334,7 +332,7 @@ class CliffordElement:
         O(n 2^n): a phase-scatter, one Hadamard layer, a phase-scatter."""
         if psi.n_qubits != self.n:
             raise PauliError("size mismatch")
-        f = _factor(batch_of([self]))
+        f = _factor(self)
         v = np.zeros((1 << self.n, 1), dtype=complex)
         v[f.pi[:, 0], 0] = _PHASES.take(f.a[:, 0]) * psi.amplitudes
         v = _hadamard(v, f.s, self.n)[:, 0] / np.sqrt(1 << f.h[0])
@@ -345,25 +343,14 @@ class CliffordElement:
     def to_unitary(self) -> UnitaryMatrix:
         """C as a dense matrix under the canonical phase convention; a
         matrix over the ``_DENSE_BUDGET`` byte budget raises PauliError."""
-        return UnitaryMatrix(1 << self.n, batch_unitaries(batch_of([self]))[0])
+        return UnitaryMatrix(1 << self.n, batch_unitaries(self)[0])
 
     def is_qubit_permutation(self) -> Optional[tuple]:
         """Return the permutation pi (as a tuple, qubit i -> pi[i]) if the
         tableau maps X_i -> +X_{pi(i)} and Z_i -> +Z_{pi(i)}; else None."""
-        n = self.n
-        perm = [None] * n
-        for i in range(n):
-            xi, zi = self.images[i], self.images[n + i]
-            if xi.phase != 0 or zi.phase != 0:
-                return None
-            if xi.z != 0 or zi.x != 0:
-                return None
-            if xi.x.bit_count() != 1 or zi.z.bit_count() != 1 or xi.x != zi.z:
-                return None
-            perm[i] = xi.x.bit_length() - 1
-        if sorted(perm) != list(range(n)):
+        if not self.permutation_mask()[0]:
             return None
-        return tuple(perm)
+        return tuple(v.bit_length() - 1 for v in self.x[0, :self.n].tolist())
 
 
 # ----------------------------------------------------------------------
@@ -382,31 +369,7 @@ class CliffordElement:
 
 _PHASES = np.array(_PHASE)
 _BLOCK_ENTRIES = 1 << 14     # entries of one intermediate kernel array
-_DENSE_BUDGET = 1 << 28      # bytes allowed for one d x d Clifford unitary
-
-
-class CliffordBatch(NamedTuple):
-    """B Cliffords as (B, 2n) int64 arrays: [b, j] holds the (phase, x, z) of
-    row b's image of X_j (j < n) or Z_{j-n} (j >= n), as ``CliffordElement.key``."""
-
-    n: int
-    ph: np.ndarray
-    x: np.ndarray
-    z: np.ndarray
-
-
-def batch_of(elements) -> CliffordBatch:
-    """The given CliffordElements, all on the same qubits, as one batch."""
-    elements = list(elements)
-    keys = np.array([c.key() for c in elements], dtype=np.int64)
-    return CliffordBatch(elements[0].n, *keys.transpose(2, 0, 1))
-
-
-def batch_element(batch: CliffordBatch, b: int) -> CliffordElement:
-    """Row ``b`` of a batch as a CliffordElement."""
-    n, ph, x, z = batch
-    return CliffordElement(n, [PauliOp(n, *t) for t in zip(ph[b].tolist(), x[b].tolist(),
-                                                             z[b].tolist())])
+_DENSE_BUDGET = 1 << 28      # bytes allowed for one d x d unitary or one block's |R> tables
 
 
 def batch_block_size(entries: int) -> int:
@@ -429,16 +392,17 @@ def _walk(ph, x, z, n: int):
 
 
 def _product_phases(sel, ph, x, z, n: int):
-    """Phase exponents of the products of the commuting Paulis i^ph X^x Z^z
-    at [q] that the index masks ``sel[k]`` select (the index bit of qubit q
-    selects [q]): the sum of their phases plus 2 |z_q & x_q'| over the
-    selected pairs q < q'."""
-    bits = 1 << np.arange(n - 1, -1, -1)
-    # anti[q]: index mask of the q' > q with |z_q & x_q'| odd
-    later = bits * (np.arange(n)[:, None] < np.arange(n))
+    """Phase exponents of the products, in the order of q, of the n-qubit
+    Paulis i^ph X^x Z^z at [q], q < m = len(ph), that the m-bit masks
+    ``sel[k]`` select (bit m - 1 - q selects [q]): the sum of their phases
+    plus 2 |z_q & x_q'| over the selected pairs q < q'."""
+    m = len(ph)
+    bits = 1 << np.arange(m - 1, -1, -1)
+    # anti[q]: selector mask of the q' > q with |z_q & x_q'| odd
+    later = bits * (np.arange(m)[:, None] < np.arange(m))
     anti = (_parity(z[:, None] & x, n) * later[..., None]).sum(axis=1)
     on = (sel[:, None] & bits[:, None]) != 0
-    pairs = on & _parity(sel[:, None] & anti, n)
+    pairs = on & _parity(sel[:, None] & anti, m)
     return (on * ph).sum(axis=1) + 2 * pairs.sum(axis=1, dtype=np.int64)
 
 
@@ -716,7 +680,7 @@ def enumerate_cliffords(n: int, allow_large: bool = False) -> Iterator[CliffordE
     explicitly enabled with ``allow_large``.
     """
     for batch in clifford_batches(n, 1 << 10, allow_large):
-        yield from (batch_element(batch, b) for b in range(len(batch.ph)))
+        yield from (batch.row(b) for b in range(len(batch.ph)))
 
 
 def _index_words(order: int) -> int:
@@ -770,7 +734,7 @@ def random_clifford(n: int, seed) -> CliffordElement:
     ``seed`` may be an int or a numpy Generator.
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return batch_element(random_clifford_batch(n, rng, 1), 0)
+    return random_clifford_batch(n, rng, 1).row(0)
 
 
 # ----------------------------------------------------------------------
@@ -823,9 +787,10 @@ def qubit_permutation_clifford(perm, n: int) -> CliffordElement:
     perm = tuple(perm)
     if sorted(perm) != list(range(n)):
         raise PauliError(f"not a permutation of range({n}): {perm}")
-    imgs = [PauliOp.single(n, perm[q], "X") for q in range(n)]
-    imgs += [PauliOp.single(n, perm[q], "Z") for q in range(n)]
-    return CliffordElement(n, imgs)
+    bits, zero = [1 << q for q in perm], [0] * n
+    return CliffordElement(n, np.zeros((1, 2 * n), dtype=np.int64),
+                           np.array([bits + zero], dtype=np.int64),
+                           np.array([zero + bits], dtype=np.int64))
 
 
 def r_state_pauli_expectation(p: PauliOp) -> float:
@@ -844,7 +809,7 @@ def r_state_pauli_expectation(p: PauliOp) -> float:
 
 def r_overlap_sq(c: CliffordElement) -> float:
     """|<R^n| C |R^n>|^2, the batch kernel at B=1."""
-    return float(batch_r_overlap_sq(batch_of([c]))[0])
+    return float(batch_r_overlap_sq(c)[0])
 
 
 def batch_r_overlap_sq(batch: CliffordBatch) -> np.ndarray:
@@ -853,8 +818,15 @@ def batch_r_overlap_sq(batch: CliffordBatch) -> np.ndarray:
     Uses |R><R| = (I + cos(pi/8) X + sin(pi/8) Y)/2 per qubit, so only the
     3^n strings P over {I, X, Y} contribute, each with its coefficient times
     <R^n|C P C^dag|R^n>; the conjugated strings are built one qubit at a
-    time as (B, 3^k) arrays with exact phases mod 4."""
+    time as (B, 3^k) arrays with exact phases mod 4; tables over the
+    ``_DENSE_BUDGET`` byte budget raise PauliError."""
     n, ph, x, z = batch
+    # the phase, x and z tables of the 3^n strings of every row, as many
+    # temporaries of their size in the last step, and coef
+    cost = (6 * len(ph) + 1) * ph.itemsize * 3 ** n
+    if cost > _DENSE_BUDGET:
+        raise PauliError(f"the |R> overlap of {len(ph)} {n}-qubit Cliffords takes "
+                         f"{cost >> 20} MiB, over the {_DENSE_BUDGET >> 20} MiB budget")
     ps = xs = zs = np.zeros((len(ph), 1), dtype=np.int64)
     coef = np.ones(1)
     for q in range(n):

@@ -18,7 +18,7 @@ import numpy as np
 
 from .groups import k_twirl
 from .linalg import trace_distance
-from .paulis import (batch_of, batch_unitaries, clifford_batches, clifford_group_order,
+from .paulis import (CliffordBatch, batch_unitaries, clifford_batches, clifford_group_order,
                      qubit_permutation_clifford, random_clifford_batch)
 from .psgi import PsgiInstance
 from .reductions import MsgiInstance
@@ -196,7 +196,8 @@ def szk_lowrank_context(lr1, lr2) -> dict:
     psi1, psi2 = lr1.materialize(), lr2.materialize()
     n = psi1.n_qubits
     perms = _all_permutations(n)
-    unis = list(batch_unitaries(batch_of(qubit_permutation_clifford(p, n) for p in perms)))
+    rows = [qubit_permutation_clifford(p, n)[1:] for p in perms]
+    unis = list(batch_unitaries(CliffordBatch(n, *map(np.concatenate, zip(*rows)))))
     orbits = []
     for psi in (psi1, psi2):
         orbit = {tuple(np.round(u @ psi.amplitudes, 10)) for u in unis}

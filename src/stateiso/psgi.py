@@ -49,13 +49,6 @@ class PsgiVerdict:
             raise PsgiError(f"bad decision {self.decision!r}")
 
 
-@dataclass(frozen=True)
-class FourierSampleRecord:
-    chi: tuple          # character bits over the label group
-    probability: float
-    seed: Optional[int]
-
-
 def psgi_oracle(inst: PsgiInstance, max_order: int = 100_000) -> PsgiVerdict:
     """Exact decision by sweeping every group element.
 
@@ -189,13 +182,12 @@ def character_distribution(psi: np.ndarray, n: int, m: int) -> np.ndarray:
     return np.clip(probs, 0.0, None)
 
 
-def fourier_sample(probs: np.ndarray, rng: np.random.Generator,
-                   seed: Optional[int] = None) -> FourierSampleRecord:
-    """Draw one character from the exact distribution."""
+def fourier_sample(probs: np.ndarray, rng: np.random.Generator) -> tuple:
+    """Draw one character from the exact distribution, as its bits over the
+    label group."""
     k = int(np.log2(len(probs)))
     chi = int(rng.choice(len(probs), p=probs / probs.sum()))
-    bits = tuple((chi >> j) & 1 for j in range(k))
-    return FourierSampleRecord(bits, float(probs[chi]), seed)
+    return tuple((chi >> j) & 1 for j in range(k))
 
 
 def hadamard_estimate(psi: np.ndarray, action, shots: Optional[int] = None,
@@ -252,8 +244,7 @@ def pauli_psgi_quantum(inst: PsgiInstance, m: int = DEFAULT_COPIES,
     k = 2 * n + 2
     probs = character_distribution(psi, n, m)
     t = sample_constant * k
-    records = [fourier_sample(probs, rng, seed) for _ in range(t)]
-    basis = f2_solve([r.chi for r in records])
+    basis = f2_solve([fourier_sample(probs, rng) for _ in range(t)])
     a1, a2 = inst.psi1.amplitudes, inst.psi2.amplitudes
     best = None  # (re_overlap, label_key, overlap)
     for v in _span(basis, k):

@@ -22,7 +22,7 @@ from .linalg import (
 from .graphs import Graph, find_isomorphism
 from .groups import DecisionThresholds, FiniteGroupRep
 from .paulis import (
-    CliffordElement, batch_block_size, batch_element, batch_overlaps,
+    CliffordBatch, CliffordElement, batch_block_size, batch_overlaps,
     batch_r_overlap_sq, clifford_batches, graph_state, qubit_permutation_clifford,
     r_minus_state, r_state, r_state_product, random_clifford_batch,
 )
@@ -153,14 +153,13 @@ def verify_lemma_perm(n: int, mode: str = "exhaustive", samples: int = 0,
     for batch in batches:
         scores = batch_r_overlap_sq(batch)
         checked += len(scores)
-        # only the few rows at or above the threshold become elements
-        for b in np.flatnonzero(scores >= threshold):
-            above += 1
-            c = batch_element(batch, b)
-            if c.is_qubit_permutation() is not None:
-                perms += 1
-            else:
-                violations.append(c.key())
+        # only the few rows at or above the threshold are checked, and only
+        # the violations become elements
+        high = np.flatnonzero(scores >= threshold)
+        perm = CliffordBatch(n, *(a[high] for a in batch[1:])).permutation_mask()
+        above += len(high)
+        perms += int(perm.sum())
+        violations += [batch.row(b).key() for b in high[~perm]]
     return {
         "n": n, "mode": mode, "checked": checked, "threshold": threshold,
         "above_threshold": above, "permutations": perms,

@@ -141,6 +141,14 @@ class TestVerifyCommands:
         assert res.exit_code == 0
         assert _json_body(res.output)["passed"]
 
+    def test_lemma_perm_over_budget_is_config_error(self, runner):
+        # a crash would exit 1 and read as a failed check
+        res = runner.invoke(main, ["verify", "lemma-perm", "--n", "16", "--sampled",
+                                   "--samples", "1"])
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        assert "budget" in res.output and "Traceback" not in res.output
+
     def test_twirl_bound(self, runner):
         res = runner.invoke(main, ["verify", "twirl-bound", "--instances", "20"])
         assert res.exit_code == 0

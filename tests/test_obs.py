@@ -82,3 +82,20 @@ def test_ascent_outputs_same_with_counting_on_and_off():
         on = _ascents()
     assert np.array_equal(on[0], off[0])
     assert on[1:] == off[1:]
+
+
+def test_traced_methods_are_defined_on_their_classes():
+    # perfbench's tracer wraps these methods through cls.__dict__, so each
+    # must be defined on the class itself, not inherited
+    import importlib
+    import importlib.util
+    import pathlib
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for short, classes in tracer.METHODS.items():
+        mod = importlib.import_module(f"stateiso.{short}")
+        for cls_name, meths in classes.items():
+            for meth in meths:
+                assert meth in vars(getattr(mod, cls_name)), f"{cls_name}.{meth}"

@@ -13,8 +13,6 @@ from stateiso.paulis import (
     CliffordElement,
     PauliError,
     PauliOp,
-    batch_element,
-    batch_of,
     batch_overlaps,
     batch_r_overlap_sq,
     batch_unitaries,
@@ -100,6 +98,25 @@ def _random_pauli(n):
                    int(RNG.integers(1 << n)))
 
 
+def _images(c):
+    """The images of a CliffordElement as PauliOps, from its packed row."""
+    return [PauliOp(c.n, *t) for t in c.key()]
+
+
+def _conjugate(c, p):
+    """C P C^dag via exact phase-tracked PauliOp products of the images: the
+    scalar reference for the packed ``compose``."""
+    images = _images(c)
+    out = PauliOp(c.n, p.phase, 0, 0)
+    for q in range(c.n):
+        if (p.x >> q) & 1:
+            out = out * images[q]
+    for q in range(c.n):
+        if (p.z >> q) & 1:
+            out = out * images[c.n + q]
+    return out
+
+
 class TestCliffordElement:
     def test_group_orders(self):
         assert symplectic_group_order(1) == 6
@@ -122,7 +139,7 @@ class TestCliffordElement:
                 c = random_clifford(n, rng)
                 u = c.to_unitary().matrix
                 for j in range(n):
-                    for kind, img in (("X", c.images[j]), ("Z", c.images[n + j])):
+                    for kind, img in (("X", _images(c)[j]), ("Z", _images(c)[n + j])):
                         gen = dense_pauli(PauliOp.single(n, j, kind))
                         assert np.allclose(u @ gen @ u.conj().T, dense_pauli(img),
                                            atol=1e-10)
@@ -136,7 +153,7 @@ class TestCliffordElement:
             if not p.is_hermitian():
                 p = p * p  # squares are Hermitian (+-identity); use X instead
                 p = PauliOp.single(n, 0, "X")
-            lhs = dense_pauli(c.conjugate(p))
+            lhs = dense_pauli(_conjugate(c, p))
             assert np.allclose(lhs, u @ dense_pauli(p) @ u.conj().T, atol=1e-10)
         # every element at n = 1 (24) and n = 2 (11,520), through batch_unitaries
         for n in (1, 2):
@@ -172,6 +189,38 @@ class TestCliffordElement:
             n = int(RNG.integers(1, 4))
             c = random_clifford(n, RNG)
             assert c.compose(c.inverse()) == CliffordElement.identity(n)
+
+    def test_compose_every_single_qubit_pair_matches_dense(self):
+        # all 24 x 24 pairs at n = 1 in one batched call, against the dense
+        # products up to global phase
+        group = next(clifford_batches(1, 24))
+        us = batch_unitaries(group)
+        a, b = np.repeat(np.arange(24), 24), np.tile(np.arange(24), 24)
+        left, right = (CliffordBatch(1, *(t[idx] for t in group[1:])) for idx in (a, b))
+        got = batch_unitaries(left.compose(right))
+        for k in range(576):
+            prod = us[a[k]] @ us[b[k]]
+            ratio = prod[np.abs(prod) > 1e-9][0] / got[k][np.abs(prod) > 1e-9][0]
+            assert abs(abs(ratio) - 1) < 1e-10
+            assert np.allclose(prod, ratio * got[k], atol=1e-10)
+
+    def test_inverse_of_every_two_qubit_element(self):
+        # compose(c, inverse(c)) is the identity for all 11,520 elements at
+        # n = 2, in one batched call; and so is compose(inverse(c), c)
+        group = next(clifford_batches(2, clifford_group_order(2)))
+        ident = CliffordElement.identity(2)
+        for prod in (group.compose(group.inverse()), group.inverse().compose(group)):
+            for got, want in zip(prod[1:], ident[1:]):
+                assert np.array_equal(got, np.broadcast_to(want, got.shape))
+
+    def test_compose_matches_scalar_conjugation(self):
+        # the packed compose against the PauliOp-product loop, image by image
+        rng = np.random.default_rng(31)
+        for n in range(1, 7):
+            for _ in range(8):
+                a, b = random_clifford(n, rng), random_clifford(n, rng)
+                want = tuple(_conjugate(a, img).key() for img in _images(b))
+                assert a.compose(b).key() == want
 
     def test_unitary_is_unitary(self):
         for n in (1, 2, 3):
@@ -275,8 +324,8 @@ class TestStreamPins:
                     for _ in range(words):
                         i = i << 32 | int(ref.integers(1 << 32))
                     signs = int(ref.integers(1 << (2 * n)))
-                    got = batch_element(batch, b)
-                    want = batch_element(_batch_from_index(n, i % order, signs), 0)
+                    got = batch.row(b)
+                    want = _batch_from_index(n, i % order, signs).row(0)
                     assert got == want
                 assert rng.integers(1 << 40) == ref.integers(1 << 40)
 
@@ -325,7 +374,7 @@ class TestFastIntPath:
             for _ in range(30):
                 c = random_clifford(n, rng)
                 assert c.is_symplectic()
-                images = [(p.phase, p.x, p.z) for p in c.images]
+                images = c.key()
                 batch = CliffordBatch(n, *(np.array([t]) for t in zip(*images)))
                 psi = r_state_product(n).amplitudes
                 dense = abs(np.vdot(psi, c.to_unitary().matrix @ psi)) ** 2
@@ -350,25 +399,25 @@ class TestBatchedKernel:
             batch = random_clifford_batch(n, rng1, 12)
             assert batch.ph.shape == batch.x.shape == batch.z.shape == (12, 2 * n)
             for b in range(12):
-                assert batch_element(batch, b).key() == random_clifford(n, rng2).key()
+                assert batch.row(b).key() == random_clifford(n, rng2).key()
             # both generators stand at the same point of the stream
             assert rng1.integers(1 << 40) == rng2.integers(1 << 40)
 
     def test_enumeration_batches_cover_the_group(self):
         for n, size in ((1, 5), (2, 1000)):
-            keys = [batch_element(b, r).key()
+            keys = [b.row(r).key()
                     for b in clifford_batches(n, size) for r in range(len(b.ph))]
             assert len(keys) == len(set(keys)) == clifford_group_order(n)
             assert keys == [c.key() for c in enumerate_cliffords(n)]
             for b in clifford_batches(n, size):
-                assert all(batch_element(b, r).is_symplectic() for r in range(len(b.ph)))
+                assert all(b.row(r).is_symplectic() for r in range(len(b.ph)))
 
     def test_r_overlap_matches_dense(self):
         rng = np.random.default_rng(21)
         for n in range(1, 5):
             batch = random_clifford_batch(n, rng, 25)
             psi = r_state_product(n).amplitudes
-            dense = [abs(np.vdot(psi, batch_element(batch, b).to_unitary().matrix @ psi)) ** 2
+            dense = [abs(np.vdot(psi, batch.row(b).to_unitary().matrix @ psi)) ** 2
                      for b in range(25)]
             assert np.allclose(batch_r_overlap_sq(batch), dense, rtol=0, atol=1e-12)
 
@@ -390,17 +439,19 @@ class TestBatchedKernel:
                 assert np.allclose(batch_overlaps(batch, psi1, psi2), want,
                                    rtol=0, atol=1e-12)
             for b in range(9):
-                assert np.array_equal(us[b], batch_element(batch, b).to_unitary().matrix)
+                assert np.array_equal(us[b], batch.row(b).to_unitary().matrix)
         # edge rows, against matrices built without the kernel: H on no qubit
         # (identity, a qubit permutation) and H on every qubit
         h1 = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
         for n in range(1, 9):
             d = 1 << n
             perm = tuple(int(i) for i in rng.permutation(n))
-            every_h = CliffordElement(n, [PauliOp.single(n, q, "Z") for q in range(n)]
-                                      + [PauliOp.single(n, q, "X") for q in range(n)])
-            batch = batch_of([CliffordElement.identity(n), qubit_permutation_clifford(perm, n),
-                              every_h])
+            bits, zero = [1 << q for q in range(n)], [0] * n
+            every_h = CliffordElement(n, np.zeros((1, 2 * n), dtype=np.int64),
+                                      np.array([zero + bits]), np.array([bits + zero]))
+            rows = [c[1:] for c in (CliffordElement.identity(n),
+                                    qubit_permutation_clifford(perm, n), every_h)]
+            batch = CliffordBatch(n, *map(np.concatenate, zip(*rows)))
             hn = np.ones((1, 1))
             for _ in range(n):
                 hn = np.kron(hn, h1)
@@ -416,7 +467,7 @@ class TestBatchedKernel:
         # degrees of freedom stays below 49.73, its 0.999 quantile
         batch = random_clifford_batch(1, np.random.default_rng(2024), 24000)
         index = {c.key(): i for i, c in enumerate(enumerate_cliffords(1))}
-        hits = np.bincount([index[batch_element(batch, b).key()] for b in range(24000)],
+        hits = np.bincount([index[batch.row(b).key()] for b in range(24000)],
                            minlength=24)
         assert len(hits) == 24 and hits.min() > 0
         chi2 = float(((hits - 1000.0) ** 2 / 1000.0).sum())

@@ -164,6 +164,20 @@ class TestLemmaPerm:
         with pytest.raises(ReductionError, match="samples"):
             verify_lemma_perm(3, mode="sampled", samples=samples)
 
+    def test_overlap_tables_over_budget_refused(self):
+        # the 3^16-wide tables of one 16-qubit Clifford would take over 1 GiB;
+        # refused before they are allocated
+        import tracemalloc
+        from stateiso.paulis import PauliError
+        tracemalloc.start()
+        try:
+            with pytest.raises(PauliError, match="budget"):
+                verify_lemma_perm(16, mode="sampled", samples=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_sampled_stream_pinned(self):
         # literal values recorded before the sampler and action were unified
         report = verify_lemma_perm(3, "sampled", 2000, seed=0)
