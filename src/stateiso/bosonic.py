@@ -17,7 +17,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 from itertools import permutations, product
 from typing import Optional
 
@@ -192,7 +192,7 @@ def encode_graph_bosonic(g: Graph) -> CoreState:
 # Linear-optical action
 # ----------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@cache
 def _sector_layout(n: int, r: int) -> tuple:
     """Flat layout of an (n,)*r sector tensor: its occupation tuples k, the
     index of k at every flat position, the first flat position of each k,

@@ -1,21 +1,25 @@
 """Finite groups with unitary representations, twirls, and dihedralization.
 
 Groups are desk scale: elements are opaque hashable labels with explicit
-multiply/inverse callbacks, and every element has a dense unitary.  The
-representation matrices are read-only after construction; twirls sum in
-the fixed element order so results are bit-stable.
+multiply/inverse callbacks, and the action is one read-only
+(order, dim, dim) stack of unitaries in element order, built on first use
+under the ``_DENSE_BUDGET`` byte budget.  Every orbit scan (the oracle, the
+trace ratio, the twirls, the fidelity maxima) is a batched product over
+that stack, summed in the fixed element order so results are bit-stable.
 """
 from __future__ import annotations
 
 import itertools
+import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .linalg import DensityMatrix, fidelity_matrices, sqrt_fidelity
-from .paulis import (PauliOp, CliffordElement, batch_unitaries, clifford_batches,
-                     clifford_group_order)
+from .linalg import DensityMatrix, _pairs, fidelity_matrices, sqrt_fidelity
+from .paulis import (_DENSE_BUDGET, PauliOp, CliffordElement, batch_unitaries,
+                     clifford_batches, clifford_group_order)
 
 HOM_TOL = 1e-8
 _BLOCK_ENTRIES = 1 << 16     # matrix entries per block of group elements in the twirls
@@ -23,13 +27,6 @@ _BLOCK_ENTRIES = 1 << 16     # matrix entries per block of group elements in the
 
 class GroupError(ValueError):
     pass
-
-
-def _density(dim: int, matrix: np.ndarray) -> DensityMatrix:
-    n = dim.bit_length() - 1
-    if 1 << n != dim:
-        raise GroupError(f"dimension {dim} is not a power of two")
-    return DensityMatrix(n, matrix)
 
 
 @dataclass(frozen=True)
@@ -50,22 +47,22 @@ class FiniteGroupRep:
     """A finite group together with a unitary action on C^dim.
 
     ``multiply`` and ``inverse`` operate on labels; ``unitary`` returns a
-    dense matrix per label.  The action must be a homomorphism up to the
-    declared phase convention (exact for most built-ins, global phase
-    only for the Clifford group).
+    dense matrix per label and ``unitaries`` stacks them all.  The action
+    must be a homomorphism up to the declared phase convention (exact for
+    most built-ins, global phase only for the Clifford group).
     """
 
     def __init__(self, elements, identity, multiply: Callable, inverse: Callable,
                  unitary: Callable, dim: int, name: str = "",
                  phase_free: bool = False):
         self.elements = tuple(elements)
-        if identity not in set(self.elements):
+        if identity not in self.elements:
             raise GroupError("identity label missing from element list")
         self.identity = identity
         self.multiply = multiply
         self.inverse = inverse
         self._unitary = unitary
-        self._cache = {}
+        self._stack = None
         self.dim = dim
         self.name = name
         self.phase_free = phase_free
@@ -75,21 +72,40 @@ class FiniteGroupRep:
         return len(self.elements)
 
     def unitary(self, g) -> np.ndarray:
-        u = self._cache.get(g)
-        if u is None:
-            u = np.asarray(self._unitary(g), dtype=complex)
-            if u.shape != (self.dim, self.dim):
-                raise GroupError(f"unitary for {g!r} has wrong shape {u.shape}")
-            self._cache[g] = u
+        u = np.asarray(self._unitary(g), dtype=complex)
+        if u.shape != (self.dim, self.dim):
+            raise GroupError(f"unitary for {g!r} has wrong shape {u.shape}")
         return u
 
-    def acts_trivially(self, g) -> bool:
-        """Whether R(g) is a global phase times the identity, so that g
-        leaves every state unchanged."""
-        u = self.unitary(g)
-        tr = np.trace(u) / self.dim
-        return bool(abs(tr) > 1 - 1e-10
-                    and np.max(np.abs(u - tr * np.eye(self.dim))) < 1e-10)
+    @property
+    def unitaries(self) -> np.ndarray:
+        """R(g) for every element, as one read-only (order, dim, dim) stack
+        in element order; a stack over the ``_DENSE_BUDGET`` byte budget
+        raises GroupError before anything is allocated."""
+        if self._stack is None:
+            need = 16 * self.order * self.dim**2
+            if need > _DENSE_BUDGET:
+                raise GroupError(f"the unitaries of {self.name} take {need >> 20} MiB, "
+                                 f"over the {_DENSE_BUDGET >> 20} MiB budget")
+            stack = np.empty((self.order, self.dim, self.dim), dtype=complex)
+            for i, g in enumerate(self.elements):
+                stack[i] = self.unitary(g)
+            stack.flags.writeable = False
+            self._stack = stack
+        return self._stack
+
+    def trivial_mask(self) -> np.ndarray:
+        """Mask of the elements that leave every state unchanged: the
+        identity label and each g whose R(g) is a global phase times the
+        identity."""
+        u = self.unitaries
+        tr = np.trace(u, axis1=1, axis2=2) / self.dim
+        near = np.abs(tr) > 1 - 1e-10
+        # only the few elements of unit |trace| are compared entry by entry
+        near[near] = np.abs(u[near] - tr[near, None, None] * np.eye(self.dim)).max(
+            axis=(1, 2)) < 1e-10
+        near[self.elements.index(self.identity)] = True
+        return near
 
     def is_abelian(self, rng: Optional[np.random.Generator] = None,
                    max_pairs: int = 10_000) -> bool:
@@ -132,49 +148,36 @@ class FiniteGroupRep:
         return worst
 
 
-class DihedralizedRep(FiniteGroupRep):
+def dihedralize(base: FiniteGroupRep) -> FiniteGroupRep:
     """Generalized dihedral extension of an abelian rep.
 
     Elements are (g, a) with a in Z2; the action doubles the dimension:
     R'(g, 0) = |0><0| x R(g) + |1><1| x R(-g) and R'(0, 1) = X x I.
     """
+    if not base.is_abelian():
+        raise GroupError("dihedralization requires an abelian base group")
+    elements = [(g, a) for g in base.elements for a in (0, 1)]
 
-    def __init__(self, base: FiniteGroupRep):
-        if not base.is_abelian():
-            raise GroupError("dihedralization requires an abelian base group")
-        self.base = base
-        elements = [(g, a) for g in base.elements for a in (0, 1)]
+    def multiply(p, q):
+        (g, a), (h, b) = p, q
+        h2 = base.inverse(h) if a else h
+        return (base.multiply(g, h2), (a + b) % 2)
 
-        def multiply(p, q):
-            (g, a), (h, b) = p, q
-            h2 = base.inverse(h) if a else h
-            return (base.multiply(g, h2), (a + b) % 2)
+    def inverse(p):
+        g, a = p
+        return (g, a) if a else (base.inverse(g), 0)
 
-        def inverse(p):
-            g, a = p
-            return (g, a) if a else (base.inverse(g), 0)
+    def unitary(p):
+        g, a = p
+        d = base.dim
+        u = np.zeros((2 * d, 2 * d), dtype=complex)
+        u[:d, :d] = base.unitary(g)
+        u[d:, d:] = base.unitary(base.inverse(g))
+        return np.roll(u, d, axis=1) if a else u      # times X x I
 
-        def unitary(p):
-            g, a = p
-            d = base.dim
-            u = np.zeros((2 * d, 2 * d), dtype=complex)
-            u[:d, :d] = base.unitary(g)
-            u[d:, d:] = base.unitary(base.inverse(g))
-            if a:
-                u = u @ np.block(
-                    [[np.zeros((d, d)), np.eye(d)], [np.eye(d), np.zeros((d, d))]]
-                )
-            return u
-
-        super().__init__(
-            elements, (base.identity, 0), multiply, inverse, unitary,
-            2 * base.dim, name=f"dihedral({base.name})",
-            phase_free=base.phase_free,
-        )
-
-
-def dihedralize(rep: FiniteGroupRep) -> DihedralizedRep:
-    return DihedralizedRep(rep)
+    return FiniteGroupRep(elements, (base.identity, 0), multiply, inverse, unitary,
+                          2 * base.dim, name=f"dihedral({base.name})",
+                          phase_free=base.phase_free)
 
 
 # ----------------------------------------------------------------------
@@ -184,7 +187,7 @@ def dihedralize(rep: FiniteGroupRep) -> DihedralizedRep:
 def _conjugate_blocks(rep: FiniteGroupRep, m: np.ndarray, step: int):
     """R(g) m R(g)^dag in element order, as (B, dim, dim) stacks of B <= step."""
     for lo in range(0, rep.order, step):
-        u = np.stack([rep.unitary(g) for g in rep.elements[lo:lo + step]])
+        u = rep.unitaries[lo:lo + step]
         yield u @ m @ u.conj().transpose(0, 2, 1)
 
 
@@ -202,22 +205,23 @@ def twirl(rep: FiniteGroupRep, rho: DensityMatrix) -> DensityMatrix:
     return k_twirl(rep, rho, 1)
 
 
-def k_twirl(rep: FiniteGroupRep, rho: DensityMatrix, k: int,
-            max_dim: int = 1 << 13) -> DensityMatrix:
+def k_twirl(rep: FiniteGroupRep, rho: DensityMatrix, k: int) -> DensityMatrix:
     """(1/|G|) sum_g (R(g) rho R(g)^dag)^{x k}.
 
     With T_g = R(g) rho R(g)^dag and a = k // 2, the sum is one product
     sum_g vec(T_g^{x a}) vec(T_g^{x (k-a)})^T, which a transpose of the
-    row and column indices turns into the k-fold tensor power.
+    row and column indices turns into the k-fold tensor power.  Its
+    tracemalloc peak is about four times the 16 d^{2k}-byte accumulator,
+    so a peak over the ``_DENSE_BUDGET`` byte budget raises GroupError.
     """
     if k < 1:
         raise GroupError("k must be a positive integer")
     if rho.dim != rep.dim:
         raise GroupError("density matrix dimension does not match rep")
-    if rep.dim**k > max_dim:
-        raise GroupError(
-            f"k-twirl dimension {rep.dim}^{k} exceeds the guard ({max_dim})"
-        )
+    peak = 4 * 16 * rep.dim ** (2 * k)
+    if peak > _DENSE_BUDGET:
+        raise GroupError(f"a {k}-twirl in dimension {rep.dim}^{k} peaks near {peak >> 20} MiB, "
+                         f"over the {_DENSE_BUDGET >> 20} MiB budget")
     a, b = k // 2, k - k // 2
     da, db, dk = rep.dim**a, rep.dim**b, rep.dim**k
     # blocks of elements whose factor rows hold no more entries than the
@@ -227,7 +231,7 @@ def k_twirl(rep: FiniteGroupRep, rho: DensityMatrix, k: int,
     for t in _conjugate_blocks(rep, rho.matrix, step):
         acc += _vec_kron_powers(t, a).T @ _vec_kron_powers(t, b)
     acc = acc.reshape(da, da, db, db).transpose(0, 2, 1, 3).reshape(dk, dk)
-    return _density(dk, acc / rep.order)
+    return DensityMatrix(k * rho.n_qubits, acc / rep.order)
 
 
 @dataclass(frozen=True)
@@ -247,13 +251,20 @@ def check_twirl_fidelity_bound(rep: FiniteGroupRep, rho: DensityMatrix,
     Since S is a group, the pairwise maximum reduces to a single sweep
     over w = U^dag V.
     """
-    step = max(1, _BLOCK_ENTRIES // rep.dim**2)
-    eps = max(0.0, *(float(fidelity_matrices(rho.matrix, t).max())
-                     for t in _conjugate_blocks(rep, sigma.matrix, step)))
+    eps = max_conjugate_fidelity(rep, rho.matrix, sigma.matrix)
     tf = sqrt_fidelity(twirl(rep, rho), twirl(rep, sigma))
     bound = eps * rep.order
     slack = bound - tf
     return TwirlBoundReport(eps, tf, bound, slack, slack >= -slack_tol)
+
+
+def max_conjugate_fidelity(rep: FiniteGroupRep, rho: np.ndarray,
+                           sigma: np.ndarray) -> float:
+    """max_g F(rho, R(g) sigma R(g)^dag), with sqrt(rho) taken once and the
+    conjugates stacked in blocks of the group."""
+    step = max(1, _BLOCK_ENTRIES // rep.dim**2)
+    return max(0.0, *(float(fidelity_matrices(rho, t).max())
+                      for t in _conjugate_blocks(rep, sigma, step)))
 
 
 def max_trace_ratio(rep: FiniteGroupRep) -> float:
@@ -262,22 +273,28 @@ def max_trace_ratio(rep: FiniteGroupRep) -> float:
     Elements whose unitary is a global phase times the identity act
     trivially on states and are skipped along with the identity label.
     """
-    mu = 0.0
-    for g in rep.elements:
-        if g == rep.identity or rep.acts_trivially(g):
-            continue
-        mu = max(mu, abs(np.trace(rep.unitary(g)) / rep.dim))
-    return float(mu)
+    ratio = np.abs(np.trace(rep.unitaries, axis1=1, axis2=2) / rep.dim)
+    return float(ratio[~rep.trivial_mask()].max(initial=0.0))
 
 
 # ----------------------------------------------------------------------
 # Built-in groups
 # ----------------------------------------------------------------------
 
+def _check_labels(bits: float, label) -> None:
+    """Refuse a group of 2^bits labels, each of ``sys.getsizeof(label)``
+    bytes, whose list would exceed the ``_DENSE_BUDGET`` byte budget; it
+    runs before the list is built."""
+    if bits > math.log2(_DENSE_BUDGET / sys.getsizeof(label)):
+        raise GroupError(f"2^{bits:.4g} group labels exceed the "
+                         f"{_DENSE_BUDGET >> 20} MiB budget")
+
+
 def pauli_group(n: int) -> FiniteGroupRep:
     """The full phased Pauli group on n qubits: 4^{n+1} elements (phase, x, z)."""
     if n < 1:
         raise GroupError(f"the Pauli group needs at least one qubit, got n={n}")
+    _check_labels(2 * n + 2, (0, 0, 0))
     elements = [
         (p, x, z)
         for p in range(4)
@@ -306,8 +323,7 @@ def two_copy_pauli(n: int) -> FiniteGroupRep:
     Labels are (x, z, s); signs compose by XOR because the sign picked up
     when multiplying the B factors appears squared.
     """
-    if n > 4:
-        raise GroupError("two-copy Pauli group supported for n <= 4")
+    _check_labels(2 * n + 1, (0, 0, 0))
     elements = [
         (x, z, s) for x in range(1 << n) for z in range(1 << n) for s in (0, 1)
     ]
@@ -352,15 +368,13 @@ def cyclic_group(order: int, rep_kind: str = "phase") -> FiniteGroupRep:
     acts by cyclic permutation matrices."""
     if rep_kind not in ("phase", "shift"):
         raise GroupError(f"unknown cyclic rep {rep_kind!r}")
+    _check_labels(math.log2(order), 1)
     w = np.exp(2j * np.pi / order)
 
     def unitary(k):
         if rep_kind == "phase":
             return np.diag(w ** (k * np.arange(order)))
-        m = np.zeros((order, order), dtype=complex)
-        for j in range(order):
-            m[(j + k) % order, j] = 1
-        return m
+        return np.roll(np.eye(order, dtype=complex), k, axis=0)   # |j> -> |j + k>
 
     return FiniteGroupRep(range(order), 0,
                           lambda a, b: (a + b) % order,
@@ -370,6 +384,8 @@ def cyclic_group(order: int, rep_kind: str = "phase") -> FiniteGroupRep:
 
 def z2k_group(k: int) -> FiniteGroupRep:
     """Z2^k acting by X^v on k qubits."""
+    _check_labels(k, 1)
+
     def unitary(v):
         return PauliOp(k, 0, v, 0).to_matrix()
 
@@ -381,52 +397,52 @@ def z2k_group(k: int) -> FiniteGroupRep:
 def explicit_group(elements, matrices, identity=None, tol: float = 1e-8) -> FiniteGroupRep:
     """Group from an explicit label -> matrix list; multiplication is
     recovered by matching products back to the list."""
-    mats = {e: np.asarray(m, dtype=complex) for e, m in zip(elements, matrices)}
-    dim = next(iter(mats.values())).shape[0]
+    labels, mats = list(elements), np.asarray(matrices, dtype=complex)
+    index = {e: i for i, e in enumerate(labels)}
+
+    def match(m, error="explicit group is not closed under multiplication"):
+        hits = np.flatnonzero(np.abs(mats - m).max(axis=(1, 2)) < tol)
+        if not len(hits):
+            raise GroupError(error)
+        return labels[hits[0]]
+
     if identity is None:
-        for e, m in mats.items():
-            if np.max(np.abs(m - np.eye(dim))) < tol:
-                identity = e
-                break
-        else:
-            raise GroupError("no identity matrix found in explicit group")
+        identity = match(np.eye(len(mats[0])), "no identity matrix found in explicit group")
+    return FiniteGroupRep(labels, identity,
+                          lambda a, b: match(mats[index[a]] @ mats[index[b]]),
+                          lambda a: match(mats[index[a]].conj().T),
+                          lambda e: mats[index[e]], len(mats[0]), name="explicit")
 
-    def match(m):
-        for e2, m2 in mats.items():
-            if np.max(np.abs(m - m2)) < tol:
-                return e2
-        raise GroupError("explicit group is not closed under multiplication")
 
-    def multiply(a, b):
-        return match(mats[a] @ mats[b])
-
-    def inverse(a):
-        return match(mats[a].conj().T)
-
-    return FiniteGroupRep(list(elements), identity, multiply, inverse,
-                          lambda e: mats[e], dim, name="explicit")
+def _spec_int(spec: dict, key: str) -> int:
+    value = spec[key]
+    if type(value) is not int or value < 1:
+        raise GroupError(f"group field {key!r} must be an integer >= 1, got {value!r}")
+    return value
 
 
 def group_from_spec(spec: dict) -> FiniteGroupRep:
-    """Build a group from a JSON-style spec dict."""
-    if "type" not in spec:
-        raise GroupError("group spec needs a 'type' field")
+    """Build a group from a JSON-style spec dict; a missing field raises
+    KeyError and a field of the wrong kind GroupError."""
     kind = spec["type"]
     if kind == "pauli":
-        return pauli_group(int(spec["n"]))
+        return pauli_group(_spec_int(spec, "n"))
     if kind == "clifford":
-        return clifford_group(int(spec["n"]))
+        return clifford_group(_spec_int(spec, "n"))
     if kind == "two_copy_pauli":
-        return two_copy_pauli(int(spec["n"]))
+        return two_copy_pauli(_spec_int(spec, "n"))
     if kind == "cyclic":
-        return cyclic_group(int(spec["N"]), spec.get("rep", "phase"))
+        return cyclic_group(_spec_int(spec, "N"), spec.get("rep", "phase"))
     if kind == "z2k":
-        return z2k_group(int(spec["k"]))
+        return z2k_group(_spec_int(spec, "k"))
     if kind == "explicit":
-        matrices = [
-            [[complex(re, im) for re, im in row] for row in m]
-            for m in spec["matrices"]
-        ]
-        return explicit_group(spec["elements"], matrices,
-                              spec.get("identity"))
+        labels, identity = spec["elements"], spec.get("identity")
+        mats = _pairs(spec["matrices"])
+        if (mats is None or mats.ndim != 3 or mats.shape[1] != mats.shape[2]
+                or not isinstance(labels, list) or len(labels) != len(mats)
+                or any(type(e) not in (str, int) for e in labels)
+                or identity is not None and type(identity) not in (str, int)):
+            raise GroupError("an explicit group needs one str or int label per finite "
+                             "[re, im] square matrix, all of one shape")
+        return explicit_group(labels, mats, identity)
     raise GroupError(f"unknown group type {kind!r}")

@@ -89,13 +89,22 @@ def _read_pairs(text: str, key: str):
     n = obj["n_qubits"] if isinstance(obj, dict) else None
     if type(n) is not int:
         raise LinalgError(f"n_qubits must be an integer, got {n!r}")
-    try:
-        pairs = np.array(obj[key], dtype=float)
-    except (TypeError, ValueError):
-        pairs = np.zeros(0)
-    if pairs.ndim < 2 or pairs.shape[-1] != 2 or not np.isfinite(pairs).all():
+    pairs = _pairs(obj[key])
+    if pairs is None:
         raise LinalgError(f"{key} must nest [re, im] pairs of finite numbers")
-    return n, pairs.view(complex)[..., 0]
+    return n, pairs
+
+
+def _pairs(value):
+    """The complex array of a JSON value that nests [re, im] pairs of
+    finite numbers, or None for a value of any other kind."""
+    try:
+        pairs = np.array(value, dtype=float)
+    except (TypeError, ValueError):
+        return None
+    if pairs.ndim < 2 or pairs.shape[-1] != 2 or not np.isfinite(pairs).all():
+        return None
+    return pairs.view(complex)[..., 0]
 
 
 def basis_state(n_qubits: int, index: int = 0) -> StateVector:

@@ -12,6 +12,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -56,17 +57,10 @@ class ProtocolTranscript:
 # Classical shadows
 # ----------------------------------------------------------------------
 
-_UNITARY_CACHE: dict = {}
-
-
+@cache
 def _clifford_unitaries(n: int) -> Optional[np.ndarray]:
     """Stacked unitaries of the full n-qubit Clifford group (n <= 2)."""
-    if n > 2:
-        return None
-    if n not in _UNITARY_CACHE:
-        group = next(clifford_batches(n, clifford_group_order(n)))
-        _UNITARY_CACHE[n] = batch_unitaries(group)
-    return _UNITARY_CACHE[n]
+    return batch_unitaries(next(clifford_batches(n, clifford_group_order(n)))) if n <= 2 else None
 
 
 def _median_of_means(singles: np.ndarray, n_targets: int,
@@ -137,8 +131,7 @@ def qcszk_context(inst: PsgiInstance) -> dict:
     orbits = []
     for psi in (inst.psi1, inst.psi2):
         seen = {}
-        for g in inst.rep.elements:
-            vec = inst.rep.unitary(g) @ psi.amplitudes
+        for vec in inst.rep.unitaries @ psi.amplitudes:
             key = tuple(np.round(np.abs(vec), 10)) + tuple(
                 np.round(np.angle(vec * np.exp(-1j * np.angle(vec[np.argmax(np.abs(vec))]))), 8)
             )
@@ -155,12 +148,12 @@ def qcszk_round(inst: PsgiInstance, n_shadows: int = 2000, seed: int = 0,
     ctx = context or qcszk_context(inst)
     rng = np.random.default_rng(seed)
     j = int(rng.integers(1, 3))
-    g = inst.rep.elements[int(rng.integers(inst.rep.order))]
+    gi = int(rng.integers(inst.rep.order))
     psi = inst.psi1 if j == 1 else inst.psi2
-    state = inst.rep.unitary(g) @ psi.amplitudes
+    state = inst.rep.unitaries[gi] @ psi.amplitudes
     j_prime = _orbit_scan(state, ctx, n_shadows, rng, delta)
     return ProtocolTranscript(
-        j=j, g=g, message={"type": "shadows", "count": n_shadows},
+        j=j, g=inst.rep.elements[gi], message={"type": "shadows", "count": n_shadows},
         j_prime=j_prime, accept=(j == j_prime),
     )
 

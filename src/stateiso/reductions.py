@@ -20,7 +20,7 @@ from .linalg import (
     trace_norm,
 )
 from .graphs import Graph, find_isomorphism
-from .groups import DecisionThresholds, FiniteGroupRep
+from .groups import DecisionThresholds, FiniteGroupRep, max_conjugate_fidelity
 from .paulis import (
     CliffordBatch, CliffordElement, batch_block_size, batch_overlaps,
     batch_r_overlap_sq, clifford_batches, graph_state, qubit_permutation_clifford,
@@ -341,17 +341,9 @@ def bqp_hardness_instance(q: Circuit, phi: Circuit, rep: FiniteGroupRep,
     psi1 = run_circuit(q)
     psi2 = run_circuit(phi)
     inst = PsgiInstance(psi1, psi2, rep, thresholds)
-    zero = np.zeros(rep.dim, dtype=complex)
-    zero[0] = 1.0
-    hiding = max(
-        abs(np.vdot(psi2.amplitudes, rep.unitary(g) @ zero))
-        for g in rep.elements
-    )
-    self_ov = max(
-        (abs(np.vdot(psi2.amplitudes, rep.unitary(g) @ psi2.amplitudes))
-         for g in rep.elements if not rep.acts_trivially(g)),
-        default=0.0,
-    )
+    a = psi2.amplitudes
+    hiding = np.abs(rep.unitaries[:, :, 0] @ a.conj()).max()
+    self_ov = np.abs((rep.unitaries @ a) @ a.conj())[~rep.trivial_mask()].max(initial=0.0)
     diag = {"max_hiding_overlap": float(hiding),
             "max_self_overlap": float(self_ov)}
     return inst, diag
@@ -400,13 +392,7 @@ def qsd_to_msgi(sigma1: DensityMatrix, sigma2: DensityMatrix,
     s2 = DensityMatrix(n, 0.5 * sigma2.matrix + 0.5 * pad)
     diag = {
         "identity_fidelity": sqrt_fidelity(s1, s2),
-        "max_fidelity": max(
-            sqrt_fidelity(
-                DensityMatrix(n, rep.unitary(g) @ s1.matrix @ rep.unitary(g).conj().T),
-                s2,
-            )
-            for g in rep.elements
-        ),
+        "max_fidelity": max_conjugate_fidelity(rep, s2.matrix, s1.matrix),
     }
     return MsgiInstance(s1, s2, rep, thresholds, seed, diag)
 

@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings, strategies as st
 
 from stateiso.cli import main
 from stateiso.graphs import Graph
@@ -268,6 +269,19 @@ def _malformed_inputs(runner, tmp_path):
     psi1_number.write_text(json.dumps({"version": 1, "type": "psgi", "psi1": 5,
                                        "psi2": state, "group": {"type": "pauli", "n": 1},
                                        "alpha": 0.6, "beta": 0.99}))
+    bad_groups = {}
+    for case, group in (("pauli-n-null", {"type": "pauli", "n": None}),
+                        ("pauli-n-list", {"type": "pauli", "n": [1]}),
+                        ("explicit-list-labels", {"type": "explicit", "elements": [["e"]],
+                                                  "matrices": [[[[1, 0]]]]}),
+                        ("explicit-matrices-number", {"type": "explicit", "elements": ["e"],
+                                                      "matrices": 5}),
+                        ("cyclic-zero", {"type": "cyclic", "N": 0})):
+        path = tmp_path / f"group_{case}.json"
+        path.write_text(json.dumps({"version": 1, "type": "psgi", "psi1": state,
+                                    "psi2": state, "group": group,
+                                    "alpha": 0.6, "beta": 0.99}))
+        bad_groups[f"psgi-bundle-group-{case}"] = ["psgi", "--instance", str(path)]
     bad_states = {}
     for case, psi1 in (("amplitudes-number", {"n_qubits": 1, "amplitudes": 5}),
                        ("n-qubits-string", {"n_qubits": "one", "amplitudes": state["amplitudes"]}),
@@ -278,6 +292,7 @@ def _malformed_inputs(runner, tmp_path):
                                     "alpha": 0.6, "beta": 0.99}))
         bad_states[f"psgi-bundle-psi1-{case}"] = ["psgi", "--instance", str(path)]
     return {
+        **bad_groups,
         **bad_states,
         **bad_cores,
         "psgi-bundle-without-psi1": ["psgi", "--instance", str(no_psi1)],
@@ -319,6 +334,11 @@ class TestConfigErrorBoundary:
         "psgi-bundle-psi1-amplitudes-number",
         "psgi-bundle-psi1-n-qubits-string",
         "psgi-bundle-psi1-amplitude-string",
+        "psgi-bundle-group-pauli-n-null",
+        "psgi-bundle-group-pauli-n-list",
+        "psgi-bundle-group-explicit-list-labels",
+        "psgi-bundle-group-explicit-matrices-number",
+        "psgi-bundle-group-cyclic-zero",
         "psgi-isomorphic-gi-lowrank-bundle",
         "reduce-qsd-msgi-trace-2",
         "bosonic-optimize-core-without-amplitudes",
@@ -378,6 +398,18 @@ class TestConfigErrorBoundary:
         _assert_config_error(res)
         assert "--sweep-count" in res.stderr
 
+    @pytest.mark.parametrize("args", [
+        ["psgi", "--n", "7"],
+        ["psgi", "--quantum", "--n", "12"],
+    ], ids=["oracle-pauli7-stack", "quantum-pauli12-labels"])
+    def test_group_over_budget(self, runner, args):
+        # pauli(7) needs a 16 GiB unitary stack; pauli(12) has 4^13 labels
+        t0 = time.perf_counter()
+        res = runner.invoke(main, args)
+        assert time.perf_counter() - t0 < 1.0
+        _assert_config_error(res)
+        assert "budget" in res.stderr
+
     def test_out_into_missing_directory(self, runner, tmp_path):
         out = tmp_path / "missing" / "x.json"
         _assert_config_error(runner.invoke(main, ["psgi", "--n", "2", "--out", str(out)]))
@@ -391,6 +423,60 @@ class TestConfigErrorBoundary:
                                    "--samples", "1", "--sigma", "-1"])
         _assert_config_error(res)
         assert "sigma" in res.stderr
+
+
+# any JSON value: integers stay small or jump to sizes that overflow a
+# label count, so that no example builds millions of labels
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 8) | st.sampled_from([2**31, 10**18, 2**70])
+    | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                 max_size=3),
+    max_leaves=6)
+_LABEL = st.text(max_size=2) | st.integers(-2, 2)
+_MATRICES = st.integers(1, 2).flatmap(lambda d: st.lists(
+    st.lists(st.lists(st.lists(st.floats(-1, 1), min_size=2, max_size=2),
+                      min_size=d, max_size=d), min_size=d, max_size=d),
+    min_size=1, max_size=3))
+_FIELDS = {"n": st.integers(-1, 3), "N": st.integers(-1, 3), "k": st.integers(-1, 3),
+           "rep": st.sampled_from(["phase", "shift"]), "elements": st.lists(_LABEL, max_size=3),
+           "matrices": _MATRICES, "identity": _LABEL}
+
+
+@st.composite
+def _group_specs(draw):
+    """Group specs of a known or any-JSON type whose fields are each
+    plausible, any JSON value or absent."""
+    spec = {"type": draw(st.sampled_from(["pauli", "clifford", "two_copy_pauli", "cyclic",
+                                          "z2k", "explicit"]) | _JSON)}
+    for key, plausible in _FIELDS.items():
+        kind = draw(st.sampled_from(["plausible", "any", "absent"]))
+        if kind != "absent":
+            spec[key] = draw(plausible if kind == "plausible" else _JSON)
+    return spec
+
+
+class TestGroupSpecFuzz:
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(group=_group_specs())
+    @example(group={"type": "pauli", "n": 1})
+    @example(group={"type": "cyclic", "N": 2, "rep": "shift"})
+    @example(group={"type": "explicit", "elements": ["e", 1],
+                    "matrices": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
+                                 [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]]})
+    @example(group=[{"type": "pauli", "n": 1}])
+    def test_bundle_group_spec_keeps_the_exit_contract(self, group):
+        state = {"n_qubits": 1, "amplitudes": [[0.6, 0.0], [0.0, 0.8]]}
+        runner = CliRunner()
+        with runner.isolated_filesystem():
+            with open("bundle.json", "w") as fh:
+                json.dump({"version": 1, "type": "psgi", "psi1": state, "psi2": state,
+                           "group": group, "alpha": 0.6, "beta": 0.99}, fh)
+            res = runner.invoke(main, ["psgi", "--instance", "bundle.json"])
+        # a crash is caught by the runner as an exception other than SystemExit
+        assert res.exception is None or isinstance(res.exception, SystemExit), res.exc_info
+        assert res.exit_code in (0, 1, 2, 3)
+        assert "Traceback" not in res.output
 
 
 class TestDeterminism:

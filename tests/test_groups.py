@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,82 @@ class TestGroupConstructions:
         with pytest.raises(GroupError):
             group_from_spec({"type": "nosuch"})
 
+    @pytest.mark.parametrize("spec", [
+        {"type": "pauli", "n": None}, {"type": "pauli", "n": [1]},
+        {"type": "pauli", "n": True}, {"type": "pauli", "n": 1.0},
+        {"type": "cyclic", "N": 0}, {"type": "z2k", "k": -2},
+        {"type": "explicit", "elements": [["e"]], "matrices": [[[[1, 0]]]]},
+        {"type": "explicit", "elements": ["e"], "matrices": 5},
+        {"type": "explicit", "elements": ["e"], "matrices": [[[[1, 0]]]], "identity": []},
+        {"type": "explicit", "elements": ["e", "z"], "matrices": [[[[1, 0]]]]},
+        {"type": "explicit", "elements": [], "matrices": []},
+        {"type": "explicit", "elements": ["e"], "matrices": [[[[1, 0], [0, 0]]]]},
+        {"type": "explicit", "elements": ["e"], "matrices": [[[[float("nan"), 0]]]]},
+    ])
+    def test_malformed_spec_raises_group_error(self, spec):
+        with pytest.raises(GroupError):
+            group_from_spec(spec)
+
+    @pytest.mark.parametrize("make", [
+        lambda: pauli_group(12), lambda: two_copy_pauli(14), lambda: z2k_group(40),
+        lambda: cyclic_group(1 << 40), lambda: pauli_group(10**18),
+    ], ids=["pauli12", "two-copy14", "z2k40", "cyclic2^40", "pauli10^18"])
+    def test_label_lists_over_budget_refused(self, make):
+        tracemalloc.start()
+        try:
+            with pytest.raises(GroupError):
+                make()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_two_copy_pauli_has_no_qubit_cap(self):
+        assert two_copy_pauli(5).order == 2 ** 11
+
+
+def _acts_trivially(rep, g):
+    """The per-element check the stacked mask replaced."""
+    u = rep.unitary(g)
+    tr = np.trace(u) / rep.dim
+    return bool(abs(tr) > 1 - 1e-10
+                and np.max(np.abs(u - tr * np.eye(rep.dim))) < 1e-10)
+
+
+STACK_GROUPS = [
+    lambda: pauli_group(1), lambda: pauli_group(2), lambda: clifford_group(1),
+    lambda: cyclic_group(5, "shift"), lambda: cyclic_group(6, "phase"),
+    lambda: two_copy_pauli(1), lambda: z2k_group(2),
+    lambda: dihedralize(cyclic_group(4, "shift")),
+    lambda: explicit_group(["e", "m"], [np.eye(2), -np.eye(2)]),
+]
+STACK_IDS = ["pauli1", "pauli2", "clifford1", "cyclic5-shift", "cyclic6-phase",
+             "two-copy1", "z2k2", "dihedral-cyclic4", "explicit-sign"]
+
+
+class TestUnitaryStack:
+    @pytest.mark.parametrize("make", STACK_GROUPS, ids=STACK_IDS)
+    def test_rows_equal_unitary_bitwise(self, make):
+        rep = make()
+        stack = rep.unitaries
+        assert stack.shape == (rep.order, rep.dim, rep.dim)
+        assert not stack.flags.writeable
+        for i, g in enumerate(rep.elements):
+            assert np.array_equal(stack[i], rep.unitary(g))
+
+    @pytest.mark.parametrize("make", STACK_GROUPS, ids=STACK_IDS)
+    def test_trivial_mask_matches_element_loop(self, make):
+        rep = make()
+        want = [g == rep.identity or _acts_trivially(rep, g) for g in rep.elements]
+        assert rep.trivial_mask().tolist() == want
+
+    @pytest.mark.parametrize("make", STACK_GROUPS, ids=STACK_IDS)
+    def test_max_trace_ratio_matches_element_loop(self, make):
+        rep = make()
+        want = max((abs(np.trace(rep.unitary(g)) / rep.dim) for g in rep.elements
+                    if g != rep.identity and not _acts_trivially(rep, g)), default=0.0)
+        assert max_trace_ratio(rep) == pytest.approx(want, rel=0, abs=1e-15)
+
 
 class TestTwirl:
     def test_pauli_twirl_depolarizes(self):
@@ -113,6 +191,20 @@ class TestTwirl:
         rep = pauli_group(2)
         with pytest.raises(GroupError):
             k_twirl(rep, random_density(4, RNG), 20)
+
+    def test_k_twirl_over_budget_refused_before_allocating(self):
+        # d^k = 4^6 = 4096: a 256 MiB accumulator with a ~1 GiB peak
+        rep = pauli_group(2)
+        rho = random_density(4, RNG)
+        rep.unitaries
+        tracemalloc.start()
+        try:
+            with pytest.raises(GroupError):
+                k_twirl(rep, rho, 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 def _k_twirl_reference(rep, rho, k):

@@ -1,12 +1,17 @@
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from stateiso.groups import DecisionThresholds, cyclic_group, pauli_group
+from stateiso.groups import (DecisionThresholds, GroupError, clifford_group, cyclic_group,
+                             dihedralize, pauli_group)
 from stateiso.linalg import StateVector
 from stateiso.paulis import PauliOp
 from stateiso.psgi import (
     PsgiError,
     PsgiInstance,
+    PsgiVerdict,
     _build_psi,
     character_distribution,
     f2_solve,
@@ -73,12 +78,67 @@ class TestOracle:
             PsgiInstance(random_state(1, rng), random_state(1, rng),
                          pauli_group(2), THRESHOLDS)
 
-    def test_order_cap(self):
+    def test_stack_over_budget_refused(self):
+        # pauli(7) has 65,536 elements of 128 x 128: a 16 GiB stack
         rng = np.random.default_rng(5)
-        psi = random_state(1, rng)
-        inst = PsgiInstance(psi, psi, pauli_group(1), THRESHOLDS)
-        with pytest.raises(PsgiError):
-            psgi_oracle(inst, max_order=3)
+        psi = random_state(7, rng)
+        inst = PsgiInstance(psi, psi, pauli_group(7), THRESHOLDS)
+        tracemalloc.start()
+        try:
+            with pytest.raises(GroupError):
+                psgi_oracle(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
+def _oracle_reference(inst):
+    """The per-element scan the stacked oracle replaced."""
+    best_re, best_g, best_ov, max_abs = -np.inf, None, 0j, 0.0
+    for g in inst.rep.elements:
+        ov = complex(np.vdot(inst.psi1.amplitudes,
+                             inst.rep.unitary(g) @ inst.psi2.amplitudes))
+        if ov.real > best_re + 1e-15:
+            best_re, best_g, best_ov = ov.real, g, ov
+        max_abs = max(max_abs, abs(ov))
+    th = inst.thresholds
+    if best_re >= th.beta:
+        return PsgiVerdict("YES", best_g, best_ov)
+    if max_abs <= th.alpha:
+        return PsgiVerdict("NO", None, best_ov)
+    return PsgiVerdict("PROMISE_VIOLATED", best_g, best_ov)
+
+
+class TestOracleMatchesElementLoop:
+    @pytest.mark.parametrize("make", [
+        lambda: pauli_group(1), lambda: pauli_group(2), lambda: pauli_group(3),
+        lambda: clifford_group(1), lambda: clifford_group(2),
+        lambda: cyclic_group(6, "shift"), lambda: dihedralize(cyclic_group(4, "shift")),
+    ], ids=["pauli1", "pauli2", "pauli3", "clifford1", "clifford2", "cyclic6-shift",
+            "dihedral-cyclic4"])
+    def test_same_decision_witness_and_overlap(self, make):
+        rep = make()
+        rng = np.random.default_rng(31)
+        for trial in range(16):
+            a1 = rng.normal(size=rep.dim) + 1j * rng.normal(size=rep.dim)
+            a1 /= np.linalg.norm(a1)
+            if trial % 4 == 0:         # planted: psi1 = R(g) psi2
+                a2 = rep.unitary(rep.elements[int(rng.integers(rep.order))]).conj().T @ a1
+            elif trial % 4 == 1:
+                a2 = a1
+            else:
+                a2 = rng.normal(size=rep.dim) + 1j * rng.normal(size=rep.dim)
+                a2 /= np.linalg.norm(a2)
+            # a high alpha turns the last random pair of each four into a NO
+            alpha = 0.985 if trial % 4 == 3 else 0.3
+            # cyclic(6) acts on C^6, which holds no qubit StateVector
+            inst = SimpleNamespace(psi1=SimpleNamespace(amplitudes=a1),
+                                   psi2=SimpleNamespace(amplitudes=a2), rep=rep,
+                                   thresholds=DecisionThresholds(alpha, 0.99))
+            got, want = psgi_oracle(inst), _oracle_reference(inst)
+            assert (got.decision, got.witness) == (want.decision, want.witness)
+            assert abs(got.achieved_overlap - want.achieved_overlap) < 1e-12
 
 
 class TestF2Solve:

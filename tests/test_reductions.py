@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from stateiso.graphs import Graph
-from stateiso.groups import cyclic_group, pauli_group
-from stateiso.linalg import Circuit, random_density, run_circuit, trace_norm
+from stateiso.groups import clifford_group, cyclic_group, pauli_group
+from stateiso.linalg import (Circuit, DensityMatrix, random_density, run_circuit,
+                             sqrt_fidelity, trace_norm)
 from stateiso.paulis import (
     CliffordElement,
     random_clifford,
@@ -283,6 +284,21 @@ class TestBqpHardness:
         _, diag = bqp_hardness_instance(circ, prep, pauli_group(n))
         assert abs(diag["max_self_overlap"] - COS8) < 1e-10
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_maxima_match_element_loop(self, n):
+        rep = pauli_group(n)
+        rng = np.random.default_rng(40 + n)
+        q, phi = brick_layer_circuit(n, 6, rng), brick_layer_circuit(n, 6, rng)
+        _, diag = bqp_hardness_instance(q, phi, rep)
+        a = run_circuit(phi).amplitudes
+        zero = np.eye(rep.dim)[0]
+        hiding = max(abs(np.vdot(a, rep.unitary(g) @ zero)) for g in rep.elements)
+        self_ov = max(abs(np.vdot(a, rep.unitary(g) @ a)) for g in rep.elements
+                      if not np.allclose(rep.unitary(g), rep.unitary(g)[0, 0] * np.eye(rep.dim),
+                                         rtol=0, atol=1e-10))
+        assert abs(diag["max_hiding_overlap"] - hiding) < 1e-12
+        assert abs(diag["max_self_overlap"] - self_ov) < 1e-12
+
     def test_brick_layer_shape(self):
         rng = np.random.default_rng(9)
         c = brick_layer_circuit(3, 4, rng)
@@ -299,6 +315,18 @@ class TestDistinguishability:
         assert abs(lhs - 0.5 * rhs) < 1e-10
         assert 0 <= inst.diagnostics["identity_fidelity"] <= 1 + 1e-9
         assert inst.diagnostics["max_fidelity"] >= inst.diagnostics["identity_fidelity"] - 1e-9
+
+    @pytest.mark.parametrize("make", [lambda: pauli_group(1), lambda: pauli_group(2),
+                                      lambda: clifford_group(1), lambda: clifford_group(2)],
+                             ids=["pauli1", "pauli2", "clifford1", "clifford2"])
+    def test_max_fidelity_matches_element_loop(self, make):
+        rep = make()
+        s1, s2 = random_density(rep.dim, RNG), random_density(rep.dim, RNG)
+        inst = qsd_to_msgi(s1, s2, rep, seed=3)
+        a, b = inst.sigma1.matrix, inst.sigma2
+        want = max(sqrt_fidelity(DensityMatrix(b.n_qubits, u @ a @ u.conj().T), b)
+                   for u in map(rep.unitary, rep.elements))
+        assert abs(inst.diagnostics["max_fidelity"] - want) < 1e-12
 
     def test_msgi_seed_reproducible(self):
         s1, s2 = random_density(2, RNG), random_density(2, RNG)
