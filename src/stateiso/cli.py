@@ -169,6 +169,15 @@ def _config_error(msg: str):
     sys.exit(EXIT_CONFIG)
 
 
+def _at_least_one(ctx, param, value: int) -> int:
+    """Option callback: a check run on no instances passes vacuously, and
+    a solver given no copies or shots decides nothing, so a count below 1
+    is a configuration error."""
+    if value < 1:
+        _config_error(f"{param.opts[0]} must be >= 1, got {value}")
+    return value
+
+
 class _ConfigErrorBoundary(click.Group):
     """Root group that turns malformed input into exit 2 for every command.
 
@@ -215,9 +224,11 @@ def main():
 @click.option("--alpha", type=float, default=0.6, show_default=True)
 @click.option("--beta", type=float, default=0.99, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--copies", type=int, default=2, show_default=True)
+@click.option("--copies", type=int, default=2, show_default=True,
+              callback=_at_least_one)
 @click.option("--shot-mode", is_flag=True)
-@click.option("--shots", type=int, default=4096, show_default=True)
+@click.option("--shots", type=int, default=4096, show_default=True,
+              callback=_at_least_one)
 @click.option("--sweep-count", type=int, default=20000, show_default=True,
               help="Random Cliffords for the NO side of gi_clifford bundles.")
 @click.option("--out", default="", help="Output JSON path (default stdout).")
@@ -446,14 +457,6 @@ def reduce_psgi_statehsp(instance, copies, out):
 # ----------------------------------------------------------------------
 # verify
 # ----------------------------------------------------------------------
-
-def _at_least_one(ctx, param, value: int) -> int:
-    """Option callback: a check run on no instances passes vacuously, so a
-    count below 1 is a configuration error."""
-    if value < 1:
-        _config_error(f"{param.opts[0]} must be >= 1, got {value}")
-    return value
-
 
 def _finish_report(report: dict, out: str):
     _emit(report, out)

@@ -281,11 +281,20 @@ def max_trace_ratio(rep: FiniteGroupRep) -> float:
 # Built-in groups
 # ----------------------------------------------------------------------
 
+def _label_bytes(bits: float, label) -> int:
+    """Bytes that each of 2^bits labels shaped like ``label`` can add to a
+    label list: its list slot, its tuple if it is one, in whole 16-byte
+    allocator blocks, and past 2^8 labels one int object per int in it
+    (Python shares the ints up to 256; one below 2^30 fills 32 bytes)."""
+    if not isinstance(label, tuple):
+        return 8 + (32 if bits > 8 else 0)
+    return 8 + -(-sys.getsizeof(label) // 16) * 16 + (32 * len(label) if bits > 8 else 0)
+
+
 def _check_labels(bits: float, label) -> None:
-    """Refuse a group of 2^bits labels, each of ``sys.getsizeof(label)``
-    bytes, whose list would exceed the ``_DENSE_BUDGET`` byte budget; it
-    runs before the list is built."""
-    if bits > math.log2(_DENSE_BUDGET / sys.getsizeof(label)):
+    """Refuse a group of 2^bits labels whose list would exceed the
+    ``_DENSE_BUDGET`` byte budget; it runs before the list is built."""
+    if bits > math.log2(_DENSE_BUDGET / _label_bytes(bits, label)):
         raise GroupError(f"2^{bits:.4g} group labels exceed the "
                          f"{_DENSE_BUDGET >> 20} MiB budget")
 

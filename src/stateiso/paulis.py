@@ -2,6 +2,8 @@
 
 A Pauli is stored as ``i^phase * X^x Z^z`` with ``x``, ``z`` bitmasks
 (bit i = qubit i) and the phase exponent tracked exactly mod 4.
+``pauli_table`` gives <a|X^x Z^z|c> for all 4^n Paulis at once, by one
+gather and one Walsh-Hadamard transform.
 
 A Clifford has one format, packed tableau rows: a ``CliffordBatch`` holds
 B Cliffords as (B, 2n) int64 arrays of the (phase, x, z) images of the
@@ -222,6 +224,30 @@ def pauli_expectation(psi: StateVector, p: PauliOp) -> complex:
         raise PauliError("Pauli/state size mismatch")
     val = complex(np.vdot(psi.amplitudes, p.apply(psi.amplitudes)))
     return val.real if p.is_hermitian() else val
+
+
+def walsh_hadamard(v: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform along a length-2^k axis,
+    out[u] = sum_w (-1)^{popcount(u & w)} v[w], one butterfly per bit from
+    the lowest; integer input stays integer and exact."""
+    v = np.moveaxis(np.asarray(v), axis, -1)
+    shape, d, h = v.shape, v.shape[-1], 1
+    while h < d:
+        w = v.reshape(*shape[:-1], d // (2 * h), 2, h)
+        lo, hi = w[..., 0, :], w[..., 1, :]
+        v = np.stack((lo + hi, lo - hi), axis=-2)
+        h *= 2
+    return np.moveaxis(v.reshape(shape), -1, axis)
+
+
+def pauli_table(a: np.ndarray, c: np.ndarray, n: int) -> np.ndarray:
+    """T[x, z] = <a| X^x Z^z |c> for all 4^n qubit masks (as in PauliOp):
+    one gather conj(a[b ^ x]) c[b] and one Walsh-Hadamard transform over b,
+    O(n 4^n) time and 16 4^n bytes."""
+    b = np.arange(1 << n)
+    t = walsh_hadamard(a.conj()[b[:, None] ^ b] * c, axis=1)
+    masks = _index_masks(b, n)
+    return t[np.ix_(masks, masks)]
 
 
 # ----------------------------------------------------------------------

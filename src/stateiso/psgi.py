@@ -9,17 +9,17 @@ Pauli labels (x, z, s) plus the dihedral bit a, acting on
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
+from . import obs
 from .linalg import StateVector
 from .groups import DecisionThresholds, FiniteGroupRep, dihedralize
-from .paulis import PauliOp
+from .paulis import PauliOp, pauli_table, walsh_hadamard
 
 DEFAULT_SAMPLE_CONSTANT = 6
 DEFAULT_COPIES = 2
-MAX_TOTAL_QUBITS = 26
 
 
 class PsgiError(ValueError):
@@ -69,147 +69,35 @@ def psgi_oracle(inst: PsgiInstance) -> PsgiVerdict:
 
 
 # ----------------------------------------------------------------------
-# F2 linear algebra
+# The quantum algorithm for the Pauli group, simulated exactly
 # ----------------------------------------------------------------------
 
-def f2_solve(rows: Sequence) -> list:
-    """Basis of the simultaneous kernel {x : row . x = 0 mod 2 for all rows}.
-
-    Rows are 0/1 sequences of a common length; the result is a list of
-    numpy 0/1 vectors spanning the kernel exactly.
-    """
-    rows = [np.asarray(r, dtype=np.uint8) % 2 for r in rows]
-    if not rows:
-        raise PsgiError("f2_solve needs at least the row length; pass [zeros]")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise PsgiError("inconsistent row lengths")
-    a = np.array(rows, dtype=np.uint8)
-    m = a.shape[0]
-    pivots = []
-    row = 0
-    for col in range(width):
-        piv = None
-        for r in range(row, m):
-            if a[r, col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        a[[row, piv]] = a[[piv, row]]
-        for r in range(m):
-            if r != row and a[r, col]:
-                a[r] ^= a[row]
-        pivots.append(col)
-        row += 1
-    free = [c for c in range(width) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = np.zeros(width, dtype=np.uint8)
-        v[fc] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = a[r, fc]
-        basis.append(v)
-    return basis
-
-
-def _span(basis: list, width: int):
-    """All 2^len(basis) elements of the F2 span, as uint8 vectors."""
-    out = [np.zeros(width, dtype=np.uint8)]
-    for b in basis:
-        out += [(v ^ b) for v in out]
-    return out
-
-
-# ----------------------------------------------------------------------
-# The Gamma label group and Fourier sampling
-# ----------------------------------------------------------------------
-
-def _gamma_pauli(label: tuple, n: int) -> PauliOp:
-    """The involution for label (x, z, s, a) acting on |Psi>, as a Pauli
-    on 2n+1 qubits: X^a on the dihedral qubit times (-1)^s B x B."""
-    x, z, s, a = label
-    xm = a | (x << 1) | (x << (n + 1))
-    zm = (z << 1) | (z << (n + 1))
-    return PauliOp(2 * n + 1, 2 * s, xm, zm)
-
-
-def _label_bits(u: int, n: int) -> tuple:
-    """Unpack a Gamma label int into (x, z, s, a)."""
-    return (u & ((1 << n) - 1), (u >> n) & ((1 << n) - 1),
-            (u >> (2 * n)) & 1, (u >> (2 * n + 1)) & 1)
-
-
-def _walsh_hadamard(v: np.ndarray) -> np.ndarray:
-    v = v.copy()
-    h = 1
-    while h < len(v):
-        for start in range(0, len(v), 2 * h):
-            a = v[start:start + h].copy()
-            b = v[start + h:start + 2 * h].copy()
-            v[start:start + h] = a + b
-            v[start + h:start + 2 * h] = a - b
-        h *= 2
-    return v
-
-
-def character_distribution(psi: np.ndarray, n: int, m: int) -> np.ndarray:
+def character_distribution(psi1: np.ndarray, psi2: np.ndarray, n: int, m: int) -> np.ndarray:
     """Exact Fourier-sampling distribution over the 2^{2n+2} characters.
 
-    ``psi`` is the single-copy state |Psi> on 2n+1 qubits; the m-copy
-    expectation factorizes as f(u) = f1(u)^m, and prob(chi) is the
-    normalized Walsh-Hadamard transform of f.
+    Label u = x | z << n | s << 2n | a << 2n+1 acts on |Psi> as
+    X^a (-1)^s B x B with B = X^x Z^z, so f1(u) = <Psi|u|Psi> is
+    (-1)^s (T11^2 + T22^2)/2 at a = 0 and (-1)^s Re T12^2 at a = 1, from
+    the Pauli tables Tij = pauli_table(psi_i, psi_j).  The m-copy
+    expectation is f1^m, and prob(chi) is its normalized Walsh-Hadamard
+    transform.
     """
-    k = 2 * n + 2
-    f1 = np.empty(1 << k)
-    for u in range(1 << k):
-        p = _gamma_pauli(_label_bits(u, n), n)
-        f1[u] = np.vdot(psi, p.apply(psi)).real
-    f = f1**m
-    probs = _walsh_hadamard(f) / (1 << k)
+    t11, t22, t12 = (pauli_table(a, c, n).T for a, c in
+                     ((psi1, psi1), (psi2, psi2), (psi1, psi2)))
+    even, odd = ((t11**2 + t22**2) / 2).real, (t12**2).real
+    f1 = np.stack((even, -even, odd, -odd)).ravel()
+    probs = walsh_hadamard(f1**m) / len(f1)
     total = probs.sum()
     if abs(total - 1.0) > 1e-8:
         raise PsgiError(f"character distribution sums to {total}")
     return np.clip(probs, 0.0, None)
 
 
-def fourier_sample(probs: np.ndarray, rng: np.random.Generator) -> tuple:
-    """Draw one character from the exact distribution, as its bits over the
-    label group."""
-    k = int(np.log2(len(probs)))
-    chi = int(rng.choice(len(probs), p=probs / probs.sum()))
-    return tuple((chi >> j) & 1 for j in range(k))
-
-
-def hadamard_estimate(psi: np.ndarray, action, shots: Optional[int] = None,
-                      rng: Optional[np.random.Generator] = None) -> float:
-    """Estimate f = <psi|A|psi> for a Hermitian involution A.
-
-    Exact when ``shots`` is None; otherwise simulates the Hadamard test,
-    unbiased with variance <= 1/shots.
-    """
-    applied = action(psi)
-    if np.max(np.abs(action(applied) - psi)) > 1e-8:
-        raise PsgiError("action is not an involution on this state")
-    f = float(np.vdot(psi, applied).real)
-    if shots is None:
-        return f
-    if rng is None:
-        raise PsgiError("shot mode needs an rng")
-    p = min(max((1 + f) / 2, 0.0), 1.0)
-    ones = rng.binomial(shots, p)
-    return 2 * ones / shots - 1
-
-
-# ----------------------------------------------------------------------
-# The quantum algorithm for the Pauli group, simulated exactly
-# ----------------------------------------------------------------------
-
-def _build_psi(psi1: StateVector, psi2: StateVector) -> np.ndarray:
-    """(|0>|psi1 psi1> + |1>|psi2 psi2>)/sqrt(2) as a dense vector."""
-    phi1 = np.kron(psi1.amplitudes, psi1.amplitudes)
-    phi2 = np.kron(psi2.amplitudes, psi2.amplitudes)
-    return np.concatenate([phi1, phi2]) / np.sqrt(2)
+def _kernel(chis: np.ndarray, size: int) -> np.ndarray:
+    """Mask of the labels u below ``size`` with chi . u even for every
+    sampled chi: where the Walsh-Hadamard transform of the sample histogram
+    equals the sample count."""
+    return walsh_hadamard(np.bincount(chis, minlength=size)) == len(chis)
 
 
 def pauli_psgi_quantum(inst: PsgiInstance, m: int = DEFAULT_COPIES,
@@ -218,49 +106,44 @@ def pauli_psgi_quantum(inst: PsgiInstance, m: int = DEFAULT_COPIES,
                        shots: int = 4096) -> PsgiVerdict:
     """Fourier-sampling decision procedure for the phased Pauli group.
 
-    Samples T = sample_constant * log2|Gamma| characters from the exact
-    distribution, solves for the simultaneous kernel L over F2, and
-    accepts if some odd element (dihedral bit set) has expectation
-    estimate at least 1/2.  The witness Pauli is recovered from the
-    two-copy label by dense re-evaluation over all four phases.
+    Samples t = sample_constant * log2|Gamma| characters from the exact
+    distribution and accepts if some odd label (dihedral bit set) of their
+    simultaneous kernel has expectation estimate at least 1/2: exact, or a
+    simulated Hadamard test of ``shots`` shots per label in label order.
+    The witness is the phased Pauli i^p X^x Z^z of largest Re i^p T12[x, z]
+    over the accepted labels, ties within 1e-15 going to the earliest
+    (p, x, z) as in ``psgi_oracle``.
     """
     n = inst.psi1.n_qubits
-    if m * (2 * n + 1) > MAX_TOTAL_QUBITS:
-        raise PsgiError(
-            f"m-copy construction needs {m * (2 * n + 1)} qubits, "
-            f"over the {MAX_TOTAL_QUBITS} guard"
-        )
+    if inst.rep.name != f"pauli({n})":
+        raise PsgiError(f"the quantum solver needs the group pauli({n}), got {inst.rep.name}")
     rng = np.random.default_rng(seed)
-    psi = _build_psi(inst.psi1, inst.psi2)
-    k = 2 * n + 2
-    probs = character_distribution(psi, n, m)
-    t = sample_constant * k
-    basis = f2_solve([fourier_sample(probs, rng) for _ in range(t)])
     a1, a2 = inst.psi1.amplitudes, inst.psi2.amplitudes
-    best = None  # (re_overlap, label_key, overlap)
-    for v in _span(basis, k):
-        u = int(sum(int(b) << j for j, b in enumerate(v)))
-        x, z, s, a = _label_bits(u, n)
-        if a != 1:
-            continue
-        p = _gamma_pauli((x, z, s, a), n)
-        if shot_mode:
-            est = hadamard_estimate(psi, p.apply, shots, rng) ** m
-        else:
-            est = hadamard_estimate(psi, p.apply) ** m
-        if est < 0.5:
-            continue
-        # recover the phased witness: the sign bit of the two-copy label
-        # is ambiguous, so try all four phases and re-verify densely
-        bop = PauliOp(n, 0, x, z)
-        base = complex(np.vdot(a1, bop.apply(a2)))
-        for ph in range(4):
-            ov = (1j**ph) * base
-            if best is None or ov.real > best[0] + 1e-15:
-                best = (ov.real, (ph, x, z), ov)
-    if best is not None and best[0] >= inst.thresholds.beta - 1e-8:
-        return PsgiVerdict("YES", best[1], best[2])
-    return PsgiVerdict("NO", None, 0j if best is None else best[2])
+    probs = character_distribution(a1, a2, n, m)
+    t = sample_constant * (2 * n + 2)
+    chis = rng.choice(len(probs), size=t, p=probs / probs.sum())
+    odd = _kernel(chis, len(probs)).reshape(2, 2, 1 << n, 1 << n)[1]   # [s, z, x]
+    obs.count("psgi.characters_sampled", t)
+    obs.count("psgi.kernel_labels", odd.sum())
+    t12 = pauli_table(a1, a2, n)
+    f = (t12.T**2).real
+    est = np.stack((f, -f))[odd]
+    if shot_mode:
+        est = 2 * rng.binomial(shots, np.clip((1 + est) / 2, 0.0, 1.0)) / shots - 1
+    accepted = np.zeros(odd.shape, dtype=bool)
+    accepted[odd] = est**m >= 0.5
+    accepted = accepted.any(axis=0).T                                 # [x, z]
+    if not accepted.any():
+        return PsgiVerdict("NO", None, 0j)
+    ovs = (np.array((1, 1j, -1, -1j))[:, None, None] * t12).real      # [p, x, z]
+    ovs[:, ~accepted] = -np.inf
+    i = np.flatnonzero(ovs >= ovs.max() - 1e-15)[0]
+    ph, x, z = (int(v) for v in np.unravel_index(i, ovs.shape))
+    # the reported overlap is re-evaluated densely at the witness
+    best = (1j**ph) * complex(np.vdot(a1, PauliOp(n, 0, x, z).apply(a2)))
+    if best.real >= inst.thresholds.beta - 1e-8:
+        return PsgiVerdict("YES", (ph, x, z), best)
+    return PsgiVerdict("NO", None, best)
 
 
 def psgi_to_statehsp(inst: PsgiInstance, m: int = 1):
@@ -318,8 +201,7 @@ def random_pauli_psgi_instance(n: int, thresholds: DecisionThresholds,
     if kind == "yes":
         psi1 = random_state(n, rng)
         label = rep.elements[int(rng.integers(rep.order))]
-        p = PauliOp(n, *label)
-        psi2 = StateVector(n, p.hermitian_conjugate().apply(psi1.amplitudes))
+        psi2 = StateVector(n, rep.unitary(label).conj().T @ psi1.amplitudes)
         return PsgiInstance(psi1, psi2, rep, thresholds)
     if kind != "no":
         raise PsgiError(f"kind must be 'yes' or 'no', got {kind!r}")

@@ -50,6 +50,20 @@ class TestPsgiCommand:
         assert res.exit_code == 0
         assert _json_body(res.output)["decision"] == "YES"
 
+    @pytest.mark.parametrize("args, code", [
+        (["psgi", "--group", "clifford", "--n", "2"], 0),
+        (["psgi", "--quantum", "--same-state", "--n", "8"], 0),
+    ], ids=["oracle-clifford2-yes", "quantum-pauli8-same-state"])
+    def test_exit_code(self, runner, args, code):
+        res = runner.invoke(main, args)
+        assert res.exit_code == code, res.exc_info
+
+    def test_quantum_on_non_pauli_group_is_config_error(self, runner):
+        res = runner.invoke(main, ["psgi", "--quantum", "--group", "clifford", "--n", "1",
+                                   "--same-state"])
+        _assert_config_error(res)
+        assert "pauli(1)" in res.stderr
+
     def test_bad_thresholds_config_error(self, runner):
         res = runner.invoke(main, ["psgi", "--alpha", "0.9", "--beta", "0.5"])
         assert res.exit_code == 2
@@ -358,8 +372,12 @@ class TestConfigErrorBoundary:
         ["protocol", "qcszk", "--n", "0", "--trials", "1", "--shadows", "10"],
         ["protocol", "qcszk", "--trials", "1", "--shadows", "0"],
         ["psgi", "--n", "0"],
+        ["psgi", "--quantum", "--n", "2", "--shot-mode", "--shots", "0"],
+        ["psgi", "--quantum", "--n", "2", "--copies", "0"],
+        ["psgi", "--quantum", "--n", "2", "--copies", "-1"],
         ["verify", "twirl-bound", "--n", "0", "--instances", "1"],
     ], ids=["qcszk-zero-qubits", "qcszk-zero-shadows", "psgi-zero-qubits",
+            "psgi-zero-shots", "psgi-zero-copies", "psgi-negative-copies",
             "twirl-bound-zero-qubits"])
     def test_empty_sizes_exit_two(self, runner, args):
         _assert_config_error(runner.invoke(main, args))
@@ -498,6 +516,20 @@ class TestDeterminism:
             '{"accept_rate": 1.0, "accepts": 4, "instance": "non-isomorphic", "trials": 4, '
             '"wilson_high": 1.0, "wilson_low": 0.5100999795960008}',
         ]
+
+    @pytest.mark.parametrize("args, stdout", [
+        (["psgi", "--quantum", "--same-state", "--n", "2", "--seed", "1"],
+         '{\n  "achieved_overlap": [\n    1.0,\n    0.0\n  ],\n  "decision": "YES",\n'
+         '  "version": 1,\n  "witness": "identity"\n}\n'),
+        (["psgi", "--quantum", "--kind", "yes", "--n", "2", "--seed", "0"],
+         '{\n  "achieved_overlap": [\n    0.9999999999999998,\n    -0.0\n  ],\n'
+         '  "decision": "YES",\n  "version": 1,\n  "witness": "(2, 2, 0)"\n}\n'),
+    ], ids=["same-state-n2-seed1", "yes-n2-seed0"])
+    def test_quantum_stdout_pinned(self, runner, args, stdout):
+        # recorded when the solver applied one dense Pauli per label
+        res = runner.invoke(main, args)
+        assert res.exit_code == 0
+        assert res.stdout == stdout
 
     def test_version_flag(self, runner):
         res = runner.invoke(main, ["--version"])

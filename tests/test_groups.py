@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from stateiso.groups import (
     DecisionThresholds,
     GroupError,
+    _label_bytes,
     check_twirl_fidelity_bound,
     clifford_group,
     cyclic_group,
@@ -107,9 +109,9 @@ class TestGroupConstructions:
             group_from_spec(spec)
 
     @pytest.mark.parametrize("make", [
-        lambda: pauli_group(12), lambda: two_copy_pauli(14), lambda: z2k_group(40),
-        lambda: cyclic_group(1 << 40), lambda: pauli_group(10**18),
-    ], ids=["pauli12", "two-copy14", "z2k40", "cyclic2^40", "pauli10^18"])
+        lambda: pauli_group(10), lambda: pauli_group(12), lambda: two_copy_pauli(14),
+        lambda: z2k_group(40), lambda: cyclic_group(1 << 40), lambda: pauli_group(10**18),
+    ], ids=["pauli10", "pauli12", "two-copy14", "z2k40", "cyclic2^40", "pauli10^18"])
     def test_label_lists_over_budget_refused(self, make):
         tracemalloc.start()
         try:
@@ -119,6 +121,19 @@ class TestGroupConstructions:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize("make, bits, label", [
+        (lambda: pauli_group(6), 14, (0, 0, 0)),
+        (lambda: cyclic_group(300_000, "shift"), math.log2(300_000), 0),
+    ], ids=["pauli6", "cyclic300000"])
+    def test_label_estimate_covers_traced_bytes(self, make, bits, label):
+        tracemalloc.start()
+        try:
+            rep = make()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.order * _label_bytes(bits, label) >= peak
 
     def test_two_copy_pauli_has_no_qubit_cap(self):
         assert two_copy_pauli(5).order == 2 ** 11

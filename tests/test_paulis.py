@@ -22,6 +22,7 @@ from stateiso.paulis import (
     graph_stabilizer,
     graph_state,
     pauli_expectation,
+    pauli_table,
     qubit_permutation_clifford,
     r_overlap_sq,
     r_state,
@@ -30,6 +31,7 @@ from stateiso.paulis import (
     random_clifford,
     random_clifford_batch,
     symplectic_group_order,
+    walsh_hadamard,
 )
 
 RNG = np.random.default_rng(7)
@@ -91,6 +93,42 @@ class TestPauliOp:
         plus = StateVector(1, np.full(2, 1 / np.sqrt(2)))
         assert abs(pauli_expectation(plus, PauliOp.single(1, 0, "X")) - 1) < 1e-12
         assert abs(pauli_expectation(plus, PauliOp.single(1, 0, "Z"))) < 1e-12
+
+
+def _walsh_hadamard_loop(v):
+    """The butterfly loop that ``walsh_hadamard`` replaced."""
+    v = v.copy()
+    h = 1
+    while h < len(v):
+        for start in range(0, len(v), 2 * h):
+            a = v[start:start + h].copy()
+            b = v[start + h:start + 2 * h].copy()
+            v[start:start + h] = a + b
+            v[start + h:start + 2 * h] = a - b
+        h *= 2
+    return v
+
+
+class TestPauliTable:
+    @pytest.mark.parametrize("k", range(0, 11))
+    def test_walsh_hadamard_matches_loop(self, k):
+        rng = np.random.default_rng(k)
+        v = rng.normal(size=1 << k) + 1j * rng.normal(size=1 << k)
+        assert np.array_equal(walsh_hadamard(v), _walsh_hadamard_loop(v))
+        ints = rng.integers(-9, 9, size=(3, 1 << k))
+        got = walsh_hadamard(ints.T, axis=0).T
+        assert got.dtype == ints.dtype
+        assert np.array_equal(got, [_walsh_hadamard_loop(row) for row in ints])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_table_matches_pauli_apply(self, n):
+        rng = np.random.default_rng(50 + n)
+        a, c = (v / np.linalg.norm(v) for v in
+                rng.normal(size=(2, 1 << n)) + 1j * rng.normal(size=(2, 1 << n)))
+        t = pauli_table(a, c, n)
+        want = [[np.vdot(a, PauliOp(n, 0, x, z).apply(c)) for z in range(1 << n)]
+                for x in range(1 << n)]
+        assert np.abs(t - np.array(want)).max() < 1e-14
 
 
 def _random_pauli(n):

@@ -4,19 +4,17 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from stateiso import obs
 from stateiso.groups import (DecisionThresholds, GroupError, clifford_group, cyclic_group,
-                             dihedralize, pauli_group)
+                             dihedralize, pauli_group, z2k_group)
 from stateiso.linalg import StateVector
-from stateiso.paulis import PauliOp
+from stateiso.paulis import PauliOp, walsh_hadamard
 from stateiso.psgi import (
     PsgiError,
     PsgiInstance,
     PsgiVerdict,
-    _build_psi,
+    _kernel,
     character_distribution,
-    f2_solve,
-    fourier_sample,
-    hadamard_estimate,
     pauli_psgi_quantum,
     psgi_oracle,
     psgi_to_statehsp,
@@ -141,46 +139,20 @@ class TestOracleMatchesElementLoop:
             assert abs(got.achieved_overlap - want.achieved_overlap) < 1e-12
 
 
-class TestF2Solve:
-    def test_kernel_membership_exact(self):
-        rng = np.random.default_rng(6)
-        for _ in range(30):
-            width = int(rng.integers(3, 9))
-            rows = rng.integers(0, 2, size=(int(rng.integers(1, 7)), width))
-            basis = f2_solve(list(rows))
-            # every basis vector annihilates every row
-            for v in basis:
-                assert not ((rows @ v) % 2).any()
-            # dimension matches rank-nullity over F2
-            rank = width - len(basis)
-            assert rank == _f2_rank(rows)
-
-    def test_zero_rows_give_full_space(self):
-        basis = f2_solve([np.zeros(4, dtype=np.uint8)])
-        assert len(basis) == 4
-
-    def test_inconsistent_lengths_rejected(self):
-        with pytest.raises(PsgiError):
-            f2_solve([[1, 0], [1, 0, 1]])
-
-
-def _f2_rank(rows):
-    a = np.array(rows, dtype=np.uint8) % 2
-    rank = 0
-    for col in range(a.shape[1]):
-        piv = None
-        for r in range(rank, a.shape[0]):
-            if a[r, col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        a[[rank, piv]] = a[[piv, rank]]
-        for r in range(a.shape[0]):
-            if r != rank and a[r, col]:
-                a[r] ^= a[rank]
-        rank += 1
-    return rank
+def _character_distribution_loop(psi1, psi2, n, m):
+    """The label loop that the Pauli tables replaced: each label
+    u = x | z << n | s << 2n | a << 2n+1 applied as a dense (2n+1)-qubit
+    Pauli X^a (-1)^s B x B to |Psi> = (|0>|psi1 psi1> + |1>|psi2 psi2>)/sqrt(2)."""
+    psi = np.concatenate([np.kron(psi1, psi1), np.kron(psi2, psi2)]) / np.sqrt(2)
+    k = 2 * n + 2
+    f1 = np.empty(1 << k)
+    for u in range(1 << k):
+        x, z = u & ((1 << n) - 1), (u >> n) & ((1 << n) - 1)
+        s, a = (u >> (2 * n)) & 1, (u >> (2 * n + 1)) & 1
+        p = PauliOp(2 * n + 1, 2 * s, a | (x << 1) | (x << (n + 1)), (z << 1) | (z << (n + 1)))
+        f1[u] = np.vdot(psi, p.apply(psi)).real
+    # walsh_hadamard is checked bit for bit against its butterfly loop in test_paulis
+    return np.clip(walsh_hadamard(f1**m) / (1 << k), 0.0, None)
 
 
 class TestFourierSampling:
@@ -188,11 +160,23 @@ class TestFourierSampling:
         rng = np.random.default_rng(7)
         for n in (1, 2):
             inst = random_pauli_psgi_instance(n, THRESHOLDS, "yes", rng)
-            psi = _build_psi(inst.psi1, inst.psi2)
-            probs = character_distribution(psi, n, 2)
+            probs = character_distribution(inst.psi1.amplitudes, inst.psi2.amplitudes, n, 2)
             assert len(probs) == 1 << (2 * n + 2)
             assert abs(probs.sum() - 1) < 1e-9
             assert (probs >= 0).all()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_label_loop(self, n):
+        rng = np.random.default_rng(40 + n)
+        for kind in ("yes", "random"):
+            if kind == "yes":
+                inst = random_pauli_psgi_instance(n, THRESHOLDS, "yes", rng)
+                a1, a2 = inst.psi1.amplitudes, inst.psi2.amplitudes
+            else:
+                a1, a2 = random_state(n, rng).amplitudes, random_state(n, rng).amplitudes
+            for m in (1, 2, 3):
+                got = character_distribution(a1, a2, n, m)
+                assert np.abs(got - _character_distribution_loop(a1, a2, n, m)).max() < 1e-15
 
     def test_sampled_characters_annihilate_hidden_label(self):
         # for a YES instance the support of the distribution is the dual
@@ -202,9 +186,7 @@ class TestFourierSampling:
         psi1 = random_state(n, rng)
         p = PauliOp(n, 0, 1, 0)  # +X
         psi2 = StateVector(n, p.apply(psi1.amplitudes))
-        inst = PsgiInstance(psi1, psi2, pauli_group(n), THRESHOLDS)
-        psi = _build_psi(inst.psi1, inst.psi2)
-        probs = character_distribution(psi, n, 2)
+        probs = character_distribution(psi1.amplitudes, psi2.amplitudes, n, 2)
         # hidden label: x=1, z=0, s=0, a=1 -> bit positions 0 and 2n+1
         u_bits = np.zeros(2 * n + 2, dtype=np.uint8)
         u_bits[0] = 1
@@ -213,37 +195,32 @@ class TestFourierSampling:
             bits = np.array([(chi >> j) & 1 for j in range(2 * n + 2)])
             assert (bits @ u_bits) % 2 == 0
 
-    def test_fourier_sample_respects_support(self):
-        probs = np.array([0.0, 0.5, 0.5, 0.0])
-        rng = np.random.default_rng(9)
-        for _ in range(20):
-            chi = fourier_sample(probs, rng)
-            idx = sum(b << j for j, b in enumerate(chi))
-            assert idx in (1, 2)
-            assert probs[idx] == 0.5
+
+class TestKernel:
+    def test_matches_brute_force(self):
+        rng = np.random.default_rng(6)
+        for _ in range(30):
+            k = int(rng.integers(1, 9))
+            chis = rng.integers(0, 1 << k, size=int(rng.integers(1, 7)))
+            if rng.random() < 0.3:      # samples from a subgroup leave a larger kernel
+                chis &= int(rng.integers(0, 1 << k))
+            labels = np.arange(1 << k)
+            want = np.array([all(bin(c & u).count("1") % 2 == 0 for c in chis)
+                             for u in labels])
+            assert np.array_equal(_kernel(chis, 1 << k), want)
+
+    def test_zero_samples_give_full_space(self):
+        assert _kernel(np.zeros(3, dtype=np.int64), 16).all()
 
 
-class TestHadamardEstimate:
-    def test_exact_value(self):
-        rng = np.random.default_rng(10)
-        psi = random_state(2, rng).amplitudes
-        p = PauliOp(2, 0, 0b10, 0b01)
-        want = np.vdot(psi, p.apply(psi)).real
-        assert abs(hadamard_estimate(psi, p.apply) - want) < 1e-12
-
-    def test_rejects_non_involution(self):
-        psi = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
-        s = np.diag([1, 1j])
-        with pytest.raises(PsgiError):
-            hadamard_estimate(psi, lambda v: s @ v)
-
-    def test_shot_mode_concentrates(self):
-        rng = np.random.default_rng(11)
-        psi = random_state(1, rng).amplitudes
-        p = PauliOp(1, 0, 1, 0)
-        want = np.vdot(psi, p.apply(psi)).real
-        est = hadamard_estimate(psi, p.apply, shots=200_000, rng=rng)
-        assert abs(est - want) < 0.02
+def _solver_instances():
+    """The YES and NO instances of the exact-mode solver tests below."""
+    rng = np.random.default_rng(12)
+    yes = [random_pauli_psgi_instance(n, THRESHOLDS, "yes", rng)
+           for n in (1, 2) for _ in range(10)]
+    rng = np.random.default_rng(13)
+    no = [random_pauli_psgi_instance(2, THRESHOLDS, "no", rng) for _ in range(10)]
+    return yes + no
 
 
 class TestQuantumSolver:
@@ -280,11 +257,36 @@ class TestQuantumSolver:
         verdict = pauli_psgi_quantum(inst, seed=0, shot_mode=True, shots=8192)
         assert verdict.decision == "YES"
 
-    def test_qubit_guard(self):
-        rng = np.random.default_rng(16)
-        inst = random_pauli_psgi_instance(2, THRESHOLDS, "yes", rng)
+    def test_shot_mode_matches_exact_mode(self):
+        # 200,000 shots put every label's estimate within ~0.01 of exact
+        for trial, inst in enumerate(_solver_instances()):
+            exact = pauli_psgi_quantum(inst, seed=trial)
+            shot = pauli_psgi_quantum(inst, seed=trial, shot_mode=True, shots=200_000)
+            assert (shot.decision, shot.witness) == (exact.decision, exact.witness)
+
+    @pytest.mark.parametrize("make", [lambda: clifford_group(1), lambda: z2k_group(1),
+                                      lambda: cyclic_group(2, "shift")],
+                             ids=["clifford1", "z2k1", "cyclic2"])
+    def test_non_pauli_group_refused(self, make):
+        psi = random_state(1, np.random.default_rng(16))
         with pytest.raises(PsgiError):
-            pauli_psgi_quantum(inst, m=8)
+            pauli_psgi_quantum(PsgiInstance(psi, psi, make(), THRESHOLDS))
+
+    def test_counts_repeat_and_leave_verdicts_unchanged(self):
+        insts = _solver_instances()[::4]
+        plain = [pauli_psgi_quantum(inst, seed=i) for i, inst in enumerate(insts)]
+        counts = []
+        for _ in range(2):
+            with obs.recording() as rec:
+                traced = [pauli_psgi_quantum(inst, seed=i) for i, inst in enumerate(insts)]
+            assert traced == plain
+            counts.append(rec.counts)
+        assert counts[0] == counts[1]
+        # six characters per label bit; a YES instance's kernel holds the
+        # witness label at both signs s
+        assert counts[0]["psgi.characters_sampled"] == sum(
+            6 * (2 * inst.psi1.n_qubits + 2) for inst in insts)
+        assert counts[0]["psgi.kernel_labels"] >= 2 * sum(v.decision == "YES" for v in plain)
 
 
 class TestStateHspReduction:
@@ -332,6 +334,17 @@ class TestInstanceGeneration:
             v = psgi_oracle(inst)
             assert v.decision == "YES"
             assert abs(v.achieved_overlap - 1) < 1e-10
+
+    @pytest.mark.parametrize("make", [lambda: clifford_group(2), lambda: z2k_group(2),
+                                      lambda: cyclic_group(4, "shift")],
+                             ids=["clifford2", "z2k2", "cyclic4"])
+    def test_yes_instances_planted_in_any_group(self, make):
+        rep = make()
+        inst = random_pauli_psgi_instance(2, THRESHOLDS, "yes", np.random.default_rng(24),
+                                          rep=rep)
+        v = psgi_oracle(inst)
+        assert v.decision == "YES"
+        assert abs(v.achieved_overlap - 1) < 1e-10
 
     def test_no_instances_verified(self):
         rng = np.random.default_rng(21)
