@@ -441,7 +441,8 @@ def reduce_qsd_mixedhsp(sigma1, sigma2, group, n_qubits, h_index, out):
 
 @cmd_reduce.command("psgi-statehsp")
 @click.argument("instance", type=str)
-@click.option("--copies", type=int, default=1, show_default=True)
+@click.option("--copies", type=int, default=1, show_default=True,
+              callback=_at_least_one)
 @click.option("--out", default="")
 def reduce_psgi_statehsp(instance, copies, out):
     ExperimentConfig("reduce psgi-statehsp", [instance], out).announce()

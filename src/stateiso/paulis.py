@@ -12,12 +12,15 @@ is carried.  A ``CliffordElement`` is a batch of one row.  ``compose`` and
 ``inverse`` run on the rows (Aaronson-Gottesman, PRA 70, 052328, 2004).
 ``random_clifford_batch`` and ``clifford_batches`` draw and enumerate
 Cliffords in the Koenig-Smolin order (J. Math. Phys. 55, 122202, 2014);
-``batch_r_overlap_sq``, ``batch_overlaps`` and ``batch_unitaries`` score
-and apply them.  The action factors every Clifford as C = F1 H_S F2 with
-F1, F2 Hadamard-free (Bravyi-Maslov), found by GF(2) elimination over the
-packed masks of a whole block, so C|psi> costs two phase-permutations and
-one Hadamard layer, O(n 2^n), and every amplitude of C is an exact quarter
-phase over sqrt(2^|S|).  Blocks hold as many Cliffords as keep each
+enumeration runs to n = 3 (92,897,280 elements).  ``batch_r_overlap_sq``,
+``batch_overlaps`` and ``batch_unitaries`` score and apply them.  The 4^n
+sign bits of a Clifford multiply it by a Pauli, so
+``sign_factored_r_overlap_sq`` scores all sign patterns of a symplectic
+element from one set of per-string |R> terms.  The action factors every
+Clifford as C = F1 H_S F2 with F1, F2 Hadamard-free (Bravyi-Maslov), found
+by GF(2) elimination over the packed masks of a whole block, so C|psi>
+costs two phase-permutations and one Hadamard layer, O(n 2^n), and every
+amplitude of C is an exact quarter phase over sqrt(2^|S|).  Blocks hold as many Cliffords as keep each
 intermediate array within ``_BLOCK_ENTRIES`` entries.  Phase convention:
 the first nonzero amplitude of C|0^n> is real positive.
 """
@@ -637,23 +640,40 @@ def _transvections_from_e1(f):
     low = (f & -f).astype(float)
     bit = (np.frexp(low)[1] - 1) & ~1
     z = 2 | (np.where((f >> bit) & 3 == 2, 1, 2) << bit)
-    cases = [f == 1, (f & 2) != 0, (f & 3) == 1]
-    return (np.select(cases, [0, f ^ 1, 2], 1 ^ z),
-            np.select(cases, [0, 0, f ^ 3], f ^ z))
+    # by the qubit-0 pair of f: with Z_0, (f ^ 1, 0); with X_0 alone,
+    # (2, f ^ 3), which at f = e1 is T_2 T_2, the identity; with neither,
+    # (1 ^ z, f ^ z)
+    has_z, has_x = f & 2 != 0, f & 1 != 0
+    return (np.where(has_z, f ^ 1, np.where(has_x, 2, 1 ^ z)),
+            np.where(has_z, 0, np.where(has_x, f ^ 3, f ^ z)))
+
+
+def _index_digits(indices, n: int) -> np.ndarray:
+    """(B, n, 2) Koenig-Smolin digits (f1 + 1, bits) of each index, outermost
+    level first: from numpy divmod while every index fits in int64 (n <= 5),
+    else from Python divmod."""
+    radices = [((1 << (2 * m)) - 1, 1 << (2 * m - 1)) for m in range(n, 0, -1)]
+    if n > 5:
+        digits = []
+        for i in indices:
+            for s, t in radices:
+                i, f1 = divmod(i, s)
+                i, bits = divmod(i, t)
+                digits += (f1 + 1, bits)
+        return np.array(digits, dtype=np.int64).reshape(-1, n, 2)
+    i = np.asarray(indices, dtype=np.int64)
+    digits = np.empty((len(i), n, 2), dtype=np.int64)
+    for level, (s, t) in enumerate(radices):
+        i, f1 = np.divmod(i, s)
+        i, digits[:, level, 1] = np.divmod(i, t)
+        digits[:, level, 0] = f1 + 1
+    return digits
 
 
 def _symplectic_rows(indices, n: int) -> np.ndarray:
     """(B, 2n) packed rows of the elements of Sp(2n, F2) with the given
-    Koenig-Smolin indices.  The per-level digits come from Python divmod (an
-    index exceeds int64 at n >= 6); the transvections run over the batch."""
-    radices = [((1 << (2 * m)) - 1, 1 << (2 * m - 1)) for m in range(n, 0, -1)]
-    digits = []
-    for i in indices:
-        for s, t in radices:
-            i, f1 = divmod(i, s)
-            i, bits = divmod(i, t)
-            digits += (f1 + 1, bits)
-    digits = np.array(digits, dtype=np.int64).reshape(-1, n, 2)
+    Koenig-Smolin indices; the transvections run over the batch."""
+    digits = _index_digits(indices, n)
     rows = np.zeros((len(digits), 0), dtype=np.int64)
     # the innermost level acts on the last qubit; each outer level shifts the
     # rows up by one qubit, prepends X_0 and Z_0 (packed 1 and 2) and
@@ -679,33 +699,36 @@ def _rows_to_batch(rows: np.ndarray, signs: np.ndarray, n: int) -> CliffordBatch
     return CliffordBatch(n, ph, x, z)
 
 
-def _batch_range(n: int, lo: int, hi: int) -> CliffordBatch:
-    """Elements lo..hi-1 of the enumeration order, where element e has the
-    symplectic index e >> 2n and the sign bits e mod 4^n."""
+def clifford_elements(n: int, elements: np.ndarray) -> CliffordBatch:
+    """The Cliffords at the given positions of the enumeration order, where
+    element e has the symplectic index e >> 2n and the sign bits e mod 4^n;
+    each symplectic row is built once."""
     k = 2 * n
-    first = lo >> k
-    rows = _symplectic_rows(range(first, ((hi - 1) >> k) + 1), n)
-    e = np.arange(lo, hi)
-    return _rows_to_batch(rows[(e >> k) - first], e & ((1 << k) - 1), n)
+    indices, at = np.unique(elements >> k, return_inverse=True)
+    return _rows_to_batch(_symplectic_rows(indices, n)[at], elements & ((1 << k) - 1), n)
 
 
-def clifford_batches(n: int, size: int, allow_large: bool = False) -> Iterator[CliffordBatch]:
+def _check_enumerable(n: int) -> None:
+    if n > 3:
+        raise PauliError(f"enumeration supported for n <= 3; the {n}-qubit Clifford "
+                         f"group has {clifford_group_order(n):.2e} elements")
+
+
+def clifford_batches(n: int, size: int) -> Iterator[CliffordBatch]:
     """The elements of ``enumerate_cliffords``, in its order, as batches of
-    at most ``size`` rows."""
-    if n > 3 or (n == 3 and not allow_large):
-        raise PauliError("enumeration supported for n <= 2 (n = 3 behind allow_large)")
+    at most ``size`` rows; n <= 3."""
+    _check_enumerable(n)
     total = clifford_group_order(n)
     for lo in range(0, total, size):
-        yield _batch_range(n, lo, min(lo + size, total))
+        yield clifford_elements(n, np.arange(lo, min(lo + size, total)))
 
 
-def enumerate_cliffords(n: int, allow_large: bool = False) -> Iterator[CliffordElement]:
-    """Every Clifford modulo global phase, exactly once.
+def enumerate_cliffords(n: int) -> Iterator[CliffordElement]:
+    """Every Clifford modulo global phase, exactly once, for n <= 3.
 
-    Counts: 24 at n=1, 11520 at n=2.  n=3 (about 9.3e7 elements) must be
-    explicitly enabled with ``allow_large``.
+    Counts: 24 at n=1, 11,520 at n=2 and 92,897,280 at n=3.
     """
-    for batch in clifford_batches(n, 1 << 10, allow_large):
+    for batch in clifford_batches(n, 1 << 10):
         yield from (batch.row(b) for b in range(len(batch.ph)))
 
 
@@ -838,23 +861,46 @@ def r_overlap_sq(c: CliffordElement) -> float:
     return float(batch_r_overlap_sq(c)[0])
 
 
-def batch_r_overlap_sq(batch: CliffordBatch) -> np.ndarray:
-    """|<R^n| C_b |R^n>|^2 for every row b, from the Pauli coefficient expansion.
+def _pauli_strings(n: int):
+    """(coef, masks) of the 3^n strings P over {I, X, Y}, the letter on qubit q
+    the base-3 digit q of P: coef[P] = cos(pi/8)^{#X} sin(pi/8)^{#Y} / 2^n, and
+    masks[P] has bit q for an X_q or Y_q and bit n + q for a Y_q, the
+    generators X_q and Z_q whose images make the image of P."""
+    coef, masks = np.full(1, 1.0 / (1 << n)), np.zeros(1, dtype=np.int64)
+    for q in range(n):
+        coef = np.concatenate((coef, COS8 * coef, SIN8 * coef))
+        masks = np.concatenate((masks, masks | 1 << q, masks | (1 << q | 1 << (n + q))))
+    return coef, masks
 
-    Uses |R><R| = (I + cos(pi/8) X + sin(pi/8) Y)/2 per qubit, so only the
-    3^n strings P over {I, X, Y} contribute, each with its coefficient times
-    <R^n|C P C^dag|R^n>; the conjugated strings are built one qubit at a
-    time as (B, 3^k) arrays with exact phases mod 4; tables over the
+
+def r_overlap_bytes(rows: int, n: int) -> int:
+    """Peak bytes of ``batch_r_overlap_terms`` on ``rows`` Cliffords: the
+    phase, x, z and term tables and two byte-sized tables of counts or
+    masks, all (rows, 3^n), the coefficient and mask vectors, and 64 KiB
+    for numpy's casting buffers and the small arrays."""
+    return (34 * rows + 16) * 3 ** n + (1 << 16)
+
+
+# the sign of <R^n|P|R^n> by 4 [P has a Z] + the phase of P = i^phase X..Y..
+_SIGNS = np.array([1.0, 0.0, -1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+
+
+def batch_r_overlap_terms(batch: CliffordBatch):
+    """(terms, masks): terms[b, P] = coef[P] <R^n|C_b P C_b^dag|R^n> over the
+    3^n strings P of ``_pauli_strings``, so that |<R^n|C_b|R^n>|^2 is the sum
+    of row b, by |R><R| = (I + cos(pi/8) X + sin(pi/8) Y)/2 per qubit.
+
+    Flipping the signs s (bit j for generator j) of C_b's images multiplies
+    terms[b, P] by (-1)^{|s & masks[P]|}.  The conjugated strings are built
+    one qubit at a time with exact phases mod 4; tables over the
     ``_DENSE_BUDGET`` byte budget raise PauliError."""
     n, ph, x, z = batch
-    # the phase, x and z tables of the 3^n strings of every row, as many
-    # temporaries of their size in the last step, and coef
-    cost = (6 * len(ph) + 1) * ph.itemsize * 3 ** n
+    cost = r_overlap_bytes(len(ph), n)
     if cost > _DENSE_BUDGET:
         raise PauliError(f"the |R> overlap of {len(ph)} {n}-qubit Cliffords takes "
                          f"{cost >> 20} MiB, over the {_DENSE_BUDGET >> 20} MiB budget")
+    coef, masks = _pauli_strings(n)
     ps = xs = zs = np.zeros((len(ph), 1), dtype=np.int64)
-    coef = np.ones(1)
     for q in range(n):
         # the images of X_q and of Y_q = i X_q Z_q
         px, xx, zx = ph[:, q, None], x[:, q, None], z[:, q, None]
@@ -865,10 +911,55 @@ def batch_r_overlap_sq(batch: CliffordBatch) -> np.ndarray:
                         (ps + py + 2 * _parity(zs & (xx ^ xz), n)) & 3))
         xs = np.hstack((xs, xs ^ xx, xs ^ xx ^ xz))
         zs = np.hstack((zs, zs ^ zx, zs ^ zx ^ zz))
-        coef = np.concatenate((coef, COS8 * coef, SIN8 * coef))
-    # <R^n|P|R^n> = s 0^{#Z} cos(pi/8)^{#X} sin(pi/8)^{#Y} for P = s X..Y..
-    ny = _popcount(xs & zs, n)
-    sign = 1 - ((ps + 3 * ny) & 3)      # phase 0 or 2 on every string without Z
-    val = coef * sign * COS8 ** (_popcount(xs, n) - ny) * SIN8 ** ny
-    obs.count("paulis.cliffords_scored", len(ph))
-    return np.where((zs & ~xs) == 0, val, 0.0).sum(axis=1) / (1 << n)
+    # <R^n|P|R^n> = s 0^{#Z} cos(pi/8)^{#X} sin(pi/8)^{#Y} for P = s X..Y..,
+    # where the phase ps + 3 #Y is 0 or 2 on every string without Z.  The
+    # terms' array first holds the Y parts; each spent table then holds a
+    # count, a sign index or a factor, so no other table-sized array is made
+    terms = np.empty(ps.shape)
+    ys = terms.view(np.int64)
+    np.bitwise_and(xs, zs, out=ys)
+    xs ^= ys
+    zs ^= ys
+    nx = _popcount(xs, n)
+    np.copyto(xs, _popcount(ys, n))             # xs: #Y
+    ps -= xs                                    # ps + 3 #Y mod 4
+    ps &= 3
+    np.minimum(zs, 1, out=zs)
+    zs <<= 2
+    ps |= zs                                    # ps: 4 [Z] + phase
+    np.take(_SIGNS, ps, out=terms, mode="clip")
+    terms *= coef
+    np.copyto(zs, nx)                           # zs: #X
+    work = ps.view(np.float64)
+    for base, count in ((COS8, zs), (SIN8, xs)):
+        np.take(base ** np.arange(n + 1), count, out=work, mode="clip")
+        terms *= work
+    return terms, masks
+
+
+def batch_r_overlap_sq(batch: CliffordBatch) -> np.ndarray:
+    """|<R^n| C_b |R^n>|^2 for every row b: the row sums of
+    ``batch_r_overlap_terms``."""
+    obs.count("paulis.cliffords_scored", len(batch.ph))
+    return batch_r_overlap_terms(batch)[0].sum(axis=1)
+
+
+@functools.cache
+def _sign_matrix(n: int) -> np.ndarray:
+    """S[s, P] = (-1)^{|s & masks[P]|}, (4^n, 3^n), read-only."""
+    s = 1.0 - 2.0 * _parity(np.arange(1 << 2 * n)[:, None] & _pauli_strings(n)[1], 2 * n)
+    s.setflags(write=False)
+    return s
+
+
+def sign_factored_r_overlap_sq(n: int, indices: np.ndarray) -> np.ndarray:
+    """|<R^n| C |R^n>|^2 of all 4^n sign patterns of the symplectic elements
+    with the given Koenig-Smolin indices, shape (len(indices), 4^n): column
+    s of row r scores the element indices[r] << 2n | s of the enumeration.
+    The sign bits multiply C by a Pauli, so one terms kernel at sign 0 and
+    one product with the fixed sign matrix score every pattern; n <= 3."""
+    _check_enumerable(n)
+    rows = _symplectic_rows(indices, n)
+    terms, _ = batch_r_overlap_terms(_rows_to_batch(rows, np.zeros(len(rows), np.int64), n))
+    obs.count("paulis.cliffords_scored", len(rows) << 2 * n)
+    return terms @ _sign_matrix(n).T

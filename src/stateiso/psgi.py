@@ -8,6 +8,7 @@ Pauli labels (x, z, s) plus the dihedral bit a, acting on
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -16,7 +17,7 @@ import numpy as np
 from . import obs
 from .linalg import StateVector
 from .groups import DecisionThresholds, FiniteGroupRep, dihedralize
-from .paulis import PauliOp, pauli_table, walsh_hadamard
+from .paulis import _DENSE_BUDGET, PauliOp, pauli_table, walsh_hadamard
 
 DEFAULT_SAMPLE_CONSTANT = 6
 DEFAULT_COPIES = 2
@@ -153,7 +154,15 @@ def psgi_to_statehsp(inst: PsgiInstance, m: int = 1):
     Returns (|Phi>, dihedralized rep, bounds dict).  |Phi> is the m-fold
     tensor power of (|0>|psi1> + |1>|psi2>)/sqrt(2); the odd-element
     overlap satisfies <Phi|R'(h,1)^{x m}|Phi> = (Re<psi1|R(h)|psi2>)^m.
+    m < 1, or an |Phi> over the ``_DENSE_BUDGET`` byte budget, raises
+    PsgiError before anything is built.
     """
+    if m < 1:
+        raise PsgiError(f"the reduction needs at least one copy, got m={m}")
+    width = 2 * len(inst.psi1.amplitudes)           # amplitudes of one copy
+    if m * math.log2(width) > math.log2(_DENSE_BUDGET / 16):
+        raise PsgiError(f"{m} copies of |Phi> have {width}^{m} complex amplitudes, over "
+                        f"the {_DENSE_BUDGET >> 20} MiB budget")
     rep = inst.rep
     if not rep.is_abelian():
         raise PsgiError("reduction requires an abelian group")

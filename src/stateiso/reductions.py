@@ -23,8 +23,9 @@ from .graphs import Graph, find_isomorphism
 from .groups import DecisionThresholds, FiniteGroupRep, max_conjugate_fidelity
 from .paulis import (
     CliffordBatch, CliffordElement, batch_block_size, batch_overlaps,
-    batch_r_overlap_sq, clifford_batches, graph_state, qubit_permutation_clifford,
+    batch_r_overlap_sq, clifford_elements, graph_state, qubit_permutation_clifford,
     r_minus_state, r_state, r_state_product, random_clifford_batch,
+    sign_factored_r_overlap_sq, symplectic_group_order,
 )
 from .psgi import PsgiInstance, PsgiVerdict
 
@@ -130,40 +131,46 @@ NONISO_LIBRARY = (
 # Permutation lemma sweeps
 # ----------------------------------------------------------------------
 
+def _above_threshold(n: int, mode: str, samples: int, seed: int, threshold: float):
+    """(checked, batch): how many Cliffords were scored, and those scoring at
+    or above the threshold, in scoring order.  Only those few become rows."""
+    step = batch_block_size(3 ** n)
+    high = []
+    if mode == "exhaustive":
+        # all 4^n sign patterns of a block of symplectic indices at once;
+        # only the positions of high scores are kept
+        order = symplectic_group_order(n)
+        for lo in range(0, order, step):
+            scores = sign_factored_r_overlap_sq(n, np.arange(lo, min(lo + step, order)))
+            high.append((lo << 2 * n) + np.flatnonzero(scores >= threshold))
+        return order << 2 * n, clifford_elements(n, np.concatenate(high))
+    rng = np.random.default_rng(seed)
+    for lo in range(0, samples, step):
+        batch = random_clifford_batch(n, rng, min(step, samples - lo))
+        at = np.flatnonzero(batch_r_overlap_sq(batch) >= threshold)
+        high.append(np.stack([a[at] for a in batch[1:]]))
+    return samples, CliffordBatch(n, *np.concatenate(high, axis=1))
+
+
 def verify_lemma_perm(n: int, mode: str = "exhaustive", samples: int = 0,
                       seed: int = 0,
                       threshold: float = LEMMA_PERM_THRESHOLD) -> dict:
     """Check that every Clifford with |<R^n|C|R^n>|^2 >= threshold is a
-    qubit permutation.  Exhaustive for n <= 2, sampled otherwise."""
+    qubit permutation: over the whole group for n <= 3 (``exhaustive``),
+    or over ``samples`` uniform draws (``sampled``)."""
     if n < 1:
         raise ReductionError(f"n must be >= 1 qubit, got {n}")
+    if mode not in ("exhaustive", "sampled"):
+        raise ReductionError(f"unknown mode {mode!r}")
     if mode == "sampled" and samples < 1:
         raise ReductionError(f"sampled mode needs samples >= 1, got {samples}")
-    step = batch_block_size(3 ** n)
-    if mode == "exhaustive":
-        batches = clifford_batches(n, step)
-    elif mode == "sampled":
-        rng = np.random.default_rng(seed)
-        batches = (random_clifford_batch(n, rng, min(step, samples - lo))
-                   for lo in range(0, samples, step))
-    else:
-        raise ReductionError(f"unknown mode {mode!r}")
-    checked = above = perms = 0
-    violations = []
-    for batch in batches:
-        scores = batch_r_overlap_sq(batch)
-        checked += len(scores)
-        # only the few rows at or above the threshold are checked, and only
-        # the violations become elements
-        high = np.flatnonzero(scores >= threshold)
-        perm = CliffordBatch(n, *(a[high] for a in batch[1:])).permutation_mask()
-        above += len(high)
-        perms += int(perm.sum())
-        violations += [batch.row(b).key() for b in high[~perm]]
+    checked, high = _above_threshold(n, mode, samples, seed, threshold)
+    perm = high.permutation_mask()
+    above, perms = len(perm), int(perm.sum())
     return {
         "n": n, "mode": mode, "checked": checked, "threshold": threshold,
         "above_threshold": above, "permutations": perms,
-        "violations": violations,
+        "violations": [high.row(b).key() for b in np.flatnonzero(~perm)],
         "fraction_permutations": (perms / above) if above else 1.0,
     }
 

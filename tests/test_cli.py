@@ -164,6 +164,13 @@ class TestVerifyCommands:
         assert isinstance(res.exception, SystemExit)
         assert "budget" in res.output and "Traceback" not in res.output
 
+    def test_lemma_perm_n4_is_config_error(self, runner):
+        # the 4-qubit group has 1.2e13 elements: refused, not enumerated
+        res = runner.invoke(main, ["verify", "lemma-perm", "--n", "4"])
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        assert "n <= 3" in res.output and "Traceback" not in res.output
+
     def test_twirl_bound(self, runner):
         res = runner.invoke(main, ["verify", "twirl-bound", "--instances", "20"])
         assert res.exit_code == 0
@@ -296,6 +303,14 @@ def _malformed_inputs(runner, tmp_path):
                                     "psi2": state, "group": group,
                                     "alpha": 0.6, "beta": 0.99}))
         bad_groups[f"psgi-bundle-group-{case}"] = ["psgi", "--instance", str(path)]
+    cyclic = tmp_path / "cyclic.json"
+    cyclic.write_text(json.dumps({"version": 1, "type": "psgi", "psi1": state, "psi2": state,
+                                  "group": {"type": "cyclic", "N": 2, "rep": "shift"},
+                                  "alpha": 0.6, "beta": 0.99}))
+    # 30 copies of |Phi> would take 16 EiB: refused before the tensor power
+    statehsp = {f"reduce-psgi-statehsp-{case}-copies":
+                ["reduce", "psgi-statehsp", str(cyclic), "--copies", copies]
+                for case, copies in (("zero", "0"), ("negative", "-1"), ("thirty", "30"))}
     bad_states = {}
     for case, psi1 in (("amplitudes-number", {"n_qubits": 1, "amplitudes": 5}),
                        ("n-qubits-string", {"n_qubits": "one", "amplitudes": state["amplitudes"]}),
@@ -309,6 +324,7 @@ def _malformed_inputs(runner, tmp_path):
         **bad_groups,
         **bad_states,
         **bad_cores,
+        **statehsp,
         "psgi-bundle-without-psi1": ["psgi", "--instance", str(no_psi1)],
         "psgi-bundle-json-list": ["psgi", "--instance", str(as_list)],
         "psgi-bundle-json-string": ["psgi", "--instance", str(as_string)],
@@ -363,6 +379,9 @@ class TestConfigErrorBoundary:
         "bosonic-optimize-core-inf-amplitude",
         "bosonic-optimize-core-amplitudes-number",
         "verify-trace-transfer-zero-qubits",
+        "reduce-psgi-statehsp-zero-copies",
+        "reduce-psgi-statehsp-negative-copies",
+        "reduce-psgi-statehsp-thirty-copies",
     ])
     def test_malformed_input_exits_two(self, runner, tmp_path, case):
         args = _malformed_inputs(runner, tmp_path)[case]

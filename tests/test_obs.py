@@ -35,6 +35,14 @@ def test_counts_repeat_under_a_seed():
     assert first.spans["reductions.clifford_overlap_sweep"][0] == 1
 
 
+def test_exhaustive_lemma_counts_every_element():
+    # the sign-factored lemma scores each symplectic element once for its
+    # 4^n sign patterns, and counts them all
+    with obs.recording() as rec:
+        verify_lemma_perm(2)
+    assert rec.counts == {"paulis.cliffords_scored": 11520}
+
+
 def test_outputs_same_with_counting_on_and_off():
     off = _work()
     with obs.recording():

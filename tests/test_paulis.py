@@ -1,4 +1,5 @@
 import hashlib
+import math
 import tracemalloc
 
 import numpy as np
@@ -15,8 +16,10 @@ from stateiso.paulis import (
     PauliOp,
     batch_overlaps,
     batch_r_overlap_sq,
+    batch_r_overlap_terms,
     batch_unitaries,
     clifford_batches,
+    clifford_elements,
     clifford_group_order,
     enumerate_cliffords,
     graph_stabilizer,
@@ -30,6 +33,8 @@ from stateiso.paulis import (
     r_state_product,
     random_clifford,
     random_clifford_batch,
+    r_overlap_bytes,
+    sign_factored_r_overlap_sq,
     symplectic_group_order,
     walsh_hadamard,
 )
@@ -511,6 +516,66 @@ class TestBatchedKernel:
         chi2 = float(((hits - 1000.0) ** 2 / 1000.0).sum())
         assert chi2 < 49.73
 
+    def test_uniform_over_the_two_qubit_group(self):
+        # 115,200 draws, 10 expected in each of the 11,520 bins; the draws
+        # are matched to enumeration indices by their packed (ph, x, z) rows
+        # and the chi-square p-value with 11,519 degrees of freedom comes
+        # from the Wilson-Hilferty normal approximation
+        def packed(batch):
+            return ((batch.ph << 4 | batch.x << 2 | batch.z)
+                    << 6 * np.arange(4)).sum(axis=1)
+
+        table = packed(next(clifford_batches(2, clifford_group_order(2))))
+        order = np.argsort(table)
+        drawn = packed(random_clifford_batch(2, np.random.default_rng(2025), 115_200))
+        at = np.searchsorted(table, drawn, sorter=order)
+        assert np.array_equal(table[order[at]], drawn)
+        hits = np.bincount(order[at], minlength=11520)
+        chi2, df = float(((hits - 10.0) ** 2 / 10.0).sum()), 11519
+        z = ((chi2 / df) ** (1 / 3) - (1 - 2 / (9 * df))) / math.sqrt(2 / (9 * df))
+        assert 0.5 * math.erfc(z / math.sqrt(2)) > 1e-3
+
+    def test_sign_factored_matches_kernel(self):
+        # every element at n = 1 and 2; at n = 3 every 997th symplectic
+        # element with all 64 sign patterns
+        for n, step in ((1, 1), (2, 1), (3, 997)):
+            k = 2 * n
+            indices = np.arange(0, symplectic_group_order(n), step)
+            got = sign_factored_r_overlap_sq(n, indices)
+            assert got.shape == (len(indices), 1 << k)
+            elements = (indices[:, None] << k | np.arange(1 << k)).ravel()
+            want = batch_r_overlap_sq(clifford_elements(n, elements))
+            assert np.abs(got.ravel() - want).max() <= 1e-15
+
+    def test_overlap_terms_peak_within_estimate(self):
+        # the kernel's measured peak at n = 10 on one Clifford is what its
+        # byte budget assumes, within a factor of two
+        batch = random_clifford_batch(10, np.random.default_rng(5), 1)
+        tracemalloc.start()
+        try:
+            terms, _ = batch_r_overlap_terms(batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert terms.shape == (1, 3 ** 10)
+        assert r_overlap_bytes(1, 10) / 2 <= peak <= r_overlap_bytes(1, 10)
+
+    def test_index_digits_match_python_divmod(self):
+        # the int64 digits at n <= 5 against the Python-int loop, on indices
+        # up to the last one of each group
+        from stateiso.paulis import _index_digits
+        rng = np.random.default_rng(8)
+        for n in range(1, 6):
+            order = symplectic_group_order(n)
+            indices = [0, 1, order - 1] + [int(i) for i in rng.integers(order, size=50)]
+            want = []
+            for i in indices:
+                for m in range(n, 0, -1):
+                    i, f1 = divmod(i, (1 << 2 * m) - 1)
+                    i, bits = divmod(i, 1 << 2 * m - 1)
+                    want += (f1 + 1, bits)
+            assert _index_digits(indices, n).ravel().tolist() == want
+
 
 class TestGraphStates:
     def test_graph_state_is_stabilized(self):
@@ -559,4 +624,4 @@ class TestValidation:
 
     def test_enumerate_large_gated(self):
         with pytest.raises(PauliError):
-            list(enumerate_cliffords(3))
+            list(enumerate_cliffords(4))

@@ -317,6 +317,22 @@ class TestStateHspReduction:
                                rep.unitary(h) @ psi2.amplitudes).real ** m
                 assert abs(got - want) < 1e-10
 
+    @pytest.mark.parametrize("m", [0, -1, 30, 10**9])
+    def test_copies_refused_before_building(self, m):
+        # no copies is no state; 30 copies of a 2-qubit |Phi> would take 16 EiB,
+        # and the check itself builds no 2^m-sized number
+        rng = np.random.default_rng(20)
+        psi = random_state(1, rng)
+        inst = PsgiInstance(psi, psi, cyclic_group(2, "shift"), THRESHOLDS)
+        tracemalloc.start()
+        try:
+            with pytest.raises(PsgiError, match="copy|copies"):
+                psgi_to_statehsp(inst, m=m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_bounds_shape(self):
         rng = np.random.default_rng(19)
         psi = random_state(1, rng)

@@ -145,6 +145,26 @@ class TestLemmaPerm:
         assert report["violations"] == []
         assert report["above_threshold"] == report["permutations"] == 1
 
+    def test_exhaustive_n2_pinned(self):
+        assert verify_lemma_perm(2) == {
+            "n": 2, "mode": "exhaustive", "checked": 11520, "threshold": 0.9999,
+            "above_threshold": 2, "permutations": 2, "violations": [],
+            "fraction_permutations": 1.0,
+        }
+
+    def test_exhaustive_n3(self):
+        # all 92,897,280 elements, 4^3 sign patterns of each symplectic
+        # element at once; the six above threshold are the qubit permutations
+        report = verify_lemma_perm(3)
+        assert report["checked"] == 92_897_280
+        assert report["above_threshold"] == report["permutations"] == 6
+        assert report["violations"] == []
+
+    def test_exhaustive_n4_refused(self):
+        from stateiso.paulis import PauliError
+        with pytest.raises(PauliError, match="n <= 3"):
+            verify_lemma_perm(4)
+
     def test_sampled_n2_no_violations(self):
         report = verify_lemma_perm(2, mode="sampled", samples=5000, seed=0)
         assert report["violations"] == []
