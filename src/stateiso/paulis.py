@@ -12,17 +12,14 @@ is carried.  A ``CliffordElement`` is a batch of one row.  ``compose`` and
 ``inverse`` run on the rows (Aaronson-Gottesman, PRA 70, 052328, 2004).
 ``random_clifford_batch`` and ``clifford_batches`` draw and enumerate
 Cliffords in the Koenig-Smolin order (J. Math. Phys. 55, 122202, 2014);
-enumeration runs to n = 3 (92,897,280 elements).  ``batch_r_overlap_sq``,
-``batch_overlaps`` and ``batch_unitaries`` score and apply them.  The 4^n
-sign bits of a Clifford multiply it by a Pauli, so
-``sign_factored_r_overlap_sq`` scores all sign patterns of a symplectic
-element from one set of per-string |R> terms.  The action factors every
-Clifford as C = F1 H_S F2 with F1, F2 Hadamard-free (Bravyi-Maslov), found
-by GF(2) elimination over the packed masks of a whole block, so C|psi>
-costs two phase-permutations and one Hadamard layer, O(n 2^n), and every
-amplitude of C is an exact quarter phase over sqrt(2^|S|).  Blocks hold as many Cliffords as keep each
-intermediate array within ``_BLOCK_ENTRIES`` entries.  Phase convention:
-the first nonzero amplitude of C|0^n> is real positive.
+enumeration runs to n = 3 (92,897,280 elements).  ``batch_r_overlap_sq``
+scores them against |R^n>; the 4^n sign bits of a Clifford multiply it by a
+Pauli, so ``sign_factored_r_overlap_sq`` scores all sign patterns of a
+symplectic element from one set of per-string |R> terms.  ``batch_apply``
+is the action C_b|a_c>, O(n 2^n) a column by the factoring C = F1 H_S F2 of
+the kernel section; the element methods and ``batch_unitaries`` call it, and
+``batch_overlaps`` is the overlap contraction <F1^dag psi1| H_S |F2 psi2>.
+Phase convention: the first nonzero amplitude of C|0^n> is real positive.
 """
 from __future__ import annotations
 
@@ -354,20 +351,11 @@ class CliffordElement(CliffordBatch):
     # -- dense action ---------------------------------------------------
     def stabilized_state(self) -> np.ndarray:
         """C|0^n> as a dense vector with canonical phase."""
-        return self.apply(StateVector(self.n, np.eye(1, 1 << self.n, dtype=complex)[0])).amplitudes
+        return batch_apply(self, np.eye(1 << self.n, 1, dtype=complex))[0, :, 0]
 
     def apply(self, psi: StateVector) -> StateVector:
-        """C|psi> = F1 H_S F2 |psi> under the canonical phase convention, in
-        O(n 2^n): a phase-scatter, one Hadamard layer, a phase-scatter."""
-        if psi.n_qubits != self.n:
-            raise PauliError("size mismatch")
-        f = _factor(self)
-        v = np.zeros((1 << self.n, 1), dtype=complex)
-        v[f.pi[:, 0], 0] = _PHASES.take(f.a[:, 0]) * psi.amplitudes
-        v = _hadamard(v, f.s, self.n)[:, 0] / np.sqrt(1 << f.h[0])
-        out = np.empty_like(v)
-        out[f.idx[:, 0]] = _PHASES.take(f.phi[:, 0]) * v
-        return StateVector(self.n, out)
+        """C|psi> under the canonical phase convention, by ``batch_apply``."""
+        return StateVector(self.n, batch_apply(self, psi.amplitudes[:, None])[0, :, 0])
 
     def to_unitary(self) -> UnitaryMatrix:
         """C as a dense matrix under the canonical phase convention; a
@@ -398,7 +386,7 @@ class CliffordElement(CliffordBatch):
 
 _PHASES = np.array(_PHASE)
 _BLOCK_ENTRIES = 1 << 14     # entries of one intermediate kernel array
-_DENSE_BUDGET = 1 << 28      # bytes allowed for one d x d unitary or one block's |R> tables
+_DENSE_BUDGET = 1 << 28      # bytes allowed for one stack of unitaries or one block's |R> tables
 
 
 def batch_block_size(entries: int) -> int:
@@ -536,29 +524,44 @@ def _blocks(batch: CliffordBatch):
 def _hadamard(v: np.ndarray, s: np.ndarray, n: int) -> np.ndarray:
     """Unnormalized H, in place, on the qubits of the index mask s[b] of
     column b of v (shape (d, B)): one butterfly per index bit in some S."""
+    some, every = np.bitwise_or.reduce(s), np.bitwise_and.reduce(s)
     for t in range(n):
-        on = (s >> t) & 1 != 0
-        if on.any():
+        if some >> t & 1:
             w = v.reshape(-1, 2, 1 << t, v.shape[1])
             lo, hi = w[:, 0], w[:, 1]
-            plus, minus = lo + hi, lo - hi
-            np.copyto(lo, plus, where=on)
-            np.copyto(hi, minus, where=on)
+            minus = lo - hi
+            if every >> t & 1:
+                lo += hi
+                hi[...] = minus
+            else:
+                on = (s >> t) & 1 != 0
+                np.copyto(lo, lo + hi, where=on)
+                np.copyto(hi, minus, where=on)
     return v
 
 
-def _columns(f: _Factors, cols) -> np.ndarray:
-    """Entry [b, z, c] holds <idx[z, b]|C_b|cols[c]> under the canonical
-    phase, built exactly as i^k / sqrt(2^h); ``cols`` is an index array or
-    a slice."""
-    n = len(f.idx).bit_length() - 1
-    zs = np.arange(1 << n)[:, None]
-    pi, s = f.pi[cols].T[:, None, :], f.s[:, None, None]
-    k = f.phi.T[:, :, None] + f.a[cols].T[:, None, :] + 2 * _parity(zs & pi & s, n)
-    # each row's four amplitudes i^k / sqrt(2^h), and a zero (k = 4) off its support
-    amps = np.hstack((_PHASES / np.sqrt(1 << f.h)[:, None], np.zeros((len(f.h), 1))))
-    k = np.where((zs ^ pi) & ~s == 0, k & 3, 4)
-    return amps[np.arange(len(f.h))[:, None, None], k]
+def batch_apply(batch: CliffordBatch, amps: np.ndarray) -> np.ndarray:
+    """C_b|a_c> for every row b and column c of ``amps`` (shape (d, k)), shape
+    (B, d, k), under the canonical phase convention: a phase-scatter through
+    F2, one Hadamard layer and a phase-scatter through F1, on sub-blocks of
+    rows whose (d, B', k) arrays keep within ``_BLOCK_ENTRIES``, or of one row."""
+    n = batch.n
+    d, k = amps.shape
+    if d != 1 << n:
+        raise PauliError("size mismatch")
+    out = np.empty((len(batch.ph), d, k), dtype=complex)
+    step = batch_block_size(d * k)
+    for rows, f in _blocks(batch):
+        for lo in range(0, len(f.s), step):
+            at = slice(lo, lo + step)
+            cols = np.arange(len(f.s[at]))
+            # F2 permutes the rows of every column, so each entry is written
+            v = np.empty((d, len(cols), k), dtype=complex)
+            v[f.pi[:, at], cols] = _PHASES.take(f.a[:, at])[..., None] * amps[:, None]
+            _hadamard(v.reshape(d, -1), np.repeat(f.s[at], k), n)
+            v *= (_PHASES.take(f.phi[:, at]) / np.sqrt(1 << f.h[at]))[..., None]
+            out[rows.start + lo + cols, f.idx[:, at]] = v
+    return out
 
 
 def batch_overlaps(batch: CliffordBatch, psi1: StateVector, psi2: StateVector) -> np.ndarray:
@@ -584,25 +587,16 @@ def batch_overlaps(batch: CliffordBatch, psi1: StateVector, psi2: StateVector) -
 
 def batch_unitaries(batch: CliffordBatch) -> np.ndarray:
     """The dense matrices of every row, shape (B, d, d), under the canonical
-    phase convention; a matrix over the ``_DENSE_BUDGET`` byte budget raises
-    PauliError."""
-    n = batch.n
+    phase convention: ``batch_apply`` on the identity.  A stack over the
+    ``_DENSE_BUDGET`` byte budget raises PauliError."""
+    n, b = batch.n, len(batch.ph)
     d = 1 << n
-    if 16 * d * d > _DENSE_BUDGET:
-        raise PauliError(f"a {n}-qubit unitary takes {16 * d * d >> 20} MiB, over the "
+    if 16 * b * d * d > _DENSE_BUDGET:
+        raise PauliError(f"{b} {n}-qubit unitaries take {16 * b * d * d >> 20} MiB, over the "
                          f"{_DENSE_BUDGET >> 20} MiB budget for dense Clifford matrices")
-    out = np.empty((len(batch.ph), d, d), dtype=complex)
-    cstep = max(1, min(d, _BLOCK_ENTRIES >> n))
-    bstep = batch_block_size(cstep << n)
-    for rows, f in _blocks(batch):
-        for b in range(0, len(f.s), bstep):
-            sub = _Factors(*(t[..., b:b + bstep] for t in f))
-            at = np.arange(rows.start + b, rows.start + b + len(sub.s))[:, None, None]
-            for c in range(0, d, cstep):
-                out[at, sub.idx.T[:, :, None], np.arange(c, min(d, c + cstep))] = \
-                    _columns(sub, slice(c, c + cstep))
-    obs.count("paulis.cliffords_applied", len(batch.ph))
-    obs.count("paulis.action_entries", len(batch.ph) * d * d)
+    out = batch_apply(batch, np.eye(d, dtype=complex))
+    obs.count("paulis.cliffords_applied", b)
+    obs.count("paulis.action_entries", b * d * d)
     return out
 
 
@@ -831,15 +825,20 @@ def graph_stabilizer(g, v: int) -> PauliOp:
     return p
 
 
+def qubit_permutation_batch(perms, n: int) -> CliffordBatch:
+    """The Cliffords sending qubit i to qubit perm[i], one row per perm."""
+    perms = [tuple(perm) for perm in perms]
+    for perm in perms:
+        if sorted(perm) != list(range(n)):
+            raise PauliError(f"not a permutation of range({n}): {perm}")
+    bits = 1 << np.array(perms, dtype=np.int64).reshape(len(perms), n)
+    x = np.hstack((bits, np.zeros_like(bits)))
+    return CliffordBatch(n, np.zeros_like(x), x, np.roll(x, n, axis=1))
+
+
 def qubit_permutation_clifford(perm, n: int) -> CliffordElement:
     """The Clifford sending qubit i to qubit perm[i]."""
-    perm = tuple(perm)
-    if sorted(perm) != list(range(n)):
-        raise PauliError(f"not a permutation of range({n}): {perm}")
-    bits, zero = [1 << q for q in perm], [0] * n
-    return CliffordElement(n, np.zeros((1, 2 * n), dtype=np.int64),
-                           np.array([bits + zero], dtype=np.int64),
-                           np.array([zero + bits], dtype=np.int64))
+    return CliffordElement(*qubit_permutation_batch([perm], n))
 
 
 def r_state_pauli_expectation(p: PauliOp) -> float:

@@ -19,8 +19,8 @@ import numpy as np
 
 from .groups import k_twirl
 from .linalg import trace_distance
-from .paulis import (CliffordBatch, batch_unitaries, clifford_batches, clifford_group_order,
-                     qubit_permutation_clifford, random_clifford_batch)
+from .paulis import (_DENSE_BUDGET, batch_unitaries, clifford_batches, clifford_group_order,
+                     qubit_permutation_batch, random_clifford_batch)
 from .psgi import PsgiInstance
 from .reductions import MsgiInstance
 
@@ -82,12 +82,17 @@ def _shadow_estimates(state: np.ndarray, target_mat: np.ndarray,
     Each shadow draws a uniform Clifford U and a Born-rule outcome b of
     U|state>; its single-shot estimate (2^n + 1) |<b|U|target>|^2 - 1 is
     aggregated by median of means.  ``target_mat`` has one target per
-    column; uses the cached full Clifford group when available.
+    column; uses the cached full Clifford group when available.  An (N, dim,
+    dim) unitary stack over the ``_DENSE_BUDGET`` byte budget is refused.
     """
     if n_shadows < 1:
         raise ProtocolError(f"need at least one shadow, got {n_shadows}")
     dim = state.shape[0]
     n = dim.bit_length() - 1
+    need = 16 * n_shadows * dim * dim
+    if need > _DENSE_BUDGET:
+        raise ProtocolError(f"{n_shadows} shadows of a {n}-qubit state need {need >> 20} MiB "
+                            f"of unitaries, over the {_DENSE_BUDGET >> 20} MiB budget")
     unitaries = _clifford_unitaries(n)
     if unitaries is not None:
         idx = rng.integers(0, len(unitaries), size=n_shadows)
@@ -189,8 +194,7 @@ def szk_lowrank_context(lr1, lr2) -> dict:
     psi1, psi2 = lr1.materialize(), lr2.materialize()
     n = psi1.n_qubits
     perms = _all_permutations(n)
-    rows = [qubit_permutation_clifford(p, n)[1:] for p in perms]
-    unis = list(batch_unitaries(CliffordBatch(n, *map(np.concatenate, zip(*rows)))))
+    unis = list(batch_unitaries(qubit_permutation_batch(perms, n)))
     orbits = []
     for psi in (psi1, psi2):
         orbit = {tuple(np.round(u @ psi.amplitudes, 10)) for u in unis}

@@ -218,14 +218,12 @@ def random_pauli_psgi_instance(n: int, thresholds: DecisionThresholds,
     # (a basis state against a fully-edged graph state); conjugating both
     # by a random Clifford permutes the overlap moduli, and a small
     # verified perturbation keeps the family non-degenerate.
-    from .paulis import graph_state, random_clifford
+    from .paulis import batch_apply, graph_state, random_clifford
     from .graphs import Graph
 
-    base2 = graph_state(Graph.complete(n))
+    base = np.column_stack((np.eye(1 << n, 1), graph_state(Graph.complete(n)).amplitudes))
     for _ in range(max_tries):
-        c = random_clifford(n, rng)
-        a1 = c.stabilized_state()        # C applied to the basis state |0^n>
-        a2 = c.apply(base2).amplitudes
+        a1, a2 = batch_apply(random_clifford(n, rng), base)[0].T
         noise = 0.04 * (rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n))
         a1 = a1 + noise
         a2 = a2 + 0.04 * (rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n))

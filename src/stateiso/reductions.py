@@ -23,8 +23,8 @@ from .graphs import Graph, find_isomorphism
 from .groups import DecisionThresholds, FiniteGroupRep, max_conjugate_fidelity
 from .paulis import (
     CliffordBatch, CliffordElement, batch_block_size, batch_overlaps,
-    batch_r_overlap_sq, clifford_elements, graph_state, qubit_permutation_clifford,
-    r_minus_state, r_state, r_state_product, random_clifford_batch,
+    batch_r_overlap_sq, clifford_elements, graph_state, qubit_permutation_batch,
+    qubit_permutation_clifford, r_minus_state, r_state, r_state_product, random_clifford_batch,
     sign_factored_r_overlap_sq, symplectic_group_order,
 )
 from .psgi import PsgiInstance, PsgiVerdict
@@ -182,9 +182,9 @@ def verify_first_qubit_claim(instances) -> dict:
     ok = True
     for inst in instances:
         nq = inst.n_qubits
-        for perm in permutations(range(nq)):
-            c = qubit_permutation_clifford(perm, nq)
-            ov = abs(inst.overlap(c))
+        perms = list(permutations(range(nq)))
+        ovs = np.abs(batch_overlaps(qubit_permutation_batch(perms, nq), inst.psi1, inst.psi2))
+        for perm, ov in zip(perms, ovs.tolist()):
             if ov >= inst.thresholds.alpha:
                 fixes = perm[0] == 0
                 ok = ok and fixes

@@ -418,6 +418,13 @@ class TestConfigErrorBoundary:
         # a check over no instances would pass vacuously
         _assert_config_error(runner.invoke(main, args))
 
+    def test_shadow_count_over_budget_exits_two(self, runner):
+        # 10^8 shadows of a 3-qubit state need a ~95 GiB unitary stack
+        res = runner.invoke(main, ["protocol", "qcszk", "--n", "3", "--trials", "1",
+                                   "--shadows", "100000000"])
+        _assert_config_error(res)
+        assert "budget" in res.stderr
+
     @pytest.mark.parametrize("count", ["0", "-5"])
     def test_nonpositive_sweep_count(self, runner, tmp_path, count):
         # a sweep of no Cliffords is no evidence for NO

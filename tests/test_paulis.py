@@ -14,6 +14,7 @@ from stateiso.paulis import (
     CliffordElement,
     PauliError,
     PauliOp,
+    batch_apply,
     batch_overlaps,
     batch_r_overlap_sq,
     batch_r_overlap_terms,
@@ -26,6 +27,7 @@ from stateiso.paulis import (
     graph_state,
     pauli_expectation,
     pauli_table,
+    qubit_permutation_batch,
     qubit_permutation_clifford,
     r_overlap_sq,
     r_state,
@@ -535,6 +537,52 @@ class TestBatchedKernel:
         z = ((chi2 / df) ** (1 / 3) - (1 - 2 / (9 * df))) / math.sqrt(2 / (9 * df))
         assert 0.5 * math.erfc(z / math.sqrt(2)) > 1e-3
 
+    def test_apply_columns_match_single_columns(self):
+        # k columns at once against k one-column calls, bit for bit; at
+        # n = 8, 70 columns put d k over the block budget, so each sub-block
+        # is one row
+        rng = np.random.default_rng(23)
+        for n, k in ((1, 3), (2, 5), (3, 5), (4, 2), (5, 5), (6, 4), (8, 70)):
+            d = 1 << n
+            batch = random_clifford_batch(n, rng, 3)
+            amps = rng.normal(size=(d, k)) + 1j * rng.normal(size=(d, k))
+            amps[rng.random((d, k)) < 0.3] = 0
+            got = batch_apply(batch, amps)
+            assert got.shape == (3, d, k)
+            for c in range(k):
+                one = batch_apply(batch, amps[:, c:c + 1])
+                assert got[:, :, c].tobytes() == one[:, :, 0].tobytes()
+
+    def test_apply_matches_unitaries(self):
+        rng = np.random.default_rng(24)
+        for n in range(1, 7):
+            d = 1 << n
+            batch = random_clifford_batch(n, rng, 9)
+            amps = rng.normal(size=(d, 3)) + 1j * rng.normal(size=(d, 3))
+            assert np.allclose(batch_apply(batch, amps), batch_unitaries(batch) @ amps,
+                               rtol=0, atol=1e-12)
+
+    def test_apply_empty_batch(self):
+        rng = np.random.default_rng(25)
+        for n, k in ((1, 1), (3, 2), (5, 4)):
+            empty = CliffordBatch(n, *(a[:0] for a in random_clifford_batch(n, rng, 2)[1:]))
+            assert batch_apply(empty, np.ones((1 << n, k), dtype=complex)).shape == (0, 1 << n, k)
+            assert batch_unitaries(empty).shape == (0, 1 << n, 1 << n)
+
+    def test_unitary_stack_size_guard(self):
+        # 4,097 six-qubit matrices of 64 KiB each take 256 MiB + 64 KiB,
+        # over the budget; refused before any allocation
+        one = CliffordElement.identity(6)
+        stack = CliffordBatch(6, *(np.broadcast_to(a, (4097, 12)) for a in one[1:]))
+        tracemalloc.start()
+        try:
+            with pytest.raises(PauliError, match="budget"):
+                batch_unitaries(stack)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_sign_factored_matches_kernel(self):
         # every element at n = 1 and 2; at n = 3 every 997th symplectic
         # element with all 64 sign patterns
@@ -602,6 +650,16 @@ class TestGraphStates:
         want = np.transpose(v.reshape([2] * 3), axes=_axes_for(perm))
         assert np.allclose(moved, want)
 
+
+    def test_qubit_permutation_batch(self):
+        from itertools import permutations
+        perms = list(permutations(range(3)))
+        batch = qubit_permutation_batch(perms, 3)
+        assert [batch.row(b).is_qubit_permutation() for b in range(6)] == perms
+        with pytest.raises(PauliError, match="not a permutation"):
+            qubit_permutation_batch([(0, 1, 2), (0, 0, 2)], 3)
+        with pytest.raises(PauliError, match="not a permutation"):
+            qubit_permutation_clifford((0, 1, 1, 0), 2)
 
 def _axes_for(perm):
     # axis i of the output takes its data from some input axis; determine

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -85,6 +86,21 @@ class TestShadows:
         with pytest.raises(ProtocolError):
             _estimates(psi, [psi], 0, seed=0)
 
+
+    def test_shadow_count_over_budget_refused_before_drawing(self):
+        # 10^8 shadows need a 25 GiB (two qubits) or 95 GiB (three qubits)
+        # unitary stack; refused before any Clifford is drawn
+        rng = np.random.default_rng(5)
+        for n in (2, 3):
+            psi = random_state(n, rng)
+            tracemalloc.start()
+            try:
+                with pytest.raises(ProtocolError, match="budget"):
+                    _estimates(psi, [psi], 10**8, seed=0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20
 
 class TestQcszk:
     def test_isomorphic_accept_near_half(self):
