@@ -642,22 +642,38 @@ def _transvections_from_e1(f):
             np.where(has_z, 0, np.where(has_x, f ^ 3, f ^ z)))
 
 
+@functools.cache
+def _transvection_table(m: int) -> np.ndarray:
+    """(2, 4^m) ``_transvections_from_e1`` of every nonzero packed 2m-bit
+    vector, read-only (column 0 is unused)."""
+    table = np.zeros((2, 1 << 2 * m), dtype=np.int64)
+    table[:, 1:] = _transvections_from_e1(np.arange(1, 1 << 2 * m))
+    table.setflags(write=False)
+    return table
+
+
 def _index_digits(indices, n: int) -> np.ndarray:
     """(B, n, 2) Koenig-Smolin digits (f1 + 1, bits) of each index, outermost
-    level first: from numpy divmod while every index fits in int64 (n <= 5),
-    else from Python divmod."""
+    level first.  What is left of an index after the levels above level m
+    is below the order of Sp(2m), which fits in int64 up to m = 5, so Python
+    divmod runs only on the n - 5 outer levels of n > 5, and numpy divmod on
+    the rest."""
     radices = [((1 << (2 * m)) - 1, 1 << (2 * m - 1)) for m in range(n, 0, -1)]
-    if n > 5:
-        digits = []
+    outer = max(n - 5, 0)
+    digits = np.empty((len(indices), n, 2), dtype=np.int64)
+    if outer:
+        head, rest = [], []
         for i in indices:
-            for s, t in radices:
+            for s, t in radices[:outer]:
                 i, f1 = divmod(i, s)
                 i, bits = divmod(i, t)
-                digits += (f1 + 1, bits)
-        return np.array(digits, dtype=np.int64).reshape(-1, n, 2)
+                head += (f1 + 1, bits)
+            rest.append(i)
+        digits[:, :outer] = np.array(head, dtype=np.int64).reshape(-1, outer, 2)
+        indices = rest
     i = np.asarray(indices, dtype=np.int64)
-    digits = np.empty((len(i), n, 2), dtype=np.int64)
-    for level, (s, t) in enumerate(radices):
+    for level in range(outer, n):
+        s, t = radices[level]
         i, f1 = np.divmod(i, s)
         i, digits[:, level, 1] = np.divmod(i, t)
         digits[:, level, 0] = f1 + 1
@@ -669,14 +685,16 @@ def _symplectic_rows(indices, n: int) -> np.ndarray:
     Koenig-Smolin indices; the transvections run over the batch."""
     digits = _index_digits(indices, n)
     rows = np.zeros((len(digits), 0), dtype=np.int64)
+    e01 = np.array([[1, 2]]).repeat(len(digits), axis=0)
     # the innermost level acts on the last qubit; each outer level shifts the
     # rows up by one qubit, prepends X_0 and Z_0 (packed 1 and 2) and
     # transvects every row
     for m in range(1, n + 1):
         f1, bits = digits[:, n - m].T
-        h0, h1 = _transvections_from_e1(f1)
+        # at m <= 5 the 4^m - 1 possible f1 have their transvections tabled
+        h0, h1 = _transvection_table(m)[:, f1] if m <= 5 else _transvections_from_e1(f1)
         e = _transvect(h0, _transvect(h1, 1 | ((bits >> 1) << 2), 2 * m), 2 * m)
-        rows = np.hstack((np.broadcast_to([[1, 2]], (len(rows), 2)), rows << 2))
+        rows = np.hstack((e01, rows << 2))
         for k in (h1, h0, e, np.where(bits & 1, 0, f1)):
             rows = _transvect(k[:, None], rows, 2 * m)
     return rows
@@ -684,7 +702,7 @@ def _symplectic_rows(indices, n: int) -> np.ndarray:
 
 def _rows_to_batch(rows: np.ndarray, signs: np.ndarray, n: int) -> CliffordBatch:
     """Generator j reads packed row 2 (j mod n) + j // n and sign bit j."""
-    rows = rows[:, np.r_[0:2 * n:2, 1:2 * n:2]]
+    rows = np.hstack((rows[:, 0::2], rows[:, 1::2]))
     x = z = np.zeros_like(rows)
     for q in range(n):
         x = x | ((rows >> (2 * q)) & 1) << q
@@ -732,41 +750,137 @@ def _index_words(order: int) -> int:
     return (order.bit_length() + 64 + 31) // 32
 
 
-def _random_symplectic_index(rng: np.random.Generator, order: int) -> int:
-    """Uniform index below the symplectic group order, which can exceed
-    the int64 range of Generator.integers at n >= 6."""
-    if order < (1 << 62):
-        return int(rng.integers(order))
-    i = 0
-    for _ in range(_index_words(order)):
-        i = (i << 32) | int(rng.integers(1 << 32))
-    return i % order
+_M32 = (1 << 32) - 1
+
+
+def _lemire(words: np.ndarray, bound: int, wide: bool):
+    """(value, leftover) of Lemire's multiply-shift draw below ``bound`` from
+    each word: the high and the low half of words * bound, 64 bits each for
+    64-bit words (the 128-bit product by 32-bit limbs, for a bound below
+    2^63) and 32 bits each for 32-bit words."""
+    if not wide:
+        m = words * np.uint64(bound)
+        return m >> 32, m & _M32
+    a1, a0 = words >> 32, words & _M32
+    b1, b0 = np.uint64(bound >> 32), np.uint64(bound & _M32)
+    p00, p10 = a0 * b0, a1 * b0
+    # the middle column stays below 2^64 for a bound below 2^63
+    mid = (p10 & _M32) + a0 * b1 + (p00 >> 32)
+    return a1 * b1 + (p10 >> 32) + (mid >> 32), words * np.uint64(bound)
+
+
+def _halves(words: np.ndarray, has: int, buf: int) -> np.ndarray:
+    """What successive ``next_uint32`` calls return from a bit generator
+    whose 32-bit buffer holds ``buf`` if ``has``: that value, then the low
+    and the high half of each 64-bit word in turn."""
+    halves = words.astype("<u8", copy=False).view("<u4")
+    return np.concatenate((np.array([buf], dtype=np.uint32), halves)) if has else halves
+
+
+def _draw_words(rng: np.random.Generator, n: int, count: int):
+    """(indices, signs, redraws) of ``count`` Cliffords at n <= 5: what
+    ``count`` successive pairs rng.integers(order), rng.integers(4^n) return,
+    from one block of raw 64-bit words, and how many index draws Lemire's
+    method rejected.
+
+    numpy draws below a bound N by Lemire's method (ACM TOMACS 29(1), 2019):
+    a word w gives (w N) >> bits unless the low bits of w N fall below
+    2^bits mod N, when it takes the next word.  Below 2^32 (every draw at
+    n <= 3, the sign draw at n = 4, 5) the word is ``next_uint32``: the low
+    half of a raw word, whose high half the generator buffers for the next
+    such call, starting from its ``has_uint32``/``uinteger`` state.  The
+    64-bit index at n = 4, 5 is a raw word and leaves the buffer alone.
+    A rejected index takes one more word in place and moves only the draws
+    after it; the buffer is written back where the scalar calls leave it."""
+    if not count:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), 0
+    bg = rng.bit_generator
+    state = bg.state
+    if "has_uint32" not in state:
+        raise PauliError(f"Clifford draws at n <= 5 need a bit generator that buffers 32-bit "
+                         f"halves of 64-bit words (PCG64, PCG64DXSM, Philox, SFC64), "
+                         f"got {state['bit_generator']}")
+    has, buf = state["has_uint32"], state["uinteger"]
+    order = symplectic_group_order(n)
+    wide = order > _M32
+    # The stream is read in units: 32-bit halves at n <= 3, where a
+    # Clifford takes two, and raw words at n = 4, 5, where a Clifford takes
+    # one for its index and, every other Clifford, a fresh word whose low
+    # half its sign takes and whose high half the next sign takes.  start is
+    # the first unit of each Clifford and total the units of all of them
+    # while no index is rejected; each rejection moves the later ones by one.
+    if wide:
+        fresh = np.arange(has, count + has) & 1 == 0
+        ends = np.cumsum(1 + fresh)
+        start, total = ends - 1 - fresh, int(ends[-1])
+    else:
+        start, total = np.arange(0, 2 * count, 2), 2 * count
+    threshold = (1 << (64 if wide else 32)) % order
+    raw = np.empty(0, dtype=np.uint64)
+    indices = np.empty(count, dtype=np.int64)
+    at = np.empty(count, dtype=np.int64)        # unit of each accepted index
+    done = redraws = 0
+    while done < count:
+        words = total + redraws if wide else (total + redraws - has + 1) // 2
+        if words > len(raw):
+            raw = np.concatenate((raw, bg.random_raw(words - len(raw))))
+        units = raw if wide else _halves(raw, has, buf)
+        tail = start[done:] + redraws
+        value, left = _lemire(units[tail], order, wide)
+        bad = np.flatnonzero(left < threshold)
+        k = int(bad[0]) if len(bad) else len(tail)
+        indices[done:done + k], at[done:done + k] = value[:k], tail[:k]
+        done += k
+        redraws += len(bad) > 0
+    # u32: the next_uint32 values of the batch, of which the draws took ``used``
+    if wide:
+        u32 = _halves(raw[at[fresh] + 1], has, buf)
+        signs, used = u32[:count], count
+    else:
+        u32, used = units, total + redraws
+        signs = u32[at + 1]
+    state = bg.state
+    state["has_uint32"], state["uinteger"] = len(u32) - used, int(u32[-1])
+    bg.state = state
+    return indices, (signs >> (32 - 2 * n)).astype(np.int64), redraws
 
 
 def _draw(rng: np.random.Generator, n: int, count: int):
-    """Packed rows and sign bits of ``count`` uniform Cliffords; each draws
-    its symplectic index, then its signs."""
+    """Packed rows and sign bits of ``count`` uniform Cliffords, from the
+    values that ``count`` successive (index, signs) scalar draws make: at
+    n <= 5 rng.integers(order) and rng.integers(4^n), by ``_draw_words``; at
+    6 <= n <= 16, where the order exceeds int64, whole 32-bit words of the
+    index (taken modulo the order), then rng.integers(4^n).  Larger n is
+    refused."""
     order = symplectic_group_order(n)
-    if order >= 1 << 62 and n <= 16:
-        # Every draw is then one 32-bit word: the index takes whole words,
-        # and Generator.integers(4^n) is the top 2n bits of a word (Lemire's
-        # method never rejects for a power of two).  One call draws the
-        # words of all ``count`` Cliffords in the order of the loop below.
-        words = rng.integers(1 << 32, size=(count, _index_words(order) + 1)).tolist()
-        indices = [functools.reduce(lambda i, w: i << 32 | w, row[:-1]) % order
-                   for row in words]
-        signs = np.array([row[-1] for row in words], dtype=np.int64) >> (32 - 2 * n)
+    if order < 1 << 62:
+        indices, signs, redraws = _draw_words(rng, n, count)
+        obs.count("paulis.index_redraws", redraws)
         return _symplectic_rows(indices, n), signs
-    indices, signs = [], []
-    for _ in range(count):
-        indices.append(_random_symplectic_index(rng, order))
-        signs.append(int(rng.integers(1 << (2 * n))))
-    return _symplectic_rows(indices, n), np.array(signs, dtype=np.int64)
+    if n > 16:
+        raise PauliError(f"uniform Clifford draws run to n = 16, not n = {n}: the "
+                         f"4^n sign draw no longer fits in one 32-bit word")
+    # Every draw is then one 32-bit word, and rng.integers(4^n) is the top 2n
+    # bits of a word (Lemire's method never rejects for a power of two).
+    # One call draws the words of all ``count`` Cliffords in stream order.
+    width = _index_words(order)
+    words = rng.integers(1 << 32, size=(count, width + 1))
+    # each index is its row of words read as one big-endian integer
+    packed, size = words[:, :width].astype(">u4").tobytes(), 4 * width
+    indices = [int.from_bytes(packed[b:b + size], "big") % order
+               for b in range(0, len(packed), size)]
+    return _symplectic_rows(indices, n), words[:, -1] >> (32 - 2 * n)
 
 
 def random_clifford_batch(n: int, rng: np.random.Generator, count: int) -> CliffordBatch:
     """``count`` uniform Cliffords modulo phase, making the draws of
-    ``count`` successive ``random_clifford(n, rng)`` calls."""
+    ``count`` successive ``random_clifford(n, rng)`` calls and leaving the
+    generator in the same state: each Clifford's draws are its symplectic
+    index below the order of Sp(2n), then rng.integers(4^n) for its signs.
+    At n <= 5 one block of raw words serves the whole batch, drawn the way
+    numpy's Lemire method and ``next_uint32``'s half-word buffer would take
+    them, with a rejected index redrawn in place (``_draw_words``); at
+    6 <= n <= 16 one integers call draws every 32-bit word."""
     obs.count("paulis.cliffords_drawn", count)
     return _rows_to_batch(*_draw(rng, n, count), n)
 

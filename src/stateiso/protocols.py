@@ -13,10 +13,12 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cache
+from itertools import permutations
 from typing import Callable, Optional
 
 import numpy as np
 
+from . import obs
 from .groups import k_twirl
 from .linalg import trace_distance
 from .paulis import (_DENSE_BUDGET, batch_unitaries, clifford_batches, clifford_group_order,
@@ -93,6 +95,7 @@ def _shadow_estimates(state: np.ndarray, target_mat: np.ndarray,
     if need > _DENSE_BUDGET:
         raise ProtocolError(f"{n_shadows} shadows of a {n}-qubit state need {need >> 20} MiB "
                             f"of unitaries, over the {_DENSE_BUDGET >> 20} MiB budget")
+    obs.count("protocols.shadows_drawn", n_shadows)
     unitaries = _clifford_unitaries(n)
     if unitaries is not None:
         idx = rng.integers(0, len(unitaries), size=n_shadows)
@@ -190,10 +193,17 @@ def qszk_mixed_round(inst: MsgiInstance, k: int = 2, seed: int = 0,
 
 
 def szk_lowrank_context(lr1, lr2) -> dict:
-    """Materialize the low-rank states and their permutation orbits."""
+    """Materialize the low-rank states and their permutation orbits.  The
+    n! permutation unitaries take 16 n! 4^n bytes; over the
+    ``_DENSE_BUDGET`` byte budget the context is refused before any
+    permutation is listed."""
+    n = lr1.n_qubits
+    need = 16 * math.factorial(n) << 2 * n
+    if need > _DENSE_BUDGET:
+        raise ProtocolError(f"the {math.factorial(n)} permutation unitaries of {n} qubits take "
+                            f"{need >> 20} MiB, over the {_DENSE_BUDGET >> 20} MiB budget")
     psi1, psi2 = lr1.materialize(), lr2.materialize()
-    n = psi1.n_qubits
-    perms = _all_permutations(n)
+    perms = list(permutations(range(n)))
     unis = list(batch_unitaries(qubit_permutation_batch(perms, n)))
     orbits = []
     for psi in (psi1, psi2):
@@ -201,13 +211,6 @@ def szk_lowrank_context(lr1, lr2) -> dict:
         orbits.append([np.array(v) for v in orbit])
     return {"psi": (psi1, psi2), "perms": perms, "unitaries": unis,
             **_orbit_targets(*orbits)}
-
-
-def _all_permutations(n: int):
-    from itertools import permutations as _perms
-    if n > 6:
-        raise ProtocolError("permutation orbit enumeration is limited to 6 qubits")
-    return list(_perms(range(n)))
 
 
 def szk_lowrank_round(lr1, lr2, gamma: float = 0.05, seed: int = 0,

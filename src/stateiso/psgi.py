@@ -222,7 +222,7 @@ def random_pauli_psgi_instance(n: int, thresholds: DecisionThresholds,
     from .graphs import Graph
 
     base = np.column_stack((np.eye(1 << n, 1), graph_state(Graph.complete(n)).amplitudes))
-    for _ in range(max_tries):
+    for tries in range(1, max_tries + 1):
         a1, a2 = batch_apply(random_clifford(n, rng), base)[0].T
         noise = 0.04 * (rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n))
         a1 = a1 + noise
@@ -233,7 +233,9 @@ def random_pauli_psgi_instance(n: int, thresholds: DecisionThresholds,
             rep, thresholds,
         )
         if psgi_oracle(inst).decision == "NO":
+            obs.count("psgi.instance_tries", tries)
             return inst
+    obs.count("psgi.instance_tries", max_tries)
     raise PsgiError(
         f"could not sample a NO instance at n={n}, alpha={thresholds.alpha} "
         f"in {max_tries} tries"

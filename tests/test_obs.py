@@ -31,6 +31,7 @@ def test_counts_repeat_under_a_seed():
         "paulis.cliffords_scored": 500,
         "paulis.cliffords_applied": 300 + 7,
         "paulis.action_entries": 300 * 5 * 32 + 7 * 4 * 4,
+        "paulis.index_redraws": 0,
     }
     assert first.spans["reductions.clifford_overlap_sweep"][0] == 1
 
@@ -49,6 +50,38 @@ def test_outputs_same_with_counting_on_and_off():
         on = _work()
     assert on[:2] == off[:2]
     assert np.array_equal(on[2], off[2])
+
+
+# README-style commands whose kernels count Lemire redraws, NO-instance
+# tries and shadows
+_COMMANDS = (
+    ["psgi", "--n", "2", "--kind", "no", "--seed", "2"],
+    ["protocol", "qcszk", "--n", "3", "--trials", "2", "--shadows", "50"],
+    ["verify", "lemma-perm", "--n", "3", "--sampled", "--samples", "20000", "--seed", "0"],
+)
+
+
+def test_kernel_counts_repeat_and_leave_stdout_alone():
+    from click.testing import CliRunner
+    from stateiso.cli import main
+    runner = CliRunner()
+    for args in _COMMANDS:
+        plain = runner.invoke(main, args)
+        with obs.recording() as first:
+            once = runner.invoke(main, args)
+        with obs.recording() as second:
+            twice = runner.invoke(main, args)
+        assert plain.output == once.output == twice.output, args
+        assert plain.exit_code == once.exit_code == twice.exit_code, args
+        assert first.counts == second.counts, args
+    # the last command's counts: 20,000 draws at n = 3 redraw some indices
+    assert first.counts["paulis.index_redraws"] == 10
+    with obs.recording() as rec:
+        runner.invoke(main, _COMMANDS[1])
+    # two rounds of 50 shadows on each of the two instances; the NO
+    # instance took one try
+    assert rec.counts["protocols.shadows_drawn"] == 200
+    assert rec.counts["psgi.instance_tries"] == 1
 
 
 def test_nothing_is_kept_outside_a_recording():

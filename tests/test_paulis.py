@@ -380,6 +380,87 @@ def _batch_from_index(n, index, signs):
     return _rows_to_batch(_symplectic_rows([index], n), np.array([signs]), n)
 
 
+def _scalar_draws(rng, n, count):
+    """The per-Clifford scalar draws the block draws reproduce: the
+    symplectic index (one Generator.integers call below 2^62, else whole
+    32-bit words modulo the order), then Generator.integers(4^n)."""
+    order = symplectic_group_order(n)
+    words = (order.bit_length() + 64 + 31) // 32
+    indices, signs = [], []
+    for _ in range(count):
+        if order < 1 << 62:
+            i = int(rng.integers(order))
+        else:
+            i = 0
+            for _ in range(words):
+                i = i << 32 | int(rng.integers(1 << 32))
+            i %= order
+        indices.append(i)
+        signs.append(int(rng.integers(1 << (2 * n))))
+    return indices, signs
+
+
+class TestBlockDraws:
+    """random_clifford_batch against the scalar loop it replaces, from both
+    states of the generator's 32-bit buffer."""
+
+    def test_block_draws_equal_scalar_draws(self):
+        from stateiso import obs
+        from stateiso.paulis import _rows_to_batch, _symplectic_rows
+        for n in range(1, 9):
+            # >= 10k draws at n <= 5, so that Lemire's method rejects some
+            # indices at n = 3 and 5 (a chance of 3.2e-4 and 4.9e-4 a draw;
+            # at n = 1, 2 and 4 it is below 1e-7)
+            count = 10_000 if n <= 5 else 200
+            for prior in (1, 2):
+                # an odd number of prior 32-bit draws leaves a half word
+                # buffered, an even number leaves none
+                rng, ref = np.random.default_rng(1), np.random.default_rng(1)
+                for g in (rng, ref):
+                    for _ in range(prior):
+                        g.integers(1 << 32)
+                with obs.recording() as rec:
+                    batch = random_clifford_batch(n, rng, count)
+                indices, signs = _scalar_draws(ref, n, count)
+                want = _rows_to_batch(_symplectic_rows(indices, n), np.array(signs), n)
+                for got, expect in zip(batch[1:], want[1:]):
+                    assert np.array_equal(got, expect), (n, prior)
+                assert rng.bit_generator.state == ref.bit_generator.state, (n, prior)
+                assert rng.integers(1 << 32) == ref.integers(1 << 32)
+                assert rng.integers(1 << 40) == ref.integers(1 << 40)
+                if n in (3, 5):
+                    assert rec.counts["paulis.index_redraws"] > 0, (n, prior)
+
+    @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.PCG64DXSM,
+                                               np.random.Philox, np.random.SFC64])
+    def test_short_batches_equal_scalar_draws(self, bit_generator):
+        # batches of 0 to 3 from every buffer state, at each draw width, on
+        # every numpy bit generator that buffers half words
+        for n in (1, 3, 4, 5, 6):
+            for count in range(4):
+                for prior in range(3):
+                    rng, ref = (np.random.Generator(bit_generator(prior)) for _ in range(2))
+                    for g in (rng, ref):
+                        for _ in range(prior):
+                            g.integers(1 << 32)
+                    batch = random_clifford_batch(n, rng, count)
+                    indices, signs = _scalar_draws(ref, n, count)
+                    for b in range(count):
+                        assert batch.row(b) == _batch_from_index(n, indices[b], signs[b]).row(0)
+                    assert np.array_equal(rng.integers(1 << 40, size=3),
+                                          ref.integers(1 << 40, size=3))
+                    assert rng.integers(1 << 32) == ref.integers(1 << 32)
+
+    def test_unbuffered_bit_generator_refused(self):
+        # MT19937 has no 32-bit half-word buffer to emulate
+        with pytest.raises(PauliError, match="buffer"):
+            random_clifford(3, np.random.Generator(np.random.MT19937(0)))
+
+    def test_draws_stop_at_sixteen_qubits(self):
+        with pytest.raises(PauliError, match="n = 16"):
+            random_clifford_batch(17, np.random.default_rng(0), 1)
+
+
 class TestRStates:
     def test_r_state_amplitudes(self):
         r = r_state()
@@ -609,13 +690,18 @@ class TestBatchedKernel:
         assert r_overlap_bytes(1, 10) / 2 <= peak <= r_overlap_bytes(1, 10)
 
     def test_index_digits_match_python_divmod(self):
-        # the int64 digits at n <= 5 against the Python-int loop, on indices
-        # up to the last one of each group
+        # the digits against the Python-int loop, on indices up to the last
+        # one of each group: int64 at n <= 5, and above that Python divmod
+        # on the outer levels only
+        import random
         from stateiso.paulis import _index_digits
         rng = np.random.default_rng(8)
-        for n in range(1, 6):
+        wide = random.Random(8)
+        for n in range(1, 17):
             order = symplectic_group_order(n)
-            indices = [0, 1, order - 1] + [int(i) for i in rng.integers(order, size=50)]
+            drawn = ([int(i) for i in rng.integers(order, size=50)] if n <= 5
+                     else [wide.randrange(order) for _ in range(50)])
+            indices = [0, 1, order - 1] + drawn
             want = []
             for i in indices:
                 for m in range(n, 0, -1):

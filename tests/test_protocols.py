@@ -200,6 +200,26 @@ class TestSzkLowrank:
             trials=80, seed=0)
         assert 0.3 <= report["accept_rate"] <= 0.7
 
+    def test_permutation_stack_budget(self):
+        # 16 n! 4^n bytes of permutation unitaries: 47 MiB at n = 6, within
+        # the budget; 1.3 GiB at n = 7, refused before anything is built
+        class Unbuilt:
+            def __init__(self, n):
+                self.n_qubits = n
+
+            def materialize(self):
+                raise AssertionError("materialized before the budget check")
+
+        for n in (7, 12, 40):
+            with pytest.raises(ProtocolError, match="budget"):
+                szk_lowrank_context(Unbuilt(n), Unbuilt(n))
+        lr1, lr2, _ = lowrank_gi_instance(Graph.path(6), Graph.star(6), graph_weight=0.7)
+        ctx = szk_lowrank_context(lr1, lr2)
+        assert len(ctx["perms"]) == len(ctx["unitaries"]) == 720
+        assert ctx["perms"][0] == tuple(range(6)) and ctx["perms"][-1] == tuple(range(5, -1, -1))
+        t = szk_lowrank_round(lr1, lr2, seed=1, n_shadows=50, context=ctx)
+        assert t.accept == (t.j == t.j_prime)
+
     def test_gamma_validation(self):
         lr1, lr2, _ = lowrank_gi_instance(Graph.path(4), Graph.star(4))
         with pytest.raises(ProtocolError):
