@@ -19,7 +19,7 @@ import numpy as np
 
 from .linalg import DensityMatrix, _pairs, fidelity_matrices, sqrt_fidelity
 from .paulis import (_DENSE_BUDGET, PauliOp, CliffordElement, batch_unitaries,
-                     clifford_batches, clifford_group_order)
+                     check_unitary_stack, clifford_batches, clifford_group_order)
 
 HOM_TOL = 1e-8
 _BLOCK_ENTRIES = 1 << 16     # matrix entries per block of group elements in the twirls
@@ -83,10 +83,8 @@ class FiniteGroupRep:
         in element order; a stack over the ``_DENSE_BUDGET`` byte budget
         raises GroupError before anything is allocated."""
         if self._stack is None:
-            need = 16 * self.order * self.dim**2
-            if need > _DENSE_BUDGET:
-                raise GroupError(f"the unitaries of {self.name} take {need >> 20} MiB, "
-                                 f"over the {_DENSE_BUDGET >> 20} MiB budget")
+            check_unitary_stack(self.order, self.dim, f"the unitaries of {self.name}",
+                                GroupError)
             stack = np.empty((self.order, self.dim, self.dim), dtype=complex)
             for i, g in enumerate(self.elements):
                 stack[i] = self.unitary(g)

@@ -389,6 +389,15 @@ _BLOCK_ENTRIES = 1 << 14     # entries of one intermediate kernel array
 _DENSE_BUDGET = 1 << 28      # bytes allowed for one stack of unitaries or one block's |R> tables
 
 
+def check_unitary_stack(count: int, dim: int, what: str, error=PauliError) -> None:
+    """Raise ``error`` before a (count, dim, dim) complex stack, 16 count
+    dim^2 bytes, over the ``_DENSE_BUDGET`` byte budget is allocated;
+    ``what`` names the stack in the message."""
+    need = 16 * count * dim * dim
+    if need > _DENSE_BUDGET:
+        raise error(f"{what} take {need >> 20} MiB, over the {_DENSE_BUDGET >> 20} MiB budget")
+
+
 def batch_block_size(entries: int) -> int:
     """Cliffords per block that keeps ``entries`` entries each within budget."""
     return max(1, _BLOCK_ENTRIES // entries)
@@ -591,9 +600,7 @@ def batch_unitaries(batch: CliffordBatch) -> np.ndarray:
     ``_DENSE_BUDGET`` byte budget raises PauliError."""
     n, b = batch.n, len(batch.ph)
     d = 1 << n
-    if 16 * b * d * d > _DENSE_BUDGET:
-        raise PauliError(f"{b} {n}-qubit unitaries take {16 * b * d * d >> 20} MiB, over the "
-                         f"{_DENSE_BUDGET >> 20} MiB budget for dense Clifford matrices")
+    check_unitary_stack(b, d, f"{b} dense {n}-qubit Clifford unitaries")
     out = batch_apply(batch, np.eye(d, dtype=complex))
     obs.count("paulis.cliffords_applied", b)
     obs.count("paulis.action_entries", b * d * d)
@@ -759,7 +766,9 @@ def _lemire(words: np.ndarray, bound: int, wide: bool):
     64-bit words (the 128-bit product by 32-bit limbs, for a bound below
     2^63) and 32 bits each for 32-bit words."""
     if not wide:
-        m = words * np.uint64(bound)
+        # widened first: numpy < 2 would keep uint32 * a small uint64 scalar
+        # in uint32 and wrap the product
+        m = words.astype(np.uint64) * np.uint64(bound)
         return m >> 32, m & _M32
     a1, a0 = words >> 32, words & _M32
     b1, b0 = np.uint64(bound >> 32), np.uint64(bound & _M32)
@@ -880,7 +889,12 @@ def random_clifford_batch(n: int, rng: np.random.Generator, count: int) -> Cliff
     At n <= 5 one block of raw words serves the whole batch, drawn the way
     numpy's Lemire method and ``next_uint32``'s half-word buffer would take
     them, with a rejected index redrawn in place (``_draw_words``); at
-    6 <= n <= 16 one integers call draws every 32-bit word."""
+    6 <= n <= 16 one integers call draws every 32-bit word.
+
+    At n <= 5 ``rng`` must run on a bit generator that buffers the 32-bit
+    halves of its 64-bit words (PCG64, PCG64DXSM, Philox, SFC64; not
+    MT19937); at n >= 6 any bit generator serves.  n above 16 is refused.
+    Both raise PauliError."""
     obs.count("paulis.cliffords_drawn", count)
     return _rows_to_batch(*_draw(rng, n, count), n)
 
@@ -888,7 +902,10 @@ def random_clifford_batch(n: int, rng: np.random.Generator, count: int) -> Cliff
 def random_clifford(n: int, seed) -> CliffordElement:
     """Uniform Clifford modulo global phase, reproducible under the seed.
 
-    ``seed`` may be an int or a numpy Generator.
+    ``seed`` may be an int or a numpy Generator.  At n <= 5 a Generator
+    must run on a bit generator that buffers the 32-bit halves of its 64-bit
+    words (PCG64, PCG64DXSM, Philox, SFC64; not MT19937), and n is limited
+    to 16 (see ``random_clifford_batch``).
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     return random_clifford_batch(n, rng, 1).row(0)

@@ -21,8 +21,8 @@ import numpy as np
 from . import obs
 from .groups import k_twirl
 from .linalg import trace_distance
-from .paulis import (_DENSE_BUDGET, batch_unitaries, clifford_batches, clifford_group_order,
-                     qubit_permutation_batch, random_clifford_batch)
+from .paulis import (batch_unitaries, check_unitary_stack, clifford_batches,
+                     clifford_group_order, qubit_permutation_batch, random_clifford_batch)
 from .psgi import PsgiInstance
 from .reductions import MsgiInstance
 
@@ -91,10 +91,8 @@ def _shadow_estimates(state: np.ndarray, target_mat: np.ndarray,
         raise ProtocolError(f"need at least one shadow, got {n_shadows}")
     dim = state.shape[0]
     n = dim.bit_length() - 1
-    need = 16 * n_shadows * dim * dim
-    if need > _DENSE_BUDGET:
-        raise ProtocolError(f"{n_shadows} shadows of a {n}-qubit state need {need >> 20} MiB "
-                            f"of unitaries, over the {_DENSE_BUDGET >> 20} MiB budget")
+    check_unitary_stack(n_shadows, dim, f"the unitaries of {n_shadows} shadows of a "
+                        f"{n}-qubit state", ProtocolError)
     obs.count("protocols.shadows_drawn", n_shadows)
     unitaries = _clifford_unitaries(n)
     if unitaries is not None:
@@ -198,10 +196,9 @@ def szk_lowrank_context(lr1, lr2) -> dict:
     ``_DENSE_BUDGET`` byte budget the context is refused before any
     permutation is listed."""
     n = lr1.n_qubits
-    need = 16 * math.factorial(n) << 2 * n
-    if need > _DENSE_BUDGET:
-        raise ProtocolError(f"the {math.factorial(n)} permutation unitaries of {n} qubits take "
-                            f"{need >> 20} MiB, over the {_DENSE_BUDGET >> 20} MiB budget")
+    check_unitary_stack(math.factorial(n), 1 << n,
+                        f"the {math.factorial(n)} permutation unitaries of {n} qubits",
+                        ProtocolError)
     psi1, psi2 = lr1.materialize(), lr2.materialize()
     perms = list(permutations(range(n)))
     unis = list(batch_unitaries(qubit_permutation_batch(perms, n)))

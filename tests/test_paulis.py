@@ -451,6 +451,23 @@ class TestBlockDraws:
                                           ref.integers(1 << 40, size=3))
                     assert rng.integers(1 << 32) == ref.integers(1 << 32)
 
+    def test_lemire_products_exact(self):
+        # the high and low halves of w N against Python integers, for 32-bit
+        # words up to 2^32 - 1 and 64-bit words up to 2^64 - 1
+        from stateiso.paulis import _lemire
+        rng = np.random.default_rng(7)
+        for n in range(1, 6):
+            order, wide = symplectic_group_order(n), n >= 4
+            bits = 64 if wide else 32
+            top = (1 << bits) - 1
+            words = np.concatenate((rng.integers(top, size=200, dtype=np.uint64, endpoint=True),
+                                    np.array([0, 1, top], dtype=np.uint64)))
+            if not wide:
+                words = words.astype(np.uint32)
+            value, left = _lemire(words, order, wide)
+            for w, v, lo in zip(words.tolist(), value.tolist(), left.tolist()):
+                assert (v, lo) == (w * order >> bits, w * order & top), (n, w)
+
     def test_unbuffered_bit_generator_refused(self):
         # MT19937 has no 32-bit half-word buffer to emulate
         with pytest.raises(PauliError, match="buffer"):
