@@ -154,6 +154,3 @@ def find_isomorphism(g1: Graph, g2: Graph) -> Optional[tuple]:
             tries.pop()
     return tuple(perm) if tries else None
 
-
-def are_isomorphic(g1: Graph, g2: Graph) -> bool:
-    return find_isomorphism(g1, g2) is not None

@@ -13,7 +13,7 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -22,6 +22,9 @@ from .paulis import (_DENSE_BUDGET, PauliOp, CliffordElement, batch_unitaries,
                      check_unitary_stack, clifford_batches, clifford_group_order)
 
 HOM_TOL = 1e-8
+MATCH_TOL = 1e-8             # entrywise distance at which explicit_group matches a product
+TWIRL_SLACK_TOL = 1e-7       # rounding allowed below the twirl fidelity bound
+ABELIAN_PAIRS = 10_000       # sampled pairs when a group is too large to check every pair
 _BLOCK_ENTRIES = 1 << 16     # matrix entries per block of group elements in the twirls
 
 
@@ -105,16 +108,15 @@ class FiniteGroupRep:
         near[self.elements.index(self.identity)] = True
         return near
 
-    def is_abelian(self, rng: Optional[np.random.Generator] = None,
-                   max_pairs: int = 10_000) -> bool:
+    def is_abelian(self) -> bool:
         els = self.elements
         if len(els) <= 512:
             pairs = itertools.combinations(range(len(els)), 2)
         else:
-            rng = rng or np.random.default_rng(0)
+            rng = np.random.default_rng(0)
             pairs = (
                 tuple(rng.integers(len(els), size=2))
-                for _ in range(min(len(els) ** 2, max_pairs))
+                for _ in range(min(len(els) ** 2, ABELIAN_PAIRS))
             )
         for i, j in pairs:
             a, b = els[i], els[j]
@@ -122,8 +124,7 @@ class FiniteGroupRep:
                 return False
         return True
 
-    def check_homomorphism(self, rng: np.random.Generator, samples: int = 100,
-                           tol: float = HOM_TOL) -> float:
+    def check_homomorphism(self, rng: np.random.Generator, samples: int = 100) -> float:
         """Max deviation of R(g)R(h) from R(gh) over sampled pairs.
 
         Phase-free reps are compared after aligning global phases.
@@ -141,7 +142,7 @@ class FiniteGroupRep:
             worst = max(worst, float(np.max(np.abs(lhs - rhs))))
         eye = np.eye(self.dim)
         worst = max(worst, float(np.max(np.abs(self.unitary(self.identity) - eye))))
-        if worst > tol:
+        if worst > HOM_TOL:
             raise GroupError(f"action fails homomorphism check by {worst:.2e}")
         return worst
 
@@ -242,8 +243,7 @@ class TwirlBoundReport:
 
 
 def check_twirl_fidelity_bound(rep: FiniteGroupRep, rho: DensityMatrix,
-                               sigma: DensityMatrix,
-                               slack_tol: float = 1e-7) -> TwirlBoundReport:
+                               sigma: DensityMatrix) -> TwirlBoundReport:
     """Check F(E(rho), E(sigma)) <= |S| * max_{U,V} F(U rho U^dag, V sigma V^dag).
 
     Since S is a group, the pairwise maximum reduces to a single sweep
@@ -253,7 +253,7 @@ def check_twirl_fidelity_bound(rep: FiniteGroupRep, rho: DensityMatrix,
     tf = sqrt_fidelity(twirl(rep, rho), twirl(rep, sigma))
     bound = eps * rep.order
     slack = bound - tf
-    return TwirlBoundReport(eps, tf, bound, slack, slack >= -slack_tol)
+    return TwirlBoundReport(eps, tf, bound, slack, slack >= -TWIRL_SLACK_TOL)
 
 
 def max_conjugate_fidelity(rep: FiniteGroupRep, rho: np.ndarray,
@@ -401,14 +401,14 @@ def z2k_group(k: int) -> FiniteGroupRep:
                           unitary, 1 << k, name=f"z2k({k})")
 
 
-def explicit_group(elements, matrices, identity=None, tol: float = 1e-8) -> FiniteGroupRep:
+def explicit_group(elements, matrices, identity=None) -> FiniteGroupRep:
     """Group from an explicit label -> matrix list; multiplication is
     recovered by matching products back to the list."""
     labels, mats = list(elements), np.asarray(matrices, dtype=complex)
     index = {e: i for i, e in enumerate(labels)}
 
     def match(m, error="explicit group is not closed under multiplication"):
-        hits = np.flatnonzero(np.abs(mats - m).max(axis=(1, 2)) < tol)
+        hits = np.flatnonzero(np.abs(mats - m).max(axis=(1, 2)) < MATCH_TOL)
         if not len(hits):
             raise GroupError(error)
         return labels[hits[0]]

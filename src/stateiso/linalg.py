@@ -15,6 +15,7 @@ import numpy as np
 
 NORM_TOL = 1e-9
 UNITARY_TOL = 1e-8
+PSD_TOL = 1e-6               # negative eigenvalues matrix_sqrt_psd clamps to 0
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -194,11 +195,6 @@ class Circuit:
             if not 0 <= q < self.n_qubits:
                 raise LinalgError(f"traced qubit {q} out of range")
 
-    def then(self, other: "Circuit") -> "Circuit":
-        if other.n_qubits != self.n_qubits:
-            raise LinalgError("circuit sizes differ")
-        return Circuit(self.n_qubits, self.gates + other.gates, self.traced + other.traced)
-
     def to_json(self) -> str:
         return json.dumps(
             {
@@ -297,17 +293,17 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
     return StateVector(a.n_qubits + b.n_qubits, np.kron(a.amplitudes, b.amplitudes))
 
 
-def matrix_sqrt_psd(m: np.ndarray, tol: float = 1e-6) -> np.ndarray:
+def matrix_sqrt_psd(m: np.ndarray) -> np.ndarray:
     """PSD square root by Hermitian eigendecomposition.
 
-    Eigenvalues in [-tol, 0) are clamped to 0; anything below -tol raises.
+    Eigenvalues in [-PSD_TOL, 0) are clamped to 0; anything below raises.
     """
     m = np.asarray(m, dtype=complex)
     if np.abs(m - m.conj().T).max() > 1e-8:
         raise LinalgError("matrix_sqrt_psd requires a Hermitian matrix")
     evals, evecs = np.linalg.eigh(m)
-    if evals.min() < -tol:
-        raise LinalgError(f"eigenvalue {evals.min()} below -{tol}")
+    if evals.min() < -PSD_TOL:
+        raise LinalgError(f"eigenvalue {evals.min()} below -{PSD_TOL}")
     evals = np.clip(evals, 0.0, None)
     return (evecs * np.sqrt(evals)) @ evecs.conj().T
 

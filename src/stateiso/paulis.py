@@ -359,7 +359,8 @@ class CliffordElement(CliffordBatch):
 
     def to_unitary(self) -> UnitaryMatrix:
         """C as a dense matrix under the canonical phase convention; a
-        matrix over the ``_DENSE_BUDGET`` byte budget raises PauliError."""
+        matrix whose build would go over the ``_DENSE_BUDGET`` byte budget
+        (from n = 12) raises PauliError."""
         return UnitaryMatrix(1 << self.n, batch_unitaries(self)[0])
 
     def is_qubit_permutation(self) -> Optional[tuple]:
@@ -532,20 +533,25 @@ def _blocks(batch: CliffordBatch):
 
 def _hadamard(v: np.ndarray, s: np.ndarray, n: int) -> np.ndarray:
     """Unnormalized H, in place, on the qubits of the index mask s[b] of
-    column b of v (shape (d, B)): one butterfly per index bit in some S."""
+    column b of v (shape (d, B)): one butterfly per index bit in some S,
+    over slabs of about ``_BLOCK_ENTRIES`` entries or one pair of halves,
+    as numpy copies an operand whose memory range overlaps the output's."""
     some, every = np.bitwise_or.reduce(s), np.bitwise_and.reduce(s)
     for t in range(n):
         if some >> t & 1:
             w = v.reshape(-1, 2, 1 << t, v.shape[1])
-            lo, hi = w[:, 0], w[:, 1]
-            minus = lo - hi
-            if every >> t & 1:
-                lo += hi
-                hi[...] = minus
-            else:
-                on = (s >> t) & 1 != 0
-                np.copyto(lo, lo + hi, where=on)
-                np.copyto(hi, minus, where=on)
+            rows = max(1, _BLOCK_ENTRIES // w[0].size)
+            for i in range(0, len(w), rows):
+                lo, hi = w[i:i + rows, 0], w[i:i + rows, 1]
+                minus = lo - hi
+                if every >> t & 1:
+                    lo += hi
+                    hi[...] = minus
+                else:
+                    on = (s >> t) & 1 != 0
+                    np.copyto(lo, lo + hi, where=on)
+                    np.copyto(hi, minus, where=on)
+                del minus      # before the next slab's difference is made
     return v
 
 
@@ -564,9 +570,13 @@ def batch_apply(batch: CliffordBatch, amps: np.ndarray) -> np.ndarray:
         for lo in range(0, len(f.s), step):
             at = slice(lo, lo + step)
             cols = np.arange(len(f.s[at]))
-            # F2 permutes the rows of every column, so each entry is written
+            # F2 permutes the rows of every column, so each entry is written;
+            # its phases follow in place, with no second (d, B', k) array
             v = np.empty((d, len(cols), k), dtype=complex)
-            v[f.pi[:, at], cols] = _PHASES.take(f.a[:, at])[..., None] * amps[:, None]
+            v[f.pi[:, at], cols] = amps[:, None]
+            ph = np.empty((d, len(cols)), dtype=complex)
+            ph[f.pi[:, at], cols] = _PHASES.take(f.a[:, at])
+            v *= ph[..., None]
             _hadamard(v.reshape(d, -1), np.repeat(f.s[at], k), n)
             v *= (_PHASES.take(f.phi[:, at]) / np.sqrt(1 << f.h[at]))[..., None]
             out[rows.start + lo + cols, f.idx[:, at]] = v
@@ -596,11 +606,18 @@ def batch_overlaps(batch: CliffordBatch, psi1: StateVector, psi2: StateVector) -
 
 def batch_unitaries(batch: CliffordBatch) -> np.ndarray:
     """The dense matrices of every row, shape (B, d, d), under the canonical
-    phase convention: ``batch_apply`` on the identity.  A stack over the
-    ``_DENSE_BUDGET`` byte budget raises PauliError."""
+    phase convention: ``batch_apply`` on the identity.  A stack whose
+    build would go over the ``_DENSE_BUDGET`` byte budget raises PauliError
+    before anything is allocated."""
     n, b = batch.n, len(batch.ph)
     d = 1 << n
-    check_unitary_stack(b, d, f"{b} dense {n}-qubit Clifford unitaries")
+    # Besides the stack, batch_apply holds the identity, a one-row work
+    # array and up to half a matrix of Hadamard differences, plus factor
+    # tables: tracemalloc measures 3.5 matrices and 0.1-0.2 MiB more at
+    # B = 1, n = 10 and 11.  Three whole matrices besides the stack cover
+    # that, so 11 qubits (4 x 64 MiB) pass and 12 (4 x 256 MiB) are refused.
+    check_unitary_stack(b + 3, d, f"{b} dense {n}-qubit Clifford unitaries with their "
+                        "work arrays")
     out = batch_apply(batch, np.eye(d, dtype=complex))
     obs.count("paulis.cliffords_applied", b)
     obs.count("paulis.action_entries", b * d * d)
@@ -984,11 +1001,6 @@ def r_state_pauli_expectation(p: PauliOp) -> float:
         raise PauliError("expectation of non-Hermitian Pauli requested")
     s = 1.0 if disp == 0 else -1.0
     return s * (COS8**nx) * (SIN8**ny)
-
-
-def r_overlap_sq(c: CliffordElement) -> float:
-    """|<R^n| C |R^n>|^2, the batch kernel at B=1."""
-    return float(batch_r_overlap_sq(c)[0])
 
 
 def _pauli_strings(n: int):

@@ -1,10 +1,13 @@
 """Round-level simulation of the interactive protocols.
 
-Implements global-Clifford classical shadows, the shadow-based
-verifier/prover exchange for pure-state instances, the twirl-and-distinguish
-exchange for mixed-state instances, and the low-rank variant, plus trial
-aggregation with Wilson intervals.  The prover is computationally unbounded
-and is realized as exact computation on the simulated states.
+Implements global-Clifford classical shadows, one shadow round that serves
+both the pure-state protocol (the instance's group) and the low-rank one
+(the qubit permutations), the twirl-and-distinguish exchange for
+mixed-state instances, and trial aggregation with Wilson intervals.  In the
+shadow round the verifier sends shadows of R(g)|psi_j> and the prover names
+the orbit; only the group and the shadow budget differ between the two
+protocols.  The prover is computationally unbounded and is realized as
+exact computation on the simulated states.
 """
 from __future__ import annotations
 
@@ -27,6 +30,7 @@ from .psgi import PsgiInstance
 from .reductions import MsgiInstance
 
 DEFAULT_SHADOW_DELTA = 0.05
+WILSON_Z = 1.96              # two-sided 95% normal quantile
 
 
 class ProtocolError(ValueError):
@@ -39,11 +43,10 @@ class ProtocolTranscript:
     g: object
     message: dict
     j_prime: int
-    accept: bool
 
-    def __post_init__(self):
-        if self.accept != (self.j == self.j_prime):
-            raise ProtocolError("accept flag must equal (j == j')")
+    @property
+    def accept(self) -> bool:
+        return self.j == self.j_prime
 
     def to_json(self) -> str:
         return json.dumps({
@@ -114,54 +117,53 @@ def _shadow_estimates(state: np.ndarray, target_mat: np.ndarray,
 # Protocol rounds
 # ----------------------------------------------------------------------
 
-def _orbit_targets(orbit1: list, orbit2: list) -> dict:
-    """Both orbits as columns of one target matrix, psi1's orbit first."""
-    return {"targets": np.stack(orbit1 + orbit2).T, "split": len(orbit1)}
+def _context(states: tuple, unitaries: np.ndarray, labels) -> dict:
+    """The prover's orbit targets: each state's orbit ``unitaries @ psi``,
+    deduplicated modulo a global phase.  A row's key is |v| to 10 decimals
+    and the angle of v relative to its first largest entry to 8, with -0.0
+    read as 0.0; the first row of each key stands for it, in stack order.
+    The targets are one column per representative, the first state's
+    orbit first."""
+    orbits = []
+    for psi in states:
+        orbit = unitaries @ psi
+        mag = np.abs(orbit)
+        top = orbit[np.arange(len(orbit)), mag.argmax(axis=1)]
+        rel = np.angle(orbit * np.exp(-1j * np.angle(top))[:, None])
+        key = np.hstack((np.round(mag, 10), np.round(rel, 8))) + 0.0
+        first = np.unique(key, axis=0, return_index=True)[1]
+        orbits.append(orbit[np.sort(first)])
+    return {"states": states, "unitaries": unitaries, "labels": labels,
+            "targets": np.vstack(orbits).T, "split": len(orbits[0])}
 
 
-def _orbit_scan(state: np.ndarray, ctx: dict, n_shadows: int, rng,
-                delta: float) -> int:
-    """The prover's answer j': shadow-estimate the fidelity of ``state``
-    with every orbit target and name the orbit with the larger maximum,
-    breaking an exact tie by a fair coin from ``rng``."""
+def _shadow_round(ctx: dict, n_shadows: int, seed: int, delta: float) -> ProtocolTranscript:
+    """One verifier round over a ``_context``: pick j and g, send shadows of
+    R(g) psi_j; the prover shadow-estimates the fidelity with every orbit
+    target and names the orbit with the larger maximum, breaking an exact
+    tie by a fair coin."""
+    rng = np.random.default_rng(seed)
+    j = int(rng.integers(1, 3))
+    gi = int(rng.integers(len(ctx["labels"])))
+    state = ctx["unitaries"][gi] @ ctx["states"][j - 1]
     ests = _shadow_estimates(state, ctx["targets"], n_shadows, rng, delta)
     f1 = float(ests[: ctx["split"]].max())
     f2 = float(ests[ctx["split"]:].max())
-    if f1 == f2:
-        return int(rng.integers(1, 3))
-    return 1 if f1 > f2 else 2
+    j_prime = int(rng.integers(1, 3)) if f1 == f2 else 1 if f1 > f2 else 2
+    return ProtocolTranscript(j=j, g=ctx["labels"][gi],
+                              message={"type": "shadows", "count": n_shadows}, j_prime=j_prime)
 
 
 def qcszk_context(inst: PsgiInstance) -> dict:
-    """Precompute the prover's orbit targets for qcszk_round."""
-    orbits = []
-    for psi in (inst.psi1, inst.psi2):
-        seen = {}
-        for vec in inst.rep.unitaries @ psi.amplitudes:
-            key = tuple(np.round(np.abs(vec), 10)) + tuple(
-                np.round(np.angle(vec * np.exp(-1j * np.angle(vec[np.argmax(np.abs(vec))]))), 8)
-            )
-            seen.setdefault(key, vec)
-        orbits.append(list(seen.values()))
-    return _orbit_targets(*orbits)
+    """The prover's orbit targets under the instance's group."""
+    return _context((inst.psi1.amplitudes, inst.psi2.amplitudes), inst.rep.unitaries,
+                    inst.rep.elements)
 
 
 def qcszk_round(inst: PsgiInstance, n_shadows: int = 2000, seed: int = 0,
-                context: Optional[dict] = None,
-                delta: float = DEFAULT_SHADOW_DELTA) -> ProtocolTranscript:
-    """One verifier round: pick j and g, send shadows of R(g) psi_j; the
-    prover scans both group orbits by shadow-estimated fidelity."""
-    ctx = context or qcszk_context(inst)
-    rng = np.random.default_rng(seed)
-    j = int(rng.integers(1, 3))
-    gi = int(rng.integers(inst.rep.order))
-    psi = inst.psi1 if j == 1 else inst.psi2
-    state = inst.rep.unitaries[gi] @ psi.amplitudes
-    j_prime = _orbit_scan(state, ctx, n_shadows, rng, delta)
-    return ProtocolTranscript(
-        j=j, g=inst.rep.elements[gi], message={"type": "shadows", "count": n_shadows},
-        j_prime=j_prime, accept=(j == j_prime),
-    )
+                context: Optional[dict] = None) -> ProtocolTranscript:
+    """One shadow round of the pure-state protocol over the instance's group."""
+    return _shadow_round(context or qcszk_context(inst), n_shadows, seed, DEFAULT_SHADOW_DELTA)
 
 
 def qszk_mixed_context(inst: MsgiInstance, k: int) -> dict:
@@ -186,64 +188,46 @@ def qszk_mixed_round(inst: MsgiInstance, k: int = 2, seed: int = 0,
     return ProtocolTranscript(
         j=j, g=None,
         message={"type": "twirled-copies", "k": ctx["k"]},
-        j_prime=j_prime, accept=(j == j_prime),
+        j_prime=j_prime,
     )
 
 
 def szk_lowrank_context(lr1, lr2) -> dict:
-    """Materialize the low-rank states and their permutation orbits.  The
-    n! permutation unitaries take 16 n! 4^n bytes; over the
-    ``_DENSE_BUDGET`` byte budget the context is refused before any
-    permutation is listed."""
+    """The materialized low-rank states and their orbits under the qubit
+    permutations, labelled by permutation tuples.  The n! permutation
+    unitaries take 16 n! 4^n bytes; over the ``_DENSE_BUDGET`` byte budget
+    the context is refused before any state is materialized."""
     n = lr1.n_qubits
     check_unitary_stack(math.factorial(n), 1 << n,
                         f"the {math.factorial(n)} permutation unitaries of {n} qubits",
                         ProtocolError)
-    psi1, psi2 = lr1.materialize(), lr2.materialize()
+    states = (lr1.materialize().amplitudes, lr2.materialize().amplitudes)
     perms = list(permutations(range(n)))
-    unis = list(batch_unitaries(qubit_permutation_batch(perms, n)))
-    orbits = []
-    for psi in (psi1, psi2):
-        orbit = {tuple(np.round(u @ psi.amplitudes, 10)) for u in unis}
-        orbits.append([np.array(v) for v in orbit])
-    return {"psi": (psi1, psi2), "perms": perms, "unitaries": unis,
-            **_orbit_targets(*orbits)}
+    return _context(states, batch_unitaries(qubit_permutation_batch(perms, n)), perms)
 
 
 def szk_lowrank_round(lr1, lr2, gamma: float = 0.05, seed: int = 0,
                       n_shadows: Optional[int] = None,
                       context: Optional[dict] = None) -> ProtocolTranscript:
-    """Low-rank round over the qubit-permutation group: shadows of a
-    permuted state, prover answers by exact orbit-overlap scan on the
-    materialized states."""
+    """One shadow round over the qubit-permutation group with confidence
+    gamma; by default max(200, 48 ln(2M/gamma)) shadows for M orbit targets."""
     if not 0 < gamma < 1:
         raise ProtocolError(f"gamma must be in (0,1), got {gamma}")
     ctx = context or szk_lowrank_context(lr1, lr2)
-    m = ctx["targets"].shape[1]
     if n_shadows is None:
-        n_shadows = max(200, int(48 * math.log(2 * m / gamma)))
-    rng = np.random.default_rng(seed)
-    j = int(rng.integers(1, 3))
-    gi = int(rng.integers(len(ctx["perms"])))
-    psi = ctx["psi"][j - 1]
-    state = ctx["unitaries"][gi] @ psi.amplitudes
-    j_prime = _orbit_scan(state, ctx, n_shadows, rng, gamma)
-    return ProtocolTranscript(
-        j=j, g=ctx["perms"][gi],
-        message={"type": "shadows", "count": n_shadows},
-        j_prime=j_prime, accept=(j == j_prime),
-    )
+        n_shadows = max(200, int(48 * math.log(2 * ctx["targets"].shape[1] / gamma)))
+    return _shadow_round(ctx, n_shadows, seed, gamma)
 
 
 # ----------------------------------------------------------------------
 # Trial aggregation
 # ----------------------------------------------------------------------
 
-def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int) -> tuple:
+    """95% Wilson score interval for a binomial proportion."""
     if trials < 1:
         raise ProtocolError("trials must be positive")
-    p = successes / trials
+    p, z = successes / trials, WILSON_Z
     denom = 1 + z**2 / trials
     center = (p + z**2 / (2 * trials)) / denom
     half = z * math.sqrt(p * (1 - p) / trials + z**2 / (4 * trials**2)) / denom

@@ -19,7 +19,7 @@ from .linalg import StateVector
 from .groups import DecisionThresholds, FiniteGroupRep, dihedralize
 from .paulis import _DENSE_BUDGET, PauliOp, pauli_table, walsh_hadamard
 
-DEFAULT_SAMPLE_CONSTANT = 6
+SAMPLE_CONSTANT = 6          # characters sampled per bit of log2|Gamma|
 DEFAULT_COPIES = 2
 
 
@@ -102,12 +102,11 @@ def _kernel(chis: np.ndarray, size: int) -> np.ndarray:
 
 
 def pauli_psgi_quantum(inst: PsgiInstance, m: int = DEFAULT_COPIES,
-                       sample_constant: int = DEFAULT_SAMPLE_CONSTANT,
                        seed: int = 0, shot_mode: bool = False,
                        shots: int = 4096) -> PsgiVerdict:
     """Fourier-sampling decision procedure for the phased Pauli group.
 
-    Samples t = sample_constant * log2|Gamma| characters from the exact
+    Samples t = SAMPLE_CONSTANT * log2|Gamma| characters from the exact
     distribution and accepts if some odd label (dihedral bit set) of their
     simultaneous kernel has expectation estimate at least 1/2: exact, or a
     simulated Hadamard test of ``shots`` shots per label in label order.
@@ -121,7 +120,7 @@ def pauli_psgi_quantum(inst: PsgiInstance, m: int = DEFAULT_COPIES,
     rng = np.random.default_rng(seed)
     a1, a2 = inst.psi1.amplitudes, inst.psi2.amplitudes
     probs = character_distribution(a1, a2, n, m)
-    t = sample_constant * (2 * n + 2)
+    t = SAMPLE_CONSTANT * (2 * n + 2)
     chis = rng.choice(len(probs), size=t, p=probs / probs.sum())
     odd = _kernel(chis, len(probs)).reshape(2, 2, 1 << n, 1 << n)[1]   # [s, z, x]
     obs.count("psgi.characters_sampled", t)

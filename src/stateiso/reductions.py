@@ -31,6 +31,7 @@ from .psgi import PsgiInstance, PsgiVerdict
 
 GI_THRESHOLDS = DecisionThresholds(0.99999, 1.0)
 LEMMA_PERM_THRESHOLD = 0.9999
+PROMISE_THRESHOLDS = DecisionThresholds(0.6, 0.99)   # of the hardness and padding instances
 
 
 class ReductionError(ValueError):
@@ -341,13 +342,12 @@ def diagonal_permutation_overlap_sweep(psi1: StateVector, psi2: StateVector,
 # BQP hardness instance
 # ----------------------------------------------------------------------
 
-def bqp_hardness_instance(q: Circuit, phi: Circuit, rep: FiniteGroupRep,
-                          thresholds: DecisionThresholds = DecisionThresholds(0.6, 0.99)):
+def bqp_hardness_instance(q: Circuit, phi: Circuit, rep: FiniteGroupRep):
     """psi1 = Q'|0^n>, psi2 = |phi>; also reports the hiding diagnostic
     max_g |<phi|R(g)|0^n>| which must be small for soundness."""
     psi1 = run_circuit(q)
     psi2 = run_circuit(phi)
-    inst = PsgiInstance(psi1, psi2, rep, thresholds)
+    inst = PsgiInstance(psi1, psi2, rep, PROMISE_THRESHOLDS)
     a = psi2.amplitudes
     hiding = np.abs(rep.unitaries[:, :, 0] @ a.conj()).max()
     self_ov = np.abs((rep.unitaries @ a) @ a.conj())[~rep.trivial_mask()].max(initial=0.0)
@@ -385,8 +385,7 @@ class MsgiInstance:
 
 
 def qsd_to_msgi(sigma1: DensityMatrix, sigma2: DensityMatrix,
-                rep: FiniteGroupRep, seed: int,
-                thresholds: DecisionThresholds = DecisionThresholds(0.6, 0.99)) -> MsgiInstance:
+                rep: FiniteGroupRep, seed: int) -> MsgiInstance:
     """Pad both states with a common pseudo-random pure state:
     sigma_i' = 1/2 sigma_i + 1/2 |psi><psi|."""
     if sigma1.dim != rep.dim or sigma2.dim != rep.dim:
@@ -401,7 +400,7 @@ def qsd_to_msgi(sigma1: DensityMatrix, sigma2: DensityMatrix,
         "identity_fidelity": sqrt_fidelity(s1, s2),
         "max_fidelity": max_conjugate_fidelity(rep, s2.matrix, s1.matrix),
     }
-    return MsgiInstance(s1, s2, rep, thresholds, seed, diag)
+    return MsgiInstance(s1, s2, rep, PROMISE_THRESHOLDS, seed, diag)
 
 
 @dataclass(frozen=True)

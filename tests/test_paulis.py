@@ -29,7 +29,6 @@ from stateiso.paulis import (
     pauli_table,
     qubit_permutation_batch,
     qubit_permutation_clifford,
-    r_overlap_sq,
     r_state,
     r_state_pauli_expectation,
     r_state_product,
@@ -295,16 +294,31 @@ class TestCliffordElement:
         assert abs(np.linalg.norm(out.amplitudes) - 1) < 1e-9
 
     def test_dense_unitary_size_guard(self):
-        # 13 qubits would need a 1 GiB matrix; refused before any allocation
-        c = CliffordElement.identity(13)
+        # a 1 GiB (13 qubits) or 256 MiB (12 qubits) matrix and its work
+        # arrays are over the budget; refused before any allocation
+        for n in (13, 12):
+            c = CliffordElement.identity(n)
+            tracemalloc.start()
+            try:
+                with pytest.raises(PauliError, match="budget"):
+                    c.to_unitary()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20
+
+    def test_dense_unitary_peak_within_guard(self):
+        # the guard counts the matrix and three more for its work arrays:
+        # 64 MiB at 10 qubits, which the build must not exceed
+        c = random_clifford(10, np.random.default_rng(12))
         tracemalloc.start()
         try:
-            with pytest.raises(PauliError, match="budget"):
-                c.to_unitary()
+            u = c.to_unitary().matrix
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1 << 20
+        assert peak <= 4 * u.nbytes
+        assert np.allclose(u[:, :4].conj().T @ u[:, :4], np.eye(4))
 
 
 class TestStreamPins:
@@ -507,7 +521,7 @@ class TestRStates:
             for _ in range(20):
                 c = random_clifford(n, RNG)
                 dense = abs(np.vdot(psi, c.to_unitary().matrix @ psi)) ** 2
-                assert abs(r_overlap_sq(c) - dense) < 1e-10
+                assert abs(batch_r_overlap_sq(c)[0] - dense) < 1e-10
 
 
 class TestFastIntPath:

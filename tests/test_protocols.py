@@ -6,7 +6,7 @@ import pytest
 
 from stateiso.graphs import Graph
 from stateiso.groups import DecisionThresholds, clifford_group, pauli_group
-from stateiso.linalg import DensityMatrix
+from stateiso.linalg import DensityMatrix, StateVector
 from stateiso.protocols import (
     DEFAULT_SHADOW_DELTA,
     ProtocolError,
@@ -22,7 +22,7 @@ from stateiso.protocols import (
     wilson_interval,
     write_summary_csv,
 )
-from stateiso.psgi import random_pauli_psgi_instance, random_state
+from stateiso.psgi import PsgiInstance, random_pauli_psgi_instance, random_state
 from stateiso.reductions import MsgiInstance, lowrank_gi_instance
 
 THRESHOLDS = DecisionThresholds(0.6, 0.99)
@@ -30,12 +30,16 @@ THRESHOLDS = DecisionThresholds(0.6, 0.99)
 
 class TestRecords:
     def test_transcript_accept_invariant(self):
-        with pytest.raises(ProtocolError):
+        # accept is j == j_prime, never set on its own
+        for j in (1, 2):
+            for j_prime in (1, 2):
+                t = ProtocolTranscript(j=j, g=None, message={}, j_prime=j_prime)
+                assert t.accept is (j == j_prime)
+        with pytest.raises(TypeError):
             ProtocolTranscript(j=1, g=None, message={}, j_prime=2, accept=True)
 
     def test_transcript_json(self):
-        t = ProtocolTranscript(j=1, g=None, message={"k": 2}, j_prime=1,
-                               accept=True)
+        t = ProtocolTranscript(j=1, g=None, message={"k": 2}, j_prime=1)
         back = json.loads(t.to_json())
         assert back["accept"] is True and back["j"] == 1
 
@@ -128,6 +132,35 @@ class TestQcszk:
         assert ctx["targets"].shape[0] == 2
         assert 1 <= ctx["split"] <= 16
 
+    @staticmethod
+    def _reference_orbit(unitaries, psi):
+        # one key per vector: |v| to 10 decimals, the angle relative to the
+        # first largest entry to 8; the first vector of each key is kept
+        seen = {}
+        for vec in unitaries @ psi:
+            key = tuple(np.round(np.abs(vec), 10)) + tuple(
+                np.round(np.angle(vec * np.exp(-1j * np.angle(vec[np.argmax(np.abs(vec))]))), 8)
+            )
+            seen.setdefault(key, vec)
+        return list(seen.values())
+
+    def test_context_matches_per_vector_orbit(self):
+        rng = np.random.default_rng(9)
+        # alpha 0.75: at n = 1 no pair has every Pauli overlap below 1/sqrt(2)
+        loose = DecisionThresholds(0.75, 0.99)
+        insts = [random_pauli_psgi_instance(n, loose, kind, rng)
+                 for n in (1, 2, 3) for kind in ("yes", "no")]
+        rep = clifford_group(1)
+        psi = random_state(1, rng)
+        insts.append(PsgiInstance(psi, StateVector(1, rep.unitaries[7] @ psi.amplitudes),
+                                  rep, THRESHOLDS))
+        for inst in insts:
+            o1 = self._reference_orbit(inst.rep.unitaries, inst.psi1.amplitudes)
+            o2 = self._reference_orbit(inst.rep.unitaries, inst.psi2.amplitudes)
+            ctx = qcszk_context(inst)
+            assert ctx["split"] == len(o1)
+            assert np.array_equal(ctx["targets"], np.stack(o1 + o2).T)
+
 
 class TestQszkMixed:
     @staticmethod
@@ -200,6 +233,20 @@ class TestSzkLowrank:
             trials=80, seed=0)
         assert 0.3 <= report["accept_rate"] <= 0.7
 
+    @pytest.mark.parametrize("n, reversed_sizes, star_sizes", [
+        (4, (12, 24), (12, 16)),
+        (5, (60, 120), (60, 65)),
+        (6, (360, 720), (360, 366)),
+    ])
+    def test_orbit_sizes(self, n, reversed_sizes, star_sizes):
+        # split and total orbit targets of P_n against its reversal and S_n
+        p = Graph.path(n)
+        for g2, sizes in ((p.relabel(tuple(range(n - 1, -1, -1))), reversed_sizes),
+                          (Graph.star(n), star_sizes)):
+            lr1, lr2, _ = lowrank_gi_instance(p, g2, graph_weight=0.7)
+            ctx = szk_lowrank_context(lr1, lr2)
+            assert (ctx["split"], ctx["targets"].shape[1]) == sizes
+
     def test_permutation_stack_budget(self):
         # 16 n! 4^n bytes of permutation unitaries: 47 MiB at n = 6, within
         # the budget; 1.3 GiB at n = 7, refused before anything is built
@@ -215,8 +262,8 @@ class TestSzkLowrank:
                 szk_lowrank_context(Unbuilt(n), Unbuilt(n))
         lr1, lr2, _ = lowrank_gi_instance(Graph.path(6), Graph.star(6), graph_weight=0.7)
         ctx = szk_lowrank_context(lr1, lr2)
-        assert len(ctx["perms"]) == len(ctx["unitaries"]) == 720
-        assert ctx["perms"][0] == tuple(range(6)) and ctx["perms"][-1] == tuple(range(5, -1, -1))
+        assert len(ctx["labels"]) == len(ctx["unitaries"]) == 720
+        assert ctx["labels"][0] == tuple(range(6)) and ctx["labels"][-1] == tuple(range(5, -1, -1))
         t = szk_lowrank_round(lr1, lr2, seed=1, n_shadows=50, context=ctx)
         assert t.accept == (t.j == t.j_prime)
 
@@ -239,16 +286,14 @@ class TestAggregation:
         def coin(seed):
             accept = bool(np.random.default_rng(seed).integers(2))
             return ProtocolTranscript(j=1, g=None, message={},
-                                      j_prime=1 if accept else 2,
-                                      accept=accept)
+                                      j_prime=1 if accept else 2)
         report = run_trials(coin, trials=2000, seed=3)
         assert abs(report["accept_rate"] - 0.5) < 0.05
         assert report["wilson_low"] < report["accept_rate"] < report["wilson_high"]
 
     def test_run_trials_transcript_file(self, tmp_path):
         def always(seed):
-            return ProtocolTranscript(j=1, g=None, message={}, j_prime=1,
-                                      accept=True)
+            return ProtocolTranscript(j=1, g=None, message={}, j_prime=1)
         path = tmp_path / "t.jsonl"
         report = run_trials(always, trials=5, seed=0, transcript_file=str(path))
         assert report["accepts"] == 5
