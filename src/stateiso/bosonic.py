@@ -68,10 +68,6 @@ def sector_basis(n: int, r: int) -> list:
     return out
 
 
-def sector_dimension(n: int, r: int) -> int:
-    return math.comb(n + r - 1, r)
-
-
 @dataclass(frozen=True)
 class CoreState:
     """Sparse normalized state over Fock indices with total photons <= r_max."""
@@ -100,19 +96,6 @@ class CoreState:
         if abs(total - 1.0) > 1e-9:
             raise BosonicError(f"core state norm^2 = {total}, expected 1")
         object.__setattr__(self, "amplitudes", clean)
-
-    # -- polynomial (stellar) converters -------------------------------
-    def to_polynomial(self) -> dict:
-        """Coefficients of P(z): psi_k / sqrt(k!)."""
-        return {k: amp / math.sqrt(k.factorial()) for k, amp in self.amplitudes.items()}
-
-    @staticmethod
-    def from_polynomial(n_modes: int, r_max: int, poly: dict) -> "CoreState":
-        amps = {
-            MultiIndex(k): c * math.sqrt(MultiIndex(k).factorial())
-            for k, c in poly.items()
-        }
-        return CoreState(n_modes, r_max, amps)
 
     # -- serialization ----------------------------------------------------
     def to_json(self) -> str:
@@ -360,11 +343,6 @@ def truncated_basis(n: int, r_max: int) -> list:
     return out
 
 
-def default_sigma(b: float, n: int, r: int) -> float:
-    """sigma = b / n^{r/2} with unit constant."""
-    return b / n ** (r / 2)
-
-
 def _check_sigma(sigma: float) -> None:
     if not sigma > 0:
         raise BosonicError(f"noise scale sigma must be > 0, got {sigma}")
@@ -385,12 +363,6 @@ def szk_sampler(c: CoreState, sigma: float, seed,
     d = len(basis)
     eta = sigma / math.sqrt(2) * (rng.normal(size=d) + 1j * rng.normal(size=d))
     return vec + eta, basis, u
-
-
-def gaussian_tv_upper(u: np.ndarray, v: np.ndarray, sigma: float) -> float:
-    """Pinsker bound on the TV distance between N_C(u, sigma^2 I) and
-    N_C(v, sigma^2 I): TV <= ||u - v|| / (2 sigma)."""
-    return min(1.0, float(np.linalg.norm(u - v)) / (2 * sigma))
 
 
 def orbit_distance(z: np.ndarray, basis: list, c: CoreState,

@@ -9,7 +9,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 
 import click
 import numpy as np
@@ -76,21 +75,6 @@ EXIT_PROMISE = 3
 # the Clifford action (count * n * 2^n).  Sweeps cost about 40 ns per entry
 # at n = 9..13 (2 vCPUs, numpy 2.4), so this is about a minute.
 SWEEP_ENTRY_BUDGET = 1_500_000_000
-
-
-@dataclass
-class ExperimentConfig:
-    command: str
-    inputs: list = field(default_factory=list)
-    output: str = ""
-    seed: int = 0
-    params: dict = field(default_factory=dict)
-
-    def announce(self):
-        click.echo("config: " + json.dumps({
-            "command": self.command, "inputs": self.inputs,
-            "output": self.output, "seed": self.seed, **self.params,
-        }, sort_keys=True), err=True)
 
 
 def _resolve_out(out: str) -> str:
@@ -178,6 +162,21 @@ def _at_least_one(ctx, param, value: int) -> int:
     return value
 
 
+class _AnnouncedCommand(click.Command):
+    """A command that prints its full configuration before it runs: one
+    stderr line ``config: `` and the sorted JSON of its name ("reduce
+    gi-clifford") and every parameter under its click name."""
+
+    def invoke(self, ctx):
+        names, up = [], ctx
+        while up.parent is not None:
+            names.append(up.info_name)
+            up = up.parent
+        click.echo("config: " + json.dumps(
+            {"command": " ".join(reversed(names)), **ctx.params}, sort_keys=True), err=True)
+        return super().invoke(ctx)
+
+
 class _ConfigErrorBoundary(click.Group):
     """Root group that turns malformed input into exit 2 for every command.
 
@@ -185,8 +184,12 @@ class _ConfigErrorBoundary(click.Group):
     them); a bundle or spec without a required field raises KeyError, an
     out-of-range index IndexError, and an input or ``--out`` path that
     cannot be opened OSError.  None of them may surface as a traceback
-    with exit 1, which would read as a NO decision.
+    with exit 1, which would read as a NO decision.  Its commands announce
+    their configuration, and its subgroups are of this class too.
     """
+
+    command_class = _AnnouncedCommand
+    group_class = type
 
     def invoke(self, ctx):
         try:
@@ -235,9 +238,6 @@ def main():
 def cmd_psgi(instance_path, use_oracle, group, n_qubits, same_state, kind,
              alpha, beta, seed, copies, shot_mode, shots, sweep_count, out):
     """Decide a state-isomorphism instance; exit 0 YES / 1 NO / 3 violated."""
-    cfg = ExperimentConfig("psgi", [p for p in [instance_path] if p], out, seed,
-                           {"oracle": use_oracle, "group": group, "n": n_qubits})
-    cfg.announce()
     if instance_path:
         bundle = _read_json(instance_path)
         if bundle.get("type") == "gi_clifford":
@@ -334,7 +334,6 @@ def cmd_reduce():
 @click.argument("graph2", type=str)
 @click.option("--out", default="", help="Bundle path (default stdout).")
 def reduce_gi_clifford(graph1, graph2, out):
-    ExperimentConfig("reduce gi-clifford", [graph1, graph2], out).announce()
     g1, g2 = _read_graph(graph1), _read_graph(graph2)
     inst = gi_to_clifford(g1, g2)
     bundle = {
@@ -358,7 +357,6 @@ def reduce_gi_clifford(graph1, graph2, out):
               help="Override the graph-component weight b.")
 @click.option("--out", default="")
 def reduce_gi_lowrank(graph1, graph2, graph_weight, out):
-    ExperimentConfig("reduce gi-lowrank", [graph1, graph2], out).announce()
     g1, g2 = _read_graph(graph1), _read_graph(graph2)
     result = lowrank_gi_instance(g1, g2, graph_weight=graph_weight)
     if hasattr(result, "decision"):
@@ -381,7 +379,6 @@ def reduce_gi_lowrank(graph1, graph2, graph_weight, out):
 @click.argument("graph2", type=str)
 @click.option("--out", default="")
 def reduce_gi_bosonic(graph1, graph2, out):
-    ExperimentConfig("reduce gi-bosonic", [graph1, graph2], out).announce()
     g1, g2 = _read_graph(graph1), _read_graph(graph2)
     c1, c2 = encode_graph_bosonic(g1), encode_graph_bosonic(g2)
     thresholds = lowrank_thresholds(g1.n)
@@ -401,7 +398,6 @@ def reduce_gi_bosonic(graph1, graph2, out):
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", default="")
 def reduce_qsd_msgi(sigma1, sigma2, group, n_qubits, seed, out):
-    ExperimentConfig("reduce qsd-msgi", [sigma1, sigma2], out, seed).announce()
     s1 = DensityMatrix.from_json(_read_text(sigma1))
     s2 = DensityMatrix.from_json(_read_text(sigma2))
     rep = group_from_spec({"type": group, "n": n_qubits})
@@ -424,7 +420,6 @@ def reduce_qsd_msgi(sigma1, sigma2, group, n_qubits, seed, out):
               help="Index of the involution h in the group's element list.")
 @click.option("--out", default="")
 def reduce_qsd_mixedhsp(sigma1, sigma2, group, n_qubits, h_index, out):
-    ExperimentConfig("reduce qsd-mixedhsp", [sigma1, sigma2], out).announce()
     s1 = DensityMatrix.from_json(_read_text(sigma1))
     s2 = DensityMatrix.from_json(_read_text(sigma2))
     rep = group_from_spec({"type": group, "n": n_qubits})
@@ -445,7 +440,6 @@ def reduce_qsd_mixedhsp(sigma1, sigma2, group, n_qubits, h_index, out):
               callback=_at_least_one)
 @click.option("--out", default="")
 def reduce_psgi_statehsp(instance, copies, out):
-    ExperimentConfig("reduce psgi-statehsp", [instance], out).announce()
     inst = _psgi_from_bundle(_read_json(instance))
     phi, rep, bounds = psgi_to_statehsp(inst, m=copies)
     _emit({
@@ -477,8 +471,6 @@ def cmd_verify():
 @click.option("--threshold", type=float, default=0.9999, show_default=True)
 @click.option("--out", default="")
 def verify_lemma_perm_cmd(n_qubits, exhaustive, samples, seed, threshold, out):
-    ExperimentConfig("verify lemma-perm", [], out, seed,
-                     {"n": n_qubits, "exhaustive": exhaustive}).announce()
     report = verify_lemma_perm(n_qubits,
                                mode="exhaustive" if exhaustive else "sampled",
                                samples=samples, seed=seed, threshold=threshold)
@@ -493,8 +485,6 @@ def verify_lemma_perm_cmd(n_qubits, exhaustive, samples, seed, threshold, out):
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", default="")
 def verify_twirl_bound(instances, n_qubits, seed, out):
-    ExperimentConfig("verify twirl-bound", [], out, seed,
-                     {"instances": instances, "n": n_qubits}).announce()
     rep = pauli_group(n_qubits)
     rng = np.random.default_rng(seed)
     dim = rep.dim
@@ -519,8 +509,6 @@ def verify_twirl_bound(instances, n_qubits, seed, out):
 @click.option("--out", default="")
 def verify_helper_gapped_cv(count, seed, out):
     """Residual bound ||V - PD||_F <= sqrt(3 n delta) in the delta regime."""
-    ExperimentConfig("verify helper-gapped-cv", [], out, seed,
-                     {"count": count}).announce()
     rng = np.random.default_rng(seed)
     checked = 0
     worst_margin = -math.inf
@@ -552,8 +540,6 @@ def verify_helper_gapped_cv(count, seed, out):
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", default="")
 def verify_trace_transfer(count, n_qubits, seed, out):
-    ExperimentConfig("verify trace-transfer", [], out, seed,
-                     {"count": count, "n": n_qubits}).announce()
     rep = pauli_group(n_qubits)
     rng = np.random.default_rng(seed)
     # an involution that is not central: the first X-type generator
@@ -578,7 +564,6 @@ def verify_trace_transfer(count, n_qubits, seed, out):
 @click.option("--out", default="")
 def verify_shadow_unbiased(seed, out):
     """Exact single-shadow expectation at one qubit by full enumeration."""
-    ExperimentConfig("verify shadow-unbiased", [], out, seed).announce()
     rng = np.random.default_rng(seed)
     units = batch_unitaries(next(clifford_batches(1, 24)))
     worst = 0.0
@@ -624,8 +609,6 @@ def cmd_protocol():
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", default="", help="Summary CSV path.")
 def protocol_qcszk(trials, shadows, n_qubits, seed, out):
-    ExperimentConfig("protocol qcszk", [], out, seed,
-                     {"trials": trials, "shadows": shadows}).announce()
     thresholds = DecisionThresholds(0.6, 0.99)
     rng = np.random.default_rng(seed)
     rows = []
@@ -646,8 +629,6 @@ def protocol_qcszk(trials, shadows, n_qubits, seed, out):
 @click.option("--out", default="")
 def protocol_qszk_mixed(trials, k_copies, seed, out):
     from .reductions import MsgiInstance
-    ExperimentConfig("protocol qszk-mixed", [], out, seed,
-                     {"trials": trials, "k": k_copies}).announce()
     rep = pauli_group(2)
     thresholds = DecisionThresholds(0.6, 0.99)
     rng = np.random.default_rng(seed)
@@ -677,9 +658,6 @@ def protocol_qszk_mixed(trials, k_copies, seed, out):
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", default="")
 def protocol_szk_lowrank(trials, gamma, graph_weight, seed, out):
-    ExperimentConfig("protocol szk-lowrank", [], out, seed,
-                     {"trials": trials, "gamma": gamma,
-                      "graph_weight": graph_weight}).announce()
     g1 = Graph.path(4)
     pairs = (("isomorphic", g1.relabel((2, 0, 3, 1))),
              ("non-isomorphic", Graph.star(4)))
@@ -707,7 +685,6 @@ def cmd_bosonic():
 @click.argument("graph", type=str)
 @click.option("--out", default="")
 def bosonic_encode(graph, out):
-    ExperimentConfig("bosonic encode", [graph], out).announce()
     g = _read_graph(graph)
     _emit(json.loads(encode_graph_bosonic(g).to_json()), out)
 
@@ -719,8 +696,6 @@ def bosonic_encode(graph, out):
               default="substitution", show_default=True)
 @click.option("--out", default="")
 def bosonic_apply(state, unitary, method, out):
-    ExperimentConfig("bosonic apply", [state, unitary], out,
-                     params={"method": method}).announce()
     c = _read_core(state)
     v = _unitary_from_obj(_read_json(unitary))
     moved = apply_linear_optical(v, c, method=method)
@@ -732,7 +707,6 @@ def bosonic_apply(state, unitary, method, out):
 @click.argument("state2", type=str)
 @click.option("--out", default="")
 def bosonic_overlap(state1, state2, out):
-    ExperimentConfig("bosonic overlap", [state1, state2], out).announce()
     ov = core_overlap(_read_core(state1), _read_core(state2))
     _emit({"version": SCHEMA_VERSION, "overlap": [ov.real, ov.imag],
            "abs": abs(ov)}, out)
@@ -746,8 +720,6 @@ def bosonic_overlap(state1, state2, out):
 @click.option("--trace", "trace_path", default="", help="Per-restart CSV trace.")
 @click.option("--out", default="")
 def bosonic_optimize(state1, state2, restarts, seed, trace_path, out):
-    ExperimentConfig("bosonic optimize", [state1, state2], out, seed,
-                     {"restarts": restarts}).announce()
     v, best_abs, best_re = optimize_overlap(
         _read_core(state1), _read_core(state2), restarts=restarts, seed=seed,
         trace_file=_resolve_out(trace_path) or None)
@@ -763,8 +735,6 @@ def bosonic_optimize(state1, state2, restarts, seed, trace_path, out):
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", default="")
 def bosonic_tv_gap(state1, state2, sigma, samples, seed, out):
-    ExperimentConfig("bosonic tv-gap", [state1, state2], out, seed,
-                     {"sigma": sigma, "samples": samples}).announce()
     tv, diag = estimate_tv_gap(_read_core(state1), _read_core(state2), sigma,
                                samples, seed)
     _emit({"version": SCHEMA_VERSION, "tv_lower": tv, **diag}, out)

@@ -4,8 +4,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 
 class GraphError(ValueError):
     pass
@@ -19,6 +17,8 @@ class Graph:
     edges: tuple
 
     def __post_init__(self):
+        if self.n < 0:
+            raise GraphError(f"negative vertex count {self.n}")
         norm = []
         seen = set()
         for e in self.edges:
@@ -77,12 +77,6 @@ class Graph:
         return "\n".join([str(self.n)] + [f"{u} {v}" for u, v in self.edges]) + "\n"
 
     # -- structure ----------------------------------------------------------
-    def adjacency_matrix(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n), dtype=int)
-        for u, v in self.edges:
-            a[u, v] = a[v, u] = 1
-        return a
-
     def relabel(self, perm) -> "Graph":
         """Vertex i becomes perm[i]."""
         perm = tuple(perm)

@@ -4,8 +4,8 @@ Groups are desk scale: elements are opaque hashable labels with explicit
 multiply/inverse callbacks, and the action is one read-only
 (order, dim, dim) stack of unitaries in element order, built on first use
 under the ``_DENSE_BUDGET`` byte budget.  Every orbit scan (the oracle, the
-trace ratio, the twirls, the fidelity maxima) is a batched product over
-that stack, summed in the fixed element order so results are bit-stable.
+twirls, the fidelity maxima) is a batched product over that stack, summed
+in the fixed element order so results are bit-stable.
 """
 from __future__ import annotations
 
@@ -21,7 +21,6 @@ from .linalg import DensityMatrix, _pairs, fidelity_matrices, sqrt_fidelity
 from .paulis import (_DENSE_BUDGET, PauliOp, CliffordElement, batch_unitaries,
                      check_unitary_stack, clifford_batches, clifford_group_order)
 
-HOM_TOL = 1e-8
 MATCH_TOL = 1e-8             # entrywise distance at which explicit_group matches a product
 TWIRL_SLACK_TOL = 1e-7       # rounding allowed below the twirl fidelity bound
 ABELIAN_PAIRS = 10_000       # sampled pairs when a group is too large to check every pair
@@ -51,13 +50,12 @@ class FiniteGroupRep:
 
     ``multiply`` and ``inverse`` operate on labels; ``unitary`` returns a
     dense matrix per label and ``unitaries`` stacks them all.  The action
-    must be a homomorphism up to the declared phase convention (exact for
-    most built-ins, global phase only for the Clifford group).
+    must be a homomorphism, exactly for most built-ins and up to a global
+    phase for the Clifford group.
     """
 
     def __init__(self, elements, identity, multiply: Callable, inverse: Callable,
-                 unitary: Callable, dim: int, name: str = "",
-                 phase_free: bool = False):
+                 unitary: Callable, dim: int, name: str = ""):
         self.elements = tuple(elements)
         if identity not in self.elements:
             raise GroupError("identity label missing from element list")
@@ -68,7 +66,6 @@ class FiniteGroupRep:
         self._stack = None
         self.dim = dim
         self.name = name
-        self.phase_free = phase_free
 
     @property
     def order(self) -> int:
@@ -124,28 +121,6 @@ class FiniteGroupRep:
                 return False
         return True
 
-    def check_homomorphism(self, rng: np.random.Generator, samples: int = 100) -> float:
-        """Max deviation of R(g)R(h) from R(gh) over sampled pairs.
-
-        Phase-free reps are compared after aligning global phases.
-        """
-        worst = 0.0
-        for _ in range(samples):
-            g = self.elements[int(rng.integers(self.order))]
-            h = self.elements[int(rng.integers(self.order))]
-            lhs = self.unitary(g) @ self.unitary(h)
-            rhs = self.unitary(self.multiply(g, h))
-            if self.phase_free:
-                tr = np.trace(rhs.conj().T @ lhs)
-                if abs(tr) > 1e-12:
-                    lhs = lhs * (abs(tr) / tr)
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-        eye = np.eye(self.dim)
-        worst = max(worst, float(np.max(np.abs(self.unitary(self.identity) - eye))))
-        if worst > HOM_TOL:
-            raise GroupError(f"action fails homomorphism check by {worst:.2e}")
-        return worst
-
 
 def dihedralize(base: FiniteGroupRep) -> FiniteGroupRep:
     """Generalized dihedral extension of an abelian rep.
@@ -175,8 +150,7 @@ def dihedralize(base: FiniteGroupRep) -> FiniteGroupRep:
         return np.roll(u, d, axis=1) if a else u      # times X x I
 
     return FiniteGroupRep(elements, (base.identity, 0), multiply, inverse, unitary,
-                          2 * base.dim, name=f"dihedral({base.name})",
-                          phase_free=base.phase_free)
+                          2 * base.dim, name=f"dihedral({base.name})")
 
 
 # ----------------------------------------------------------------------
@@ -263,16 +237,6 @@ def max_conjugate_fidelity(rep: FiniteGroupRep, rho: np.ndarray,
     step = max(1, _BLOCK_ENTRIES // rep.dim**2)
     return max(0.0, *(float(fidelity_matrices(rho, t).max())
                       for t in _conjugate_blocks(rep, sigma, step)))
-
-
-def max_trace_ratio(rep: FiniteGroupRep) -> float:
-    """mu = max over nontrivially-acting g of |Tr R(g)| / dim.
-
-    Elements whose unitary is a global phase times the identity act
-    trivially on states and are skipped along with the identity label.
-    """
-    ratio = np.abs(np.trace(rep.unitaries, axis1=1, axis2=2) / rep.dim)
-    return float(ratio[~rep.trivial_mask()].max(initial=0.0))
 
 
 # ----------------------------------------------------------------------
@@ -367,7 +331,7 @@ def clifford_group(n: int) -> FiniteGroupRep:
 
     ident = index[CliffordElement.identity(n).key()]
     return FiniteGroupRep(range(len(rows)), ident, multiply, inverse, unitary,
-                          1 << n, name=f"clifford({n})", phase_free=True)
+                          1 << n, name=f"clifford({n})")
 
 
 def cyclic_group(order: int, rep_kind: str = "phase") -> FiniteGroupRep:

@@ -108,12 +108,6 @@ def _pairs(value):
     return pairs.view(complex)[..., 0]
 
 
-def basis_state(n_qubits: int, index: int = 0) -> StateVector:
-    amps = np.zeros(2**n_qubits, dtype=complex)
-    amps[index] = 1.0
-    return StateVector(n_qubits, amps)
-
-
 @dataclass(frozen=True)
 class DensityMatrix:
     """Hermitian, PSD, unit-trace matrix on ``n_qubits`` qubits."""
@@ -281,12 +275,6 @@ def random_density(dim: int, rng: np.random.Generator) -> DensityMatrix:
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     m = a @ a.conj().T
     return DensityMatrix(dim.bit_length() - 1, m / np.trace(m).real)
-
-
-def inner_product(a: StateVector, b: StateVector) -> complex:
-    if a.n_qubits != b.n_qubits:
-        raise LinalgError("dimension mismatch in inner product")
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
 
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -113,35 +113,6 @@ class PauliOp:
             return PauliOp(n, 1, bit, bit)
         raise PauliError(f"unknown Pauli letter {kind!r}")
 
-    @staticmethod
-    def from_string(s: str) -> "PauliOp":
-        """Parse e.g. '+iXZI' or '-YY'. Letters are qubit 0 first."""
-        s = s.strip()
-        phase = 0
-        if s.startswith(("+", "-")):
-            sign = s[0]
-            s = s[1:]
-            phase = 0 if sign == "+" else 2
-        if s.startswith(("i", "j")):
-            phase += 1
-            s = s[1:]
-        n = len(s)
-        x = z = 0
-        y_count = 0
-        for q, letter in enumerate(s):
-            if letter == "I":
-                continue
-            if letter in "XY":
-                x |= 1 << q
-            if letter in "ZY":
-                z |= 1 << q
-            if letter == "Y":
-                y_count += 1
-            if letter not in "IXYZ":
-                raise PauliError(f"unknown Pauli letter {letter!r}")
-        # each Y contributes a factor i in canonical X^x Z^z form
-        return PauliOp(n, phase + y_count, x, z)
-
     # -- algebra ------------------------------------------------------
     def __mul__(self, other: "PauliOp") -> "PauliOp":
         if self.n != other.n:
@@ -155,23 +126,12 @@ class PauliOp:
             self.z ^ other.z,
         )
 
-    def commutes(self, other: "PauliOp") -> bool:
-        if self.n != other.n:
-            raise PauliError("Pauli size mismatch")
-        sym = (self.x & other.z).bit_count() + (self.z & other.x).bit_count()
-        return sym % 2 == 0
-
     def hermitian_conjugate(self) -> "PauliOp":
         # (i^p X^x Z^z)^dag = i^{-p} (-1)^{|x&z|} X^x Z^z
         return PauliOp(self.n, -self.phase + 2 * (self.x & self.z).bit_count(), self.x, self.z)
 
     def is_hermitian(self) -> bool:
         return (self.phase - (self.x & self.z).bit_count()) % 2 == 0
-
-    def weight_counts(self) -> tuple:
-        """(#X, #Y, #Z) sites of the underlying Pauli string."""
-        y = self.x & self.z
-        return ((self.x & ~y).bit_count(), y.bit_count(), (self.z & ~y).bit_count())
 
     # -- dense action -------------------------------------------------
     def apply(self, amps: np.ndarray) -> np.ndarray:
@@ -318,21 +278,6 @@ class CliffordElement(CliffordBatch):
     def identity(n: int) -> "CliffordElement":
         return qubit_permutation_clifford(range(n), n)
 
-    # -- symplectic form ----------------------------------------------
-    def symplectic_matrix(self) -> np.ndarray:
-        """2n x 2n binary matrix; row j = (x-bits, z-bits) of image j."""
-        q = np.arange(self.n)
-        return np.hstack(((self.x[0, :, None] >> q) & 1,
-                          (self.z[0, :, None] >> q) & 1)).astype(np.uint8)
-
-    def is_symplectic(self) -> bool:
-        n = self.n
-        m = self.symplectic_matrix().astype(int)
-        omega = np.block(
-            [[np.zeros((n, n), int), np.eye(n, dtype=int)], [np.eye(n, dtype=int), np.zeros((n, n), int)]]
-        )
-        return bool(np.array_equal((m @ omega @ m.T) % 2, omega))
-
     def key(self) -> tuple:
         """The images as (phase, x, z) triples of Python ints."""
         return tuple(zip(self.ph[0].tolist(), self.x[0].tolist(), self.z[0].tolist()))
@@ -362,14 +307,6 @@ class CliffordElement(CliffordBatch):
         matrix whose build would go over the ``_DENSE_BUDGET`` byte budget
         (from n = 12) raises PauliError."""
         return UnitaryMatrix(1 << self.n, batch_unitaries(self)[0])
-
-    def is_qubit_permutation(self) -> Optional[tuple]:
-        """Return the permutation pi (as a tuple, qubit i -> pi[i]) if the
-        tableau maps X_i -> +X_{pi(i)} and Z_i -> +Z_{pi(i)}; else None."""
-        if not self.permutation_mask()[0]:
-            return None
-        return tuple(v.bit_length() - 1 for v in self.x[0, :self.n].tolist())
-
 
 # ----------------------------------------------------------------------
 # Batched Clifford kernel
@@ -962,17 +899,6 @@ def graph_state(g) -> StateVector:
     return StateVector(n, amps)
 
 
-def graph_stabilizer(g, v: int) -> PauliOp:
-    """K_v = X_v prod_{w ~ v} Z_w for a graph state."""
-    p = PauliOp.single(g.n, v, "X")
-    for u, w in g.edges:
-        if v == u:
-            p = p * PauliOp.single(g.n, w, "Z")
-        elif v == w:
-            p = p * PauliOp.single(g.n, u, "Z")
-    return p
-
-
 def qubit_permutation_batch(perms, n: int) -> CliffordBatch:
     """The Cliffords sending qubit i to qubit perm[i], one row per perm."""
     perms = [tuple(perm) for perm in perms]
@@ -987,20 +913,6 @@ def qubit_permutation_batch(perms, n: int) -> CliffordBatch:
 def qubit_permutation_clifford(perm, n: int) -> CliffordElement:
     """The Clifford sending qubit i to qubit perm[i]."""
     return CliffordElement(*qubit_permutation_batch([perm], n))
-
-
-def r_state_pauli_expectation(p: PauliOp) -> float:
-    """<R^n|P|R^n> from the product rule: s * 0^{#Z} cos(pi/8)^{#X} sin(pi/8)^{#Y}."""
-    nx, ny, nz = p.weight_counts()
-    if nz > 0:
-        return 0.0
-    y = p.x & p.z
-    disp = (p.phase + 3 * y.bit_count()) & 3
-    if disp % 2 == 1:
-        # an odd i power cannot occur for Hermitian strings
-        raise PauliError("expectation of non-Hermitian Pauli requested")
-    s = 1.0 if disp == 0 else -1.0
-    return s * (COS8**nx) * (SIN8**ny)
 
 
 def _pauli_strings(n: int):

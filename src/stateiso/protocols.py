@@ -12,7 +12,6 @@ exact computation on the simulated states.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 from functools import cache
@@ -47,15 +46,6 @@ class ProtocolTranscript:
     @property
     def accept(self) -> bool:
         return self.j == self.j_prime
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "j": self.j,
-            "g": repr(self.g),
-            "message": self.message,
-            "j_prime": self.j_prime,
-            "accept": self.accept,
-        })
 
 
 # ----------------------------------------------------------------------
@@ -235,22 +225,11 @@ def wilson_interval(successes: int, trials: int) -> tuple:
 
 
 def run_trials(round_fn: Callable[[int], ProtocolTranscript], trials: int,
-               seed: int = 0, transcript_file: Optional[str] = None) -> dict:
+               seed: int = 0) -> dict:
     """Run seeded independent rounds; report the accept rate with a 95%
-    Wilson interval.  Optionally logs one JSON transcript per line."""
-    rng = np.random.default_rng(seed)
-    seeds = rng.integers(0, 1 << 31, size=trials)
-    accepts = 0
-    fh = open(transcript_file, "w") if transcript_file else None
-    try:
-        for s in seeds:
-            t = round_fn(int(s))
-            accepts += t.accept
-            if fh:
-                fh.write(t.to_json() + "\n")
-    finally:
-        if fh:
-            fh.close()
+    Wilson interval."""
+    seeds = np.random.default_rng(seed).integers(0, 1 << 31, size=trials)
+    accepts = sum(round_fn(int(s)).accept for s in seeds)
     low, high = wilson_interval(accepts, trials)
     return {
         "trials": trials, "accepts": accepts,

@@ -22,7 +22,7 @@ from .linalg import (
 from .graphs import Graph, find_isomorphism
 from .groups import DecisionThresholds, FiniteGroupRep, max_conjugate_fidelity
 from .paulis import (
-    CliffordBatch, CliffordElement, batch_block_size, batch_overlaps,
+    _DENSE_BUDGET, CliffordBatch, CliffordElement, batch_block_size, batch_overlaps,
     batch_r_overlap_sq, clifford_elements, graph_state, qubit_permutation_batch,
     qubit_permutation_clifford, r_minus_state, r_state, r_state_product, random_clifford_batch,
     sign_factored_r_overlap_sq, symplectic_group_order,
@@ -78,6 +78,15 @@ class GiCliffordInstance:
         return qubit_permutation_clifford(qperm, self.n_qubits)
 
 
+def _check_encoding(n_qubits: int, states: int) -> None:
+    """Raise ReductionError before a graph-state encoding whose tracemalloc
+    peak, ``states`` dense n-qubit vectors of 16 * 2^n bytes each, would go
+    over the ``_DENSE_BUDGET`` byte budget."""
+    if n_qubits + math.log2(16 * states) > math.log2(_DENSE_BUDGET):
+        raise ReductionError(f"encoding a graph on {n_qubits} qubits peaks near {states} x 16 x "
+                             f"2^{n_qubits} bytes, over the {_DENSE_BUDGET >> 20} MiB budget")
+
+
 def _encode_graph_clifford(g: Graph) -> StateVector:
     left = r_minus_state().amplitudes
     amps = np.kron(r_state().amplitudes, r_state_product(g.n).amplitudes)
@@ -87,9 +96,11 @@ def _encode_graph_clifford(g: Graph) -> StateVector:
 
 def gi_to_clifford(g1: Graph, g2: Graph):
     """Encode a graph pair; mismatched vertex or edge counts are rejected
-    up front with a NO verdict rather than encoded."""
+    up front with a NO verdict rather than encoded.  Encoding both graphs
+    peaks near four (n+1)-qubit states."""
     if g1.n != g2.n or len(g1.edges) != len(g2.edges):
         return PsgiVerdict("NO", None, 0j)
+    _check_encoding(g1.n + 1, 4)
     return GiCliffordInstance(g1, g2, _encode_graph_clifford(g1),
                               _encode_graph_clifford(g2))
 
@@ -276,11 +287,13 @@ def lowrank_gi_instance(g1: Graph, g2: Graph, graph_weight: Optional[float] = No
 
     ``graph_weight`` overrides b; values well above the default make the
     two states statistically distinguishable at small sample counts, which
-    the interactive-protocol demonstrations need.
+    the interactive-protocol demonstrations need.  Building the pair, or
+    materializing either state, peaks near six n-qubit states.
     """
     if g1.n != g2.n or len(g1.edges) != len(g2.edges):
         return PsgiVerdict("NO", None, 0j)
     n = g1.n
+    _check_encoding(n, 6)
     m = build_m_state(n)
     m_amps = m.materialize().amplitudes
     b = min(0.1, float(n) ** -11) if graph_weight is None else float(graph_weight)

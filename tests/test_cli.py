@@ -3,7 +3,9 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -245,6 +247,9 @@ class TestBosonicCommands:
         assert "n_samples" in res.output and "Traceback" not in res.output
 
 
+P4_TEXT = Graph.path(4).to_edge_list_text()
+
+
 def _malformed_inputs(runner, tmp_path):
     """(id, argv) pairs of malformed inputs that must be config errors."""
     state = {"n_qubits": 1, "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}
@@ -320,6 +325,13 @@ def _malformed_inputs(runner, tmp_path):
                                     "psi2": state, "group": {"type": "pauli", "n": 1},
                                     "alpha": 0.6, "beta": 0.99}))
         bad_states[f"psgi-bundle-psi1-{case}"] = ["psgi", "--instance", str(path)]
+    # paired with a 4-vertex path, a -3-vertex graph would read as a NO
+    # instance by its mismatched vertex count
+    negative = tmp_path / "negative.txt"
+    negative.write_text("-3\n")
+    negative_bundle = tmp_path / "negative_bundle.json"
+    negative_bundle.write_text(json.dumps({"version": 1, "type": "gi_clifford",
+                                           "graph1": "-3\n", "graph2": P4_TEXT}))
     return {
         **bad_groups,
         **bad_states,
@@ -336,6 +348,10 @@ def _malformed_inputs(runner, tmp_path):
         "bosonic-overlap-core-without-amplitudes":
             ["bosonic", "overlap", str(core), str(bad_core)],
         "verify-trace-transfer-zero-qubits": ["verify", "trace-transfer", "--n", "0"],
+        "reduce-gi-clifford-negative-vertex-count":
+            ["reduce", "gi-clifford", str(negative), g1],
+        "psgi-gi-clifford-bundle-negative-vertex-count":
+            ["psgi", "--instance", str(negative_bundle)],
     }
 
 
@@ -382,6 +398,8 @@ class TestConfigErrorBoundary:
         "reduce-psgi-statehsp-zero-copies",
         "reduce-psgi-statehsp-negative-copies",
         "reduce-psgi-statehsp-thirty-copies",
+        "reduce-gi-clifford-negative-vertex-count",
+        "psgi-gi-clifford-bundle-negative-vertex-count",
     ])
     def test_malformed_input_exits_two(self, runner, tmp_path, case):
         args = _malformed_inputs(runner, tmp_path)[case]
@@ -451,6 +469,32 @@ class TestConfigErrorBoundary:
         t0 = time.perf_counter()
         res = runner.invoke(main, args)
         assert time.perf_counter() - t0 < 1.0
+        _assert_config_error(res)
+        assert "budget" in res.stderr
+
+    @pytest.mark.parametrize("command", ["reduce-gi-clifford", "reduce-gi-lowrank",
+                                         "psgi-gi-clifford-bundle"])
+    def test_graph_encoding_over_budget(self, runner, tmp_path, command):
+        # a 40-vertex graph's encoded states take 16 * 2^41 bytes each:
+        # refused before numpy allocates them
+        text = Graph.path(40).to_edge_list_text()
+        graph = tmp_path / "p40.txt"
+        graph.write_text(text)
+        bundle = tmp_path / "p40.json"
+        bundle.write_text(json.dumps({"version": 1, "type": "gi_clifford",
+                                      "graph1": text, "graph2": text}))
+        args = {"reduce-gi-clifford": ["reduce", "gi-clifford", str(graph), str(graph)],
+                "reduce-gi-lowrank": ["reduce", "gi-lowrank", str(graph), str(graph)],
+                "psgi-gi-clifford-bundle": ["psgi", "--instance", str(bundle)]}[command]
+        tracemalloc.start()
+        t0 = time.perf_counter()
+        try:
+            res = runner.invoke(main, args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - t0 < 1.0
+        assert peak < 1 << 20
         _assert_config_error(res)
         assert "budget" in res.stderr
 
@@ -560,6 +604,65 @@ class TestDeterminism:
     def test_version_flag(self, runner):
         res = runner.invoke(main, ["--version"])
         assert res.exit_code == 0
+
+
+def _leaf_commands(group, prefix=()):
+    """(name, command) of every leaf command under ``group``."""
+    for name, cmd in group.commands.items():
+        if isinstance(cmd, click.Group):
+            yield from _leaf_commands(cmd, prefix + (name,))
+        else:
+            yield " ".join(prefix + (name,)), cmd
+
+
+class TestConfigLine:
+    def test_every_command_announces_every_parameter(self, runner, tmp_path):
+        graph = _write_graph(tmp_path / "g.txt", Graph.path(3))
+        rho = tmp_path / "rho.json"
+        rho.write_text(DensityMatrix(1, np.diag([0.75, 0.25]).astype(complex)).to_json())
+        state = {"n_qubits": 1, "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}
+        bundle = tmp_path / "psgi.json"
+        bundle.write_text(json.dumps({"version": 1, "type": "psgi", "psi1": state,
+                                      "psi2": state, "group": {"type": "cyclic", "N": 2,
+                                                               "rep": "shift"},
+                                      "alpha": 0.6, "beta": 0.99}))
+        core = str(tmp_path / "core.json")
+        assert runner.invoke(main, ["bosonic", "encode", graph, "--out", core]).exit_code == 0
+        unitary = tmp_path / "u.json"
+        unitary.write_text(json.dumps({"n": 3, "matrix": [[[float(i == j), 0.0] for j in range(3)]
+                                                          for i in range(3)]}))
+        cheap = {
+            "psgi": ["--n", "1"],
+            "reduce gi-clifford": [graph, graph],
+            "reduce gi-lowrank": [graph, graph],
+            "reduce gi-bosonic": [graph, graph],
+            "reduce qsd-msgi": [str(rho), str(rho)],
+            "reduce qsd-mixedhsp": [str(rho), str(rho)],
+            "reduce psgi-statehsp": [str(bundle)],
+            "verify lemma-perm": ["--n", "1"],
+            "verify twirl-bound": ["--instances", "1"],
+            "verify helper-gapped-cv": ["--count", "1"],
+            "verify trace-transfer": ["--count", "1"],
+            "verify shadow-unbiased": [],
+            "protocol qcszk": ["--trials", "1", "--shadows", "10"],
+            "protocol qszk-mixed": ["--trials", "1", "--k", "1"],
+            "protocol szk-lowrank": ["--trials", "1"],
+            "bosonic encode": [graph],
+            "bosonic apply": [core, str(unitary)],
+            "bosonic overlap": [core, core],
+            "bosonic optimize": [core, core, "--restarts", "1"],
+            "bosonic tv-gap": [core, core, "--samples", "1"],
+        }
+        leaves = dict(_leaf_commands(main))
+        assert sorted(leaves) == sorted(cheap)
+        for name, cmd in leaves.items():
+            res = runner.invoke(main, name.split() + cheap[name])
+            assert res.exit_code in (0, 1), (name, res.output)
+            first = res.stderr.splitlines()[0]
+            assert first.startswith("config: "), (name, first)
+            config = json.loads(first[len("config: "):])
+            assert config["command"] == name
+            assert set(config) == {"command"} | {p.name for p in cmd.params}, name
 
 
 class TestNoNetworkx:

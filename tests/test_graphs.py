@@ -45,11 +45,8 @@ class TestGraph:
             Graph.from_edge_list_text("x\n0 1\n")
         with pytest.raises(GraphError):
             Graph.from_edge_list_text("3\n0 1 2\n")
-
-    def test_adjacency_symmetric(self):
-        a = Graph.cycle(5).adjacency_matrix()
-        assert (a == a.T).all()
-        assert a.sum() == 10
+        with pytest.raises(GraphError, match="negative vertex count"):
+            Graph.from_edge_list_text("-3\n")
 
     def test_relabel(self):
         g = Graph.path(3)

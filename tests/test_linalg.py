@@ -8,9 +8,7 @@ from stateiso.linalg import (
     LinalgError,
     StateVector,
     UnitaryMatrix,
-    basis_state,
     fidelity_matrices,
-    inner_product,
     matrix_sqrt_psd,
     partial_trace,
     prepare_mixed,
@@ -142,18 +140,14 @@ class TestPartialTrace:
 
 
 class TestMetrics:
-    def test_inner_product(self):
-        a, b = random_state(2), random_state(2)
-        assert abs(inner_product(a, b) - np.vdot(a.amplitudes, b.amplitudes)) < 1e-12
-
     def test_pure_state_fidelity(self):
         a, b = random_state(2), random_state(2)
         f = sqrt_fidelity(a.density(), b.density())
-        assert abs(f - abs(inner_product(a, b))) < 1e-8
+        assert abs(f - abs(np.vdot(a.amplitudes, b.amplitudes))) < 1e-8
 
     def test_pure_state_trace_distance(self):
         a, b = random_state(2), random_state(2)
-        f = abs(inner_product(a, b)) ** 2
+        f = abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2
         d = trace_distance(a.density(), b.density())
         assert abs(d - np.sqrt(1 - f)) < 1e-8
 
@@ -180,7 +174,3 @@ class TestMetrics:
         m = a.matrix - b.matrix
         want = np.abs(np.linalg.eigvalsh(m)).sum()
         assert abs(trace_norm(m) - want) < 1e-10
-
-    def test_basis_state(self):
-        e2 = basis_state(2, 2)
-        assert abs(e2.amplitudes[2] - 1) < 1e-12

@@ -23,14 +23,12 @@ from stateiso.paulis import (
     clifford_elements,
     clifford_group_order,
     enumerate_cliffords,
-    graph_stabilizer,
     graph_state,
     pauli_expectation,
     pauli_table,
     qubit_permutation_batch,
     qubit_permutation_clifford,
     r_state,
-    r_state_pauli_expectation,
     r_state_product,
     random_clifford,
     random_clifford_batch,
@@ -59,10 +57,6 @@ def dense_pauli(p: PauliOp) -> np.ndarray:
 
 
 class TestPauliOp:
-    def test_from_string_roundtrip(self):
-        for s in ("+XZ", "-iYI", "+IIZ", "-XYZ"):
-            assert repr(PauliOp.from_string(s)) == s
-
     def test_multiplication_matches_dense(self):
         for _ in range(200):
             n = int(RNG.integers(1, 4))
@@ -74,13 +68,6 @@ class TestPauliOp:
         x = PauliOp.single(1, 0, "X")
         z = PauliOp.single(1, 0, "Z")
         assert np.allclose(dense_pauli(x * z), -1j * Y)
-
-    def test_commutation_matches_dense(self):
-        for _ in range(100):
-            n = int(RNG.integers(1, 4))
-            a, b = _random_pauli(n), _random_pauli(n)
-            da, db = dense_pauli(a), dense_pauli(b)
-            assert a.commutes(b) == np.allclose(da @ db, db @ da)
 
     def test_apply_matches_matrix(self):
         for _ in range(50):
@@ -513,7 +500,7 @@ class TestRStates:
                 continue
             psi = r_state_product(n)
             want = pauli_expectation(psi, p).real
-            assert abs(r_state_pauli_expectation(p) - want) < 1e-12
+            assert abs(_r_state_pauli_expectation(p) - want) < 1e-12
 
     def test_r_overlap_matches_dense(self):
         for n in (1, 2, 3):
@@ -530,7 +517,7 @@ class TestFastIntPath:
         for n in (1, 2, 3):
             for _ in range(30):
                 c = random_clifford(n, rng)
-                assert c.is_symplectic()
+                assert _is_symplectic(c)
                 images = c.key()
                 batch = CliffordBatch(n, *(np.array([t]) for t in zip(*images)))
                 psi = r_state_product(n).amplitudes
@@ -567,7 +554,7 @@ class TestBatchedKernel:
             assert len(keys) == len(set(keys)) == clifford_group_order(n)
             assert keys == [c.key() for c in enumerate_cliffords(n)]
             for b in clifford_batches(n, size):
-                assert all(b.row(r).is_symplectic() for r in range(len(b.ph)))
+                assert all(_is_symplectic(b.row(r)) for r in range(len(b.ph)))
 
     def test_r_overlap_matches_dense(self):
         rng = np.random.default_rng(21)
@@ -747,7 +734,7 @@ class TestGraphStates:
         g = Graph.cycle(4)
         psi = graph_state(g)
         for v in range(4):
-            s = graph_stabilizer(g, v)
+            s = _graph_stabilizer(g, v)
             assert np.allclose(s.apply(psi.amplitudes), psi.amplitudes)
 
     def test_triangle_amplitudes(self):
@@ -759,7 +746,7 @@ class TestGraphStates:
     def test_qubit_permutation_clifford(self):
         perm = (1, 2, 0)
         c = qubit_permutation_clifford(perm, 3)
-        assert c.is_qubit_permutation()
+        assert c.permutation_mask()[0]
         u = c.to_unitary().matrix
         v = RNG.normal(size=8) + 1j * RNG.normal(size=8)
         moved = (u @ v).reshape([2] * 3)
@@ -772,11 +759,43 @@ class TestGraphStates:
         from itertools import permutations
         perms = list(permutations(range(3)))
         batch = qubit_permutation_batch(perms, 3)
-        assert [batch.row(b).is_qubit_permutation() for b in range(6)] == perms
+        assert batch.permutation_mask().all()
+        # row b sends X_i to X_{perm[i]}
+        assert [tuple(v.bit_length() - 1 for v in row[:3].tolist())
+                for row in batch.x] == perms
         with pytest.raises(PauliError, match="not a permutation"):
             qubit_permutation_batch([(0, 1, 2), (0, 0, 2)], 3)
         with pytest.raises(PauliError, match="not a permutation"):
             qubit_permutation_clifford((0, 1, 1, 0), 2)
+
+def _graph_stabilizer(g, v):
+    """K_v = X_v prod_{w ~ v} Z_w for a graph state."""
+    p = PauliOp.single(g.n, v, "X")
+    for u, w in g.edges:
+        if v in (u, w):
+            p = p * PauliOp.single(g.n, u + w - v, "Z")
+    return p
+
+
+def _is_symplectic(c):
+    """Whether the 2n x 2n binary matrix of the images (row j = x bits, z
+    bits of image j) preserves the symplectic form."""
+    n = c.n
+    q = np.arange(n)
+    m = np.hstack(((c.x[0, :, None] >> q) & 1, (c.z[0, :, None] >> q) & 1))
+    omega = np.roll(np.eye(2 * n, dtype=int), n, axis=1)
+    return bool(np.array_equal((m @ omega @ m.T) % 2, omega))
+
+
+def _r_state_pauli_expectation(p):
+    """<R^n|P|R^n> from the product rule: s * 0^{#Z} cos(pi/8)^{#X} sin(pi/8)^{#Y}."""
+    y = p.x & p.z
+    if (p.z & ~y).bit_count():
+        return 0.0
+    # each Y carries a factor i in the canonical X^x Z^z form
+    s = 1.0 if (p.phase + 3 * y.bit_count()) & 3 == 0 else -1.0
+    return s * COS8 ** (p.x & ~y).bit_count() * SIN8 ** y.bit_count()
+
 
 def _axes_for(perm):
     # axis i of the output takes its data from some input axis; determine

@@ -1,4 +1,3 @@
-import json
 import tracemalloc
 
 import numpy as np
@@ -37,11 +36,6 @@ class TestRecords:
                 assert t.accept is (j == j_prime)
         with pytest.raises(TypeError):
             ProtocolTranscript(j=1, g=None, message={}, j_prime=2, accept=True)
-
-    def test_transcript_json(self):
-        t = ProtocolTranscript(j=1, g=None, message={"k": 2}, j_prime=1)
-        back = json.loads(t.to_json())
-        assert back["accept"] is True and back["j"] == 1
 
 
 def _estimates(psi, targets, n_shadows, seed):
@@ -290,16 +284,6 @@ class TestAggregation:
         report = run_trials(coin, trials=2000, seed=3)
         assert abs(report["accept_rate"] - 0.5) < 0.05
         assert report["wilson_low"] < report["accept_rate"] < report["wilson_high"]
-
-    def test_run_trials_transcript_file(self, tmp_path):
-        def always(seed):
-            return ProtocolTranscript(j=1, g=None, message={}, j_prime=1)
-        path = tmp_path / "t.jsonl"
-        report = run_trials(always, trials=5, seed=0, transcript_file=str(path))
-        assert report["accepts"] == 5
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == 5
-        assert all(json.loads(ln)["accept"] for ln in lines)
 
     def test_write_summary_csv(self, tmp_path):
         path = tmp_path / "summary.csv"

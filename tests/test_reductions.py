@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -65,6 +66,44 @@ class TestGiClifford:
             assert len(g1.edges) == len(g2.edges)
             inst = gi_to_clifford(g1, g2)
             assert inst.permutation_witness() is None
+
+
+def _lowrank_states(g1, g2):
+    lr1, lr2, _ = lowrank_gi_instance(g1, g2)
+    return lr1.materialize(), lr2.materialize()
+
+
+ENCODINGS = [(gi_to_clifford, 4, 1), (_lowrank_states, 6, 0)]
+
+
+class TestEncodingBudget:
+    """Each graph-state encoding counts its tracemalloc peak, ``states``
+    dense vectors on n + ``extra`` qubits for an n-vertex graph, against the
+    byte budget before it allocates."""
+
+    @pytest.mark.parametrize("encode", [e[0] for e in ENCODINGS], ids=["clifford", "lowrank"])
+    def test_over_budget_refused_before_allocating(self, encode):
+        # 22 vertices is the first size over 256 MiB for both encodings
+        tracemalloc.start()
+        try:
+            with pytest.raises(ReductionError, match="budget"):
+                encode(Graph.path(22), Graph.path(22))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("encode, states, extra", ENCODINGS, ids=["clifford", "lowrank"])
+    def test_peak_within_guard(self, encode, states, extra):
+        # beyond the states, the encodings hold ~150 KiB of fixed objects
+        n = 14
+        tracemalloc.start()
+        try:
+            encode(Graph.path(n), Graph.path(n).relabel(range(n - 1, -1, -1)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= states * (16 << (n + extra)) + (1 << 18)
 
 
 class TestFastCliffordApply:
