@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import cmath
 import csv
-import json
 import math
 from dataclasses import dataclass
 from functools import cache
@@ -98,21 +97,20 @@ class CoreState:
         object.__setattr__(self, "amplitudes", clean)
 
     # -- serialization ----------------------------------------------------
-    def to_json(self) -> str:
-        return json.dumps({
+    def to_obj(self) -> dict:
+        return {
             "n_modes": self.n_modes,
             "r_max": self.r_max,
             "amplitudes": [
                 {"k": list(k), "amp": [amp.real, amp.imag]}
                 for k, amp in sorted(self.amplitudes.items())
             ],
-        })
+        }
 
     @staticmethod
-    def from_json(text: str) -> "CoreState":
-        """Read ``to_json`` output; a field of the wrong kind raises
+    def from_obj(obj) -> "CoreState":
+        """Read ``to_obj`` output; a field of the wrong kind raises
         BosonicError, and the constructor checks the values."""
-        obj = json.loads(text)
         if not isinstance(obj, dict):
             raise BosonicError("core state JSON must be an object")
         missing = [f for f in ("n_modes", "r_max", "amplitudes") if f not in obj]

@@ -1,7 +1,8 @@
 """Batch command-line front end.
 
-Exit codes: 0 = YES decision (or all checks passed), 1 = NO decision (or a
-check failed), 2 = configuration error, 3 = promise violation.
+Each command returns its document, and one command class writes it and
+exits: 0 = YES decision (or all checks passed), 1 = NO decision (or a check
+failed), 2 = configuration error, 3 = promise violation.
 """
 from __future__ import annotations
 
@@ -16,7 +17,6 @@ import numpy as np
 from . import __version__
 from .bosonic import (
     CoreState,
-    ModeUnitary,
     apply_linear_optical,
     core_overlap,
     cubic_overlap,
@@ -33,7 +33,7 @@ from .groups import (
     group_from_spec,
     pauli_group,
 )
-from .linalg import DensityMatrix, StateVector, random_density
+from .linalg import DensityMatrix, StateVector, UnitaryMatrix, random_density
 from .paulis import batch_unitaries, clifford_batches
 from .protocols import (
     qcszk_context,
@@ -90,16 +90,6 @@ def _np_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
-def _emit(obj: dict, out: str):
-    text = json.dumps(obj, indent=2, sort_keys=True, default=_np_default)
-    if out:
-        with open(_resolve_out(out), "w") as fh:
-            fh.write(text + "\n")
-        click.echo(f"wrote {_resolve_out(out)}", err=True)
-    else:
-        click.echo(text)
-
-
 def _read_text(path: str) -> str:
     if not os.path.exists(path):
         _config_error(f"input file not found: {path}")
@@ -126,28 +116,6 @@ def _read_graph(path: str) -> Graph:
     return Graph.from_edge_list_text(_read_text(path))
 
 
-def _read_core(path: str) -> CoreState:
-    return CoreState.from_json(_read_text(path))
-
-
-def _state_obj(psi: StateVector) -> dict:
-    return json.loads(psi.to_json())
-
-
-def _density_obj(rho: DensityMatrix) -> dict:
-    return json.loads(rho.to_json())
-
-
-def _unitary_obj(u: ModeUnitary) -> dict:
-    return {"n": u.dim,
-            "matrix": [[[z.real, z.imag] for z in row] for row in u.matrix]}
-
-
-def _unitary_from_obj(obj: dict) -> ModeUnitary:
-    m = np.array([[complex(re, im) for re, im in row] for row in obj["matrix"]])
-    return ModeUnitary(int(obj["n"]), m)
-
-
 def _config_error(msg: str):
     click.echo(f"config error: {msg}", err=True)
     sys.exit(EXIT_CONFIG)
@@ -162,10 +130,29 @@ def _at_least_one(ctx, param, value: int) -> int:
     return value
 
 
+def _exit_code(doc) -> int:
+    """The one exit rule: a decision exits 0 for YES, 1 for NO and 3 for a
+    violated promise; a check with ``passed`` false exits 1; anything else 0."""
+    if isinstance(doc, dict) and "decision" in doc:
+        return {"YES": EXIT_YES, "NO": EXIT_NO}.get(doc["decision"], EXIT_PROMISE)
+    return EXIT_NO if isinstance(doc, dict) and not doc.get("passed", True) else EXIT_YES
+
+
 class _AnnouncedCommand(click.Command):
-    """A command that prints its full configuration before it runs: one
-    stderr line ``config: `` and the sorted JSON of its name ("reduce
-    gi-clifford") and every parameter under its click name."""
+    """A command that prints its full configuration, runs, writes the
+    document its callback returns and exits by ``_exit_code``.
+
+    The configuration is one stderr line ``config: `` and the sorted JSON of
+    the command's name ("reduce gi-clifford") and every parameter under its
+    click name.  Every command takes ``--out`` (help text ``out_help``): a
+    returned dict goes there as indented JSON, else to stdout; returned
+    protocol rows go to stdout as JSON lines, and to ``--out`` as a summary
+    CSV.  The callback never sees ``--out``.
+    """
+
+    def __init__(self, *args, out_help=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.params.append(click.Option(["--out"], default="", help=out_help))
 
     def invoke(self, ctx):
         names, up = [], ctx
@@ -174,7 +161,23 @@ class _AnnouncedCommand(click.Command):
             up = up.parent
         click.echo("config: " + json.dumps(
             {"command": " ".join(reversed(names)), **ctx.params}, sort_keys=True), err=True)
-        return super().invoke(ctx)
+        out = _resolve_out(ctx.params.pop("out"))
+        doc = super().invoke(ctx)
+        if isinstance(doc, list):
+            for row in doc:
+                click.echo(json.dumps(row, sort_keys=True))
+            if out:
+                write_summary_csv(out, doc)
+        else:
+            text = json.dumps(doc, indent=2, sort_keys=True, default=_np_default)
+            if not out:
+                click.echo(text)
+            else:
+                with open(out, "w") as fh:
+                    fh.write(text + "\n")
+        if out:
+            click.echo(f"wrote {out}", err=True)
+        sys.exit(_exit_code(doc))
 
 
 class _ConfigErrorBoundary(click.Group):
@@ -182,10 +185,11 @@ class _ConfigErrorBoundary(click.Group):
 
     Library errors are ValueError subclasses (JSON decode errors among
     them); a bundle or spec without a required field raises KeyError, an
-    out-of-range index IndexError, and an input or ``--out`` path that
-    cannot be opened OSError.  None of them may surface as a traceback
-    with exit 1, which would read as a NO decision.  Its commands announce
-    their configuration, and its subgroups are of this class too.
+    out-of-range index IndexError, an input or ``--out`` path that cannot
+    be opened OSError, and an allocation the machine cannot hold
+    MemoryError.  None of them may surface as a traceback with exit 1,
+    which would read as a NO decision.  Its commands are
+    ``_AnnouncedCommand``s, and its subgroups are of this class too.
     """
 
     command_class = _AnnouncedCommand
@@ -198,6 +202,8 @@ class _ConfigErrorBoundary(click.Group):
             _config_error(f"missing field {exc}")
         except (ValueError, IndexError, OSError) as exc:
             _config_error(str(exc))
+        except MemoryError as exc:
+            _config_error(f"out of memory: {exc}")
 
 
 @click.group(cls=_ConfigErrorBoundary)
@@ -214,7 +220,7 @@ def main():
 # psgi
 # ----------------------------------------------------------------------
 
-@main.command("psgi")
+@main.command("psgi", out_help="Output JSON path (default stdout).")
 @click.option("--instance", "instance_path", type=str, default=None,
               help="Instance bundle JSON (from `reduce`).")
 @click.option("--oracle/--quantum", "use_oracle", default=True,
@@ -234,15 +240,13 @@ def main():
               callback=_at_least_one)
 @click.option("--sweep-count", type=int, default=20000, show_default=True,
               help="Random Cliffords for the NO side of gi_clifford bundles.")
-@click.option("--out", default="", help="Output JSON path (default stdout).")
 def cmd_psgi(instance_path, use_oracle, group, n_qubits, same_state, kind,
-             alpha, beta, seed, copies, shot_mode, shots, sweep_count, out):
+             alpha, beta, seed, copies, shot_mode, shots, sweep_count):
     """Decide a state-isomorphism instance; exit 0 YES / 1 NO / 3 violated."""
     if instance_path:
         bundle = _read_json(instance_path)
         if bundle.get("type") == "gi_clifford":
-            _run_gi_clifford_bundle(bundle, sweep_count, seed, out)
-            return
+            return _run_gi_clifford_bundle(bundle, sweep_count, seed)
         inst = _psgi_from_bundle(bundle)
     else:
         thresholds = DecisionThresholds(alpha, beta)
@@ -264,49 +268,37 @@ def cmd_psgi(instance_path, use_oracle, group, n_qubits, same_state, kind,
         witness_text = "identity"
     else:
         witness_text = None if witness is None else repr(witness)
-    _emit({
+    return {
         "version": SCHEMA_VERSION,
         "decision": verdict.decision,
         "witness": witness_text,
         "achieved_overlap": [verdict.achieved_overlap.real,
                              verdict.achieved_overlap.imag],
-    }, out)
-    sys.exit(_decision_code(verdict.decision))
-
-
-def _decision_code(decision: str) -> int:
-    if decision == "YES":
-        return EXIT_YES
-    if decision == "NO":
-        return EXIT_NO
-    return EXIT_PROMISE
+    }
 
 
 def _psgi_from_bundle(bundle: dict) -> PsgiInstance:
-    psi1 = StateVector.from_json(json.dumps(_field(bundle, "psi1", dict, "an object")))
-    psi2 = StateVector.from_json(json.dumps(_field(bundle, "psi2", dict, "an object")))
+    psi1 = StateVector.from_obj(_field(bundle, "psi1", dict, "an object"))
+    psi2 = StateVector.from_obj(_field(bundle, "psi2", dict, "an object"))
     rep = group_from_spec(_field(bundle, "group", dict, "an object"))
     thresholds = DecisionThresholds(_field(bundle, "alpha", (int, float), "a number"),
                                     _field(bundle, "beta", (int, float), "a number"))
     return PsgiInstance(psi1, psi2, rep, thresholds)
 
 
-def _run_gi_clifford_bundle(bundle: dict, sweep_count: int, seed: int, out: str):
+def _run_gi_clifford_bundle(bundle: dict, sweep_count: int, seed: int) -> dict:
     g1 = Graph.from_edge_list_text(_field(bundle, "graph1", str, "a string"))
     g2 = Graph.from_edge_list_text(_field(bundle, "graph2", str, "a string"))
     inst = gi_to_clifford(g1, g2)
     if hasattr(inst, "decision"):        # mismatched counts: immediate NO
-        _emit({"version": SCHEMA_VERSION, "decision": "NO", "witness": None,
-               "achieved_overlap": [0.0, 0.0]}, out)
-        sys.exit(EXIT_NO)
+        return {"version": SCHEMA_VERSION, "decision": "NO", "witness": None,
+                "achieved_overlap": [0.0, 0.0]}
     perm = find_isomorphism(g1, g2)
     if perm is not None:
         witness = inst.permutation_witness()
         overlap = inst.overlap(witness)
-        _emit({"version": SCHEMA_VERSION, "decision": "YES",
-               "witness": repr(witness),
-               "achieved_overlap": [overlap.real, overlap.imag]}, out)
-        sys.exit(EXIT_YES)
+        return {"version": SCHEMA_VERSION, "decision": "YES", "witness": repr(witness),
+                "achieved_overlap": [overlap.real, overlap.imag]}
     work = sweep_count * inst.n_qubits << inst.n_qubits
     if work > SWEEP_ENTRY_BUDGET:
         _config_error(f"a {sweep_count}-Clifford sweep on {inst.n_qubits} qubits is "
@@ -314,10 +306,8 @@ def _run_gi_clifford_bundle(bundle: dict, sweep_count: int, seed: int, out: str)
                       f"lower --sweep-count")
     sweep = clifford_overlap_sweep(inst.psi1, inst.psi2, sweep_count, seed,
                                    inst.thresholds.alpha)
-    _emit({"version": SCHEMA_VERSION, "decision": "NO", "witness": None,
-           "achieved_overlap": [sweep["max_overlap"], 0.0],
-           "sweep": sweep}, out)
-    sys.exit(EXIT_NO)
+    return {"version": SCHEMA_VERSION, "decision": "NO", "witness": None,
+            "achieved_overlap": [sweep["max_overlap"], 0.0], "sweep": sweep}
 
 
 # ----------------------------------------------------------------------
@@ -329,11 +319,10 @@ def cmd_reduce():
     """Build instance bundles from graphs or density matrices."""
 
 
-@cmd_reduce.command("gi-clifford")
+@cmd_reduce.command("gi-clifford", out_help="Bundle path (default stdout).")
 @click.argument("graph1", type=str)
 @click.argument("graph2", type=str)
-@click.option("--out", default="", help="Bundle path (default stdout).")
-def reduce_gi_clifford(graph1, graph2, out):
+def reduce_gi_clifford(graph1, graph2):
     g1, g2 = _read_graph(graph1), _read_graph(graph2)
     inst = gi_to_clifford(g1, g2)
     bundle = {
@@ -343,11 +332,11 @@ def reduce_gi_clifford(graph1, graph2, out):
     if hasattr(inst, "decision"):
         bundle["note"] = "vertex or edge counts differ; instance is NO"
     else:
-        bundle["psi1"] = _state_obj(inst.psi1)
-        bundle["psi2"] = _state_obj(inst.psi2)
+        bundle["psi1"] = inst.psi1.to_obj()
+        bundle["psi2"] = inst.psi2.to_obj()
         bundle["alpha"] = inst.thresholds.alpha
         bundle["beta"] = inst.thresholds.beta
-    _emit(bundle, out)
+    return bundle
 
 
 @cmd_reduce.command("gi-lowrank")
@@ -355,39 +344,35 @@ def reduce_gi_clifford(graph1, graph2, out):
 @click.argument("graph2", type=str)
 @click.option("--graph-weight", type=float, default=None,
               help="Override the graph-component weight b.")
-@click.option("--out", default="")
-def reduce_gi_lowrank(graph1, graph2, graph_weight, out):
+def reduce_gi_lowrank(graph1, graph2, graph_weight):
     g1, g2 = _read_graph(graph1), _read_graph(graph2)
     result = lowrank_gi_instance(g1, g2, graph_weight=graph_weight)
     if hasattr(result, "decision"):
-        _emit({"version": SCHEMA_VERSION, "type": "gi_lowrank",
-               "note": "vertex or edge counts differ; instance is NO"}, out)
-        return
+        return {"version": SCHEMA_VERSION, "type": "gi_lowrank",
+                "note": "vertex or edge counts differ; instance is NO"}
     lr1, lr2, thresholds = result
-    _emit({
+    return {
         "version": SCHEMA_VERSION, "type": "gi_lowrank",
         "graph1": g1.to_edge_list_text(), "graph2": g2.to_edge_list_text(),
-        "psi1": _state_obj(lr1.materialize()),
-        "psi2": _state_obj(lr2.materialize()),
+        "psi1": lr1.materialize().to_obj(), "psi2": lr2.materialize().to_obj(),
         "rank_bound": lr1.rank_bound,
         "alpha": thresholds.alpha, "beta": thresholds.beta,
-    }, out)
+    }
 
 
 @cmd_reduce.command("gi-bosonic")
 @click.argument("graph1", type=str)
 @click.argument("graph2", type=str)
-@click.option("--out", default="")
-def reduce_gi_bosonic(graph1, graph2, out):
+def reduce_gi_bosonic(graph1, graph2):
     g1, g2 = _read_graph(graph1), _read_graph(graph2)
     c1, c2 = encode_graph_bosonic(g1), encode_graph_bosonic(g2)
     thresholds = lowrank_thresholds(g1.n)
-    _emit({
+    return {
         "version": SCHEMA_VERSION, "type": "gi_bosonic",
         "graph1": g1.to_edge_list_text(), "graph2": g2.to_edge_list_text(),
-        "core1": json.loads(c1.to_json()), "core2": json.loads(c2.to_json()),
+        "core1": c1.to_obj(), "core2": c2.to_obj(),
         "alpha": thresholds.alpha, "beta": thresholds.beta,
-    }, out)
+    }
 
 
 @cmd_reduce.command("qsd-msgi")
@@ -396,19 +381,18 @@ def reduce_gi_bosonic(graph1, graph2, out):
 @click.option("--group", default="pauli", show_default=True)
 @click.option("--n", "n_qubits", type=int, default=1, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", default="")
-def reduce_qsd_msgi(sigma1, sigma2, group, n_qubits, seed, out):
-    s1 = DensityMatrix.from_json(_read_text(sigma1))
-    s2 = DensityMatrix.from_json(_read_text(sigma2))
+def reduce_qsd_msgi(sigma1, sigma2, group, n_qubits, seed):
+    s1 = DensityMatrix.from_obj(_read_json(sigma1))
+    s2 = DensityMatrix.from_obj(_read_json(sigma2))
     rep = group_from_spec({"type": group, "n": n_qubits})
     inst = qsd_to_msgi(s1, s2, rep, seed)
-    _emit({
+    return {
         "version": SCHEMA_VERSION, "type": "msgi",
-        "sigma1": _density_obj(inst.sigma1), "sigma2": _density_obj(inst.sigma2),
+        "sigma1": inst.sigma1.to_obj(), "sigma2": inst.sigma2.to_obj(),
         "group": {"type": group, "n": n_qubits},
         "alpha": inst.thresholds.alpha, "beta": inst.thresholds.beta,
         "seed": seed, "diagnostics": inst.diagnostics,
-    }, out)
+    }
 
 
 @cmd_reduce.command("qsd-mixedhsp")
@@ -418,45 +402,37 @@ def reduce_qsd_msgi(sigma1, sigma2, group, n_qubits, seed, out):
 @click.option("--n", "n_qubits", type=int, default=1, show_default=True)
 @click.option("--h-index", type=int, default=1, show_default=True,
               help="Index of the involution h in the group's element list.")
-@click.option("--out", default="")
-def reduce_qsd_mixedhsp(sigma1, sigma2, group, n_qubits, h_index, out):
-    s1 = DensityMatrix.from_json(_read_text(sigma1))
-    s2 = DensityMatrix.from_json(_read_text(sigma2))
+def reduce_qsd_mixedhsp(sigma1, sigma2, group, n_qubits, h_index):
+    if h_index < 0:
+        # Python would read a negative index from the end of the list
+        raise ValueError(f"--h-index must be >= 0, got {h_index}")
+    s1 = DensityMatrix.from_obj(_read_json(sigma1))
+    s2 = DensityMatrix.from_obj(_read_json(sigma2))
     rep = group_from_spec({"type": group, "n": n_qubits})
     h = rep.elements[h_index]
     inst = qsd_to_mixed_hsp(s1, s2, rep, h)
     lhs, rhs = trace_distance_transfer(inst, s1, s2)
-    _emit({
-        "version": SCHEMA_VERSION, "type": "mixed_hsp",
-        "rho": _density_obj(inst.rho),
+    return {
+        "version": SCHEMA_VERSION, "type": "mixed_hsp", "rho": inst.rho.to_obj(),
         "group": {"type": group, "n": n_qubits}, "h": repr(h),
         "transfer_lhs": lhs, "transfer_rhs": rhs,
-    }, out)
+    }
 
 
 @cmd_reduce.command("psgi-statehsp")
 @click.argument("instance", type=str)
 @click.option("--copies", type=int, default=1, show_default=True,
               callback=_at_least_one)
-@click.option("--out", default="")
-def reduce_psgi_statehsp(instance, copies, out):
+def reduce_psgi_statehsp(instance, copies):
     inst = _psgi_from_bundle(_read_json(instance))
     phi, rep, bounds = psgi_to_statehsp(inst, m=copies)
-    _emit({
-        "version": SCHEMA_VERSION, "type": "state_hsp",
-        "phi": _state_obj(phi), "group_order": rep.order,
-        "bounds": bounds,
-    }, out)
+    return {"version": SCHEMA_VERSION, "type": "state_hsp", "phi": phi.to_obj(),
+            "group_order": rep.order, "bounds": bounds}
 
 
 # ----------------------------------------------------------------------
 # verify
 # ----------------------------------------------------------------------
-
-def _finish_report(report: dict, out: str):
-    _emit(report, out)
-    sys.exit(EXIT_YES if report["passed"] else EXIT_NO)
-
 
 @main.group("verify")
 def cmd_verify():
@@ -469,13 +445,11 @@ def cmd_verify():
 @click.option("--samples", type=int, default=100000, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--threshold", type=float, default=0.9999, show_default=True)
-@click.option("--out", default="")
-def verify_lemma_perm_cmd(n_qubits, exhaustive, samples, seed, threshold, out):
+def verify_lemma_perm_cmd(n_qubits, exhaustive, samples, seed, threshold):
     report = verify_lemma_perm(n_qubits,
                                mode="exhaustive" if exhaustive else "sampled",
                                samples=samples, seed=seed, threshold=threshold)
-    report["passed"] = not report["violations"]
-    _finish_report(report, out)
+    return {**report, "passed": not report["violations"]}
 
 
 @cmd_verify.command("twirl-bound")
@@ -483,8 +457,7 @@ def verify_lemma_perm_cmd(n_qubits, exhaustive, samples, seed, threshold, out):
               callback=_at_least_one)
 @click.option("--n", "n_qubits", type=int, default=1, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", default="")
-def verify_twirl_bound(instances, n_qubits, seed, out):
+def verify_twirl_bound(instances, n_qubits, seed):
     rep = pauli_group(n_qubits)
     rng = np.random.default_rng(seed)
     dim = rep.dim
@@ -496,18 +469,15 @@ def verify_twirl_bound(instances, n_qubits, seed, out):
         rpt = check_twirl_fidelity_bound(rep, rho, sigma)
         min_slack = min(min_slack, rpt.slack)
         failures += not rpt.satisfied
-    _finish_report({
-        "version": SCHEMA_VERSION, "instances": instances,
-        "min_slack": min_slack, "failures": failures, "passed": failures == 0,
-    }, out)
+    return {"version": SCHEMA_VERSION, "instances": instances,
+            "min_slack": min_slack, "failures": failures, "passed": failures == 0}
 
 
 @cmd_verify.command("helper-gapped-cv")
 @click.option("--count", type=int, default=500, show_default=True,
               callback=_at_least_one)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", default="")
-def verify_helper_gapped_cv(count, seed, out):
+def verify_helper_gapped_cv(count, seed):
     """Residual bound ||V - PD||_F <= sqrt(3 n delta) in the delta regime."""
     rng = np.random.default_rng(seed)
     checked = 0
@@ -526,11 +496,8 @@ def verify_helper_gapped_cv(count, seed, out):
         bound = math.sqrt(3 * n * delta)
         worst_margin = max(worst_margin, proj.residual - bound)
         failures += proj.residual > bound + 1e-9
-    _finish_report({
-        "version": SCHEMA_VERSION, "count": checked,
-        "worst_margin": worst_margin, "failures": failures,
-        "passed": failures == 0,
-    }, out)
+    return {"version": SCHEMA_VERSION, "count": checked,
+            "worst_margin": worst_margin, "failures": failures, "passed": failures == 0}
 
 
 @cmd_verify.command("trace-transfer")
@@ -538,8 +505,7 @@ def verify_helper_gapped_cv(count, seed, out):
               callback=_at_least_one)
 @click.option("--n", "n_qubits", type=int, default=1, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", default="")
-def verify_trace_transfer(count, n_qubits, seed, out):
+def verify_trace_transfer(count, n_qubits, seed):
     rep = pauli_group(n_qubits)
     rng = np.random.default_rng(seed)
     # an involution that is not central: the first X-type generator
@@ -553,16 +519,13 @@ def verify_trace_transfer(count, n_qubits, seed, out):
         inst = qsd_to_mixed_hsp(s1, s2, rep, h)
         lhs, rhs = trace_distance_transfer(inst, s1, s2)
         worst = max(worst, abs(lhs - rhs))
-    _finish_report({
-        "version": SCHEMA_VERSION, "count": count, "worst_gap": worst,
-        "passed": worst <= 1e-7,
-    }, out)
+    return {"version": SCHEMA_VERSION, "count": count, "worst_gap": worst,
+            "passed": worst <= 1e-7}
 
 
 @cmd_verify.command("shadow-unbiased")
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", default="")
-def verify_shadow_unbiased(seed, out):
+def verify_shadow_unbiased(seed):
     """Exact single-shadow expectation at one qubit by full enumeration."""
     rng = np.random.default_rng(seed)
     units = batch_unitaries(next(clifford_batches(1, 24)))
@@ -579,36 +542,25 @@ def verify_shadow_unbiased(seed, out):
                 expect += p * (3 * abs(rot_phi[b]) ** 2 - 1) / 24
         true = abs(np.vdot(phi.amplitudes, psi.amplitudes)) ** 2
         worst = max(worst, abs(expect - true))
-    _finish_report({
-        "version": SCHEMA_VERSION, "cases": 20, "worst_bias": worst,
-        "passed": worst <= 1e-10,
-    }, out)
+    return {"version": SCHEMA_VERSION, "cases": 20, "worst_bias": worst,
+            "passed": worst <= 1e-10}
 
 
 # ----------------------------------------------------------------------
 # protocol
 # ----------------------------------------------------------------------
 
-def _emit_protocol(rows: list, out: str):
-    for row in rows:
-        click.echo(json.dumps(row, sort_keys=True))
-    if out:
-        write_summary_csv(_resolve_out(out), rows)
-        click.echo(f"wrote {_resolve_out(out)}", err=True)
-
-
 @main.group("protocol")
 def cmd_protocol():
     """Round-level protocol statistics on bundled instances."""
 
 
-@cmd_protocol.command("qcszk")
+@cmd_protocol.command("qcszk", out_help="Summary CSV path.")
 @click.option("--trials", type=int, default=500, show_default=True)
 @click.option("--shadows", type=int, default=2000, show_default=True)
 @click.option("--n", "n_qubits", type=int, default=2, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", default="", help="Summary CSV path.")
-def protocol_qcszk(trials, shadows, n_qubits, seed, out):
+def protocol_qcszk(trials, shadows, n_qubits, seed):
     thresholds = DecisionThresholds(0.6, 0.99)
     rng = np.random.default_rng(seed)
     rows = []
@@ -619,15 +571,14 @@ def protocol_qcszk(trials, shadows, n_qubits, seed, out):
             lambda s: qcszk_round(inst, n_shadows=shadows, seed=s, context=ctx),
             trials, seed)
         rows.append({"instance": label, **res})
-    _emit_protocol(rows, out)
+    return rows
 
 
 @cmd_protocol.command("qszk-mixed")
 @click.option("--trials", type=int, default=2000, show_default=True)
 @click.option("--k", "k_copies", type=int, default=4, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", default="")
-def protocol_qszk_mixed(trials, k_copies, seed, out):
+def protocol_qszk_mixed(trials, k_copies, seed):
     from .reductions import MsgiInstance
     rep = pauli_group(2)
     thresholds = DecisionThresholds(0.6, 0.99)
@@ -648,7 +599,7 @@ def protocol_qszk_mixed(trials, k_copies, seed, out):
             trials, seed)
         rows.append({"instance": label,
                      "twirled_distance": ctx["distance"], **res})
-    _emit_protocol(rows, out)
+    return rows
 
 
 @cmd_protocol.command("szk-lowrank")
@@ -656,8 +607,7 @@ def protocol_qszk_mixed(trials, k_copies, seed, out):
 @click.option("--gamma", type=float, default=0.05, show_default=True)
 @click.option("--graph-weight", type=float, default=0.7, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", default="")
-def protocol_szk_lowrank(trials, gamma, graph_weight, seed, out):
+def protocol_szk_lowrank(trials, gamma, graph_weight, seed):
     g1 = Graph.path(4)
     pairs = (("isomorphic", g1.relabel((2, 0, 3, 1))),
              ("non-isomorphic", Graph.star(4)))
@@ -669,7 +619,7 @@ def protocol_szk_lowrank(trials, gamma, graph_weight, seed, out):
             lambda s: szk_lowrank_round(lr1, lr2, gamma, s, context=ctx),
             trials, seed)
         rows.append({"instance": label, **res})
-    _emit_protocol(rows, out)
+    return rows
 
 
 # ----------------------------------------------------------------------
@@ -683,10 +633,8 @@ def cmd_bosonic():
 
 @cmd_bosonic.command("encode")
 @click.argument("graph", type=str)
-@click.option("--out", default="")
-def bosonic_encode(graph, out):
-    g = _read_graph(graph)
-    _emit(json.loads(encode_graph_bosonic(g).to_json()), out)
+def bosonic_encode(graph):
+    return encode_graph_bosonic(_read_graph(graph)).to_obj()
 
 
 @cmd_bosonic.command("apply")
@@ -694,22 +642,19 @@ def bosonic_encode(graph, out):
 @click.argument("unitary", type=str)
 @click.option("--method", type=click.Choice(["substitution", "permanent"]),
               default="substitution", show_default=True)
-@click.option("--out", default="")
-def bosonic_apply(state, unitary, method, out):
-    c = _read_core(state)
-    v = _unitary_from_obj(_read_json(unitary))
-    moved = apply_linear_optical(v, c, method=method)
-    _emit(json.loads(moved.to_json()), out)
+def bosonic_apply(state, unitary, method):
+    c = CoreState.from_obj(_read_json(state))
+    v = UnitaryMatrix.from_obj(_read_json(unitary))
+    return apply_linear_optical(v, c, method=method).to_obj()
 
 
 @cmd_bosonic.command("overlap")
 @click.argument("state1", type=str)
 @click.argument("state2", type=str)
-@click.option("--out", default="")
-def bosonic_overlap(state1, state2, out):
-    ov = core_overlap(_read_core(state1), _read_core(state2))
-    _emit({"version": SCHEMA_VERSION, "overlap": [ov.real, ov.imag],
-           "abs": abs(ov)}, out)
+def bosonic_overlap(state1, state2):
+    ov = core_overlap(CoreState.from_obj(_read_json(state1)),
+                      CoreState.from_obj(_read_json(state2)))
+    return {"version": SCHEMA_VERSION, "overlap": [ov.real, ov.imag], "abs": abs(ov)}
 
 
 @cmd_bosonic.command("optimize")
@@ -718,13 +663,12 @@ def bosonic_overlap(state1, state2, out):
 @click.option("--restarts", type=int, default=50, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--trace", "trace_path", default="", help="Per-restart CSV trace.")
-@click.option("--out", default="")
-def bosonic_optimize(state1, state2, restarts, seed, trace_path, out):
+def bosonic_optimize(state1, state2, restarts, seed, trace_path):
     v, best_abs, best_re = optimize_overlap(
-        _read_core(state1), _read_core(state2), restarts=restarts, seed=seed,
-        trace_file=_resolve_out(trace_path) or None)
-    _emit({"version": SCHEMA_VERSION, "best_abs": best_abs, "best_re": best_re,
-           "unitary": _unitary_obj(v)}, out)
+        CoreState.from_obj(_read_json(state1)), CoreState.from_obj(_read_json(state2)),
+        restarts=restarts, seed=seed, trace_file=_resolve_out(trace_path) or None)
+    return {"version": SCHEMA_VERSION, "best_abs": best_abs, "best_re": best_re,
+            "unitary": v.to_obj()}
 
 
 @cmd_bosonic.command("tv-gap")
@@ -733,11 +677,10 @@ def bosonic_optimize(state1, state2, restarts, seed, trace_path, out):
 @click.option("--sigma", type=float, default=0.02, show_default=True)
 @click.option("--samples", type=int, default=40, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", default="")
-def bosonic_tv_gap(state1, state2, sigma, samples, seed, out):
-    tv, diag = estimate_tv_gap(_read_core(state1), _read_core(state2), sigma,
-                               samples, seed)
-    _emit({"version": SCHEMA_VERSION, "tv_lower": tv, **diag}, out)
+def bosonic_tv_gap(state1, state2, sigma, samples, seed):
+    tv, diag = estimate_tv_gap(CoreState.from_obj(_read_json(state1)),
+                               CoreState.from_obj(_read_json(state2)), sigma, samples, seed)
+    return {"version": SCHEMA_VERSION, "tv_lower": tv, **diag}
 
 
 if __name__ == "__main__":

@@ -1,12 +1,13 @@
 """Dense complex linear algebra for small Hilbert spaces.
 
-States, density matrices, circuits and the standard metrics (square-root
-fidelity, trace distance).  Everything is double precision and immutable
-after construction; the intended scale is at most 16 qubits.
+States, density matrices, unitaries, circuits and the standard metrics
+(square-root fidelity, trace distance).  Everything is double precision and
+immutable after construction; the intended scale is at most 16 qubits.
+States and matrices read and write JSON objects through ``to_obj`` and
+``from_obj``, with complex entries as [re, im] pairs.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -69,27 +70,28 @@ class StateVector:
     def density(self) -> "DensityMatrix":
         return DensityMatrix(self.n_qubits, np.outer(self.amplitudes, self.amplitudes.conj()))
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n_qubits": self.n_qubits,
-                "amplitudes": [[z.real, z.imag] for z in self.amplitudes],
-            }
-        )
+    def to_obj(self) -> dict:
+        return {"n_qubits": self.n_qubits, "amplitudes": to_pairs(self.amplitudes)}
 
     @staticmethod
-    def from_json(text: str) -> "StateVector":
-        return StateVector(*_read_pairs(text, "amplitudes"))
+    def from_obj(obj) -> "StateVector":
+        return StateVector(*_read_pairs(obj, "n_qubits", "amplitudes"))
 
 
-def _read_pairs(text: str, key: str):
-    """(n_qubits, complex array) of a JSON state or matrix whose ``key``
-    field nests [re, im] pairs; a field of the wrong kind raises LinalgError
-    and the constructor checks the shape."""
-    obj = json.loads(text)
-    n = obj["n_qubits"] if isinstance(obj, dict) else None
+def to_pairs(a: np.ndarray) -> list:
+    """A complex array as nested [re, im] pairs of floats, the JSON form
+    that ``from_obj`` reads back."""
+    return np.stack((a.real, a.imag), axis=-1).tolist()
+
+
+def _read_pairs(obj, size: str, key: str):
+    """(size, complex array) of a JSON object whose integer ``size`` field
+    counts qubits or modes and whose ``key`` field nests [re, im] pairs; a
+    field of the wrong kind raises LinalgError and the constructor checks
+    the shape."""
+    n = obj[size] if isinstance(obj, dict) else None
     if type(n) is not int:
-        raise LinalgError(f"n_qubits must be an integer, got {n!r}")
+        raise LinalgError(f"{size} must be an integer, got {n!r}")
     pairs = _pairs(obj[key])
     if pairs is None:
         raise LinalgError(f"{key} must nest [re, im] pairs of finite numbers")
@@ -133,21 +135,18 @@ class DensityMatrix:
     def dim(self) -> int:
         return 2**self.n_qubits
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n_qubits": self.n_qubits,
-                "matrix": [[[z.real, z.imag] for z in row] for row in self.matrix],
-            }
-        )
+    def to_obj(self) -> dict:
+        return {"n_qubits": self.n_qubits, "matrix": to_pairs(self.matrix)}
 
     @staticmethod
-    def from_json(text: str) -> "DensityMatrix":
-        return DensityMatrix(*_read_pairs(text, "matrix"))
+    def from_obj(obj) -> "DensityMatrix":
+        return DensityMatrix(*_read_pairs(obj, "n_qubits", "matrix"))
 
 
 @dataclass(frozen=True)
 class UnitaryMatrix:
+    """Unitary ``dim`` x ``dim`` matrix; its JSON object is {"n", "matrix"}."""
+
     dim: int
     matrix: np.ndarray
 
@@ -159,6 +158,13 @@ class UnitaryMatrix:
         err = np.linalg.norm(m.conj().T @ m - np.eye(self.dim))
         if err > UNITARY_TOL:
             raise LinalgError(f"not unitary: ||U^dag U - I||_F = {err}")
+
+    def to_obj(self) -> dict:
+        return {"n": self.dim, "matrix": to_pairs(self.matrix)}
+
+    @staticmethod
+    def from_obj(obj) -> "UnitaryMatrix":
+        return UnitaryMatrix(*_read_pairs(obj, "n", "matrix"))
 
 
 @dataclass(frozen=True)
@@ -188,21 +194,6 @@ class Circuit:
         for q in self.traced:
             if not 0 <= q < self.n_qubits:
                 raise LinalgError(f"traced qubit {q} out of range")
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n_qubits": self.n_qubits,
-                "gates": [{"gate": g, "targets": list(t)} for g, t in self.gates],
-                "traced": list(self.traced),
-            }
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "Circuit":
-        obj = json.loads(text)
-        gates = tuple((g["gate"], tuple(g["targets"])) for g in obj["gates"])
-        return Circuit(obj["n_qubits"], gates, tuple(obj.get("traced", ())))
 
 
 def _apply_1q(amps: np.ndarray, gate: np.ndarray, q: int, n: int) -> np.ndarray:

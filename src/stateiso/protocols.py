@@ -23,8 +23,9 @@ import numpy as np
 from . import obs
 from .groups import k_twirl
 from .linalg import trace_distance
-from .paulis import (batch_unitaries, check_unitary_stack, clifford_batches,
-                     clifford_group_order, qubit_permutation_batch, random_clifford_batch)
+from .paulis import (_DENSE_BUDGET, batch_apply, batch_unitaries, check_unitary_stack,
+                     clifford_batches, clifford_group_order, qubit_permutation_batch,
+                     random_clifford_batch)
 from .psgi import PsgiInstance
 from .reductions import MsgiInstance
 
@@ -107,24 +108,23 @@ def _shadow_estimates(state: np.ndarray, target_mat: np.ndarray,
 # Protocol rounds
 # ----------------------------------------------------------------------
 
-def _context(states: tuple, unitaries: np.ndarray, labels) -> dict:
-    """The prover's orbit targets: each state's orbit ``unitaries @ psi``,
-    deduplicated modulo a global phase.  A row's key is |v| to 10 decimals
-    and the angle of v relative to its first largest entry to 8, with -0.0
-    read as 0.0; the first row of each key stands for it, in stack order.
-    The targets are one column per representative, the first state's
-    orbit first."""
-    orbits = []
-    for psi in states:
-        orbit = unitaries @ psi
+def _context(orbits: tuple, labels) -> dict:
+    """The prover's orbit targets: each of the two orbits (rows R(g) psi_j
+    in label order) deduplicated modulo a global phase.  A row's key is |v|
+    to 10 decimals and the angle of v relative to its first largest entry
+    to 8, with -0.0 read as 0.0; the first row of each key stands for it, in
+    label order.  The targets are one column per representative, the first
+    state's orbit first."""
+    reps = []
+    for orbit in orbits:
         mag = np.abs(orbit)
         top = orbit[np.arange(len(orbit)), mag.argmax(axis=1)]
         rel = np.angle(orbit * np.exp(-1j * np.angle(top))[:, None])
         key = np.hstack((np.round(mag, 10), np.round(rel, 8))) + 0.0
         first = np.unique(key, axis=0, return_index=True)[1]
-        orbits.append(orbit[np.sort(first)])
-    return {"states": states, "unitaries": unitaries, "labels": labels,
-            "targets": np.vstack(orbits).T, "split": len(orbits[0])}
+        reps.append(orbit[np.sort(first)])
+    return {"orbits": orbits, "labels": labels,
+            "targets": np.vstack(reps).T, "split": len(reps[0])}
 
 
 def _shadow_round(ctx: dict, n_shadows: int, seed: int, delta: float) -> ProtocolTranscript:
@@ -135,7 +135,7 @@ def _shadow_round(ctx: dict, n_shadows: int, seed: int, delta: float) -> Protoco
     rng = np.random.default_rng(seed)
     j = int(rng.integers(1, 3))
     gi = int(rng.integers(len(ctx["labels"])))
-    state = ctx["unitaries"][gi] @ ctx["states"][j - 1]
+    state = ctx["orbits"][j - 1][gi]
     ests = _shadow_estimates(state, ctx["targets"], n_shadows, rng, delta)
     f1 = float(ests[: ctx["split"]].max())
     f2 = float(ests[ctx["split"]:].max())
@@ -146,8 +146,8 @@ def _shadow_round(ctx: dict, n_shadows: int, seed: int, delta: float) -> Protoco
 
 def qcszk_context(inst: PsgiInstance) -> dict:
     """The prover's orbit targets under the instance's group."""
-    return _context((inst.psi1.amplitudes, inst.psi2.amplitudes), inst.rep.unitaries,
-                    inst.rep.elements)
+    us = inst.rep.unitaries
+    return _context((us @ inst.psi1.amplitudes, us @ inst.psi2.amplitudes), inst.rep.elements)
 
 
 def qcszk_round(inst: PsgiInstance, n_shadows: int = 2000, seed: int = 0,
@@ -183,17 +183,22 @@ def qszk_mixed_round(inst: MsgiInstance, k: int = 2, seed: int = 0,
 
 
 def szk_lowrank_context(lr1, lr2) -> dict:
-    """The materialized low-rank states and their orbits under the qubit
-    permutations, labelled by permutation tuples.  The n! permutation
-    unitaries take 16 n! 4^n bytes; over the ``_DENSE_BUDGET`` byte budget
-    the context is refused before any state is materialized."""
+    """The orbits of the materialized low-rank states under the qubit
+    permutations, each a gather of basis indices with no unitary built,
+    labelled by permutation tuples.  Each orbit takes 16 n! 2^n bytes, and
+    tracemalloc measures a peak of 6.7 orbits at n = 6 and 7 (the two
+    orbits, the action's index tables and the deduplication keys); counted
+    as 8 orbits, a peak over the ``_DENSE_BUDGET`` byte budget (from n = 8)
+    is refused before any state is materialized."""
     n = lr1.n_qubits
-    check_unitary_stack(math.factorial(n), 1 << n,
-                        f"the {math.factorial(n)} permutation unitaries of {n} qubits",
-                        ProtocolError)
-    states = (lr1.materialize().amplitudes, lr2.materialize().amplitudes)
+    need = 8 * 16 * math.factorial(n) << n
+    if need > _DENSE_BUDGET:
+        raise ProtocolError(f"the qubit-permutation orbits of {n}-qubit states peak near "
+                            f"{need >> 20} MiB, over the {_DENSE_BUDGET >> 20} MiB budget")
     perms = list(permutations(range(n)))
-    return _context(states, batch_unitaries(qubit_permutation_batch(perms, n)), perms)
+    batch = qubit_permutation_batch(perms, n)
+    return _context(tuple(batch_apply(batch, lr.materialize().amplitudes[:, None])[..., 0]
+                          for lr in (lr1, lr2)), perms)
 
 
 def szk_lowrank_round(lr1, lr2, gamma: float = 0.05, seed: int = 0,

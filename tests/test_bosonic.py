@@ -73,7 +73,7 @@ class TestBasics:
 
     def test_json_roundtrip(self):
         c = random_core(3, 3, RNG)
-        back = CoreState.from_json(c.to_json())
+        back = CoreState.from_obj(json.loads(json.dumps(c.to_obj())))
         assert back.n_modes == c.n_modes
         assert abs(core_overlap(back, c) - 1) < 1e-12
 
@@ -100,32 +100,32 @@ class TestGraphEncoding:
 class TestCoreStateJson:
     @pytest.mark.parametrize("field", ["n_modes", "r_max", "amplitudes"])
     def test_missing_field_named(self, field):
-        obj = json.loads(encode_graph_bosonic(Graph.path(3)).to_json())
+        obj = encode_graph_bosonic(Graph.path(3)).to_obj()
         del obj[field]
         with pytest.raises(BosonicError, match=field):
-            CoreState.from_json(json.dumps(obj))
+            CoreState.from_obj(obj)
 
     @pytest.mark.parametrize("field, value", [
         ("amplitudes", 5), ("amplitudes", {}), ("amplitudes", [[1.0, 0.0]]),
         ("amp", 5), ("amp", [1.0]), ("amp", ["a", 0.0]), ("k", 5), ("k", [1.5, 0, 0]),
         ("n_modes", "3"), ("r_max", 3.0)])
     def test_field_of_wrong_kind_rejected(self, field, value):
-        obj = json.loads(encode_graph_bosonic(Graph.path(3)).to_json())
+        obj = encode_graph_bosonic(Graph.path(3)).to_obj()
         if field in ("amp", "k"):
             obj["amplitudes"][0][field] = value
         else:
             obj[field] = value
         with pytest.raises(BosonicError):
-            CoreState.from_json(json.dumps(obj))
+            CoreState.from_obj(obj)
 
     @pytest.mark.parametrize("amp", [float("nan"), float("inf"), complex(0, float("-inf"))])
     def test_non_finite_amplitude_rejected(self, amp):
         with pytest.raises(BosonicError, match="finite"):
             CoreState(1, 1, {MultiIndex((1,)): amp})
-        obj = json.loads(encode_graph_bosonic(Graph.path(3)).to_json())
+        obj = encode_graph_bosonic(Graph.path(3)).to_obj()
         obj["amplitudes"][0]["amp"] = [amp.real, amp.imag]
         with pytest.raises(BosonicError, match="finite"):
-            CoreState.from_json(json.dumps(obj))
+            CoreState.from_obj(obj)
 
 
 class TestLinearOptics:

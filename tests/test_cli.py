@@ -11,6 +11,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
 
+from stateiso import cli
 from stateiso.cli import main
 from stateiso.graphs import Graph
 from stateiso.linalg import DensityMatrix
@@ -143,8 +144,8 @@ class TestReducePipeline:
         tau = DensityMatrix(1, np.diag([0.2, 0.8]).astype(complex))
         p1 = tmp_path / "s1.json"
         p2 = tmp_path / "s2.json"
-        p1.write_text(rho.to_json())
-        p2.write_text(tau.to_json())
+        p1.write_text(json.dumps(rho.to_obj()))
+        p2.write_text(json.dumps(tau.to_obj()))
         res = runner.invoke(main, ["reduce", "qsd-msgi", str(p1), str(p2),
                                    "--n", "1"])
         assert res.exit_code == 0
@@ -266,7 +267,7 @@ def _malformed_inputs(runner, tmp_path):
     trace2.write_text(json.dumps({"n_qubits": 1,
                                   "matrix": [[[2, 0], [0, 0]], [[0, 0], [0, 0]]]}))
     pure = tmp_path / "pure.json"
-    pure.write_text(DensityMatrix(1, np.diag([1.0, 0.0]).astype(complex)).to_json())
+    pure.write_text(json.dumps(DensityMatrix(1, np.diag([1.0, 0.0]).astype(complex)).to_obj()))
     core = tmp_path / "c.json"
     res = runner.invoke(main, ["bosonic", "encode", g1, "--out", str(core)])
     assert res.exit_code == 0
@@ -332,7 +333,18 @@ def _malformed_inputs(runner, tmp_path):
     negative_bundle = tmp_path / "negative_bundle.json"
     negative_bundle.write_text(json.dumps({"version": 1, "type": "gi_clifford",
                                            "graph1": "-3\n", "graph2": P4_TEXT}))
+    eye = [[[float(i == j), 0.0] for j in range(2)] for i in range(2)]
+    bad_unitaries = {}
+    for case, obj in (("rows-of-numbers", {"n": 3, "matrix": [[1, 2], [3, 4], [5, 6]]}),
+                      ("entry-string", {"n": 2, "matrix": [[["a", 0], [0, 0]], eye[1]]}),
+                      ("matrix-number", {"n": 2, "matrix": 5}),
+                      ("n-null", {"n": None, "matrix": eye})):
+        path = tmp_path / f"unitary_{case}.json"
+        path.write_text(json.dumps(obj))
+        bad_unitaries[f"bosonic-apply-unitary-{case}"] = ["bosonic", "apply", str(core),
+                                                          str(path)]
     return {
+        **bad_unitaries,
         **bad_groups,
         **bad_states,
         **bad_cores,
@@ -352,6 +364,9 @@ def _malformed_inputs(runner, tmp_path):
             ["reduce", "gi-clifford", str(negative), g1],
         "psgi-gi-clifford-bundle-negative-vertex-count":
             ["psgi", "--instance", str(negative_bundle)],
+        # Python would read index -1 as the group's last element
+        "reduce-qsd-mixedhsp-negative-h-index":
+            ["reduce", "qsd-mixedhsp", str(pure), str(pure), "--h-index", "-1"],
     }
 
 
@@ -400,6 +415,11 @@ class TestConfigErrorBoundary:
         "reduce-psgi-statehsp-thirty-copies",
         "reduce-gi-clifford-negative-vertex-count",
         "psgi-gi-clifford-bundle-negative-vertex-count",
+        "bosonic-apply-unitary-rows-of-numbers",
+        "bosonic-apply-unitary-entry-string",
+        "bosonic-apply-unitary-matrix-number",
+        "bosonic-apply-unitary-n-null",
+        "reduce-qsd-mixedhsp-negative-h-index",
     ])
     def test_malformed_input_exits_two(self, runner, tmp_path, case):
         args = _malformed_inputs(runner, tmp_path)[case]
@@ -497,6 +517,16 @@ class TestConfigErrorBoundary:
         assert peak < 1 << 20
         _assert_config_error(res)
         assert "budget" in res.stderr
+
+    def test_memory_error_exits_two(self, runner, monkeypatch):
+        # an allocation the machine cannot hold is not a NO decision
+        def out_of_memory(inst):
+            raise MemoryError("Unable to allocate 8.00 GiB")
+
+        monkeypatch.setattr(cli, "psgi_oracle", out_of_memory)
+        res = runner.invoke(main, ["psgi", "--n", "2"])
+        _assert_config_error(res)
+        assert "out of memory" in res.stderr
 
     def test_out_into_missing_directory(self, runner, tmp_path):
         out = tmp_path / "missing" / "x.json"
@@ -619,7 +649,7 @@ class TestConfigLine:
     def test_every_command_announces_every_parameter(self, runner, tmp_path):
         graph = _write_graph(tmp_path / "g.txt", Graph.path(3))
         rho = tmp_path / "rho.json"
-        rho.write_text(DensityMatrix(1, np.diag([0.75, 0.25]).astype(complex)).to_json())
+        rho.write_text(json.dumps(DensityMatrix(1, np.diag([0.75, 0.25]).astype(complex)).to_obj()))
         state = {"n_qubits": 1, "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}
         bundle = tmp_path / "psgi.json"
         bundle.write_text(json.dumps({"version": 1, "type": "psgi", "psi1": state,

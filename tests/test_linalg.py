@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -44,7 +46,7 @@ class TestStateVector:
 
     def test_json_roundtrip(self):
         psi = random_state(2)
-        back = StateVector.from_json(psi.to_json())
+        back = StateVector.from_obj(json.loads(json.dumps(psi.to_obj())))
         assert np.allclose(back.amplitudes, psi.amplitudes)
 
     def test_big_endian_ordering(self):
@@ -68,7 +70,7 @@ class TestDensityMatrix:
 
     def test_json_roundtrip(self):
         rho = random_density(4, RNG)
-        back = DensityMatrix.from_json(rho.to_json())
+        back = DensityMatrix.from_obj(json.loads(json.dumps(rho.to_obj())))
         assert np.allclose(back.matrix, rho.matrix)
 
 
@@ -113,11 +115,6 @@ class TestCircuits:
                 step = np.kron(np.eye(2), GATES_1Q[name])
             u = step @ u
         assert np.allclose(out.amplitudes, u[:, 0])
-
-    def test_json_roundtrip(self):
-        c = Circuit(2, (("H", (0,)), ("CZ", (0, 1))), traced=(1,))
-        back = Circuit.from_json(c.to_json())
-        assert back == c
 
 
 class TestPartialTrace:

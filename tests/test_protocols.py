@@ -6,6 +6,7 @@ import pytest
 from stateiso.graphs import Graph
 from stateiso.groups import DecisionThresholds, clifford_group, pauli_group
 from stateiso.linalg import DensityMatrix, StateVector
+from stateiso.paulis import batch_unitaries, qubit_permutation_batch
 from stateiso.protocols import (
     DEFAULT_SHADOW_DELTA,
     ProtocolError,
@@ -241,25 +242,58 @@ class TestSzkLowrank:
             ctx = szk_lowrank_context(lr1, lr2)
             assert (ctx["split"], ctx["targets"].shape[1]) == sizes
 
-    def test_permutation_stack_budget(self):
-        # 16 n! 4^n bytes of permutation unitaries: 47 MiB at n = 6, within
-        # the budget; 1.3 GiB at n = 7, refused before anything is built
+    def test_permutation_orbit_budget(self):
+        # the orbits take 16 n! 2^n bytes each and peak near 6.7 of them:
+        # 66 MiB at n = 7, admitted; 1.3 GiB at n = 8, refused before
+        # anything is built
         class Unbuilt:
             def __init__(self, n):
                 self.n_qubits = n
 
             def materialize(self):
-                raise AssertionError("materialized before the budget check")
+                raise AssertionError("materialized")
 
-        for n in (7, 12, 40):
+        for n in (8, 12, 40):
             with pytest.raises(ProtocolError, match="budget"):
                 szk_lowrank_context(Unbuilt(n), Unbuilt(n))
+        with pytest.raises(AssertionError, match="materialized"):
+            szk_lowrank_context(Unbuilt(7), Unbuilt(7))
         lr1, lr2, _ = lowrank_gi_instance(Graph.path(6), Graph.star(6), graph_weight=0.7)
-        ctx = szk_lowrank_context(lr1, lr2)
-        assert len(ctx["labels"]) == len(ctx["unitaries"]) == 720
+        tracemalloc.start()
+        try:
+            ctx = szk_lowrank_context(lr1, lr2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the (720, 64, 64) unitary stack alone would take 45 MiB
+        assert peak < 8 << 20
+        assert len(ctx["labels"]) == len(ctx["orbits"][0]) == len(ctx["orbits"][1]) == 720
         assert ctx["labels"][0] == tuple(range(6)) and ctx["labels"][-1] == tuple(range(5, -1, -1))
         t = szk_lowrank_round(lr1, lr2, seed=1, n_shadows=50, context=ctx)
         assert t.accept == (t.j == t.j_prime)
+
+    def test_orbit_rows_equal_stack_product(self):
+        # each round sends row g of a kept orbit; it must equal the dense
+        # stack product U[g] psi bit for bit, or the pinned rounds move
+        def bits(a):
+            return np.ascontiguousarray(a).view(np.int64)
+
+        rng = np.random.default_rng(11)
+        loose = DecisionThresholds(0.75, 0.99)
+        for n in (1, 2, 3):
+            for kind in ("yes", "no"):
+                inst = random_pauli_psgi_instance(n, loose, kind, rng)
+                ctx = qcszk_context(inst)
+                for orbit, psi in zip(ctx["orbits"], (inst.psi1, inst.psi2)):
+                    ref = np.stack([u @ psi.amplitudes for u in inst.rep.unitaries])
+                    assert np.array_equal(bits(orbit), bits(ref))
+        for n in (4, 5, 6):
+            lr1, lr2, _ = lowrank_gi_instance(Graph.path(n), Graph.star(n), graph_weight=0.7)
+            ctx = szk_lowrank_context(lr1, lr2)
+            us = batch_unitaries(qubit_permutation_batch(ctx["labels"], n))
+            for orbit, lr in zip(ctx["orbits"], (lr1, lr2)):
+                psi = lr.materialize().amplitudes
+                assert np.array_equal(bits(orbit), bits(np.stack([u @ psi for u in us])))
 
     def test_gamma_validation(self):
         lr1, lr2, _ = lowrank_gi_instance(Graph.path(4), Graph.star(4))
