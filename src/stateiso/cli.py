@@ -162,6 +162,10 @@ class _AnnouncedCommand(click.Command):
         click.echo("config: " + json.dumps(
             {"command": " ".join(reversed(names)), **ctx.params}, sort_keys=True), err=True)
         out = _resolve_out(ctx.params.pop("out"))
+        if out:
+            # an --out that cannot be opened is refused before any work
+            # (OSError, exit 2); append mode keeps an existing file as it is
+            open(out, "a").close()
         doc = super().invoke(ctx)
         if isinstance(doc, list):
             for row in doc:

@@ -605,59 +605,78 @@ def _transvections_from_e1(f):
 
 @functools.cache
 def _transvection_table(m: int) -> np.ndarray:
-    """(2, 4^m) ``_transvections_from_e1`` of every nonzero packed 2m-bit
-    vector, read-only (column 0 is unused)."""
-    table = np.zeros((2, 1 << 2 * m), dtype=np.int64)
-    table[:, 1:] = _transvections_from_e1(np.arange(1, 1 << 2 * m))
+    """(2, 4^m - 1) ``_transvections_from_e1`` of every nonzero packed 2m-bit
+    vector f at column f - 1, read-only."""
+    table = np.array(_transvections_from_e1(np.arange(1, 1 << 2 * m)))
     table.setflags(write=False)
     return table
 
 
 def _index_digits(indices, n: int) -> np.ndarray:
-    """(B, n, 2) Koenig-Smolin digits (f1 + 1, bits) of each index, outermost
-    level first.  What is left of an index after the levels above level m
-    is below the order of Sp(2m), which fits in int64 up to m = 5, so Python
-    divmod runs only on the n - 5 outer levels of n > 5, and numpy divmod on
-    the rest."""
-    radices = [((1 << (2 * m)) - 1, 1 << (2 * m - 1)) for m in range(n, 0, -1)]
+    """(B, n) Koenig-Smolin digits f1 - 1 + (4^m - 1) bits of each index, one
+    per level m, outermost first.  What is left after the levels above m is
+    below the order of Sp(2m), in int64 up to m = 5, so Python divmod runs
+    only on the n - 5 outer levels of n > 5, and numpy divmod on the rest."""
+    radices = [((1 << 2 * m) - 1) << (2 * m - 1) for m in range(n, 0, -1)]
     outer = max(n - 5, 0)
-    digits = np.empty((len(indices), n, 2), dtype=np.int64)
+    digits = np.empty((len(indices), n), dtype=np.int64)
     if outer:
         head, rest = [], []
         for i in indices:
-            for s, t in radices[:outer]:
-                i, f1 = divmod(i, s)
-                i, bits = divmod(i, t)
-                head += (f1 + 1, bits)
+            for r in radices[:outer]:
+                i, digit = divmod(i, r)
+                head.append(digit)
             rest.append(i)
-        digits[:, :outer] = np.array(head, dtype=np.int64).reshape(-1, outer, 2)
+        digits[:, :outer] = np.array(head, dtype=np.int64).reshape(-1, outer)
         indices = rest
     i = np.asarray(indices, dtype=np.int64)
     for level in range(outer, n):
-        s, t = radices[level]
-        i, f1 = np.divmod(i, s)
-        i, digits[:, level, 1] = np.divmod(i, t)
-        digits[:, level, 0] = f1 + 1
+        i, digits[:, level] = np.divmod(i, radices[level])
     return digits
+
+
+def _transvect_level(digits, rows, m: int):
+    """Koenig-Smolin level m on packed 2m-bit rows: the four transvections
+    that each row's level digit (its f1 and bits) fixes."""
+    bits, f0 = np.divmod(digits, (1 << 2 * m) - 1)
+    f1 = f0 + 1
+    # at m <= 5 the 4^m - 1 possible f1 have their transvections tabled
+    h0, h1 = _transvection_table(m)[:, f0] if m <= 5 else _transvections_from_e1(f1)
+    e = _transvect(h0, _transvect(h1, 1 | ((bits >> 1) << 2), 2 * m), 2 * m)
+    for k in (h1, h0, e, np.where(bits & 1, 0, f1)):
+        rows = _transvect(k[:, None], rows, 2 * m)
+    return rows
+
+
+@functools.cache
+def _level_images(m: int) -> np.ndarray:
+    """(digits, 4^m) uint8 images of every packed 2m-bit vector under level m,
+    read-only (130,968 bytes for m = 1..3).  The level is linear, so the 2m
+    unit vectors' images fill the table by doubling, as in ``_walk``."""
+    digits = np.arange(((1 << 2 * m) - 1) << (2 * m - 1))
+    units = _transvect_level(digits, 1 << np.arange(2 * m), m).astype(np.uint8)
+    table = np.zeros((len(digits), 1 << 2 * m), dtype=np.uint8)
+    for t in range(2 * m):
+        np.bitwise_xor(table[:, :1 << t], units[:, t, None], out=table[:, 1 << t:2 << t])
+    table.setflags(write=False)
+    return table
 
 
 def _symplectic_rows(indices, n: int) -> np.ndarray:
     """(B, 2n) packed rows of the elements of Sp(2n, F2) with the given
-    Koenig-Smolin indices; the transvections run over the batch."""
+    Koenig-Smolin indices; levels m <= 3 gather from ``_level_images``."""
     digits = _index_digits(indices, n)
-    rows = np.zeros((len(digits), 0), dtype=np.int64)
+    rows = np.zeros((len(digits), 0), dtype=np.uint8)
     e01 = np.array([[1, 2]]).repeat(len(digits), axis=0)
     # the innermost level acts on the last qubit; each outer level shifts the
-    # rows up by one qubit, prepends X_0 and Z_0 (packed 1 and 2) and
-    # transvects every row
-    for m in range(1, n + 1):
-        f1, bits = digits[:, n - m].T
-        # at m <= 5 the 4^m - 1 possible f1 have their transvections tabled
-        h0, h1 = _transvection_table(m)[:, f1] if m <= 5 else _transvections_from_e1(f1)
-        e = _transvect(h0, _transvect(h1, 1 | ((bits >> 1) << 2), 2 * m), 2 * m)
-        rows = np.hstack((e01, rows << 2))
-        for k in (h1, h0, e, np.where(bits & 1, 0, f1)):
-            rows = _transvect(k[:, None], rows, 2 * m)
+    # rows up by one qubit, prepends X_0 and Z_0 (packed 1 and 2) and maps
+    # every row.  The tabled rows are uint8 below 64, so the shift cannot
+    # wrap; they are widened before any level that could
+    for m in range(1, min(n, 3) + 1):
+        rows = _level_images(m)[digits[:, n - m, None], np.hstack((e01, rows << 2))]
+    rows = rows.astype(np.int64)
+    for m in range(4, n + 1):
+        rows = _transvect_level(digits[:, n - m], np.hstack((e01, rows << 2)), m)
     return rows
 
 
@@ -1016,4 +1035,9 @@ def sign_factored_r_overlap_sq(n: int, indices: np.ndarray) -> np.ndarray:
     rows = _symplectic_rows(indices, n)
     terms, _ = batch_r_overlap_terms(_rows_to_batch(rows, np.zeros(len(rows), np.int64), n))
     obs.count("paulis.cliffords_scored", len(rows) << 2 * n)
-    return terms @ _sign_matrix(n).T
+    # row chunks keep each product within OpenBLAS's one-thread size
+    # (m k n <= 2^18), past which its threads spin between calls
+    out, step = np.empty((len(rows), 1 << 2 * n)), (1 << 18) // 12 ** n
+    for lo in range(0, len(rows), step):
+        np.matmul(terms[lo:lo + step], _sign_matrix(n).T, out=out[lo:lo + step])
+    return out

@@ -533,6 +533,24 @@ class TestConfigErrorBoundary:
         _assert_config_error(runner.invoke(main, ["psgi", "--n", "2", "--out", str(out)]))
         assert not out.exists()
 
+    def test_out_refused_before_the_command_runs(self, runner, tmp_path, monkeypatch):
+        # the protocol rows would go to stdout before the summary CSV
+        def never(*args, **kwargs):
+            raise AssertionError("the command ran")
+
+        monkeypatch.setattr(cli, "random_pauli_psgi_instance", never)
+        out = tmp_path / "missing" / "x.csv"
+        res = runner.invoke(main, ["protocol", "qcszk", "--trials", "300", "--out", str(out)])
+        _assert_config_error(res)
+        assert res.stdout == ""
+        assert not out.exists()
+
+    def test_out_kept_when_the_command_fails(self, runner, tmp_path):
+        out = tmp_path / "x.json"
+        out.write_text("earlier\n")
+        _assert_config_error(runner.invoke(main, ["psgi", "--n", "0", "--out", str(out)]))
+        assert out.read_text() == "earlier\n"
+
     def test_tv_gap_nonpositive_sigma(self, runner, tmp_path):
         core = tmp_path / "c.json"
         g = _write_graph(tmp_path / "g.txt", Graph.path(4))

@@ -725,8 +725,61 @@ class TestBatchedKernel:
                 for m in range(n, 0, -1):
                     i, f1 = divmod(i, (1 << 2 * m) - 1)
                     i, bits = divmod(i, 1 << 2 * m - 1)
-                    want += (f1 + 1, bits)
+                    want.append(f1 + ((1 << 2 * m) - 1) * bits)
             assert _index_digits(indices, n).ravel().tolist() == want
+
+
+def _reference_symplectic_rows(indices, n):
+    """The Koenig-Smolin rows by four transvections per level at every
+    level, with Python divmod digits and the closed-form transvections."""
+    from stateiso.paulis import _transvect, _transvections_from_e1
+    digits = []
+    for i in indices:
+        i = int(i)
+        for m in range(n, 0, -1):
+            i, f1 = divmod(i, (1 << 2 * m) - 1)
+            i, bits = divmod(i, 1 << 2 * m - 1)
+            digits.append((f1 + 1, bits))
+    digits = np.array(digits, dtype=np.int64).reshape(len(indices), n, 2)
+    rows = np.zeros((len(indices), 0), dtype=np.int64)
+    e01 = np.array([[1, 2]]).repeat(len(indices), axis=0)
+    for m in range(1, n + 1):
+        f1, bits = digits[:, n - m].T
+        h0, h1 = _transvections_from_e1(f1)
+        e = _transvect(h0, _transvect(h1, 1 | ((bits >> 1) << 2), 2 * m), 2 * m)
+        rows = np.hstack((e01, rows << 2))
+        for k in (h1, h0, e, np.where(bits & 1, 0, f1)):
+            rows = _transvect(k[:, None], rows, 2 * m)
+    return rows
+
+
+class TestLevelImages:
+    """The tabled Koenig-Smolin levels m <= 3 against the transvection loop."""
+
+    def test_rows_match_transvections(self):
+        import random
+        from stateiso.paulis import _symplectic_rows
+        wide = random.Random(18)
+        cases = [(1, range(6)), (2, range(720)),
+                 (3, range(0, symplectic_group_order(3), 997))]
+        # above n = 3 the tabled inner levels sit under transvected outer ones
+        cases += [(n, [wide.randrange(symplectic_group_order(n)) for _ in range(5000)])
+                  for n in range(4, 8)]
+        for n, indices in cases:
+            indices = list(indices)
+            got = _symplectic_rows(indices, n)
+            assert got.dtype == np.int64, n
+            assert np.array_equal(got, _reference_symplectic_rows(indices, n)), n
+
+    def test_tables_read_only_and_small(self):
+        from stateiso.paulis import _level_images
+        tables = [_level_images(m) for m in (1, 2, 3)]
+        assert [t.shape for t in tables] == [(6, 4), (120, 16), (2016, 64)]
+        for t in tables:
+            assert t.dtype == np.uint8 and not t.flags.writeable
+            with pytest.raises(ValueError):
+                t[0, 0] = 1
+        assert sum(t.nbytes for t in tables) <= 192 << 10
 
 
 class TestGraphStates:
