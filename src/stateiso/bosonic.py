@@ -5,7 +5,9 @@ small total photon number.  A mode unitary V acts by the stellar
 substitution z -> Vz on the state's polynomial; with each photon sector a
 symmetric tensor, it and the overlap gradients in V are tensor contractions
 (Chabaud, Markham, Grosshans, PRL 124, 063605, 2020).  The permanent
-formula is kept only as an independent cross-check of the same action.
+formula <k|R(V)|j> = Per(V^T[k|j]) / sqrt(k! j!) (Aaronson, Arkhipov, STOC
+2011) is kept as an independent cross-check of the same action: all the
+minors of a photon sector, over all r! permutations, are one gather.
 The overlap max_V |<c2|R(V)|c1>| is estimated by QR-retraction ascent on
 U(n) (Absil, Mahony, Sepulchre, 2008), with all restarts of one call run in
 lockstep over a stack of unitaries.
@@ -13,6 +15,7 @@ lockstep over a stack of unitaries.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import csv
 import math
 from dataclasses import dataclass
@@ -81,7 +84,8 @@ class CoreState:
         clean = {}
         total = 0.0
         for k, amp in self.amplitudes.items():
-            k = MultiIndex(k)
+            if type(k) is not MultiIndex:   # a MultiIndex was checked when made
+                k = MultiIndex(k)
             if len(k) != self.n_modes:
                 raise BosonicError(f"index {k} has wrong mode count")
             if k.r > self.r_max:
@@ -211,27 +215,28 @@ def _contract_leading(t: np.ndarray, v: np.ndarray, m: int) -> np.ndarray:
     return t
 
 
-def permanent(m: np.ndarray) -> complex:
-    r = m.shape[0]
-    if r == 0:
-        return 1.0 + 0j
-    total = 0j
-    for perm in permutations(range(r)):
-        prod = 1.0 + 0j
-        for i, j in enumerate(perm):
-            prod *= m[i, j]
-        total += prod
-    return total
+# entries of one (K, J, r!, r) gather of the permanent formula
+_GATHER_ENTRIES = 1 << 16
 
 
-def transition_amplitude(v: np.ndarray, k: MultiIndex, j: MultiIndex) -> complex:
-    """<k|R(V)|j> = Per(V^T[k|j]) / sqrt(k! j!) in the substitution
-    convention (the transpose is pinned by the equivalence with z -> Vz)."""
-    if k.r != j.r:
-        return 0j
-    rows = [i for i, c in enumerate(k) for _ in range(c)]
-    cols = [i for i, c in enumerate(j) for _ in range(c)]
-    return permanent(v.T[np.ix_(rows, cols)]) / math.sqrt(k.factorial() * j.factorial())
+def _occupied_modes(keys, r: int) -> np.ndarray:
+    """(len(keys), r) intp: mode i repeated k_i times, for each key k of
+    sector r; the rows and columns of the minor V^T[k|j]."""
+    return np.array([[i for i, c in enumerate(k) for _ in range(c)] for k in keys],
+                    dtype=np.intp).reshape(len(keys), r)
+
+
+@cache
+def _permanent_layout(n: int, r: int) -> tuple:
+    """The keys of sector_basis(n, r), their modes (K, r), sqrt(k!) of
+    each, and the (r!, r) permutations of range(r); read-only."""
+    keys = tuple(sector_basis(n, r))
+    rows = _occupied_modes(keys, r)
+    root = np.sqrt([k.factorial() for k in keys])
+    perms = np.array(list(permutations(range(r))), dtype=np.intp).reshape(math.factorial(r), r)
+    for a in (rows, root, perms):   # shared by every caller through the cache
+        a.flags.writeable = False
+    return keys, rows, root, perms
 
 
 def apply_linear_optical(v: ModeUnitary, c: CoreState,
@@ -251,16 +256,23 @@ def apply_linear_optical(v: ModeUnitary, c: CoreState,
             out.update(zip(keys, (s[first] / weight).tolist()))
         return CoreState(c.n_modes, c.r_max, out)
     if method == "permanent":
+        # <k|R(V)|j> = Per(V^T[k|j]) / sqrt(k! j!): per sector, the products
+        # over every permutation of every (k, j) minor are one gather
+        vt = mat.T
         by_sector = {}
         for j, amp in c.amplitudes.items():
             by_sector.setdefault(j.r, {})[j] = amp
         out = {}
         for r, sector in by_sector.items():
-            for k in sector_basis(c.n_modes, r):
-                val = sum(
-                    transition_amplitude(mat, k, j) * amp
-                    for j, amp in sector.items()
-                )
+            keys, rows, root, perms = _permanent_layout(c.n_modes, r)
+            cols = _occupied_modes(sector, r)[:, perms]     # (J, r!, r)
+            amps = np.array(list(sector.values())) / np.sqrt([j.factorial() for j in sector])
+            step = max(1, _GATHER_ENTRIES // max(1, cols.size))
+            vals = np.empty(len(keys), dtype=complex)
+            for lo in range(0, len(keys), step):
+                minors = vt[rows[lo:lo + step, None, None, :], cols[None]]
+                vals[lo:lo + step] = minors.prod(axis=-1).sum(axis=-1) @ amps
+            for k, val in zip(keys, (vals / root).tolist()):
                 if abs(val) > 1e-14:
                     out[k] = out.get(k, 0j) + val
         return CoreState(c.n_modes, c.r_max, out)
@@ -586,11 +598,13 @@ def optimize_overlap(c1: CoreState, c2: CoreState, restarts: int = 50,
     rng = np.random.default_rng(seed)
     starts = np.concatenate([np.eye(n, dtype=complex)[None],
                              _haar_stack(n, rng, restarts - 1)])
-    v, f, val = _ascend(starts, overlap, iters)
-    best = int(np.argmax(val))
-    if trace_file is not None:
-        with open(trace_file, "w", newline="") as fh:
+    # a trace file that cannot be opened is refused before the ascent
+    with (open(trace_file, "w", newline="") if trace_file is not None
+          else contextlib.nullcontext()) as fh:
+        v, f, val = _ascend(starts, overlap, iters)
+        if fh is not None:
             writer = csv.writer(fh)
             writer.writerow(["restart", "best_value"])
             writer.writerows(enumerate(val.tolist()))
+    best = int(np.argmax(val))
     return ModeUnitary(n, v[best]), float(val[best]), float(f[best].real)

@@ -934,15 +934,18 @@ def qubit_permutation_clifford(perm, n: int) -> CliffordElement:
     return CliffordElement(*qubit_permutation_batch([perm], n))
 
 
+@functools.cache
 def _pauli_strings(n: int):
     """(coef, masks) of the 3^n strings P over {I, X, Y}, the letter on qubit q
     the base-3 digit q of P: coef[P] = cos(pi/8)^{#X} sin(pi/8)^{#Y} / 2^n, and
     masks[P] has bit q for an X_q or Y_q and bit n + q for a Y_q, the
-    generators X_q and Z_q whose images make the image of P."""
+    generators X_q and Z_q whose images make the image of P; read-only."""
     coef, masks = np.full(1, 1.0 / (1 << n)), np.zeros(1, dtype=np.int64)
     for q in range(n):
         coef = np.concatenate((coef, COS8 * coef, SIN8 * coef))
         masks = np.concatenate((masks, masks | 1 << q, masks | (1 << q | 1 << (n + q))))
+    for a in (coef, masks):
+        a.setflags(write=False)
     return coef, masks
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -18,12 +19,10 @@ from stateiso.bosonic import (
     nearest_permutation_phase,
     optimize_overlap,
     orbit_distance,
-    permanent,
     permutation_mode_unitary,
     perturbed_permutation_unitary,
     sector_basis,
     szk_sampler,
-    transition_amplitude,
     truncated_basis,
     _ascend,
     _haar_stack,
@@ -32,9 +31,35 @@ from stateiso.bosonic import (
     _qr_retract,
     _sector_tensors,
 )
+from stateiso import bosonic
 from stateiso.graphs import Graph
 
 RNG = np.random.default_rng(31)
+
+
+def permanent(m: np.ndarray) -> complex:
+    """Per(m) by the sum over permutations: the scalar reference for the
+    batched minors of apply_linear_optical(method="permanent")."""
+    r = m.shape[0]
+    if r == 0:
+        return 1.0 + 0j
+    total = 0j
+    for perm in permutations(range(r)):
+        prod = 1.0 + 0j
+        for i, j in enumerate(perm):
+            prod *= m[i, j]
+        total += prod
+    return total
+
+
+def transition_amplitude(v: np.ndarray, k: MultiIndex, j: MultiIndex) -> complex:
+    """<k|R(V)|j> = Per(V^T[k|j]) / sqrt(k! j!) in the substitution
+    convention (the transpose is pinned by the equivalence with z -> Vz)."""
+    if k.r != j.r:
+        return 0j
+    rows = [i for i, c in enumerate(k) for _ in range(c)]
+    cols = [i for i, c in enumerate(j) for _ in range(c)]
+    return permanent(v.T[np.ix_(rows, cols)]) / math.sqrt(k.factorial() * j.factorial())
 
 
 def random_core(n, r, rng, n_terms=4):
@@ -70,6 +95,23 @@ class TestBasics:
     def test_norm_enforced(self):
         with pytest.raises(BosonicError):
             CoreState(1, 1, {MultiIndex((1,)): 0.5})
+
+    @pytest.mark.parametrize("amps, match", [
+        ({MultiIndex((1, 0)): 1.0}, "mode count"),
+        ({MultiIndex((0, 2, 0)): 1.0}, "photon cap"),
+        ({MultiIndex((1, 0, 0)): complex("nan")}, "finite"),
+        ({MultiIndex((1, 0, 0)): 0.6, MultiIndex((0, 1, 0)): 0.6}, "norm")])
+    def test_multi_index_keys_still_checked(self, amps, match):
+        with pytest.raises(BosonicError, match=match):
+            CoreState(3, 1, amps)
+
+    def test_keys_are_multi_indices(self):
+        # tuple keys are converted; zero amplitudes are dropped
+        c = CoreState(2, 2, {(1, 1): 1.0, MultiIndex((2, 0)): 0.0})
+        assert list(c.amplitudes) == [MultiIndex((1, 1))]
+        assert all(type(k) is MultiIndex for k in c.amplitudes)
+        with pytest.raises(BosonicError, match="negative"):
+            CoreState(2, 2, {(2, -1): 1.0})
 
     def test_json_roundtrip(self):
         c = random_core(3, 3, RNG)
@@ -180,6 +222,39 @@ class TestLinearOptics:
         bs = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
         amp = transition_amplitude(bs, MultiIndex((2, 0)), MultiIndex((1, 1)))
         assert abs(abs(amp) - 1 / math.sqrt(2)) < 1e-12
+
+    def test_batched_minors_match_scalar_reference(self):
+        """Every <k|R(V)|j> of the batched permanent path against the scalar
+        permanent, over every sector r <= 4 (the vacuum and multiply
+        occupied modes among them) at n = 1..5."""
+        rng = np.random.default_rng(63)
+        for n in range(1, 6):
+            v = haar_mode_unitary(n, rng)
+            for r in range(5):
+                basis = sector_basis(n, r)
+                for j in basis:
+                    out = apply_linear_optical(v, CoreState(n, r, {j: 1.0}),
+                                               method="permanent").amplitudes
+                    for k in basis:
+                        want = transition_amplitude(v.matrix, k, j)
+                        assert abs(out.get(k, 0j) - want) < 1e-12
+
+    @pytest.mark.parametrize("budget", [1, bosonic._GATHER_ENTRIES])
+    def test_batched_minors_across_gather_chunks(self, monkeypatch, budget):
+        # every key of n = 6, r = 4: a (126, 126, 24, 4) gather, so over the
+        # entry budget; a budget of 1 gathers one output row at a time
+        monkeypatch.setattr(bosonic, "_GATHER_ENTRIES", budget)
+        rng = np.random.default_rng(64)
+        c = random_core(6, 4, rng, n_terms=126)
+        v = haar_mode_unitary(6, rng)
+        got = apply_linear_optical(v, c, method="permanent").amplitudes
+        picks = rng.choice(126, size=8, replace=False)
+        for i in picks:
+            k = sector_basis(6, 4)[i]
+            want = sum(transition_amplitude(v.matrix, k, j) * a
+                       for j, a in c.amplitudes.items())
+            assert abs(got.get(k, 0j) - want) < 1e-12
+        assert abs(core_overlap(apply_linear_optical(v, c), CoreState(6, 4, got)) - 1) < 1e-12
 
 
 class TestCubicOverlap:

@@ -11,7 +11,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
 
-from stateiso import cli
+from stateiso import bosonic, cli
 from stateiso.cli import main
 from stateiso.graphs import Graph
 from stateiso.linalg import DensityMatrix
@@ -239,6 +239,29 @@ class TestBosonicCommands:
         assert res.exit_code == 2
         assert isinstance(res.exception, SystemExit)
         assert "restarts" in res.output and "Traceback" not in res.output
+
+    def test_apply_permanent_matches_substitution(self, runner, tmp_path):
+        ea, _ = self._encoded_pair(runner, tmp_path)
+        u = tmp_path / "u.json"
+        u.write_text(json.dumps(bosonic.haar_mode_unitary(3, 7).to_obj()))
+        moved = {}
+        for method in ("substitution", "permanent"):
+            res = runner.invoke(main, ["bosonic", "apply", ea, str(u), "--method", method])
+            assert res.exit_code == 0, res.output
+            moved[method] = bosonic.CoreState.from_obj(_json_body(res.output))
+        assert abs(bosonic.core_overlap(moved["substitution"], moved["permanent"])) >= 1 - 1e-9
+
+    def test_optimize_trace_into_missing_directory(self, runner, tmp_path, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("the ascent ran")
+
+        ea, eb = self._encoded_pair(runner, tmp_path)
+        monkeypatch.setattr(bosonic, "_ascend", never)
+        trace = tmp_path / "missing" / "t.csv"
+        res = runner.invoke(main, ["bosonic", "optimize", ea, eb, "--restarts", "200",
+                                   "--trace", str(trace)])
+        _assert_config_error(res)
+        assert not trace.exists()
 
     def test_tv_gap_zero_samples_is_config_error(self, runner, tmp_path):
         ea, eb = self._encoded_pair(runner, tmp_path)

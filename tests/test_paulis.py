@@ -694,6 +694,17 @@ class TestBatchedKernel:
             want = batch_r_overlap_sq(clifford_elements(n, elements))
             assert np.abs(got.ravel() - want).max() <= 1e-15
 
+    def test_pauli_strings_cached_read_only(self):
+        # built once per n and shared by every block of the kernel
+        from stateiso.paulis import _pauli_strings
+        coef, masks = _pauli_strings(3)
+        assert _pauli_strings(3)[0] is coef and _pauli_strings(3)[1] is masks
+        assert coef.shape == masks.shape == (27,)
+        with pytest.raises(ValueError):
+            coef[0] = 0.0
+        with pytest.raises(ValueError):
+            masks[0] = 1
+
     def test_overlap_terms_peak_within_estimate(self):
         # the kernel's measured peak at n = 10 on one Clifford is what its
         # byte budget assumes, within a factor of two
