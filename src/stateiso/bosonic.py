@@ -60,14 +60,8 @@ class MultiIndex(tuple):
 
 
 def sector_basis(n: int, r: int) -> list:
-    """All multi-indices on n modes with total exactly r."""
-    if n == 1:
-        return [MultiIndex((r,))]
-    out = []
-    for first in range(r + 1):
-        for rest in sector_basis(n - 1, r - first):
-            out.append(MultiIndex((first,) + tuple(rest)))
-    return out
+    """All multi-indices on n modes with total exactly r, ascending."""
+    return list(_sector_layout(n, r)[0])
 
 
 @dataclass(frozen=True)
@@ -179,17 +173,21 @@ def encode_graph_bosonic(g: Graph) -> CoreState:
 
 @cache
 def _sector_layout(n: int, r: int) -> tuple:
-    """Flat layout of an (n,)*r sector tensor: its occupation tuples k, the
-    index of k at every flat position, the first flat position of each k,
-    and the entry weight sqrt(k!)/r! of each k."""
-    occ = np.array([[p.count(i) for i in range(n)] for p in product(range(n), repeat=r)])
+    """Flat layout of an (n,)*r sector tensor: its occupation tuples k in
+    ascending order, the index of k at every flat position, the first flat
+    position of each k, the entry weight sqrt(k!)/r! of each k, and the
+    modes of each k, (K, r): mode i k_i times, which is its first flat
+    position read as r digits."""
+    flat = list(product(range(n), repeat=r))
+    occ = np.array([[p.count(i) for i in range(n)] for p in flat])
     occ, first, slot = np.unique(occ, axis=0, return_index=True, return_inverse=True)
     keys = tuple(MultiIndex(k) for k in occ.tolist())
     weight = np.array([math.sqrt(k.factorial()) for k in keys]) / math.factorial(r)
     slot = slot.reshape(-1)
-    for a in (slot, first, weight):   # shared by every caller through the cache
+    modes = np.array([flat[i] for i in first], dtype=np.intp).reshape(len(keys), r)
+    for a in (slot, first, weight, modes):   # shared by every caller through the cache
         a.flags.writeable = False
-    return keys, slot, first, weight
+    return keys, slot, first, weight, modes
 
 
 def _sector_tensors(amps: dict, n: int) -> dict:
@@ -198,7 +196,7 @@ def _sector_tensors(amps: dict, n: int) -> dict:
     The amplitudes need not be normalized."""
     out = {}
     for r in sorted({k.r for k in amps}):
-        keys, slot, _, weight = _sector_layout(n, r)
+        keys, slot, _, weight, _ = _sector_layout(n, r)
         vec = np.array([amps.get(k, 0j) for k in keys], dtype=complex) * weight
         out[r] = vec[slot].reshape((n,) * r)
     return out
@@ -217,6 +215,9 @@ def _contract_leading(t: np.ndarray, v: np.ndarray, m: int) -> np.ndarray:
 
 # entries of one (K, J, r!, r) gather of the permanent formula
 _GATHER_ENTRIES = 1 << 16
+# the (r!, r) permutations of range(r), for every sector
+_PERMS = [np.array(list(permutations(range(r))), dtype=np.intp).reshape(math.factorial(r), r)
+          for r in range(PHOTON_CAP + 1)]
 
 
 def _occupied_modes(keys, r: int) -> np.ndarray:
@@ -224,19 +225,6 @@ def _occupied_modes(keys, r: int) -> np.ndarray:
     sector r; the rows and columns of the minor V^T[k|j]."""
     return np.array([[i for i, c in enumerate(k) for _ in range(c)] for k in keys],
                     dtype=np.intp).reshape(len(keys), r)
-
-
-@cache
-def _permanent_layout(n: int, r: int) -> tuple:
-    """The keys of sector_basis(n, r), their modes (K, r), sqrt(k!) of
-    each, and the (r!, r) permutations of range(r); read-only."""
-    keys = tuple(sector_basis(n, r))
-    rows = _occupied_modes(keys, r)
-    root = np.sqrt([k.factorial() for k in keys])
-    perms = np.array(list(permutations(range(r))), dtype=np.intp).reshape(math.factorial(r), r)
-    for a in (rows, root, perms):   # shared by every caller through the cache
-        a.flags.writeable = False
-    return keys, rows, root, perms
 
 
 def apply_linear_optical(v: ModeUnitary, c: CoreState,
@@ -251,7 +239,7 @@ def apply_linear_optical(v: ModeUnitary, c: CoreState,
         # S_r = T_r with V contracted into every axis; psi'_k = S_r[k] r!/sqrt(k!)
         out = {}
         for r, t in _sector_tensors(c.amplitudes, c.n_modes).items():
-            keys, _, first, weight = _sector_layout(c.n_modes, r)
+            keys, _, first, weight, _ = _sector_layout(c.n_modes, r)
             s = _contract_leading(t, mat, r).reshape(-1)
             out.update(zip(keys, (s[first] / weight).tolist()))
         return CoreState(c.n_modes, c.r_max, out)
@@ -264,15 +252,16 @@ def apply_linear_optical(v: ModeUnitary, c: CoreState,
             by_sector.setdefault(j.r, {})[j] = amp
         out = {}
         for r, sector in by_sector.items():
-            keys, rows, root, perms = _permanent_layout(c.n_modes, r)
-            cols = _occupied_modes(sector, r)[:, perms]     # (J, r!, r)
+            keys, _, _, weight, rows = _sector_layout(c.n_modes, r)
+            cols = _occupied_modes(sector, r)[:, _PERMS[r]]     # (J, r!, r)
             amps = np.array(list(sector.values())) / np.sqrt([j.factorial() for j in sector])
             step = max(1, _GATHER_ENTRIES // max(1, cols.size))
             vals = np.empty(len(keys), dtype=complex)
             for lo in range(0, len(keys), step):
                 minors = vt[rows[lo:lo + step, None, None, :], cols[None]]
                 vals[lo:lo + step] = minors.prod(axis=-1).sum(axis=-1) @ amps
-            for k, val in zip(keys, (vals / root).tolist()):
+            # sqrt(k!) == weight r! exactly for every r <= PHOTON_CAP
+            for k, val in zip(keys, (vals / (weight * math.factorial(r))).tolist()):
                 if abs(val) > 1e-14:
                     out[k] = out.get(k, 0j) + val
         return CoreState(c.n_modes, c.r_max, out)
@@ -338,8 +327,7 @@ def perturbed_permutation_unitary(rng, n: int, scale: float) -> ModeUnitary:
 
 def haar_mode_unitary(n: int, seed) -> ModeUnitary:
     """Exact Haar sample: complex Ginibre QR with the phase correction."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return ModeUnitary(n, _haar_stack(n, rng, 1)[0])
+    return ModeUnitary(n, _haar_stack(n, np.random.default_rng(seed), 1)[0])
 
 
 # ----------------------------------------------------------------------
@@ -365,7 +353,7 @@ def szk_sampler(c: CoreState, sigma: float, seed,
     Returns (noisy dense vector, basis, U).
     """
     _check_sigma(sigma)
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     u = haar_mode_unitary(c.n_modes, rng)
     moved = apply_linear_optical(u, c)
     basis = basis or truncated_basis(c.n_modes, c.r_max)

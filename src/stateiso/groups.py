@@ -3,7 +3,7 @@
 Groups are desk scale: elements are opaque hashable labels with explicit
 multiply/inverse callbacks, and the action is one read-only
 (order, dim, dim) stack of unitaries in element order, built on first use
-under the ``_DENSE_BUDGET`` byte budget.  Every orbit scan (the oracle, the
+within ``linalg.check_budget``.  Every orbit scan (the oracle, the
 twirls, the fidelity maxima) is a batched product over that stack, summed
 in the fixed element order so results are bit-stable.
 """
@@ -17,9 +17,9 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import DensityMatrix, _pairs, fidelity_matrices, sqrt_fidelity
-from .paulis import (_DENSE_BUDGET, PauliOp, CliffordElement, batch_unitaries,
-                     check_unitary_stack, clifford_batches, clifford_group_order)
+from .linalg import DensityMatrix, _pairs, check_budget, fidelity_matrices, sqrt_fidelity
+from .paulis import (PauliOp, CliffordElement, batch_unitaries, clifford_batches,
+                     clifford_group_order)
 
 MATCH_TOL = 1e-8             # entrywise distance at which explicit_group matches a product
 TWIRL_SLACK_TOL = 1e-7       # rounding allowed below the twirl fidelity bound
@@ -80,11 +80,11 @@ class FiniteGroupRep:
     @property
     def unitaries(self) -> np.ndarray:
         """R(g) for every element, as one read-only (order, dim, dim) stack
-        in element order; a stack over the ``_DENSE_BUDGET`` byte budget
-        raises GroupError before anything is allocated."""
+        in element order; a stack over ``linalg.check_budget`` raises
+        GroupError before anything is allocated."""
         if self._stack is None:
-            check_unitary_stack(self.order, self.dim, f"the unitaries of {self.name}",
-                                GroupError)
+            check_budget(4 + math.log2(self.order) + 2 * math.log2(self.dim),
+                         f"the unitaries of {self.name}", GroupError)
             stack = np.empty((self.order, self.dim, self.dim), dtype=complex)
             for i, g in enumerate(self.elements):
                 stack[i] = self.unitary(g)
@@ -185,16 +185,14 @@ def k_twirl(rep: FiniteGroupRep, rho: DensityMatrix, k: int) -> DensityMatrix:
     sum_g vec(T_g^{x a}) vec(T_g^{x (k-a)})^T, which a transpose of the
     row and column indices turns into the k-fold tensor power.  Its
     tracemalloc peak is about four times the 16 d^{2k}-byte accumulator,
-    so a peak over the ``_DENSE_BUDGET`` byte budget raises GroupError.
+    so a peak over ``linalg.check_budget`` raises GroupError.
     """
     if k < 1:
         raise GroupError("k must be a positive integer")
     if rho.dim != rep.dim:
         raise GroupError("density matrix dimension does not match rep")
-    peak = 4 * 16 * rep.dim ** (2 * k)
-    if peak > _DENSE_BUDGET:
-        raise GroupError(f"a {k}-twirl in dimension {rep.dim}^{k} peaks near {peak >> 20} MiB, "
-                         f"over the {_DENSE_BUDGET >> 20} MiB budget")
+    check_budget(6 + 2 * k * math.log2(rep.dim),
+                 f"a {k}-twirl in dimension {rep.dim}^{k} at its peak", GroupError)
     a, b = k // 2, k - k // 2
     da, db, dk = rep.dim**a, rep.dim**b, rep.dim**k
     # blocks of elements whose factor rows hold no more entries than the
@@ -254,11 +252,10 @@ def _label_bytes(bits: float, label) -> int:
 
 
 def _check_labels(bits: float, label) -> None:
-    """Refuse a group of 2^bits labels whose list would exceed the
-    ``_DENSE_BUDGET`` byte budget; it runs before the list is built."""
-    if bits > math.log2(_DENSE_BUDGET / _label_bytes(bits, label)):
-        raise GroupError(f"2^{bits:.4g} group labels exceed the "
-                         f"{_DENSE_BUDGET >> 20} MiB budget")
+    """Refuse a group of 2^bits labels whose list would exceed
+    ``linalg.check_budget``; it runs before the list is built."""
+    check_budget(bits + math.log2(_label_bytes(bits, label)), f"2^{bits:.4g} group labels",
+                 GroupError)
 
 
 def pauli_group(n: int) -> FiniteGroupRep:

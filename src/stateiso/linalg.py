@@ -17,6 +17,7 @@ import numpy as np
 NORM_TOL = 1e-9
 UNITARY_TOL = 1e-8
 PSD_TOL = 1e-6               # negative eigenvalues matrix_sqrt_psd clamps to 0
+_DENSE_BUDGET = 1 << 28      # bytes allowed for one dense allocation or its measured peak
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -40,6 +41,15 @@ GATE_ALPHABET = set(GATES_1Q) | GATES_2Q
 
 class LinalgError(ValueError):
     """Structured error for invalid states, circuits or metric inputs."""
+
+
+def check_budget(log2_bytes: float, what: str, error) -> None:
+    """Raise ``error`` before an allocation of 2^log2_bytes bytes over the
+    ``_DENSE_BUDGET`` byte budget; ``what`` names it in the message.  The
+    cost comes in as a log so that no caller builds a huge byte count."""
+    if log2_bytes > math.log2(_DENSE_BUDGET):
+        raise error(f"{what}: about 2^{log2_bytes:.1f} bytes, over the "
+                    f"{_DENSE_BUDGET >> 20} MiB budget")
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from . import obs
-from .linalg import StateVector, UnitaryMatrix
+from .linalg import StateVector, UnitaryMatrix, check_budget
 
 _PHASE = (1, 1j, -1, -1j)
 
@@ -304,8 +304,8 @@ class CliffordElement(CliffordBatch):
 
     def to_unitary(self) -> UnitaryMatrix:
         """C as a dense matrix under the canonical phase convention; a
-        matrix whose build would go over the ``_DENSE_BUDGET`` byte budget
-        (from n = 12) raises PauliError."""
+        matrix whose build would go over ``linalg.check_budget`` (from
+        n = 12) raises PauliError."""
         return UnitaryMatrix(1 << self.n, batch_unitaries(self)[0])
 
 # ----------------------------------------------------------------------
@@ -324,16 +324,6 @@ class CliffordElement(CliffordBatch):
 
 _PHASES = np.array(_PHASE)
 _BLOCK_ENTRIES = 1 << 14     # entries of one intermediate kernel array
-_DENSE_BUDGET = 1 << 28      # bytes allowed for one stack of unitaries or one block's |R> tables
-
-
-def check_unitary_stack(count: int, dim: int, what: str, error=PauliError) -> None:
-    """Raise ``error`` before a (count, dim, dim) complex stack, 16 count
-    dim^2 bytes, over the ``_DENSE_BUDGET`` byte budget is allocated;
-    ``what`` names the stack in the message."""
-    need = 16 * count * dim * dim
-    if need > _DENSE_BUDGET:
-        raise error(f"{what} take {need >> 20} MiB, over the {_DENSE_BUDGET >> 20} MiB budget")
 
 
 def batch_block_size(entries: int) -> int:
@@ -544,8 +534,8 @@ def batch_overlaps(batch: CliffordBatch, psi1: StateVector, psi2: StateVector) -
 def batch_unitaries(batch: CliffordBatch) -> np.ndarray:
     """The dense matrices of every row, shape (B, d, d), under the canonical
     phase convention: ``batch_apply`` on the identity.  A stack whose
-    build would go over the ``_DENSE_BUDGET`` byte budget raises PauliError
-    before anything is allocated."""
+    build would go over ``linalg.check_budget`` raises PauliError before
+    anything is allocated."""
     n, b = batch.n, len(batch.ph)
     d = 1 << n
     # Besides the stack, batch_apply holds the identity, a one-row work
@@ -553,8 +543,8 @@ def batch_unitaries(batch: CliffordBatch) -> np.ndarray:
     # tables: tracemalloc measures 3.5 matrices and 0.1-0.2 MiB more at
     # B = 1, n = 10 and 11.  Three whole matrices besides the stack cover
     # that, so 11 qubits (4 x 64 MiB) pass and 12 (4 x 256 MiB) are refused.
-    check_unitary_stack(b + 3, d, f"{b} dense {n}-qubit Clifford unitaries with their "
-                        "work arrays")
+    check_budget(4 + math.log2(b + 3) + 2 * n, f"{b} dense {n}-qubit Clifford unitaries "
+                 "with their work arrays", PauliError)
     out = batch_apply(batch, np.eye(d, dtype=complex))
     obs.count("paulis.cliffords_applied", b)
     obs.count("paulis.action_entries", b * d * d)
@@ -880,8 +870,7 @@ def random_clifford(n: int, seed) -> CliffordElement:
     words (PCG64, PCG64DXSM, Philox, SFC64; not MT19937), and n is limited
     to 16 (see ``random_clifford_batch``).
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return random_clifford_batch(n, rng, 1).row(0)
+    return random_clifford_batch(n, np.random.default_rng(seed), 1).row(0)
 
 
 # ----------------------------------------------------------------------
@@ -968,13 +957,11 @@ def batch_r_overlap_terms(batch: CliffordBatch):
 
     Flipping the signs s (bit j for generator j) of C_b's images multiplies
     terms[b, P] by (-1)^{|s & masks[P]|}.  The conjugated strings are built
-    one qubit at a time with exact phases mod 4; tables over the
-    ``_DENSE_BUDGET`` byte budget raise PauliError."""
+    one qubit at a time with exact phases mod 4; tables over
+    ``linalg.check_budget`` raise PauliError."""
     n, ph, x, z = batch
-    cost = r_overlap_bytes(len(ph), n)
-    if cost > _DENSE_BUDGET:
-        raise PauliError(f"the |R> overlap of {len(ph)} {n}-qubit Cliffords takes "
-                         f"{cost >> 20} MiB, over the {_DENSE_BUDGET >> 20} MiB budget")
+    check_budget(math.log2(r_overlap_bytes(len(ph), n)),
+                 f"the |R> overlap of {len(ph)} {n}-qubit Cliffords", PauliError)
     coef, masks = _pauli_strings(n)
     ps = xs = zs = np.zeros((len(ph), 1), dtype=np.int64)
     for q in range(n):

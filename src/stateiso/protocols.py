@@ -22,10 +22,9 @@ import numpy as np
 
 from . import obs
 from .groups import k_twirl
-from .linalg import trace_distance
-from .paulis import (_DENSE_BUDGET, batch_apply, batch_unitaries, check_unitary_stack,
-                     clifford_batches, clifford_group_order, qubit_permutation_batch,
-                     random_clifford_batch)
+from .linalg import check_budget, trace_distance
+from .paulis import (batch_apply, batch_unitaries, clifford_batches, clifford_group_order,
+                     qubit_permutation_batch, random_clifford_batch)
 from .psgi import PsgiInstance
 from .reductions import MsgiInstance
 
@@ -79,14 +78,14 @@ def _shadow_estimates(state: np.ndarray, target_mat: np.ndarray,
     U|state>; its single-shot estimate (2^n + 1) |<b|U|target>|^2 - 1 is
     aggregated by median of means.  ``target_mat`` has one target per
     column; uses the cached full Clifford group when available.  An (N, dim,
-    dim) unitary stack over the ``_DENSE_BUDGET`` byte budget is refused.
+    dim) unitary stack over ``linalg.check_budget`` is refused.
     """
     if n_shadows < 1:
         raise ProtocolError(f"need at least one shadow, got {n_shadows}")
     dim = state.shape[0]
     n = dim.bit_length() - 1
-    check_unitary_stack(n_shadows, dim, f"the unitaries of {n_shadows} shadows of a "
-                        f"{n}-qubit state", ProtocolError)
+    check_budget(4 + math.log2(n_shadows) + 2 * n, f"the unitaries of {n_shadows} shadows "
+                 f"of a {n}-qubit state", ProtocolError)
     obs.count("protocols.shadows_drawn", n_shadows)
     unitaries = _clifford_unitaries(n)
     if unitaries is not None:
@@ -188,13 +187,11 @@ def szk_lowrank_context(lr1, lr2) -> dict:
     labelled by permutation tuples.  Each orbit takes 16 n! 2^n bytes, and
     tracemalloc measures a peak of 6.7 orbits at n = 6 and 7 (the two
     orbits, the action's index tables and the deduplication keys); counted
-    as 8 orbits, a peak over the ``_DENSE_BUDGET`` byte budget (from n = 8)
-    is refused before any state is materialized."""
+    as 8 orbits, a peak over ``linalg.check_budget`` (from n = 8) is
+    refused before any state is materialized."""
     n = lr1.n_qubits
-    need = 8 * 16 * math.factorial(n) << n
-    if need > _DENSE_BUDGET:
-        raise ProtocolError(f"the qubit-permutation orbits of {n}-qubit states peak near "
-                            f"{need >> 20} MiB, over the {_DENSE_BUDGET >> 20} MiB budget")
+    check_budget(7 + math.log2(math.factorial(n)) + n,
+                 f"the qubit-permutation orbits of {n}-qubit states at their peak", ProtocolError)
     perms = list(permutations(range(n)))
     batch = qubit_permutation_batch(perms, n)
     return _context(tuple(batch_apply(batch, lr.materialize().amplitudes[:, None])[..., 0]

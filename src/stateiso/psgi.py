@@ -8,16 +8,16 @@ Pauli labels (x, z, s) plus the dihedral bit a, acting on
 """
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import obs
-from .linalg import StateVector
+from .linalg import StateVector, check_budget
 from .groups import DecisionThresholds, FiniteGroupRep, dihedralize
-from .paulis import _DENSE_BUDGET, PauliOp, pauli_table, walsh_hadamard
+from .paulis import PauliOp, pauli_table, walsh_hadamard
 
 SAMPLE_CONSTANT = 6          # characters sampled per bit of log2|Gamma|
 DEFAULT_COPIES = 2
@@ -153,26 +153,19 @@ def psgi_to_statehsp(inst: PsgiInstance, m: int = 1):
     Returns (|Phi>, dihedralized rep, bounds dict).  |Phi> is the m-fold
     tensor power of (|0>|psi1> + |1>|psi2>)/sqrt(2); the odd-element
     overlap satisfies <Phi|R'(h,1)^{x m}|Phi> = (Re<psi1|R(h)|psi2>)^m.
-    m < 1, or an |Phi> over the ``_DENSE_BUDGET`` byte budget, raises
-    PsgiError before anything is built.
+    m < 1, or an |Phi> over ``linalg.check_budget``, raises PsgiError
+    before anything is built.
     """
     if m < 1:
         raise PsgiError(f"the reduction needs at least one copy, got m={m}")
-    width = 2 * len(inst.psi1.amplitudes)           # amplitudes of one copy
-    if m * math.log2(width) > math.log2(_DENSE_BUDGET / 16):
-        raise PsgiError(f"{m} copies of |Phi> have {width}^{m} complex amplitudes, over "
-                        f"the {_DENSE_BUDGET >> 20} MiB budget")
+    nq = m * (inst.psi1.n_qubits + 1)               # qubits of |Phi>
+    check_budget(4 + nq, f"{m} copies of |Phi> on {nq} qubits", PsgiError)
     rep = inst.rep
     if not rep.is_abelian():
         raise PsgiError("reduction requires an abelian group")
     drep = dihedralize(rep)
     single = np.concatenate([inst.psi1.amplitudes, inst.psi2.amplitudes]) / np.sqrt(2)
-    amps = np.ones(1, dtype=complex)
-    for _ in range(m):
-        amps = np.kron(amps, single)
-    nq = int(np.log2(len(amps)))
-    if 1 << nq != len(amps):
-        raise PsgiError("dihedralized dimension is not a power of two")
+    amps = functools.reduce(np.kron, [single] * m, np.ones(1, dtype=complex))
     eps = 1 - inst.thresholds.beta
     bounds = {
         "m": m,

@@ -16,13 +16,13 @@ import numpy as np
 
 from . import obs
 from .linalg import (
-    Circuit, DensityMatrix, StateVector, run_circuit, sqrt_fidelity,
+    Circuit, DensityMatrix, StateVector, check_budget, run_circuit, sqrt_fidelity,
     trace_norm,
 )
 from .graphs import Graph, find_isomorphism
 from .groups import DecisionThresholds, FiniteGroupRep, max_conjugate_fidelity
 from .paulis import (
-    _DENSE_BUDGET, CliffordBatch, CliffordElement, batch_block_size, batch_overlaps,
+    CliffordBatch, CliffordElement, batch_block_size, batch_overlaps,
     batch_r_overlap_sq, clifford_elements, graph_state, qubit_permutation_batch,
     qubit_permutation_clifford, r_minus_state, r_state, r_state_product, random_clifford_batch,
     sign_factored_r_overlap_sq, symplectic_group_order,
@@ -81,10 +81,9 @@ class GiCliffordInstance:
 def _check_encoding(n_qubits: int, states: int) -> None:
     """Raise ReductionError before a graph-state encoding whose tracemalloc
     peak, ``states`` dense n-qubit vectors of 16 * 2^n bytes each, would go
-    over the ``_DENSE_BUDGET`` byte budget."""
-    if n_qubits + math.log2(16 * states) > math.log2(_DENSE_BUDGET):
-        raise ReductionError(f"encoding a graph on {n_qubits} qubits peaks near {states} x 16 x "
-                             f"2^{n_qubits} bytes, over the {_DENSE_BUDGET >> 20} MiB budget")
+    over ``linalg.check_budget``."""
+    check_budget(n_qubits + math.log2(16 * states), f"encoding a graph on {n_qubits} qubits "
+                 f"({states} dense states) at its peak", ReductionError)
 
 
 def _encode_graph_clifford(g: Graph) -> StateVector:
@@ -208,6 +207,10 @@ def verify_first_qubit_claim(instances) -> dict:
 # Low-stabilizer-rank encoding
 # ----------------------------------------------------------------------
 
+_FACTORS = {"0": np.array([1.0, 0.0], dtype=complex), "1": np.array([0.0, 1.0], dtype=complex),
+            "R": r_state().amplitudes, "R-": r_minus_state().amplitudes}
+
+
 @dataclass(frozen=True)
 class LowRankState:
     """Linear combination of product/graph stabilizer terms.
@@ -230,27 +233,15 @@ class LowRankState:
         total = np.zeros(1 << self.n_qubits, dtype=complex)
         for coeff, factors in self.terms:
             amps = np.ones(1, dtype=complex)
-            width = 0
             for f in factors:
                 if isinstance(f, tuple) and f[0] == "graph":
                     part = graph_state(f[1]).amplitudes
-                    width += f[1].n
-                elif f == "0":
-                    part = np.array([1.0, 0.0], dtype=complex)
-                    width += 1
-                elif f == "1":
-                    part = np.array([0.0, 1.0], dtype=complex)
-                    width += 1
-                elif f == "R":
-                    part = r_state().amplitudes
-                    width += 1
-                elif f == "R-":
-                    part = r_minus_state().amplitudes
-                    width += 1
+                elif isinstance(f, str) and f in _FACTORS:
+                    part = _FACTORS[f]
                 else:
                     raise ReductionError(f"unknown factor {f!r}")
                 amps = np.kron(amps, part)
-            if width != self.n_qubits:
+            if len(amps) != 1 << self.n_qubits:
                 raise ReductionError("term width does not match n_qubits")
             total += coeff * amps
         nrm = np.linalg.norm(total)
@@ -265,13 +256,9 @@ def build_m_state(n: int) -> LowRankState:
     if n < 2:
         raise ReductionError("need n >= 2")
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    # Gram entries depend only on the symmetric difference of the pairs
-    total = 0.0
-    for a in pairs:
-        for b in pairs:
-            diff = len(set(a) ^ set(b))
-            total += 0.5 ** (diff // 2)
-    c = 1.0 / math.sqrt(total)
+    # a Gram entry is 2^{-|a ^ b|/2}: each pair meets itself once, 2(n-2)
+    # pairs sharing one qubit and (n-2)(n-3)/2 disjoint ones
+    c = 1.0 / math.sqrt(len(pairs) * (1 + (n - 2) + (n - 2) * (n - 3) / 8))
     terms = []
     for i, j in pairs:
         factors = tuple(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from stateiso.bosonic import (
+    PHOTON_CAP,
     BosonicError,
     ModeUnitary,
     CoreState,
@@ -52,6 +53,15 @@ def permanent(m: np.ndarray) -> complex:
     return total
 
 
+def recursive_sector_basis(n: int, r: int) -> list:
+    """All multi-indices on n modes with total exactly r, by recursion on
+    the first mode: the reference for the layout that sector_basis reads."""
+    if n == 1:
+        return [MultiIndex((r,))]
+    return [MultiIndex((first,) + rest) for first in range(r + 1)
+            for rest in recursive_sector_basis(n - 1, r - first)]
+
+
 def transition_amplitude(v: np.ndarray, k: MultiIndex, j: MultiIndex) -> complex:
     """<k|R(V)|j> = Per(V^T[k|j]) / sqrt(k! j!) in the substitution
     convention (the transpose is pinned by the equivalence with z -> Vz)."""
@@ -86,6 +96,14 @@ def mixed_core(n, r_max, rng, n_terms=3):
 class TestBasics:
     def test_sector_dimension(self):
         assert len(sector_basis(3, 2)) == 6  # multichoose(3, 2)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_sector_basis_matches_recursion(self, n):
+        # same keys in the same ascending order, as MultiIndex
+        for r in range(PHOTON_CAP + 1):
+            basis = sector_basis(n, r)
+            assert basis == recursive_sector_basis(n, r)
+            assert all(type(k) is MultiIndex for k in basis)
 
     def test_multi_index_factorial(self):
         k = MultiIndex((2, 0, 3))

@@ -486,6 +486,15 @@ class TestConfigErrorBoundary:
         _assert_config_error(res)
         assert "budget" in res.stderr
 
+    def test_twirl_copies_over_budget_exits_two(self, runner):
+        # a 10^8-fold twirl's peak is 2^(4 * 10^8 + 6) bytes: refused by its
+        # log, with no int of that size built or printed
+        t0 = time.perf_counter()
+        res = runner.invoke(main, ["protocol", "qszk-mixed", "--k", "100000000"])
+        assert time.perf_counter() - t0 < 1.0
+        _assert_config_error(res)
+        assert "budget" in res.stderr and "digits" not in res.stderr
+
     @pytest.mark.parametrize("count", ["0", "-5"])
     def test_nonpositive_sweep_count(self, runner, tmp_path, count):
         # a sweep of no Cliffords is no evidence for NO

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from stateiso.linalg import (
     LinalgError,
     StateVector,
     UnitaryMatrix,
+    check_budget,
     fidelity_matrices,
     matrix_sqrt_psd,
     partial_trace,
@@ -21,8 +23,23 @@ from stateiso.linalg import (
     trace_distance,
     trace_norm,
 )
+from stateiso.groups import GroupError
+from stateiso.paulis import PauliError
+from stateiso.protocols import ProtocolError
+from stateiso.psgi import PsgiError
+from stateiso.reductions import ReductionError
 
 RNG = np.random.default_rng(20240817)
+
+
+@pytest.mark.parametrize("error", [PauliError, GroupError, PsgiError, ReductionError,
+                                   ProtocolError])
+def test_check_budget_admits_256_mib_and_refuses_above(error):
+    check_budget(28, "a 256 MiB stack", error)
+    with pytest.raises(error, match="a 257 MiB stack: .* over the 256 MiB budget"):
+        check_budget(math.log2(257 << 20), "a 257 MiB stack", error)
+    with pytest.raises(error, match="budget"):
+        check_budget(math.nextafter(28, math.inf), "one byte more", error)
 
 
 def random_state(n):

@@ -257,7 +257,19 @@ class TestLemmaPerm:
             assert rec["fixes_control"]
 
 
+def pairwise_gram_total(n: int) -> float:
+    """Sum of the Gram matrix of the |M> terms pair by pair: the entry of
+    pairs a, b is 2^{-|a ^ b|/2}, by <R|0> = 1/sqrt(2)."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return sum(0.5 ** (len(set(a) ^ set(b)) // 2) for a in pairs for b in pairs)
+
+
 class TestLowRank:
+    @pytest.mark.parametrize("n", range(2, 21))
+    def test_m_state_coefficient_matches_pairwise_gram(self, n):
+        # the closed form in build_m_state is exact, not just close
+        assert {c for c, _ in build_m_state(n).terms} == {1.0 / math.sqrt(pairwise_gram_total(n))}
+
     def test_m_state_triangle_coefficient(self):
         # for n = 3 every coefficient is 1/sqrt(6)
         m = build_m_state(3)
