@@ -15,54 +15,9 @@ import click
 import numpy as np
 
 from . import __version__
-from .bosonic import (
-    CoreState,
-    apply_linear_optical,
-    core_overlap,
-    cubic_overlap,
-    encode_graph_bosonic,
-    estimate_tv_gap,
-    nearest_permutation_phase,
-    optimize_overlap,
-    perturbed_permutation_unitary,
-)
-from .graphs import Graph, find_isomorphism
-from .groups import (
-    DecisionThresholds,
-    check_twirl_fidelity_bound,
-    group_from_spec,
-    pauli_group,
-)
-from .linalg import DensityMatrix, StateVector, UnitaryMatrix, random_density
-from .paulis import batch_unitaries, clifford_batches
-from .protocols import (
-    qcszk_context,
-    qcszk_round,
-    qszk_mixed_context,
-    qszk_mixed_round,
-    run_trials,
-    szk_lowrank_context,
-    szk_lowrank_round,
-    write_summary_csv,
-)
-from .psgi import (
-    PsgiInstance,
-    pauli_psgi_quantum,
-    psgi_oracle,
-    random_pauli_psgi_instance,
-    random_state,
-)
-from .reductions import (
-    clifford_overlap_sweep,
-    gi_to_clifford,
-    lowrank_gi_instance,
-    lowrank_thresholds,
-    qsd_to_mixed_hsp,
-    qsd_to_msgi,
-    trace_distance_transfer,
-    verify_lemma_perm,
-)
-from .psgi import psgi_to_statehsp
+
+# Each command imports the library modules it runs inside its own body, so
+# that an invocation loads (and, with no bytecode cache, compiles) only those.
 
 SCHEMA_VERSION = 1
 
@@ -112,8 +67,20 @@ def _field(bundle: dict, key: str, kind, what: str):
     return value
 
 
-def _read_graph(path: str) -> Graph:
+def _read_graph(path: str):
+    from .graphs import Graph
     return Graph.from_edge_list_text(_read_text(path))
+
+
+def write_summary_csv(path: str, rows: list) -> None:
+    """rows: list of dicts with instance, trials, accept_rate, CI bounds."""
+    import csv
+    fields = ["instance", "trials", "accepts", "accept_rate", "wilson_low", "wilson_high"]
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=fields)
+        writer.writeheader()
+        for row in rows:
+            writer.writerow({k: row.get(k, "") for k in fields})
 
 
 def _config_error(msg: str):
@@ -247,6 +214,9 @@ def main():
 def cmd_psgi(instance_path, use_oracle, group, n_qubits, same_state, kind,
              alpha, beta, seed, copies, shot_mode, shots, sweep_count):
     """Decide a state-isomorphism instance; exit 0 YES / 1 NO / 3 violated."""
+    from .groups import DecisionThresholds, group_from_spec
+    from .psgi import (PsgiInstance, pauli_psgi_quantum, psgi_oracle,
+                       random_pauli_psgi_instance, random_state)
     if instance_path:
         bundle = _read_json(instance_path)
         if bundle.get("type") == "gi_clifford":
@@ -281,7 +251,10 @@ def cmd_psgi(instance_path, use_oracle, group, n_qubits, same_state, kind,
     }
 
 
-def _psgi_from_bundle(bundle: dict) -> PsgiInstance:
+def _psgi_from_bundle(bundle: dict):
+    from .groups import DecisionThresholds, group_from_spec
+    from .linalg import StateVector
+    from .psgi import PsgiInstance
     psi1 = StateVector.from_obj(_field(bundle, "psi1", dict, "an object"))
     psi2 = StateVector.from_obj(_field(bundle, "psi2", dict, "an object"))
     rep = group_from_spec(_field(bundle, "group", dict, "an object"))
@@ -291,6 +264,8 @@ def _psgi_from_bundle(bundle: dict) -> PsgiInstance:
 
 
 def _run_gi_clifford_bundle(bundle: dict, sweep_count: int, seed: int) -> dict:
+    from .graphs import Graph, find_isomorphism
+    from .reductions import clifford_overlap_sweep, gi_to_clifford
     g1 = Graph.from_edge_list_text(_field(bundle, "graph1", str, "a string"))
     g2 = Graph.from_edge_list_text(_field(bundle, "graph2", str, "a string"))
     inst = gi_to_clifford(g1, g2)
@@ -327,6 +302,7 @@ def cmd_reduce():
 @click.argument("graph1", type=str)
 @click.argument("graph2", type=str)
 def reduce_gi_clifford(graph1, graph2):
+    from .reductions import gi_to_clifford
     g1, g2 = _read_graph(graph1), _read_graph(graph2)
     inst = gi_to_clifford(g1, g2)
     bundle = {
@@ -349,6 +325,7 @@ def reduce_gi_clifford(graph1, graph2):
 @click.option("--graph-weight", type=float, default=None,
               help="Override the graph-component weight b.")
 def reduce_gi_lowrank(graph1, graph2, graph_weight):
+    from .reductions import lowrank_gi_instance
     g1, g2 = _read_graph(graph1), _read_graph(graph2)
     result = lowrank_gi_instance(g1, g2, graph_weight=graph_weight)
     if hasattr(result, "decision"):
@@ -368,6 +345,8 @@ def reduce_gi_lowrank(graph1, graph2, graph_weight):
 @click.argument("graph1", type=str)
 @click.argument("graph2", type=str)
 def reduce_gi_bosonic(graph1, graph2):
+    from .bosonic import encode_graph_bosonic
+    from .reductions import lowrank_thresholds
     g1, g2 = _read_graph(graph1), _read_graph(graph2)
     c1, c2 = encode_graph_bosonic(g1), encode_graph_bosonic(g2)
     thresholds = lowrank_thresholds(g1.n)
@@ -386,6 +365,9 @@ def reduce_gi_bosonic(graph1, graph2):
 @click.option("--n", "n_qubits", type=int, default=1, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 def reduce_qsd_msgi(sigma1, sigma2, group, n_qubits, seed):
+    from .groups import group_from_spec
+    from .linalg import DensityMatrix
+    from .reductions import qsd_to_msgi
     s1 = DensityMatrix.from_obj(_read_json(sigma1))
     s2 = DensityMatrix.from_obj(_read_json(sigma2))
     rep = group_from_spec({"type": group, "n": n_qubits})
@@ -407,6 +389,9 @@ def reduce_qsd_msgi(sigma1, sigma2, group, n_qubits, seed):
 @click.option("--h-index", type=int, default=1, show_default=True,
               help="Index of the involution h in the group's element list.")
 def reduce_qsd_mixedhsp(sigma1, sigma2, group, n_qubits, h_index):
+    from .groups import group_from_spec
+    from .linalg import DensityMatrix
+    from .reductions import qsd_to_mixed_hsp, trace_distance_transfer
     if h_index < 0:
         # Python would read a negative index from the end of the list
         raise ValueError(f"--h-index must be >= 0, got {h_index}")
@@ -428,6 +413,7 @@ def reduce_qsd_mixedhsp(sigma1, sigma2, group, n_qubits, h_index):
 @click.option("--copies", type=int, default=1, show_default=True,
               callback=_at_least_one)
 def reduce_psgi_statehsp(instance, copies):
+    from .psgi import psgi_to_statehsp
     inst = _psgi_from_bundle(_read_json(instance))
     phi, rep, bounds = psgi_to_statehsp(inst, m=copies)
     return {"version": SCHEMA_VERSION, "type": "state_hsp", "phi": phi.to_obj(),
@@ -450,6 +436,7 @@ def cmd_verify():
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--threshold", type=float, default=0.9999, show_default=True)
 def verify_lemma_perm_cmd(n_qubits, exhaustive, samples, seed, threshold):
+    from .reductions import verify_lemma_perm
     report = verify_lemma_perm(n_qubits,
                                mode="exhaustive" if exhaustive else "sampled",
                                samples=samples, seed=seed, threshold=threshold)
@@ -462,6 +449,8 @@ def verify_lemma_perm_cmd(n_qubits, exhaustive, samples, seed, threshold):
 @click.option("--n", "n_qubits", type=int, default=1, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 def verify_twirl_bound(instances, n_qubits, seed):
+    from .groups import check_twirl_fidelity_bound, pauli_group
+    from .linalg import random_density
     rep = pauli_group(n_qubits)
     rng = np.random.default_rng(seed)
     dim = rep.dim
@@ -483,6 +472,7 @@ def verify_twirl_bound(instances, n_qubits, seed):
 @click.option("--seed", type=int, default=0, show_default=True)
 def verify_helper_gapped_cv(count, seed):
     """Residual bound ||V - PD||_F <= sqrt(3 n delta) in the delta regime."""
+    from .bosonic import cubic_overlap, nearest_permutation_phase, perturbed_permutation_unitary
     rng = np.random.default_rng(seed)
     checked = 0
     worst_margin = -math.inf
@@ -510,6 +500,9 @@ def verify_helper_gapped_cv(count, seed):
 @click.option("--n", "n_qubits", type=int, default=1, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 def verify_trace_transfer(count, n_qubits, seed):
+    from .groups import pauli_group
+    from .linalg import random_density
+    from .reductions import qsd_to_mixed_hsp, trace_distance_transfer
     rep = pauli_group(n_qubits)
     rng = np.random.default_rng(seed)
     # an involution that is not central: the first X-type generator
@@ -531,6 +524,8 @@ def verify_trace_transfer(count, n_qubits, seed):
 @click.option("--seed", type=int, default=0, show_default=True)
 def verify_shadow_unbiased(seed):
     """Exact single-shadow expectation at one qubit by full enumeration."""
+    from .paulis import batch_unitaries, clifford_batches
+    from .psgi import random_state
     rng = np.random.default_rng(seed)
     units = batch_unitaries(next(clifford_batches(1, 24)))
     worst = 0.0
@@ -565,6 +560,9 @@ def cmd_protocol():
 @click.option("--n", "n_qubits", type=int, default=2, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 def protocol_qcszk(trials, shadows, n_qubits, seed):
+    from .groups import DecisionThresholds
+    from .protocols import qcszk_context, qcszk_round, run_trials
+    from .psgi import random_pauli_psgi_instance
     thresholds = DecisionThresholds(0.6, 0.99)
     rng = np.random.default_rng(seed)
     rows = []
@@ -583,6 +581,9 @@ def protocol_qcszk(trials, shadows, n_qubits, seed):
 @click.option("--k", "k_copies", type=int, default=4, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 def protocol_qszk_mixed(trials, k_copies, seed):
+    from .groups import DecisionThresholds, pauli_group
+    from .linalg import DensityMatrix, StateVector, random_density
+    from .protocols import qszk_mixed_context, qszk_mixed_round, run_trials
     from .reductions import MsgiInstance
     rep = pauli_group(2)
     thresholds = DecisionThresholds(0.6, 0.99)
@@ -612,6 +613,9 @@ def protocol_qszk_mixed(trials, k_copies, seed):
 @click.option("--graph-weight", type=float, default=0.7, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 def protocol_szk_lowrank(trials, gamma, graph_weight, seed):
+    from .graphs import Graph
+    from .protocols import run_trials, szk_lowrank_context, szk_lowrank_round
+    from .reductions import lowrank_gi_instance
     g1 = Graph.path(4)
     pairs = (("isomorphic", g1.relabel((2, 0, 3, 1))),
              ("non-isomorphic", Graph.star(4)))
@@ -638,6 +642,7 @@ def cmd_bosonic():
 @cmd_bosonic.command("encode")
 @click.argument("graph", type=str)
 def bosonic_encode(graph):
+    from .bosonic import encode_graph_bosonic
     return encode_graph_bosonic(_read_graph(graph)).to_obj()
 
 
@@ -647,6 +652,8 @@ def bosonic_encode(graph):
 @click.option("--method", type=click.Choice(["substitution", "permanent"]),
               default="substitution", show_default=True)
 def bosonic_apply(state, unitary, method):
+    from .bosonic import CoreState, apply_linear_optical
+    from .linalg import UnitaryMatrix
     c = CoreState.from_obj(_read_json(state))
     v = UnitaryMatrix.from_obj(_read_json(unitary))
     return apply_linear_optical(v, c, method=method).to_obj()
@@ -656,6 +663,7 @@ def bosonic_apply(state, unitary, method):
 @click.argument("state1", type=str)
 @click.argument("state2", type=str)
 def bosonic_overlap(state1, state2):
+    from .bosonic import CoreState, core_overlap
     ov = core_overlap(CoreState.from_obj(_read_json(state1)),
                       CoreState.from_obj(_read_json(state2)))
     return {"version": SCHEMA_VERSION, "overlap": [ov.real, ov.imag], "abs": abs(ov)}
@@ -668,6 +676,7 @@ def bosonic_overlap(state1, state2):
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--trace", "trace_path", default="", help="Per-restart CSV trace.")
 def bosonic_optimize(state1, state2, restarts, seed, trace_path):
+    from .bosonic import CoreState, optimize_overlap
     v, best_abs, best_re = optimize_overlap(
         CoreState.from_obj(_read_json(state1)), CoreState.from_obj(_read_json(state2)),
         restarts=restarts, seed=seed, trace_file=_resolve_out(trace_path) or None)
@@ -682,6 +691,7 @@ def bosonic_optimize(state1, state2, restarts, seed, trace_path):
 @click.option("--samples", type=int, default=40, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 def bosonic_tv_gap(state1, state2, sigma, samples, seed):
+    from .bosonic import CoreState, estimate_tv_gap
     tv, diag = estimate_tv_gap(CoreState.from_obj(_read_json(state1)),
                                CoreState.from_obj(_read_json(state2)), sigma, samples, seed)
     return {"version": SCHEMA_VERSION, "tv_lower": tv, **diag}

@@ -202,7 +202,8 @@ def k_twirl(rep: FiniteGroupRep, rho: DensityMatrix, k: int) -> DensityMatrix:
     for t in _conjugate_blocks(rep, rho.matrix, step):
         acc += _vec_kron_powers(t, a).T @ _vec_kron_powers(t, b)
     acc = acc.reshape(da, da, db, db).transpose(0, 2, 1, 3).reshape(dk, dk)
-    return DensityMatrix(k * rho.n_qubits, acc / rep.order)
+    # a sum of tensor powers of states is PSD: no eigenvalue check
+    return DensityMatrix._trusted(k * rho.n_qubits, acc / rep.order)
 
 
 @dataclass(frozen=True)

@@ -152,6 +152,16 @@ class DensityMatrix:
     def from_obj(obj) -> "DensityMatrix":
         return DensityMatrix(*_read_pairs(obj, "n_qubits", "matrix"))
 
+    # The trusted constructor, for a complex matrix that the library built
+    # PSD with unit trace (k_twirl's average of tensor powers of states):
+    # it skips __post_init__, whose eigvalsh is O(d^3).  Matrices from
+    # outside the library go through the checked constructor.
+    @classmethod
+    def _trusted(cls, n_qubits: int, matrix: np.ndarray) -> "DensityMatrix":
+        rho = object.__new__(cls)
+        rho.__dict__.update(n_qubits=n_qubits, matrix=matrix)
+        return rho
+
 
 @dataclass(frozen=True)
 class UnitaryMatrix:

@@ -11,7 +11,6 @@ exact computation on the simulated states.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import cache
@@ -239,13 +238,3 @@ def run_trials(round_fn: Callable[[int], ProtocolTranscript], trials: int,
         "wilson_low": low, "wilson_high": high,
     }
 
-
-def write_summary_csv(path: str, rows: list) -> None:
-    """rows: list of dicts with instance, trials, accept_rate, CI bounds."""
-    fields = ["instance", "trials", "accepts", "accept_rate",
-              "wilson_low", "wilson_high"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: row.get(k, "") for k in fields})

@@ -11,7 +11,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
 
-from stateiso import bosonic, cli
+from stateiso import bosonic, cli, psgi
 from stateiso.cli import main
 from stateiso.graphs import Graph
 from stateiso.linalg import DensityMatrix
@@ -269,6 +269,18 @@ class TestBosonicCommands:
         assert res.exit_code == 2
         assert isinstance(res.exception, SystemExit)
         assert "n_samples" in res.output and "Traceback" not in res.output
+
+
+class TestProtocolCommands:
+    def test_write_summary_csv(self, tmp_path):
+        path = tmp_path / "summary.csv"
+        cli.write_summary_csv(str(path), [
+            {"instance": "iso", "trials": 10, "accepts": 5,
+             "accept_rate": 0.5, "wilson_low": 0.2, "wilson_high": 0.8},
+        ])
+        text = path.read_text()
+        assert text.splitlines()[0].startswith("instance,")
+        assert "iso" in text
 
 
 P4_TEXT = Graph.path(4).to_edge_list_text()
@@ -555,7 +567,7 @@ class TestConfigErrorBoundary:
         def out_of_memory(inst):
             raise MemoryError("Unable to allocate 8.00 GiB")
 
-        monkeypatch.setattr(cli, "psgi_oracle", out_of_memory)
+        monkeypatch.setattr(psgi, "psgi_oracle", out_of_memory)
         res = runner.invoke(main, ["psgi", "--n", "2"])
         _assert_config_error(res)
         assert "out of memory" in res.stderr
@@ -570,7 +582,7 @@ class TestConfigErrorBoundary:
         def never(*args, **kwargs):
             raise AssertionError("the command ran")
 
-        monkeypatch.setattr(cli, "random_pauli_psgi_instance", never)
+        monkeypatch.setattr(psgi, "random_pauli_psgi_instance", never)
         out = tmp_path / "missing" / "x.csv"
         res = runner.invoke(main, ["protocol", "qcszk", "--trials", "300", "--out", str(out)])
         _assert_config_error(res)
@@ -667,6 +679,20 @@ class TestDeterminism:
             '"wilson_high": 1.0, "wilson_low": 0.5100999795960008}',
         ]
 
+    def test_qszk_mixed_stdout_pinned(self, runner):
+        # rows recorded while k_twirl's output still went through the eigenvalue check
+        res = runner.invoke(main, ["protocol", "qszk-mixed", "--k", "4", "--trials", "20",
+                                   "--seed", "3"])
+        assert res.exit_code == 0
+        assert res.stdout.splitlines() == [
+            '{"accept_rate": 0.55, "accepts": 11, "instance": "isomorphic", "trials": 20, '
+            '"twirled_distance": 0.0, "wilson_high": 0.7418049791429071, '
+            '"wilson_low": 0.3420820083075997}',
+            '{"accept_rate": 1.0, "accepts": 20, "instance": "alpha-far", "trials": 20, '
+            '"twirled_distance": 0.9920614591379662, "wilson_high": 1.0, '
+            '"wilson_low": 0.8388698745050667}',
+        ]
+
     @pytest.mark.parametrize("args, stdout", [
         (["psgi", "--quantum", "--same-state", "--n", "2", "--seed", "1"],
          '{\n  "achieved_overlap": [\n    1.0,\n    0.0\n  ],\n  "decision": "YES",\n'
@@ -745,21 +771,22 @@ class TestConfigLine:
             assert set(config) == {"command"} | {p.name for p in cmd.params}, name
 
 
+def _python(code, cwd):
+    """A fresh interpreter running ``code`` on this checkout's sources."""
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    env.pop("STATEISO_OUT_DIR", None)
+    return subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 class TestNoNetworkx:
     """networkx is a test-only dependency: the program never imports it."""
 
-    @staticmethod
-    def _python(code, cwd):
-        env = dict(os.environ)
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        env.pop("STATEISO_OUT_DIR", None)
-        return subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
-                              capture_output=True, text=True, timeout=120)
-
     def test_imports_skip_networkx(self, tmp_path):
-        proc = self._python("import sys, stateiso.cli, stateiso.reductions, stateiso.bosonic; "
-                            "assert 'networkx' not in sys.modules", tmp_path)
+        proc = _python("import sys, stateiso.cli, stateiso.reductions, stateiso.bosonic; "
+                       "assert 'networkx' not in sys.modules", tmp_path)
         assert proc.returncode == 0, proc.stderr
 
     def test_gi_clifford_bundles_decide_without_networkx(self, runner, tmp_path):
@@ -769,7 +796,37 @@ class TestNoNetworkx:
                                ("no", Graph.star(4), 1)):
             (tmp_path / name).mkdir()
             bundle = _gi_clifford_bundle(runner, tmp_path / name, p4, g2)
-            proc = self._python("import sys; sys.modules['networkx'] = None; "
-                                "from stateiso.cli import main; "
-                                f"main(['psgi', '--instance', {bundle!r}])", tmp_path)
+            proc = _python("import sys; sys.modules['networkx'] = None; "
+                           "from stateiso.cli import main; "
+                           f"main(['psgi', '--instance', {bundle!r}])", tmp_path)
             assert proc.returncode == want, proc.stderr
+
+
+class TestImportFootprint:
+    """Each command imports only the library modules it runs."""
+
+    @staticmethod
+    def _loaded(args, cwd):
+        """The stateiso modules of a fresh interpreter after ``import
+        stateiso.cli`` and, unless args is None, that command."""
+        run = "" if args is None else (
+            f"try:\n    stateiso.cli.main({args!r})\nexcept SystemExit:\n    pass\n")
+        proc = _python("import sys\nimport stateiso.cli\n" + run + "print(' '.join(sorted("
+                       "m.removeprefix('stateiso.') for m in sys.modules "
+                       "if m.startswith('stateiso.'))))", cwd)
+        assert proc.returncode == 0, proc.stderr
+        return set(proc.stdout.splitlines()[-1].split())
+
+    @pytest.mark.parametrize("args", [None, ["--version"]])
+    def test_import_and_version_load_only_cli(self, tmp_path, args):
+        assert self._loaded(args, tmp_path) == {"cli"}
+
+    def test_bosonic_encode_skips_the_clifford_stack(self, tmp_path):
+        g = _write_graph(tmp_path / "g.txt", Graph.path(4))
+        assert self._loaded(["bosonic", "encode", g], tmp_path) == {
+            "cli", "bosonic", "graphs", "linalg", "obs"}
+
+    def test_psgi_skips_reductions_protocols_and_bosonic(self, tmp_path):
+        loaded = self._loaded(["psgi", "--n", "2", "--kind", "no"], tmp_path)
+        assert "psgi" in loaded
+        assert not loaded & {"reductions", "protocols", "bosonic"}

@@ -20,7 +20,7 @@ from stateiso.groups import (
     two_copy_pauli,
     z2k_group,
 )
-from stateiso.linalg import fidelity_matrices, random_density
+from stateiso.linalg import StateVector, fidelity_matrices, random_density
 
 RNG = np.random.default_rng(99)
 
@@ -277,6 +277,22 @@ class TestKTwirlReference:
     def test_dimension_mismatch(self):
         with pytest.raises(GroupError):
             k_twirl(pauli_group(2), random_density(2, RNG), 2)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_pauli_twirls_are_density_matrices(self, n):
+        # k_twirl's DensityMatrix skips the constructor's checks, so check them here,
+        # on a mixed state and on a pure one, whose twirls have zero eigenvalues
+        rep = pauli_group(n)
+        rng = np.random.default_rng(5)
+        v = rng.normal(size=rep.dim) + 1j * rng.normal(size=rep.dim)
+        pure = StateVector(n, v / np.linalg.norm(v)).density()
+        for rho in (random_density(rep.dim, rng), pure):
+            for k in range(1, 5):
+                m = k_twirl(rep, rho, k).matrix
+                assert m.shape == (rep.dim**k, rep.dim**k), k
+                assert np.abs(m - m.conj().T).max() <= 1e-8, k
+                assert abs(np.trace(m).real - 1) <= 1e-6, k
+                assert np.linalg.eigvalsh(m).min() >= -1e-7, k
 
 
 class TestTwirlBound:

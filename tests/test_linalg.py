@@ -85,6 +85,11 @@ class TestDensityMatrix:
         with pytest.raises(LinalgError):
             DensityMatrix(1, np.diag([1.5, -0.5]))
 
+    def test_rejects_negative_from_obj(self):
+        obj = {"n_qubits": 1, "matrix": [[[1.5, 0], [0, 0]], [[0, 0], [-0.5, 0]]]}
+        with pytest.raises(LinalgError, match="negative eigenvalue"):
+            DensityMatrix.from_obj(obj)
+
     def test_json_roundtrip(self):
         rho = random_density(4, RNG)
         back = DensityMatrix.from_obj(json.loads(json.dumps(rho.to_obj())))

@@ -20,7 +20,6 @@ from stateiso.protocols import (
     szk_lowrank_context,
     szk_lowrank_round,
     wilson_interval,
-    write_summary_csv,
 )
 from stateiso.psgi import PsgiInstance, random_pauli_psgi_instance, random_state
 from stateiso.reductions import MsgiInstance, lowrank_gi_instance
@@ -318,13 +317,3 @@ class TestAggregation:
         report = run_trials(coin, trials=2000, seed=3)
         assert abs(report["accept_rate"] - 0.5) < 0.05
         assert report["wilson_low"] < report["accept_rate"] < report["wilson_high"]
-
-    def test_write_summary_csv(self, tmp_path):
-        path = tmp_path / "summary.csv"
-        write_summary_csv(str(path), [
-            {"instance": "iso", "trials": 10, "accepts": 5,
-             "accept_rate": 0.5, "wilson_low": 0.2, "wilson_high": 0.8},
-        ])
-        text = path.read_text()
-        assert text.splitlines()[0].startswith("instance,")
-        assert "iso" in text
