@@ -228,25 +228,23 @@ def _occupied_modes(keys, r: int) -> np.ndarray:
 
 
 def apply_linear_optical(v: ModeUnitary, c: CoreState,
-                         method: str = "substitution",
-                         adjoint: bool = False) -> CoreState:
+                         method: str = "substitution") -> CoreState:
     """R(V)|c>: the stellar substitution z -> Vz (default implementation)
-    or the equivalent permanent formula.  ``adjoint`` applies V^dagger."""
+    or the equivalent permanent formula."""
     if v.dim != c.n_modes:
         raise BosonicError("mode unitary dimension mismatch")
-    mat = v.matrix.conj().T if adjoint else v.matrix
     if method == "substitution":
         # S_r = T_r with V contracted into every axis; psi'_k = S_r[k] r!/sqrt(k!)
         out = {}
         for r, t in _sector_tensors(c.amplitudes, c.n_modes).items():
             keys, _, first, weight, _ = _sector_layout(c.n_modes, r)
-            s = _contract_leading(t, mat, r).reshape(-1)
+            s = _contract_leading(t, v.matrix, r).reshape(-1)
             out.update(zip(keys, (s[first] / weight).tolist()))
         return CoreState(c.n_modes, c.r_max, out)
     if method == "permanent":
         # <k|R(V)|j> = Per(V^T[k|j]) / sqrt(k! j!): per sector, the products
         # over every permutation of every (k, j) minor are one gather
-        vt = mat.T
+        vt = v.matrix.T
         by_sector = {}
         for j, amp in c.amplitudes.items():
             by_sector.setdefault(j.r, {})[j] = amp

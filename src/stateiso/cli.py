@@ -505,10 +505,7 @@ def verify_trace_transfer(count, n_qubits, seed):
     from .reductions import qsd_to_mixed_hsp, trace_distance_transfer
     rep = pauli_group(n_qubits)
     rng = np.random.default_rng(seed)
-    # an involution that is not central: the first X-type generator
-    h = next(g for g in rep.elements
-             if not np.allclose(rep.unitary(g), np.eye(rep.dim))
-             and np.allclose(rep.unitary(g) @ rep.unitary(g), np.eye(rep.dim)))
+    h = rep.elements[1]     # (0, 0, 1): Z on qubit 0, a non-central involution
     worst = 0.0
     for _ in range(count):
         s1 = random_density(rep.dim, rng)
@@ -569,9 +566,7 @@ def protocol_qcszk(trials, shadows, n_qubits, seed):
     for label, kind in (("isomorphic", "yes"), ("non-isomorphic", "no")):
         inst = random_pauli_psgi_instance(n_qubits, thresholds, kind, rng)
         ctx = qcszk_context(inst)
-        res = run_trials(
-            lambda s: qcszk_round(inst, n_shadows=shadows, seed=s, context=ctx),
-            trials, seed)
+        res = run_trials(lambda s: qcszk_round(ctx, shadows, s), trials, seed)
         rows.append({"instance": label, **res})
     return rows
 
@@ -599,9 +594,7 @@ def protocol_qszk_mixed(trials, k_copies, seed):
     rows = []
     for label, inst in (("isomorphic", iso), ("alpha-far", far)):
         ctx = qszk_mixed_context(inst, k_copies)
-        res = run_trials(
-            lambda s: qszk_mixed_round(inst, k_copies, s, context=ctx),
-            trials, seed)
+        res = run_trials(lambda s: qszk_mixed_round(ctx, s), trials, seed)
         rows.append({"instance": label,
                      "twirled_distance": ctx["distance"], **res})
     return rows
@@ -623,9 +616,7 @@ def protocol_szk_lowrank(trials, gamma, graph_weight, seed):
     for label, g2 in pairs:
         lr1, lr2, _ = lowrank_gi_instance(g1, g2, graph_weight=graph_weight)
         ctx = szk_lowrank_context(lr1, lr2)
-        res = run_trials(
-            lambda s: szk_lowrank_round(lr1, lr2, gamma, s, context=ctx),
-            trials, seed)
+        res = run_trials(lambda s: szk_lowrank_round(ctx, gamma, s), trials, seed)
         rows.append({"instance": label, **res})
     return rows
 

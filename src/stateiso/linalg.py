@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -189,17 +188,14 @@ class UnitaryMatrix:
 
 @dataclass(frozen=True)
 class Circuit:
-    """Gate list over the fixed alphabet, with an optional set of qubits to
-    trace out after running (for preparing mixed states)."""
+    """Gate list over the fixed alphabet."""
 
     n_qubits: int
     gates: tuple = ()
-    traced: tuple = ()
 
     def __post_init__(self):
         gates = tuple((str(g).upper(), tuple(int(t) for t in targets)) for g, targets in self.gates)
         object.__setattr__(self, "gates", gates)
-        object.__setattr__(self, "traced", tuple(sorted(int(q) for q in self.traced)))
         for name, targets in gates:
             if name not in GATE_ALPHABET:
                 raise LinalgError(f"unknown gate {name!r}")
@@ -211,9 +207,6 @@ class Circuit:
             for q in targets:
                 if not 0 <= q < self.n_qubits:
                     raise LinalgError(f"qubit index {q} out of range for {self.n_qubits} qubits")
-        for q in self.traced:
-            if not 0 <= q < self.n_qubits:
-                raise LinalgError(f"traced qubit {q} out of range")
 
 
 def _apply_1q(amps: np.ndarray, gate: np.ndarray, q: int, n: int) -> np.ndarray:
@@ -240,11 +233,7 @@ def _apply_2q(amps: np.ndarray, name: str, q0: int, q1: int, n: int) -> np.ndarr
 
 
 def run_circuit(c: Circuit) -> StateVector:
-    """Run the gate list on |0...0> and return the output pure state.
-
-    Traced-out qubits declared on the circuit are ignored here; use
-    :func:`prepare_mixed` for the partial-trace semantics.
-    """
+    """Run the gate list on |0...0> and return the output pure state."""
     n = c.n_qubits
     amps = np.zeros(2**n, dtype=complex)
     amps[0] = 1.0
@@ -256,40 +245,12 @@ def run_circuit(c: Circuit) -> StateVector:
     return StateVector(n, amps)
 
 
-def partial_trace(rho: np.ndarray, traced: Sequence[int], n_qubits: int) -> np.ndarray:
-    """Trace out the given qubits of a 2^n x 2^n matrix."""
-    traced = sorted(set(int(q) for q in traced))
-    for q in traced:
-        if not 0 <= q < n_qubits:
-            raise LinalgError(f"traced qubit {q} out of range")
-    keep = [q for q in range(n_qubits) if q not in traced]
-    t = rho.reshape([2] * (2 * n_qubits))
-    # Move kept row/col axes to the front, traced axes to the back.
-    perm = keep + [n_qubits + q for q in keep] + traced + [n_qubits + q for q in traced]
-    t = np.transpose(t, perm)
-    dk, dt = 2 ** len(keep), 2 ** len(traced)
-    t = t.reshape(dk, dk, dt, dt)
-    return np.trace(t, axis1=2, axis2=3)
-
-
-def prepare_mixed(c: Circuit) -> DensityMatrix:
-    """Run the circuit and trace out its declared ancilla qubits."""
-    psi = run_circuit(c)
-    rho = np.outer(psi.amplitudes, psi.amplitudes.conj())
-    out = partial_trace(rho, c.traced, c.n_qubits)
-    return DensityMatrix(c.n_qubits - len(c.traced), out)
-
-
 def random_density(dim: int, rng: np.random.Generator) -> DensityMatrix:
     """Random full-rank density matrix A A^dag / Tr(A A^dag) with A a
     complex Gaussian dim x dim matrix; ``dim`` must be a power of two."""
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     m = a @ a.conj().T
     return DensityMatrix(dim.bit_length() - 1, m / np.trace(m).real)
-
-
-def tensor(a: StateVector, b: StateVector) -> StateVector:
-    return StateVector(a.n_qubits + b.n_qubits, np.kron(a.amplitudes, b.amplitudes))
 
 
 def matrix_sqrt_psd(m: np.ndarray) -> np.ndarray:

@@ -148,10 +148,9 @@ def qcszk_context(inst: PsgiInstance) -> dict:
     return _context((us @ inst.psi1.amplitudes, us @ inst.psi2.amplitudes), inst.rep.elements)
 
 
-def qcszk_round(inst: PsgiInstance, n_shadows: int = 2000, seed: int = 0,
-                context: Optional[dict] = None) -> ProtocolTranscript:
-    """One shadow round of the pure-state protocol over the instance's group."""
-    return _shadow_round(context or qcszk_context(inst), n_shadows, seed, DEFAULT_SHADOW_DELTA)
+def qcszk_round(ctx: dict, n_shadows: int = 2000, seed: int = 0) -> ProtocolTranscript:
+    """One shadow round of the pure-state protocol over a ``qcszk_context``."""
+    return _shadow_round(ctx, n_shadows, seed, DEFAULT_SHADOW_DELTA)
 
 
 def qszk_mixed_context(inst: MsgiInstance, k: int) -> dict:
@@ -161,13 +160,11 @@ def qszk_mixed_context(inst: MsgiInstance, k: int) -> dict:
     return {"k": k, "distance": trace_distance(tau1, tau2)}
 
 
-def qszk_mixed_round(inst: MsgiInstance, k: int = 2, seed: int = 0,
-                     context: Optional[dict] = None) -> ProtocolTranscript:
-    """Twirl-and-distinguish round: the verifier sends k twirled copies of
-    sigma_j; the prover applies the Helstrom-optimal measurement, which
-    guesses correctly with probability 1/2 + D/2 for the exact twirled
-    trace distance D."""
-    ctx = context or qszk_mixed_context(inst, k)
+def qszk_mixed_round(ctx: dict, seed: int = 0) -> ProtocolTranscript:
+    """Twirl-and-distinguish round over a ``qszk_mixed_context``: the
+    verifier sends k twirled copies of sigma_j; the prover applies the
+    Helstrom-optimal measurement, which guesses correctly with probability
+    1/2 + D/2 for the exact twirled trace distance D."""
     rng = np.random.default_rng(seed)
     j = int(rng.integers(1, 3))
     p_correct = 0.5 + ctx["distance"] / 2
@@ -197,14 +194,12 @@ def szk_lowrank_context(lr1, lr2) -> dict:
                           for lr in (lr1, lr2)), perms)
 
 
-def szk_lowrank_round(lr1, lr2, gamma: float = 0.05, seed: int = 0,
-                      n_shadows: Optional[int] = None,
-                      context: Optional[dict] = None) -> ProtocolTranscript:
-    """One shadow round over the qubit-permutation group with confidence
+def szk_lowrank_round(ctx: dict, gamma: float = 0.05, seed: int = 0,
+                      n_shadows: Optional[int] = None) -> ProtocolTranscript:
+    """One shadow round over a ``szk_lowrank_context`` with confidence
     gamma; by default max(200, 48 ln(2M/gamma)) shadows for M orbit targets."""
     if not 0 < gamma < 1:
         raise ProtocolError(f"gamma must be in (0,1), got {gamma}")
-    ctx = context or szk_lowrank_context(lr1, lr2)
     if n_shadows is None:
         n_shadows = max(200, int(48 * math.log(2 * ctx["targets"].shape[1] / gamma)))
     return _shadow_round(ctx, n_shadows, seed, gamma)

@@ -21,6 +21,7 @@ from .paulis import PauliOp, pauli_table, walsh_hadamard
 
 SAMPLE_CONSTANT = 6          # characters sampled per bit of log2|Gamma|
 DEFAULT_COPIES = 2
+NO_INSTANCE_TRIES = 200      # rejection-sampling tries for a NO instance
 
 
 class PsgiError(ValueError):
@@ -187,8 +188,7 @@ def random_state(n: int, rng: np.random.Generator) -> StateVector:
 
 def random_pauli_psgi_instance(n: int, thresholds: DecisionThresholds,
                                kind: str, rng: np.random.Generator,
-                               rep: Optional[FiniteGroupRep] = None,
-                               max_tries: int = 200) -> PsgiInstance:
+                               rep: Optional[FiniteGroupRep] = None) -> PsgiInstance:
     """Generate a promise-respecting instance over the phased Pauli group.
 
     YES instances are exact (overlap 1 at the planted witness).  NO
@@ -214,7 +214,7 @@ def random_pauli_psgi_instance(n: int, thresholds: DecisionThresholds,
     from .graphs import Graph
 
     base = np.column_stack((np.eye(1 << n, 1), graph_state(Graph.complete(n)).amplitudes))
-    for tries in range(1, max_tries + 1):
+    for tries in range(1, NO_INSTANCE_TRIES + 1):
         a1, a2 = batch_apply(random_clifford(n, rng), base)[0].T
         noise = 0.04 * (rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n))
         a1 = a1 + noise
@@ -227,8 +227,8 @@ def random_pauli_psgi_instance(n: int, thresholds: DecisionThresholds,
         if psgi_oracle(inst).decision == "NO":
             obs.count("psgi.instance_tries", tries)
             return inst
-    obs.count("psgi.instance_tries", max_tries)
+    obs.count("psgi.instance_tries", NO_INSTANCE_TRIES)
     raise PsgiError(
         f"could not sample a NO instance at n={n}, alpha={thresholds.alpha} "
-        f"in {max_tries} tries"
+        f"in {NO_INSTANCE_TRIES} tries"
     )

@@ -380,7 +380,6 @@ class MsgiInstance:
     sigma2: DensityMatrix
     rep: FiniteGroupRep
     thresholds: DecisionThresholds
-    seed: Optional[int] = None
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -400,7 +399,7 @@ def qsd_to_msgi(sigma1: DensityMatrix, sigma2: DensityMatrix,
         "identity_fidelity": sqrt_fidelity(s1, s2),
         "max_fidelity": max_conjugate_fidelity(rep, s2.matrix, s1.matrix),
     }
-    return MsgiInstance(s1, s2, rep, PROMISE_THRESHOLDS, seed, diag)
+    return MsgiInstance(s1, s2, rep, PROMISE_THRESHOLDS, diag)
 
 
 @dataclass(frozen=True)

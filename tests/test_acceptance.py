@@ -267,10 +267,10 @@ def test_criterion_8_protocol_gaps():
     ctx_iso = qcszk_context(iso)
     ctx_no = qcszk_context(noniso)
     iso_rate = run_trials(
-        lambda s: qcszk_round(iso, n_shadows=500, seed=s, context=ctx_iso),
+        lambda s: qcszk_round(ctx_iso, n_shadows=500, seed=s),
         trials=10_000, seed=0)["accept_rate"]
     no_rate = run_trials(
-        lambda s: qcszk_round(noniso, n_shadows=800, seed=s, context=ctx_no),
+        lambda s: qcszk_round(ctx_no, n_shadows=800, seed=s),
         trials=2_000, seed=0)["accept_rate"]
     qcszk_ok = abs(iso_rate - 0.5) <= 0.02 and no_rate >= 0.9
 
@@ -289,10 +289,10 @@ def test_criterion_8_protocol_gaps():
     ctx_mfar = qszk_mixed_context(mfar, k)
     dist_ok = ctx_miso["distance"] <= 1 / 3 and ctx_mfar["distance"] >= 0.9
     r_iso = run_trials(
-        lambda s: qszk_mixed_round(miso, k, s, context=ctx_miso),
+        lambda s: qszk_mixed_round(ctx_miso, s),
         trials=4000, seed=1)["accept_rate"]
     r_far = run_trials(
-        lambda s: qszk_mixed_round(mfar, k, s, context=ctx_mfar),
+        lambda s: qszk_mixed_round(ctx_mfar, s),
         trials=4000, seed=1)["accept_rate"]
     gap_ok = (r_far - r_iso) >= 0.3
     _report(8, qcszk_ok and dist_ok and gap_ok,

@@ -222,7 +222,8 @@ class TestLinearOptics:
         rng = np.random.default_rng(2)
         c = random_core(3, 3, rng)
         v = haar_mode_unitary(3, rng)
-        back = apply_linear_optical(v, apply_linear_optical(v, c), adjoint=True)
+        v_dag = ModeUnitary(3, v.matrix.conj().T)
+        back = apply_linear_optical(v_dag, apply_linear_optical(v, c))
         assert abs(core_overlap(back, c) - 1) < 1e-10
 
     def test_norm_and_sector_preserved(self):

@@ -693,6 +693,16 @@ class TestDeterminism:
             '"wilson_low": 0.8388698745050667}',
         ]
 
+    def test_trace_transfer_stdout_pinned(self, runner):
+        # recorded while the involution h was found by scanning the group for
+        # the first non-identity element that squares to the identity; that
+        # scan picked (0, 0, 1), Z on qubit 0, and the gap's last bits pin it
+        res = runner.invoke(main, ["verify", "trace-transfer", "--count", "50",
+                                   "--seed", "5"])
+        assert res.exit_code == 0
+        assert res.stdout == ('{\n  "count": 50,\n  "passed": true,\n  "version": 1,\n'
+                              '  "worst_gap": 1.3322676295501878e-15\n}\n')
+
     @pytest.mark.parametrize("args, stdout", [
         (["psgi", "--quantum", "--same-state", "--n", "2", "--seed", "1"],
          '{\n  "achieved_overlap": [\n    1.0,\n    0.0\n  ],\n  "decision": "YES",\n'

@@ -14,12 +14,9 @@ from stateiso.linalg import (
     check_budget,
     fidelity_matrices,
     matrix_sqrt_psd,
-    partial_trace,
-    prepare_mixed,
     random_density,
     run_circuit,
     sqrt_fidelity,
-    tensor,
     trace_distance,
     trace_norm,
 )
@@ -137,25 +134,6 @@ class TestCircuits:
                 step = np.kron(np.eye(2), GATES_1Q[name])
             u = step @ u
         assert np.allclose(out.amplitudes, u[:, 0])
-
-
-class TestPartialTrace:
-    def test_product_state_factors(self):
-        a, b = random_state(1), random_state(1)
-        rho = tensor(a, b).density()
-        reduced = partial_trace(rho.matrix, [1], 2)
-        assert np.allclose(reduced, a.density().matrix)
-
-    def test_bell_reduces_to_maximally_mixed(self):
-        bell = run_circuit(Circuit(2, (("H", (0,)), ("CNOT", (0, 1)))))
-        reduced = partial_trace(bell.density().matrix, [0], 2)
-        assert np.allclose(reduced, np.eye(2) / 2)
-
-    def test_prepare_mixed_matches_manual_trace(self):
-        c = Circuit(2, (("H", (0,)), ("CNOT", (0, 1)), ("T", (1,))), traced=(1,))
-        rho = prepare_mixed(c)
-        full = run_circuit(Circuit(2, c.gates)).density()
-        assert np.allclose(rho.matrix, partial_trace(full.matrix, [1], 2))
 
 
 class TestMetrics:

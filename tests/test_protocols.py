@@ -106,7 +106,7 @@ class TestQcszk:
         inst = random_pauli_psgi_instance(2, THRESHOLDS, "yes", rng)
         ctx = qcszk_context(inst)
         report = run_trials(
-            lambda s: qcszk_round(inst, n_shadows=500, seed=s, context=ctx),
+            lambda s: qcszk_round(ctx, n_shadows=500, seed=s),
             trials=400, seed=0)
         assert 0.40 <= report["accept_rate"] <= 0.60
 
@@ -115,7 +115,7 @@ class TestQcszk:
         inst = random_pauli_psgi_instance(2, THRESHOLDS, "no", rng)
         ctx = qcszk_context(inst)
         report = run_trials(
-            lambda s: qcszk_round(inst, n_shadows=800, seed=s, context=ctx),
+            lambda s: qcszk_round(ctx, n_shadows=800, seed=s),
             trials=200, seed=0)
         assert report["accept_rate"] >= 0.9
 
@@ -193,7 +193,7 @@ class TestQszkMixed:
         iso = self._iso_instance()
         ctx = qszk_mixed_context(iso, k=2)
         report = run_trials(
-            lambda s: qszk_mixed_round(iso, k=2, seed=s, context=ctx),
+            lambda s: qszk_mixed_round(ctx, seed=s),
             trials=2000, seed=1)
         assert abs(report["accept_rate"] - 0.5) < 0.05
 
@@ -202,7 +202,7 @@ class TestQszkMixed:
         ctx = qszk_mixed_context(far, k=2)
         want = 0.5 + ctx["distance"] / 2
         report = run_trials(
-            lambda s: qszk_mixed_round(far, k=2, seed=s, context=ctx),
+            lambda s: qszk_mixed_round(ctx, seed=s),
             trials=2000, seed=2)
         assert abs(report["accept_rate"] - want) < 0.05
 
@@ -213,7 +213,7 @@ class TestSzkLowrank:
                                           graph_weight=0.7)
         ctx = szk_lowrank_context(lr1, lr2)
         report = run_trials(
-            lambda s: szk_lowrank_round(lr1, lr2, seed=s, context=ctx),
+            lambda s: szk_lowrank_round(ctx, seed=s),
             trials=60, seed=0)
         assert report["accept_rate"] >= 0.85
 
@@ -223,7 +223,7 @@ class TestSzkLowrank:
         lr1, lr2, _ = lowrank_gi_instance(g1, g2, graph_weight=0.7)
         ctx = szk_lowrank_context(lr1, lr2)
         report = run_trials(
-            lambda s: szk_lowrank_round(lr1, lr2, seed=s, context=ctx),
+            lambda s: szk_lowrank_round(ctx, seed=s),
             trials=80, seed=0)
         assert 0.3 <= report["accept_rate"] <= 0.7
 
@@ -268,7 +268,7 @@ class TestSzkLowrank:
         assert peak < 8 << 20
         assert len(ctx["labels"]) == len(ctx["orbits"][0]) == len(ctx["orbits"][1]) == 720
         assert ctx["labels"][0] == tuple(range(6)) and ctx["labels"][-1] == tuple(range(5, -1, -1))
-        t = szk_lowrank_round(lr1, lr2, seed=1, n_shadows=50, context=ctx)
+        t = szk_lowrank_round(ctx, seed=1, n_shadows=50)
         assert t.accept == (t.j == t.j_prime)
 
     def test_orbit_rows_equal_stack_product(self):
@@ -296,8 +296,10 @@ class TestSzkLowrank:
 
     def test_gamma_validation(self):
         lr1, lr2, _ = lowrank_gi_instance(Graph.path(4), Graph.star(4))
-        with pytest.raises(ProtocolError):
-            szk_lowrank_round(lr1, lr2, gamma=2.0)
+        ctx = szk_lowrank_context(lr1, lr2)
+        for gamma in (0.0, 1.0, 2.0):
+            with pytest.raises(ProtocolError, match="gamma must be in"):
+                szk_lowrank_round(ctx, gamma=gamma)
 
 
 class TestAggregation:

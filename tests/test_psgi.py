@@ -385,8 +385,8 @@ class TestInstanceGeneration:
     def test_no_at_one_qubit_infeasible_at_low_alpha(self):
         # at n=1 every state pair has some Pauli overlap >= 1/sqrt(2)
         rng = np.random.default_rng(22)
-        with pytest.raises(PsgiError):
-            random_pauli_psgi_instance(1, THRESHOLDS, "no", rng, max_tries=20)
+        with pytest.raises(PsgiError, match="in 200 tries"):
+            random_pauli_psgi_instance(1, THRESHOLDS, "no", rng)
 
     def test_bad_kind(self):
         rng = np.random.default_rng(23)
