@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-NORM_TOL = 1e-9
 UNITARY_TOL = 1e-8
 PSD_TOL = 1e-6               # negative eigenvalues matrix_sqrt_psd clamps to 0
 _DENSE_BUDGET = 1 << 28      # bytes allowed for one dense allocation or its measured peak

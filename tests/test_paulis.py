@@ -406,12 +406,11 @@ class TestBlockDraws:
     states of the generator's 32-bit buffer."""
 
     def test_block_draws_equal_scalar_draws(self):
-        from stateiso import obs
         from stateiso.paulis import _rows_to_batch, _symplectic_rows
         for n in range(1, 9):
-            # >= 10k draws at n <= 5, so that Lemire's method rejects some
-            # indices at n = 3 and 5 (a chance of 3.2e-4 and 4.9e-4 a draw;
-            # at n = 1, 2 and 4 it is below 1e-7)
+            # >= 10k draws at n <= 5, so that numpy's Lemire method rejects
+            # some indices at n = 3 and 5 (a chance of 3.2e-4 and 4.9e-4 a
+            # draw; at n = 1, 2 and 4 it is below 1e-7) and redraws them
             count = 10_000 if n <= 5 else 200
             for prior in (1, 2):
                 # an odd number of prior 32-bit draws leaves a half word
@@ -420,8 +419,7 @@ class TestBlockDraws:
                 for g in (rng, ref):
                     for _ in range(prior):
                         g.integers(1 << 32)
-                with obs.recording() as rec:
-                    batch = random_clifford_batch(n, rng, count)
+                batch = random_clifford_batch(n, rng, count)
                 indices, signs = _scalar_draws(ref, n, count)
                 want = _rows_to_batch(_symplectic_rows(indices, n), np.array(signs), n)
                 for got, expect in zip(batch[1:], want[1:]):
@@ -429,14 +427,14 @@ class TestBlockDraws:
                 assert rng.bit_generator.state == ref.bit_generator.state, (n, prior)
                 assert rng.integers(1 << 32) == ref.integers(1 << 32)
                 assert rng.integers(1 << 40) == ref.integers(1 << 40)
-                if n in (3, 5):
-                    assert rec.counts["paulis.index_redraws"] > 0, (n, prior)
 
     @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.PCG64DXSM,
-                                               np.random.Philox, np.random.SFC64])
+                                               np.random.Philox, np.random.SFC64,
+                                               np.random.MT19937])
     def test_short_batches_equal_scalar_draws(self, bit_generator):
         # batches of 0 to 3 from every buffer state, at each draw width, on
-        # every numpy bit generator that buffers half words
+        # every numpy bit generator, MT19937 (which buffers no half words)
+        # among them
         for n in (1, 3, 4, 5, 6):
             for count in range(4):
                 for prior in range(3):
@@ -451,28 +449,6 @@ class TestBlockDraws:
                     assert np.array_equal(rng.integers(1 << 40, size=3),
                                           ref.integers(1 << 40, size=3))
                     assert rng.integers(1 << 32) == ref.integers(1 << 32)
-
-    def test_lemire_products_exact(self):
-        # the high and low halves of w N against Python integers, for 32-bit
-        # words up to 2^32 - 1 and 64-bit words up to 2^64 - 1
-        from stateiso.paulis import _lemire
-        rng = np.random.default_rng(7)
-        for n in range(1, 6):
-            order, wide = symplectic_group_order(n), n >= 4
-            bits = 64 if wide else 32
-            top = (1 << bits) - 1
-            words = np.concatenate((rng.integers(top, size=200, dtype=np.uint64, endpoint=True),
-                                    np.array([0, 1, top], dtype=np.uint64)))
-            if not wide:
-                words = words.astype(np.uint32)
-            value, left = _lemire(words, order, wide)
-            for w, v, lo in zip(words.tolist(), value.tolist(), left.tolist()):
-                assert (v, lo) == (w * order >> bits, w * order & top), (n, w)
-
-    def test_unbuffered_bit_generator_refused(self):
-        # MT19937 has no 32-bit half-word buffer to emulate
-        with pytest.raises(PauliError, match="buffer"):
-            random_clifford(3, np.random.Generator(np.random.MT19937(0)))
 
     def test_draws_stop_at_sixteen_qubits(self):
         with pytest.raises(PauliError, match="n = 16"):
