@@ -10,7 +10,10 @@ formula <k|R(V)|j> = Per(V^T[k|j]) / sqrt(k! j!) (Aaronson, Arkhipov, STOC
 minors of a photon sector, over all r! permutations, are one gather.
 The overlap max_V |<c2|R(V)|c1>| is estimated by QR-retraction ascent on
 U(n) (Absil, Mahony, Sepulchre, 2008), with all restarts of one call run in
-lockstep over a stack of unitaries.
+lockstep over a stack of unitaries.  The samples of a tv-gap estimate
+ascend in lockstep too: the warm starts of every noisy sample form one
+stack, each row with its own target, and the orbit points they start from
+are one stacked substitution.
 """
 from __future__ import annotations
 
@@ -129,9 +132,6 @@ class CoreState:
         return CoreState(n, r_max, dict(zip(map(MultiIndex, ks),
                                             pairs.view(complex)[:, 0].tolist())))
 
-    def dense(self, basis: list) -> np.ndarray:
-        return np.array([self.amplitudes.get(k, 0j) for k in basis])
-
 
 def core_overlap(c1: CoreState, c2: CoreState) -> complex:
     """<c1|c2>."""
@@ -202,6 +202,20 @@ def _sector_tensors(amps: dict, n: int) -> dict:
     return out
 
 
+def _stacked_sector_tensors(z: np.ndarray, basis: list, n: int) -> dict:
+    """The sector tensors of every row of z (S, len(basis)), a state over
+    ``basis`` each: {r: (S,) + (n,) * r} for every sector r of the basis."""
+    col = {k: i for i, k in enumerate(basis)}
+    # column -1 is 0 for the keys of a sector that are not in the basis
+    z = np.concatenate([z, np.zeros((len(z), 1), dtype=complex)], axis=1)
+    out = {}
+    for r in sorted({k.r for k in basis}):
+        keys, slot, _, weight, _ = _sector_layout(n, r)
+        vec = z[:, [col.get(k, -1) for k in keys]] * weight
+        out[r] = vec[:, slot].reshape((len(z),) + (n,) * r)
+    return out
+
+
 def _contract_leading(t: np.ndarray, v: np.ndarray, m: int) -> np.ndarray:
     """Contract V into the leading axis of t, m times; each new axis goes
     to the back, so the result is 2-d: (remaining axes, new axes).  Over a
@@ -264,6 +278,21 @@ def apply_linear_optical(v: ModeUnitary, c: CoreState,
                     out[k] = out.get(k, 0j) + val
         return CoreState(c.n_modes, c.r_max, out)
     raise BosonicError(f"unknown method {method!r}")
+
+
+def _orbit_points(c: CoreState, us: np.ndarray, basis: list) -> np.ndarray:
+    """(R, len(basis)): R(U)|c> over ``basis`` for every U of a stack (R,
+    n, n), by the substitution of apply_linear_optical with one stacked
+    contraction per sector."""
+    n = c.n_modes
+    col = {k: i for i, k in enumerate(basis)}
+    # column -1 takes the keys that are not in the basis
+    out = np.zeros((len(us), len(basis) + 1), dtype=complex)
+    for r, t in _sector_tensors(c.amplitudes, n).items():
+        keys, _, first, weight, _ = _sector_layout(n, r)
+        s = _contract_leading(t[None].repeat(len(us), axis=0), us, r).reshape(len(us), -1)
+        out[:, [col.get(k, -1) for k in keys]] = s[:, first] / weight
+    return out[:, :-1]
 
 
 def cubic_overlap(v: ModeUnitary) -> complex:
@@ -340,49 +369,70 @@ def truncated_basis(n: int, r_max: int) -> list:
 
 
 def _check_sigma(sigma: float) -> None:
-    if not sigma > 0:
-        raise BosonicError(f"noise scale sigma must be > 0, got {sigma}")
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise BosonicError(f"noise scale sigma must be finite and > 0, got {sigma}")
 
 
 def szk_sampler(c: CoreState, sigma: float, seed,
                 basis: Optional[list] = None) -> tuple:
     """One sample |c_U> + eta with U Haar and eta ~ N_C(0, sigma^2 I).
 
-    Returns (noisy dense vector, basis, U).
+    Returns (noisy dense vector, basis, U).  A sample whose squared norm is
+    not finite (the noise overflowed) raises BosonicError.
     """
     _check_sigma(sigma)
     rng = np.random.default_rng(seed)
     u = haar_mode_unitary(c.n_modes, rng)
-    moved = apply_linear_optical(u, c)
     basis = basis or truncated_basis(c.n_modes, c.r_max)
-    vec = moved.dense(basis)
+    vec = _orbit_points(c, u.matrix[None], basis)[0]
     d = len(basis)
-    eta = sigma / math.sqrt(2) * (rng.normal(size=d) + 1j * rng.normal(size=d))
-    return vec + eta, basis, u
+    with np.errstate(over="ignore", invalid="ignore"):    # refused below
+        z = vec + sigma / math.sqrt(2) * (rng.normal(size=d) + 1j * rng.normal(size=d))
+        if not math.isfinite(np.vdot(z, z).real):
+            raise BosonicError(f"the squared norm of a noisy sample is not finite at sigma={sigma}")
+    return z, basis, u
+
+
+# entries of the top-sector target tensors of one block of orbit_distance rows
+_ASCENT_ENTRIES = 1 << 16
 
 
 def orbit_distance(z: np.ndarray, basis: list, c: CoreState,
                    warm_starts, iters: int = 25,
-                   good_enough: float = 0.0) -> float:
-    """Distance from a vector to the linear-optical orbit of c.
+                   good_enough: float = 0.0):
+    """Distance from each vector of a stack to the linear-optical orbit of c.
 
-    Refines max_U |<z|R(U)|c>| by Riemannian ascent from the warm-start
-    unitaries, in lockstep, and converts the best overlap to a distance.
-    The best is taken over the starts up to the first whose ascent
+    ``z`` is (S, len(basis)), or one vector, and ``warm_starts`` holds W
+    unitaries for each vector, (S, W, n, n), or (W, n, n) for one vector.
+    Refines max_U |<z|R(U)|c>| by Riemannian ascent from every warm start,
+    all in lockstep, and converts each vector's best overlap to a distance.
+    The best is taken over the vector's starts up to the first whose ascent
     certifies a distance below ``good_enough``; the later ones stop there.
+    Returns an (S,) array of distances, or a float for one vector.
     """
     n = c.n_modes
-    overlap = _overlap_plan(_sector_tensors(c.amplitudes, n),
-                            _sector_tensors({k: a for k, a in zip(basis, z) if a != 0}, n), n)
-    z_norm_sq = float(np.vdot(z, z).real)
+    z = np.asarray(z, dtype=complex)
+    zs = z.reshape(-1, z.shape[-1])
+    starts = np.asarray(warm_starts, dtype=complex).reshape(len(zs), -1, n, n)
+    w = starts.shape[1]
+    z_sq = np.array([np.vdot(row, row).real for row in zs])
     # overlap needed to certify dist <= good_enough
-    stop_at = (z_norm_sq + 1.0 - good_enough**2) / 2.0
-    starts = np.asarray(warm_starts, dtype=complex).reshape(-1, n, n)
-    _, _, val = _ascend(starts, overlap, iters, stop_at=stop_at)
-    # the starts after the first to reach stop_at were never needed
-    val = val[:np.argmax(val >= stop_at) + 1] if (val >= stop_at).any() else val
-    best = float(val.max(initial=0.0))
-    return math.sqrt(max(z_norm_sq + 1.0 - 2.0 * best, 0.0))
+    stop_at = ((z_sq + 1.0 - good_enough**2) / 2.0)[:, None]
+    src = _sector_tensors(c.amplitudes, n)
+    best = np.empty(len(zs))
+    block = max(1, _ASCENT_ENTRIES // (w * n ** c.r_max))
+    for lo in range(0, len(zs), block):
+        part = slice(lo, lo + block)
+        tgt = _stacked_sector_tensors(np.repeat(zs[part], w, axis=0), basis, n)
+        _, _, val = _ascend(starts[part].reshape(-1, n, n), _overlap_plan(src, tgt, n),
+                            iters, stop_at=stop_at[part])
+        val = val.reshape(-1, w)
+        reached = val >= stop_at[part]
+        # the starts after the first to reach stop_at were never needed
+        needed = np.cumsum(reached, axis=1) - reached == 0
+        best[part] = np.where(needed, val, 0.0).max(axis=1)
+    dist = np.sqrt(np.maximum(z_sq + 1.0 - 2.0 * best, 0.0))
+    return dist.reshape(z.shape[:-1])[()]
 
 
 def estimate_tv_gap(c1: CoreState, c2: CoreState, sigma: float, n_samples: int,
@@ -393,8 +443,9 @@ def estimate_tv_gap(c1: CoreState, c2: CoreState, sigma: float, n_samples: int,
     Uses the region statistic Z = { z : dist(z, orbit of c1) <= b/2 },
     where b is the distance between the two noiseless orbits: the TV
     distance is at least P_1[Z] - P_2[Z].  Orbit distances are computed by
-    warm-started ascent from the closest of n_reference cached orbit
-    points.  Returns (tv_lower, diagnostics).
+    warm-started ascent from the n_warm closest of n_reference cached orbit
+    points, for all samples of both sides in one lockstep stack.  Returns
+    (tv_lower, diagnostics).
     """
     if c1.n_modes != c2.n_modes:
         raise BosonicError("mode count mismatch")
@@ -404,20 +455,17 @@ def estimate_tv_gap(c1: CoreState, c2: CoreState, sigma: float, n_samples: int,
     _check_sigma(sigma)
     rng = np.random.default_rng(seed)
     basis = truncated_basis(c1.n_modes, max(c1.r_max, c2.r_max))
-    refs = [(u, apply_linear_optical(ModeUnitary(c1.n_modes, u), c1).dense(basis))
-            for u in _haar_stack(c1.n_modes, rng, n_reference)]
+    us = _haar_stack(c1.n_modes, rng, n_reference)
+    refs = _orbit_points(c1, us, basis)
     if b is None:
         _, best_abs, _ = optimize_overlap(c1, c2, restarts=20, seed=rng.integers(1 << 31))
         b = math.sqrt(max(2.0 - 2.0 * best_abs, 0.0))
-    hits = [0, 0]
-    for side, c in enumerate((c1, c2)):
-        for _ in range(n_samples):
-            z, _, _ = szk_sampler(c, sigma, rng, basis)
-            align = [abs(np.vdot(vec, z)) for _, vec in refs]
-            order = np.argsort(align)[::-1][:n_warm]
-            starts = [refs[i][0] for i in order]
-            if orbit_distance(z, basis, c1, starts, good_enough=b / 2) <= b / 2:
-                hits[side] += 1
+    z = np.array([szk_sampler(c, sigma, rng, basis)[0]
+                  for c in (c1, c2) for _ in range(n_samples)])
+    align = np.array([[abs(np.vdot(ref, row)) for ref in refs] for row in z])
+    order = np.argsort(align, axis=1)[:, ::-1][:, :n_warm]
+    dist = orbit_distance(z, basis, c1, us[order], good_enough=b / 2)
+    hits = np.count_nonzero((dist <= b / 2).reshape(2, n_samples), axis=1).tolist()
     p1, p2 = hits[0] / n_samples, hits[1] / n_samples
     tv_lower = p1 - p2
     half_width = 2 * math.sqrt(0.25 / n_samples)  # ~95% binomial CI each side
@@ -431,22 +479,25 @@ def estimate_tv_gap(c1: CoreState, c2: CoreState, sigma: float, n_samples: int,
 # ----------------------------------------------------------------------
 
 def _overlap_plan(src: dict, tgt: dict, n: int):
-    """V -> (f, grad) of _overlap_grad for one pair of sector tensors, over
-    a stack (R, n, n); f has shape (R, 1, 1), so that it broadcasts against
-    the stack.  Built once per ascent.  Each sector r >= 2 contributes
-    T1_r, flattened for its first contraction with V, and Q_r = [P_r,
-    P_r / r] with P_r = r r! T2_r^dagger, so that M_r Q_r holds grad_r next
-    to grad_r / r, whose inner product with V is f_r.  The first
-    contractions of all sectors are one product, and so are the products
-    with Q_r.  Sectors 0 and 1 do not depend on V through M."""
-    f0, base, layout, firsts, qs = 0j, None, [], [], []
+    """V -> (f, grad) of _overlap_grad over a stack (R, n, n), for one
+    source and one target per row: each target tensor carries a leading
+    row axis of length R, or none, when one target serves every row.  f has
+    shape (R, 1, 1), so that it broadcasts against the stack.  Built once
+    per ascent.  Each sector r >= 2 contributes T1_r, flattened for its
+    first contraction with V, and Q_r = [P_r, P_r / r] with P_r = r r!
+    T2_r^dagger, so that M_r Q_r holds grad_r next to grad_r / r, whose
+    inner product with V is f_r.  The first contractions of all sectors are
+    one product, and so are the products with Q_r.  Sectors 0 and 1 do not
+    depend on V through M."""
+    f0, base, layout, firsts, qs = None, None, [], [], []
     for r in sorted(src.keys() & tgt.keys()):
         t1, t2 = src[r], tgt[r]
+        lead = t2.shape[:t2.ndim - r]       # (R,) or ()
         if r == 0:
-            f0 = complex(t2.conjugate() * t1)
+            f0 = (t2.conjugate() * t1).reshape(lead + (1, 1))
             continue
-        p = (r * math.factorial(r)) * t2.reshape(n, -1).conj().T
-        q = np.concatenate([p, p / r], axis=1)
+        p = (r * math.factorial(r)) * t2.reshape(lead + (n, -1)).conj().swapaxes(-1, -2)
+        q = np.concatenate([p, p / r], axis=-1)
         if r == 1:
             base = t1.reshape(n, 1) @ q
         else:
@@ -456,7 +507,7 @@ def _overlap_plan(src: dict, tgt: dict, n: int):
             firsts.append(t1.reshape(n, -1).T)
             qs.append(q)
     if layout:
-        firsts, q_all = np.concatenate(firsts), np.concatenate(qs)
+        firsts, q_all = np.concatenate(firsts), np.concatenate(qs, axis=-2)
     elif base is None:
         base = np.zeros((n, 2 * n), dtype=complex)
 
@@ -469,9 +520,9 @@ def _overlap_plan(src: dict, tgt: dict, n: int):
             if base is not None:
                 acc += base
         else:
-            acc = np.broadcast_to(base, (len(v),) + base.shape)
+            acc = np.broadcast_to(base, (len(v), n, 2 * n))
         f = np.add.reduce(v * acc[:, :, n:], axis=(1, 2), keepdims=True)
-        return (f + f0 if f0 else f), acc[:, :, :n]
+        return (f if f0 is None else f + f0), acc[:, :, :n]
 
     return overlap
 
@@ -504,9 +555,11 @@ def _rgrad(v: np.ndarray, f: np.ndarray, grad: np.ndarray) -> np.ndarray:
 def _going(steps, iters, rgrad, val, stop_at) -> np.ndarray:
     """Rows whose ascent goes on from their current point: fewer than
     ``iters`` accepted steps, a Riemannian gradient above 1e-12, and no
-    row up to and including this one at ``stop_at``."""
+    row of its group up to and including this one at the group's
+    ``stop_at`` (S, 1)."""
     sq = np.add.reduce(np.square(rgrad.view(float)), axis=(1, 2), keepdims=True)
-    return (steps < iters) & (sq >= 1e-24) & np.logical_and.accumulate(val < stop_at)
+    below = np.logical_and.accumulate(val.reshape(len(stop_at), -1) < stop_at, axis=1)
+    return (steps < iters) & (sq >= 1e-24) & below.reshape(val.shape)
 
 
 def _ascend(v: np.ndarray, overlap, iters: int, stop_at: float = np.inf):
@@ -519,12 +572,15 @@ def _ascend(v: np.ndarray, overlap, iters: int, stop_at: float = np.inf):
     it.  A row stops after ``iters`` accepted steps, once its value reaches
     ``stop_at``, when its Riemannian gradient vanishes or when its step
     falls to 1e-10, so it follows the trajectory it would follow alone.
-    Once a row reaches ``stop_at``, every later row stops as well.  The
-    per-row state has shape (R, 1, 1) to broadcast against the stack, and
-    a stopped row gets step 0.  Returns the stack, f and |f| at each row's
-    last accepted point.
+    ``stop_at`` is one value for every row, or one for each of S groups
+    of consecutive rows, (S, 1).  Once a row reaches its group's value,
+    every later row of the group stops as well.  The per-row state has
+    shape (R, 1, 1) to broadcast against the stack, and a stopped row gets
+    step 0.  Returns the stack, f and |f| at each row's last accepted
+    point.
     """
     v = np.array(v, dtype=complex)
+    stop_at = np.reshape(stop_at, (-1, 1))
     f, grad = overlap(v)
     val = np.abs(f)
     rgrad = _rgrad(v, f, grad)

@@ -853,17 +853,23 @@ def batch_r_overlap_terms(batch: CliffordBatch):
     check_budget(math.log2(r_overlap_bytes(len(ph), n)),
                  f"the |R> overlap of {len(ph)} {n}-qubit Cliffords", PauliError)
     coef, masks = _pauli_strings(n)
-    ps = xs = zs = np.zeros((len(ph), 1), dtype=np.int64)
+    # one string per row, so that each block of strings below is contiguous
+    ps, xs, zs = (np.zeros((3 ** n, len(ph)), dtype=np.int64) for _ in range(3))
     for q in range(n):
         # the images of X_q and of Y_q = i X_q Z_q
-        px, xx, zx = ph[:, q, None], x[:, q, None], z[:, q, None]
-        pz, xz, zz = ph[:, n + q, None], x[:, n + q, None], z[:, n + q, None]
+        px, xx, zx = ph[:, q], x[:, q], z[:, q]
+        pz, xz, zz = ph[:, n + q], x[:, n + q], z[:, n + q]
         py = (1 + px + pz + 2 * _parity(zx & xz, n)) & 3
-        # extend every partial product with I, X_q or Y_q
-        ps = np.hstack((ps, (ps + px + 2 * _parity(zs & xx, n)) & 3,
-                        (ps + py + 2 * _parity(zs & (xx ^ xz), n)) & 3))
-        xs = np.hstack((xs, xs ^ xx, xs ^ xx ^ xz))
-        zs = np.hstack((zs, zs ^ zx, zs ^ zx ^ zz))
+        # extend the 3^q partial products in rows [0, w) with X_q into
+        # rows [w, 2w) and with Y_q into rows [2w, 3w)
+        w = 3 ** q
+        old, on_x, on_y = slice(0, w), slice(w, 2 * w), slice(2 * w, 3 * w)
+        ps[on_x] = (ps[old] + px + 2 * _parity(zs[old] & xx, n)) & 3
+        ps[on_y] = (ps[old] + py + 2 * _parity(zs[old] & (xx ^ xz), n)) & 3
+        xs[on_x] = xs[old] ^ xx
+        xs[on_y] = xs[old] ^ xx ^ xz
+        zs[on_x] = zs[old] ^ zx
+        zs[on_y] = zs[old] ^ zx ^ zz
     # <R^n|P|R^n> = s 0^{#Z} cos(pi/8)^{#X} sin(pi/8)^{#Y} for P = s X..Y..,
     # where the phase ps + 3 #Y is 0 or 2 on every string without Z.  The
     # terms' array first holds the Y parts; each spent table then holds a
@@ -881,13 +887,16 @@ def batch_r_overlap_terms(batch: CliffordBatch):
     zs <<= 2
     ps |= zs                                    # ps: 4 [Z] + phase
     np.take(_SIGNS, ps, out=terms, mode="clip")
-    terms *= coef
+    terms *= coef[:, None]
     np.copyto(zs, nx)                           # zs: #X
     work = ps.view(np.float64)
     for base, count in ((COS8, zs), (SIN8, xs)):
         np.take(base ** np.arange(n + 1), count, out=work, mode="clip")
         terms *= work
-    return terms, masks
+    # the spent #Y table takes the terms in row order, (B, 3^n)
+    out = xs.view(np.float64).reshape(len(ph), -1)
+    np.copyto(out, terms.T)
+    return out, masks
 
 
 def batch_r_overlap_sq(batch: CliffordBatch) -> np.ndarray:

@@ -27,12 +27,13 @@ from stateiso.bosonic import (
     truncated_basis,
     _ascend,
     _haar_stack,
+    _orbit_points,
     _overlap_grad,
     _overlap_plan,
     _qr_retract,
     _sector_tensors,
 )
-from stateiso import bosonic
+from stateiso import bosonic, obs
 from stateiso.graphs import Graph
 
 RNG = np.random.default_rng(31)
@@ -70,6 +71,12 @@ def transition_amplitude(v: np.ndarray, k: MultiIndex, j: MultiIndex) -> complex
     rows = [i for i, c in enumerate(k) for _ in range(c)]
     cols = [i for i, c in enumerate(j) for _ in range(c)]
     return permanent(v.T[np.ix_(rows, cols)]) / math.sqrt(k.factorial() * j.factorial())
+
+
+def dense_vector(c: CoreState, basis: list) -> np.ndarray:
+    """The amplitudes of c over ``basis``, read off the sparse state: the
+    reference for the stacked orbit points."""
+    return np.array([c.amplitudes.get(k, 0j) for k in basis])
 
 
 def random_core(n, r, rng, n_terms=4):
@@ -359,7 +366,7 @@ class TestOptimizer:
                     z = rng.normal(size=len(basis)) + 1j * rng.normal(size=len(basis))
                     f, _ = _overlap_grad(v.matrix, src,
                                          _sector_tensors(dict(zip(basis, z)), n))
-                    assert abs(f - np.vdot(z, moved.dense(basis))) < 1e-12
+                    assert abs(f - np.vdot(z, dense_vector(moved, basis))) < 1e-12
 
     def test_sector_kernel_gradient_is_directional_derivative(self):
         rng = np.random.default_rng(62)
@@ -523,7 +530,7 @@ class TestLockstepAscent:
         c = encode_graph_bosonic(Graph.path(4))
         basis = truncated_basis(4, 3)
         u = haar_mode_unitary(4, rng).matrix
-        z = apply_linear_optical(ModeUnitary(4, u), c).dense(basis)
+        z = dense_vector(apply_linear_optical(ModeUnitary(4, u), c), basis)
         good_enough = 0.3
         z_sq = float(np.vdot(z, z).real)
         stop_at = (z_sq + 1 - good_enough**2) / 2
@@ -552,7 +559,7 @@ class TestSzkSampler:
         assert len(z) == len(basis)
         assert u.matrix.shape == (4, 4)
         # with tiny noise z is close to the rotated dense vector
-        dense = apply_linear_optical(u, c).dense(basis)
+        dense = dense_vector(apply_linear_optical(u, c), basis)
         # noise norm concentrates near sigma * sqrt(len(basis))
         assert np.linalg.norm(z - dense) < 0.01 * math.sqrt(len(basis)) * 3
 
@@ -561,7 +568,7 @@ class TestSzkSampler:
         c = encode_graph_bosonic(Graph.path(3))
         basis = truncated_basis(3, 3)
         u = haar_mode_unitary(3, rng)
-        z = apply_linear_optical(u, c).dense(basis)
+        z = dense_vector(apply_linear_optical(u, c), basis)
         warm = [haar_mode_unitary(3, rng).matrix for _ in range(3)] + [u.matrix]
         d = orbit_distance(z, basis, c, warm, iters=40)
         assert d < 1e-4
@@ -584,6 +591,25 @@ class TestSzkSampler:
             estimate_tv_gap(c, c, sigma, n_samples=1, seed=0, n_reference=3,
                             n_warm=1, b=0.5)
 
+    @pytest.mark.parametrize("sigma", [float("inf"), -float("inf")])
+    def test_infinite_sigma_rejected(self, sigma):
+        c = encode_graph_bosonic(Graph.path(3))
+        with pytest.raises(BosonicError, match="sigma"):
+            szk_sampler(c, sigma, 0)
+        with pytest.raises(BosonicError, match="sigma"):
+            estimate_tv_gap(c, c, sigma, n_samples=1, seed=0, n_reference=3,
+                            n_warm=1, b=0.5)
+
+    def test_overflowing_sample_rejected(self):
+        # the noise of a finite sigma near the float limit overflows: the
+        # NaN distances it led to would count as misses and read as tv = 0
+        c = encode_graph_bosonic(Graph.path(3))
+        with pytest.raises(BosonicError, match="not finite"):
+            szk_sampler(c, 1e308, 0)
+        with pytest.raises(BosonicError, match="not finite"):
+            estimate_tv_gap(c, c, 1e308, n_samples=2, seed=0, n_reference=3,
+                            n_warm=1, b=0.5)
+
     def test_estimate_tv_gap_isomorphic_near_zero(self):
         g = Graph.path(4)
         c1 = encode_graph_bosonic(g)
@@ -592,3 +618,110 @@ class TestSzkSampler:
                                    n_reference=20, n_warm=2)
         assert tv <= 0.5
         assert 0 <= diag["p1"] <= 1 and 0 <= diag["p2"] <= 1
+
+
+# estimate_tv_gap on P4 vs K_{1,3} at sigma 0.02 with 30 reference points:
+# (seed, b, n_samples, n_warm, p1, p2, b used, restarts, trials, steps),
+# recorded from the loop that ran one orbit_distance ascent per sample
+TV_GAP_PINS = [
+    (0, 0.49, 1, 1, 1.0, 0.0, 0.49, 2, 48, 35),
+    (0, 0.49, 1, 3, 1.0, 0.0, 0.49, 6, 144, 106),
+    (0, 0.49, 3, 1, 0.3333333333333333, 0.0, 0.49, 6, 184, 135),
+    (0, 0.49, 3, 3, 0.3333333333333333, 0.0, 0.49, 18, 553, 406),
+    (0, None, 1, 1, 0.0, 0.0, 0.492865261532478, 22, 4085, 2947),
+    (0, None, 1, 3, 0.0, 0.0, 0.492865261532478, 26, 4221, 3047),
+    (0, None, 3, 1, 0.0, 0.0, 0.492865261532478, 26, 4221, 3047),
+    (0, None, 3, 3, 0.0, 0.0, 0.492865261532478, 38, 4631, 3347),
+    (1, 0.49, 1, 1, 0.0, 0.0, 0.49, 2, 68, 50),
+    (1, 0.49, 1, 3, 0.0, 0.0, 0.49, 6, 205, 150),
+    (1, 0.49, 3, 1, 0.3333333333333333, 0.0, 0.49, 6, 188, 138),
+    (1, 0.49, 3, 3, 0.6666666666666666, 0.0, 0.49, 18, 539, 395),
+    (1, None, 1, 1, 0.0, 0.0, 0.49286525905591483, 22, 4085, 2947),
+    (1, None, 1, 3, 0.0, 0.0, 0.49286525905591483, 26, 4221, 3047),
+    (1, None, 3, 1, 0.0, 0.0, 0.49286525905591483, 26, 4222, 3047),
+    (1, None, 3, 3, 0.3333333333333333, 0.0, 0.49286525905591483, 38, 4631, 3346),
+    (2, 0.49, 1, 1, 0.0, 0.0, 0.49, 2, 68, 50),
+    (2, 0.49, 1, 3, 0.0, 0.0, 0.49, 6, 204, 150),
+    (2, 0.49, 3, 1, 0.3333333333333333, 0.0, 0.49, 6, 180, 132),
+    (2, 0.49, 3, 3, 0.3333333333333333, 0.0, 0.49, 18, 542, 396),
+    (2, None, 1, 1, 0.0, 0.0, 0.4928652631849746, 22, 4085, 2947),
+    (2, None, 1, 3, 0.0, 0.0, 0.4928652631849746, 26, 4222, 3047),
+    (2, None, 3, 1, 0.0, 0.0, 0.4928652631849746, 26, 4221, 3047),
+    (2, None, 3, 3, 0.0, 0.0, 0.4928652631849746, 38, 4630, 3347),
+    (3, 0.49, 1, 1, 1.0, 0.0, 0.49, 2, 43, 31),
+    (3, 0.49, 1, 3, 1.0, 0.0, 0.49, 6, 129, 94),
+    (3, 0.49, 3, 1, 0.3333333333333333, 0.0, 0.49, 6, 180, 131),
+    (3, 0.49, 3, 3, 0.3333333333333333, 0.0, 0.49, 18, 536, 394),
+    (3, None, 1, 1, 0.0, 0.0, 0.4928652590710849, 22, 4080, 2947),
+    (3, None, 1, 3, 0.0, 0.0, 0.4928652590710849, 26, 4217, 3047),
+    (3, None, 3, 1, 0.3333333333333333, 0.0, 0.4928652590710849, 26, 4213, 3044),
+    (3, None, 3, 3, 0.3333333333333333, 0.0, 0.4928652590710849, 38, 4619, 3340),
+]
+
+
+def _warm_rows(rng, u, n):
+    """Warm starts for a sample on the orbit point u: a Haar start, then u
+    nudged by 0.2, then by 0.05, then u itself."""
+    return [haar_mode_unitary(n, rng).matrix, _nudge(u, 0.2, rng), _nudge(u, 0.05, rng), u]
+
+
+class TestTvGapStack:
+    @pytest.mark.parametrize("pin", TV_GAP_PINS, ids=lambda p: "-".join(map(str, p[:4])))
+    def test_estimate_tv_gap_pinned(self, pin):
+        seed, b, n_samples, n_warm, p1, p2, b_used, restarts, trials, steps = pin
+        c1 = encode_graph_bosonic(Graph.path(4))
+        c2 = encode_graph_bosonic(Graph.star(4))
+        with obs.recording() as rec:
+            tv, diag = estimate_tv_gap(c1, c2, 0.02, n_samples, seed, n_reference=30,
+                                       n_warm=n_warm, b=b)
+        assert tv == p1 - p2
+        assert diag == {"p1": p1, "p2": p2, "b": b_used, "sigma": 0.02,
+                        "ci_half_width": 2 * 2 * math.sqrt(0.25 / n_samples),
+                        "n_samples": n_samples}
+        assert rec.counts == {"bosonic.restarts": restarts, "bosonic.ascent_trials": trials,
+                              "bosonic.ascent_steps": steps}
+
+    def test_orbit_points_match_core_states(self):
+        rng = np.random.default_rng(12)
+        for n, c in [(4, encode_graph_bosonic(Graph.path(4))), (3, mixed_core(3, 3, rng))]:
+            basis = truncated_basis(n, 3)
+            us = _haar_stack(n, rng, 5)
+            want = [dense_vector(apply_linear_optical(ModeUnitary(n, u), c), basis) for u in us]
+            assert np.array_equal(_orbit_points(c, us, basis), want)
+
+    def test_stack_matches_single_vectors(self):
+        """Two samples in one stack, each with its own first start to reach
+        stop_at, give the distances and counts of one call per sample."""
+        rng = np.random.default_rng(9)
+        c = encode_graph_bosonic(Graph.path(4))
+        basis = truncated_basis(4, 3)
+        us = [haar_mode_unitary(4, rng).matrix for _ in range(2)]
+        z = np.array([dense_vector(apply_linear_optical(ModeUnitary(4, u), c), basis) for u in us])
+        starts = np.array([_warm_rows(rng, u, 4) for u in us])
+        starts[1] = starts[1, ::-1]     # the second sample reaches stop_at at once
+        with obs.recording() as single:
+            want = [orbit_distance(z[i], basis, c, starts[i], good_enough=0.3)
+                    for i in range(2)]
+        with obs.recording() as stacked:
+            got = orbit_distance(z, basis, c, starts, good_enough=0.3)
+        assert got.shape == (2,) and got.tolist() == want
+        assert want[0] > 0.1 and want[1] < 1e-6
+        assert stacked.counts == single.counts
+        assert isinstance(want[0], float)
+
+    def test_stack_across_blocks(self, monkeypatch):
+        # blocks of two samples: 2 + 2 + 1 over five noisy samples
+        rng = np.random.default_rng(10)
+        c = encode_graph_bosonic(Graph.path(4))
+        basis = truncated_basis(4, 3)
+        samples = [szk_sampler(c, 0.05, rng, basis) for _ in range(5)]
+        z = np.array([s[0] for s in samples])
+        starts = np.array([_warm_rows(rng, s[2].matrix, 4)[:3] for s in samples])
+        monkeypatch.setattr(bosonic, "_ASCENT_ENTRIES", 2 * 3 * 4 ** 3)
+        with obs.recording() as stacked:
+            got = orbit_distance(z, basis, c, starts, iters=15, good_enough=0.25)
+        with obs.recording() as single:
+            want = [orbit_distance(z[i], basis, c, starts[i], iters=15, good_enough=0.25)
+                    for i in range(5)]
+        assert got.tolist() == want
+        assert stacked.counts == single.counts

@@ -604,6 +604,18 @@ class TestConfigErrorBoundary:
         _assert_config_error(res)
         assert "sigma" in res.stderr
 
+    @pytest.mark.parametrize("sigma, message", [("inf", "sigma must be finite"),
+                                                ("1e308", "not finite")])
+    def test_tv_gap_nonfinite_noise(self, runner, tmp_path, sigma, message):
+        # NaN samples used to count as misses and exit 0 with tv_lower 0.0
+        core = tmp_path / "c.json"
+        g = _write_graph(tmp_path / "g.txt", Graph.path(4))
+        runner.invoke(main, ["bosonic", "encode", g, "--out", str(core)])
+        res = runner.invoke(main, ["bosonic", "tv-gap", str(core), str(core),
+                                   "--samples", "2", "--sigma", sigma])
+        _assert_config_error(res)
+        assert message in res.stderr and res.stdout == ""
+
 
 # any JSON value: integers stay small or jump to sizes that overflow a
 # label count, so that no example builds millions of labels

@@ -95,7 +95,8 @@ def _ascents():
     v, best_abs, best_re = optimize_overlap(c1, c2, restarts=4, iters=40, seed=5)
     rng = np.random.default_rng(6)
     basis = truncated_basis(4, 3)
-    z = apply_linear_optical(haar_mode_unitary(4, rng), c1).dense(basis)
+    moved = apply_linear_optical(haar_mode_unitary(4, rng), c1)
+    z = np.array([moved.amplitudes.get(k, 0j) for k in basis])
     warm = [haar_mode_unitary(4, rng).matrix for _ in range(3)]
     dist = orbit_distance(z, basis, c1, warm, iters=25, good_enough=0.2)
     return v.matrix, best_abs, best_re, dist

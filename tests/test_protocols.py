@@ -11,6 +11,7 @@ from stateiso.protocols import (
     DEFAULT_SHADOW_DELTA,
     ProtocolError,
     ProtocolTranscript,
+    _median_of_means,
     _shadow_estimates,
     qcszk_context,
     qcszk_round,
@@ -45,6 +46,21 @@ def _estimates(psi, targets, n_shadows, seed):
 
 
 class TestShadows:
+    def test_median_of_means_is_numpy_median(self):
+        # the partition median equals np.median bit for bit, at odd and even
+        # bucket counts, with ties among the means
+        rng = np.random.default_rng(17)
+        for trial in range(300):
+            n, m = int(rng.integers(1, 200)), int(rng.integers(1, 6))
+            delta = float(rng.choice([0.01, 0.05, 0.3]))
+            singles = rng.normal(size=(n, m))
+            if trial % 3 == 0:
+                singles = np.round(singles)
+            k = min(max(1, 2 * int(np.ceil(np.log(2 * m / delta)))), n)
+            means = singles[: k * (n // k)].reshape(k, n // k, -1).mean(axis=1)
+            got, want = _median_of_means(singles, m, delta), np.median(means, axis=0)
+            assert got.tobytes() == want.tobytes()
+
     def test_seed_reproducible(self):
         rng = np.random.default_rng(0)
         psi = random_state(2, rng)
