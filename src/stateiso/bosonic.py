@@ -202,20 +202,6 @@ def _sector_tensors(amps: dict, n: int) -> dict:
     return out
 
 
-def _stacked_sector_tensors(z: np.ndarray, basis: list, n: int) -> dict:
-    """The sector tensors of every row of z (S, len(basis)), a state over
-    ``basis`` each: {r: (S,) + (n,) * r} for every sector r of the basis."""
-    col = {k: i for i, k in enumerate(basis)}
-    # column -1 is 0 for the keys of a sector that are not in the basis
-    z = np.concatenate([z, np.zeros((len(z), 1), dtype=complex)], axis=1)
-    out = {}
-    for r in sorted({k.r for k in basis}):
-        keys, slot, _, weight, _ = _sector_layout(n, r)
-        vec = z[:, [col.get(k, -1) for k in keys]] * weight
-        out[r] = vec[:, slot].reshape((len(z),) + (n,) * r)
-    return out
-
-
 def _contract_leading(t: np.ndarray, v: np.ndarray, m: int) -> np.ndarray:
     """Contract V into the leading axis of t, m times; each new axis goes
     to the back, so the result is 2-d: (remaining axes, new axes).  Over a
@@ -232,13 +218,6 @@ _GATHER_ENTRIES = 1 << 16
 # the (r!, r) permutations of range(r), for every sector
 _PERMS = [np.array(list(permutations(range(r))), dtype=np.intp).reshape(math.factorial(r), r)
           for r in range(PHOTON_CAP + 1)]
-
-
-def _occupied_modes(keys, r: int) -> np.ndarray:
-    """(len(keys), r) intp: mode i repeated k_i times, for each key k of
-    sector r; the rows and columns of the minor V^T[k|j]."""
-    return np.array([[i for i, c in enumerate(k) for _ in range(c)] for k in keys],
-                    dtype=np.intp).reshape(len(keys), r)
 
 
 def apply_linear_optical(v: ModeUnitary, c: CoreState,
@@ -265,7 +244,7 @@ def apply_linear_optical(v: ModeUnitary, c: CoreState,
         out = {}
         for r, sector in by_sector.items():
             keys, _, _, weight, rows = _sector_layout(c.n_modes, r)
-            cols = _occupied_modes(sector, r)[:, _PERMS[r]]     # (J, r!, r)
+            cols = rows[[keys.index(j) for j in sector]][:, _PERMS[r]]     # (J, r!, r)
             amps = np.array(list(sector.values())) / np.sqrt([j.factorial() for j in sector])
             step = max(1, _GATHER_ENTRIES // max(1, cols.size))
             vals = np.empty(len(keys), dtype=complex)
@@ -423,7 +402,8 @@ def orbit_distance(z: np.ndarray, basis: list, c: CoreState,
     block = max(1, _ASCENT_ENTRIES // (w * n ** c.r_max))
     for lo in range(0, len(zs), block):
         part = slice(lo, lo + block)
-        tgt = _stacked_sector_tensors(np.repeat(zs[part], w, axis=0), basis, n)
+        tgts = [_sector_tensors(dict(zip(basis, row)), n) for row in zs[part]]
+        tgt = {r: np.stack([t[r] for t in tgts]).repeat(w, axis=0) for r in tgts[0]}
         _, _, val = _ascend(starts[part].reshape(-1, n, n), _overlap_plan(src, tgt, n),
                             iters, stop_at=stop_at[part])
         val = val.reshape(-1, w)
@@ -479,13 +459,15 @@ def estimate_tv_gap(c1: CoreState, c2: CoreState, sigma: float, n_samples: int,
 # ----------------------------------------------------------------------
 
 def _overlap_plan(src: dict, tgt: dict, n: int):
-    """V -> (f, grad) of _overlap_grad over a stack (R, n, n), for one
-    source and one target per row: each target tensor carries a leading
-    row axis of length R, or none, when one target serves every row.  f has
-    shape (R, 1, 1), so that it broadcasts against the stack.  Built once
-    per ascent.  Each sector r >= 2 contributes T1_r, flattened for its
-    first contraction with V, and Q_r = [P_r, P_r / r] with P_r = r r!
-    T2_r^dagger, so that M_r Q_r holds grad_r next to grad_r / r, whose
+    """V -> (f, grad) over a stack (R, n, n): f = <target|R(V)|source> and
+    grad[a, b] = df/dV_ab, for one source and one target per row.  With M =
+    T1_r contracted with V on axes 2..r, grad_r = r r! M T2_r^dagger, and
+    f_r = sum(V * grad_r) / r by homogeneity.  Each target tensor carries a
+    leading row axis of length R, or none, when one target serves every
+    row.  f has shape (R, 1, 1), so that it broadcasts against the stack.
+    Built once per ascent.  Each sector r >= 2 contributes T1_r, flattened
+    for its first contraction with V, and Q_r = [P_r, P_r / r] with P_r =
+    r r! T2_r^dagger, so that M_r Q_r holds grad_r next to grad_r / r, whose
     inner product with V is f_r.  The first contractions of all sectors are
     one product, and so are the products with Q_r.  Sectors 0 and 1 do not
     depend on V through M."""
@@ -525,17 +507,6 @@ def _overlap_plan(src: dict, tgt: dict, n: int):
         return (f if f0 is None else f + f0), acc[:, :, :n]
 
     return overlap
-
-
-def _overlap_grad(v: np.ndarray, src: dict, tgt: dict):
-    """f = <target|R(V)|source> and grad[a, b] = df/dV_ab from the sector
-    tensors: with M = T1_r contracted with V on axes 2..r, grad_r =
-    r r! M T2_r^dagger, and f_r = sum(V * grad_r) / r by homogeneity.
-    ``v`` is one (n, n) matrix or a stack (R, n, n)."""
-    f, grad = _overlap_plan(src, tgt, v.shape[-1])(v.reshape((-1,) + v.shape[-2:]))
-    if v.ndim == 2:
-        return complex(f.item()), grad[0]
-    return f[:, 0, 0], grad
 
 
 def _qr_retract(m: np.ndarray) -> np.ndarray:

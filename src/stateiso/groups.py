@@ -209,9 +209,8 @@ def k_twirl(rep: FiniteGroupRep, rho: DensityMatrix, k: int) -> DensityMatrix:
 @dataclass(frozen=True)
 class TwirlBoundReport:
     epsilon: float          # max pairwise fidelity over unitary pairs
-    twirled_fidelity: float
     bound: float            # epsilon * |S|
-    slack: float            # bound - twirled_fidelity
+    slack: float            # bound - F(E(rho), E(sigma))
     satisfied: bool
 
 
@@ -226,7 +225,7 @@ def check_twirl_fidelity_bound(rep: FiniteGroupRep, rho: DensityMatrix,
     tf = sqrt_fidelity(twirl(rep, rho), twirl(rep, sigma))
     bound = eps * rep.order
     slack = bound - tf
-    return TwirlBoundReport(eps, tf, bound, slack, slack >= -TWIRL_SLACK_TOL)
+    return TwirlBoundReport(eps, bound, slack, slack >= -TWIRL_SLACK_TOL)
 
 
 def max_conjugate_fidelity(rep: FiniteGroupRep, rho: np.ndarray,

@@ -98,10 +98,6 @@ class PauliOp:
 
     # -- constructors -------------------------------------------------
     @staticmethod
-    def identity(n: int) -> "PauliOp":
-        return PauliOp(n, 0, 0, 0)
-
-    @staticmethod
     def single(n: int, qubit: int, kind: str) -> "PauliOp":
         """X, Y or Z on one qubit (Y = i * X Z in canonical form)."""
         bit = 1 << qubit
@@ -158,16 +154,6 @@ class PauliOp:
     # -- misc ---------------------------------------------------------
     def key(self) -> tuple:
         return (self.phase, self.x, self.z)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PauliOp)
-            and self.n == other.n
-            and self.key() == other.key()
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n,) + self.key())
 
     def __repr__(self) -> str:
         y = self.x & self.z
@@ -270,7 +256,7 @@ class CliffordBatch(NamedTuple):
 
 
 class CliffordElement(CliffordBatch):
-    """One Clifford: a CliffordBatch of one row, compared and hashed by ``key``."""
+    """One Clifford: a CliffordBatch of one row, compared by ``key``."""
 
     __slots__ = ()
 
@@ -284,9 +270,6 @@ class CliffordElement(CliffordBatch):
 
     def __eq__(self, other) -> bool:
         return isinstance(other, CliffordElement) and self.n == other.n and self.key() == other.key()
-
-    def __hash__(self) -> int:
-        return hash((self.n,) + self.key())
 
     def __repr__(self) -> str:
         n = self.n

@@ -38,8 +38,6 @@ class ProtocolError(ValueError):
 @dataclass(frozen=True)
 class ProtocolTranscript:
     j: int
-    g: object
-    message: dict
     j_prime: int
 
     @property
@@ -143,8 +141,7 @@ def _shadow_round(ctx: dict, n_shadows: int, seed: int, delta: float) -> Protoco
     f1 = float(ests[: ctx["split"]].max())
     f2 = float(ests[ctx["split"]:].max())
     j_prime = int(rng.integers(1, 3)) if f1 == f2 else 1 if f1 > f2 else 2
-    return ProtocolTranscript(j=j, g=ctx["labels"][gi],
-                              message={"type": "shadows", "count": n_shadows}, j_prime=j_prime)
+    return ProtocolTranscript(j=j, j_prime=j_prime)
 
 
 def qcszk_context(inst: PsgiInstance) -> dict:
@@ -175,11 +172,7 @@ def qszk_mixed_round(ctx: dict, seed: int = 0) -> ProtocolTranscript:
     p_correct = 0.5 + ctx["distance"] / 2
     correct = rng.random() < p_correct
     j_prime = j if correct else 3 - j
-    return ProtocolTranscript(
-        j=j, g=None,
-        message={"type": "twirled-copies", "k": ctx["k"]},
-        j_prime=j_prime,
-    )
+    return ProtocolTranscript(j=j, j_prime=j_prime)
 
 
 def szk_lowrank_context(lr1, lr2) -> dict:

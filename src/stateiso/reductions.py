@@ -175,6 +175,10 @@ def verify_lemma_perm(n: int, mode: str = "exhaustive", samples: int = 0,
         raise ReductionError(f"unknown mode {mode!r}")
     if mode == "sampled" and samples < 1:
         raise ReductionError(f"sampled mode needs samples >= 1, got {samples}")
+    # nan, inf and values over 1 are met by no overlap, so every check would
+    # pass; at 0 or below every element is kept
+    if not 0 < threshold <= 1:
+        raise ReductionError(f"threshold must be in (0, 1], got {threshold}")
     checked, high = _above_threshold(n, mode, samples, seed, threshold)
     perm = high.permutation_mask()
     above, perms = len(perm), int(perm.sum())

@@ -28,7 +28,6 @@ from stateiso.bosonic import (
     _ascend,
     _haar_stack,
     _orbit_points,
-    _overlap_grad,
     _overlap_plan,
     _qr_retract,
     _sector_tensors,
@@ -71,6 +70,12 @@ def transition_amplitude(v: np.ndarray, k: MultiIndex, j: MultiIndex) -> complex
     rows = [i for i, c in enumerate(k) for _ in range(c)]
     cols = [i for i, c in enumerate(j) for _ in range(c)]
     return permanent(v.T[np.ix_(rows, cols)]) / math.sqrt(k.factorial() * j.factorial())
+
+
+def _overlap_grad(v: np.ndarray, src: dict, tgt: dict):
+    """(f, grad) of _overlap_plan at one (n, n) matrix or a stack (R, n, n)."""
+    f, grad = _overlap_plan(src, tgt, v.shape[-1])(v.reshape((-1,) + v.shape[-2:]))
+    return (complex(f.item()), grad[0]) if v.ndim == 2 else (f[:, 0, 0], grad)
 
 
 def dense_vector(c: CoreState, basis: list) -> np.ndarray:

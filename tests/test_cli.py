@@ -117,6 +117,32 @@ class TestReducePipeline:
         assert body["decision"] == "NO"
         assert body["sweep"]["exceed_count"] == 0
 
+    def test_gi_clifford_edge_count_mismatch_pipeline(self, runner, tmp_path):
+        # different edge counts decide NO without building a state
+        p1 = _write_graph(tmp_path / "g1.txt", Graph.path(4))
+        p2 = _write_graph(tmp_path / "g2.txt", Graph.cycle(4))
+        bundle = tmp_path / "bundle.json"
+        res = runner.invoke(main, ["reduce", "gi-clifford", p1, p2, "--out", str(bundle)])
+        assert res.exit_code == 0
+        body = json.loads(bundle.read_text())
+        assert body["note"] == "vertex or edge counts differ; instance is NO"
+        assert "psi1" not in body and "psi2" not in body
+        res = runner.invoke(main, ["psgi", "--instance", str(bundle)])
+        assert res.exit_code == 1
+        body = _json_body(res.output)
+        assert body["decision"] == "NO" and body["witness"] is None
+        assert body["achieved_overlap"] == [0.0, 0.0]
+        assert "sweep" not in body
+
+    def test_gi_lowrank_vertex_count_mismatch(self, runner, tmp_path):
+        p1 = _write_graph(tmp_path / "g1.txt", Graph.path(3))
+        p2 = _write_graph(tmp_path / "g2.txt", Graph.path(4))
+        res = runner.invoke(main, ["reduce", "gi-lowrank", p1, p2])
+        assert res.exit_code == 0
+        body = _json_body(res.output)
+        assert body["note"] == "vertex or edge counts differ; instance is NO"
+        assert "psi1" not in body
+
     def test_gi_lowrank_bundle(self, runner, tmp_path):
         p1 = _write_graph(tmp_path / "g1.txt", Graph.path(4))
         p2 = _write_graph(tmp_path / "g2.txt", Graph.star(4))
@@ -173,6 +199,13 @@ class TestVerifyCommands:
         assert res.exit_code == 2
         assert isinstance(res.exception, SystemExit)
         assert "n <= 3" in res.output and "Traceback" not in res.output
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "1.5", "0", "-1"])
+    def test_lemma_perm_threshold_out_of_range(self, runner, threshold):
+        # nan, inf and 1.5 are met by no overlap, so the check would pass vacuously
+        res = runner.invoke(main, ["verify", "lemma-perm", "--n", "1", "--threshold", threshold])
+        _assert_config_error(res)
+        assert "threshold" in res.stderr
 
     def test_twirl_bound(self, runner):
         res = runner.invoke(main, ["verify", "twirl-bound", "--instances", "20"])

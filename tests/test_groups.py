@@ -98,6 +98,12 @@ class TestGroupConstructions:
         assert rep.order == 8
         assert rep.is_abelian()
 
+    def test_is_abelian_samples_large_groups(self):
+        # over 512 elements the pairs are sampled
+        assert z2k_group(10).order == pauli_group(4).order == 1024
+        assert z2k_group(10).is_abelian()
+        assert not pauli_group(4).is_abelian()
+
     def test_clifford_group_small(self):
         rep = clifford_group(1)
         assert rep.order == 24

@@ -33,10 +33,10 @@ class TestRecords:
         # accept is j == j_prime, never set on its own
         for j in (1, 2):
             for j_prime in (1, 2):
-                t = ProtocolTranscript(j=j, g=None, message={}, j_prime=j_prime)
+                t = ProtocolTranscript(j=j, j_prime=j_prime)
                 assert t.accept is (j == j_prime)
         with pytest.raises(TypeError):
-            ProtocolTranscript(j=1, g=None, message={}, j_prime=2, accept=True)
+            ProtocolTranscript(j=1, j_prime=2, accept=True)
 
 
 def _estimates(psi, targets, n_shadows, seed):
@@ -330,8 +330,7 @@ class TestAggregation:
     def test_run_trials_fair_coin(self):
         def coin(seed):
             accept = bool(np.random.default_rng(seed).integers(2))
-            return ProtocolTranscript(j=1, g=None, message={},
-                                      j_prime=1 if accept else 2)
+            return ProtocolTranscript(j=1, j_prime=1 if accept else 2)
         report = run_trials(coin, trials=2000, seed=3)
         assert abs(report["accept_rate"] - 0.5) < 0.05
         assert report["wilson_low"] < report["accept_rate"] < report["wilson_high"]

@@ -218,6 +218,12 @@ class TestLemmaPerm:
         with pytest.raises(ReductionError, match="n must be >= 1"):
             verify_lemma_perm(n)
 
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, 1.5, 0.0, -1.0])
+    def test_threshold_out_of_range(self, threshold):
+        # outside (0, 1] a threshold is met by no overlap or by every element
+        with pytest.raises(ReductionError, match="threshold"):
+            verify_lemma_perm(1, threshold=threshold)
+
     @pytest.mark.parametrize("samples", [0, -5])
     def test_sampled_without_samples(self, samples):
         # a sample of nothing would report zero violations

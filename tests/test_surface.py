@@ -1,12 +1,12 @@
-"""The library's public surface: every public function, class and method
-in ``src/stateiso`` is referenced from ``src/``, or is kept for a reason
-named here."""
+"""The library's surface: every function, class and method in
+``src/stateiso``, private ones included and dunders excepted, is referenced
+from ``src/``, or is kept for a reason named here."""
 import ast
 import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "stateiso"
 
-# Public definitions that no code in src/ references, each with its reason.
+# Definitions that no code in src/ references, each with its reason.
 KEPT = {
     "pauli_expectation": "acceptance criterion 10 reads the R-state expectations through it",
     "CliffordElement.to_unitary": "perfbench's tracer wraps it; the dense reference of the "
@@ -32,8 +32,8 @@ def _is_command(node) -> bool:
 
 
 def _surface():
-    """(public definitions as module-level or Class.method names, every
-    name and attribute referenced anywhere in src/)."""
+    """(non-dunder definitions as module-level or Class.method names,
+    every name and attribute referenced anywhere in src/)."""
     defs, used = {}, set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -50,14 +50,14 @@ def _surface():
                 defs.update((f"{node.name}.{m.name}", m) for m in node.body
                             if isinstance(m, ast.FunctionDef))
     public = {q: d for q, d in defs.items()
-              if not q.rpartition(".")[2].startswith("_") and not _is_command(d)}
+              if not q.rpartition(".")[2].startswith("__") and not _is_command(d)}
     return public, used
 
 
 def test_every_public_definition_has_a_caller_in_src():
     public, used = _surface()
     unused = sorted(q for q in public if q.rpartition(".")[2] not in used and q not in KEPT)
-    assert not unused, f"public but unreferenced in src/: {unused}"
+    assert not unused, f"unreferenced in src/: {unused}"
 
 
 def test_kept_names_are_still_defined():
