@@ -513,7 +513,7 @@ def verify_trace_transfer(count, n_qubits, seed):
         inst = qsd_to_mixed_hsp(s1, s2, rep, h)
         lhs, rhs = trace_distance_transfer(inst, s1, s2)
         worst = max(worst, abs(lhs - rhs))
-    return {"version": SCHEMA_VERSION, "count": count, "worst_gap": worst,
+    return {"version": SCHEMA_VERSION, "count": count, "h": repr(h), "worst_gap": worst,
             "passed": worst <= 1e-7}
 
 

@@ -300,9 +300,9 @@ def two_copy_pauli(n: int) -> FiniteGroupRep:
         return (a[0] ^ b[0], a[1] ^ b[1], a[2] ^ b[2])
 
     def unitary(a):
+        # B x B is one 2n-qubit Pauli, and -1 is its phase i^2
         x, z, s = a
-        b = PauliOp(n, 0, x, z).to_matrix()
-        return (-1) ** s * np.kron(b, b)
+        return PauliOp(2 * n, 2 * s, x | x << n, z | z << n).to_matrix()
 
     return FiniteGroupRep(elements, (0, 0, 0), multiply, lambda a: a, unitary,
                           1 << (2 * n), name=f"two_copy_pauli({n})")

@@ -1,9 +1,10 @@
 """Symplectic Pauli algebra and tableau Cliffords.
 
 A Pauli is stored as ``i^phase * X^x Z^z`` with ``x``, ``z`` bitmasks
-(bit i = qubit i) and the phase exponent tracked exactly mod 4.
-``pauli_table`` gives <a|X^x Z^z|c> for all 4^n Paulis at once, by one
-gather and one Walsh-Hadamard transform.
+(bit i = qubit i) and the phase exponent tracked exactly mod 4.  It acts by
+one index gather with signs (``PauliOp.apply``), and its dense matrix is
+that gather on the identity.  ``pauli_table`` gives <a|X^x Z^z|c> for all
+4^n Paulis at once, by one gather and one Walsh-Hadamard transform.
 
 A Clifford has one format, packed tableau rows: a ``CliffordBatch`` holds
 B Cliffords as (B, 2n) int64 arrays of the (phase, x, z) images of the
@@ -33,10 +34,6 @@ from . import obs
 from .linalg import StateVector, UnitaryMatrix, check_budget
 
 _PHASE = (1, 1j, -1, -1j)
-
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-_I2 = np.eye(2, dtype=complex)
 
 COS8 = math.cos(math.pi / 8)
 SIN8 = math.sin(math.pi / 8)
@@ -131,25 +128,19 @@ class PauliOp:
 
     # -- dense action -------------------------------------------------
     def apply(self, amps: np.ndarray) -> np.ndarray:
-        """Apply to a dense amplitude vector (qubit 0 = most significant)."""
+        """Apply to a dense amplitude vector, or to each column of a (d, k)
+        array (qubit 0 = most significant), by one index gather."""
         n = self.n
         xi, zi = _index_masks(np.array([self.x, self.z]), n).tolist()
         idx = np.arange(1 << n)
         signs = 1.0 - 2.0 * _parity(idx & zi, n)
         out = np.empty_like(amps, dtype=complex)
-        out[idx ^ xi] = _PHASE[self.phase] * signs * amps
+        out[idx ^ xi] = (_PHASE[self.phase] * signs * amps.T).T
         return out
 
     def to_matrix(self) -> np.ndarray:
-        m = np.eye(1, dtype=complex)
-        for q in range(self.n):
-            f = _I2
-            if (self.x >> q) & 1:
-                f = _X
-            if (self.z >> q) & 1:
-                f = f @ _Z if f is not _I2 else _Z
-            m = np.kron(m, f)
-        return _PHASE[self.phase] * m
+        """The dense matrix: ``apply`` on the identity."""
+        return self.apply(np.eye(1 << self.n, dtype=complex))
 
     # -- misc ---------------------------------------------------------
     def key(self) -> tuple:

@@ -3,7 +3,9 @@ and distinguishability problems, with numeric verifiers.
 
 Includes the Clifford encoding of graphs via |R>-padded graph states, the
 low-stabilizer-rank variant, the BQP-hardness instance builder, the
-distinguishability paddings, and the permutation-lemma sweeps.
+distinguishability paddings, and the permutation-lemma sweeps.  Both overlap
+sweeps (uniform Cliffords; the low-rank soundness check's permutation x
+diagonal-Clifford products D P) score blocks of tableau rows by ``batch_overlaps``.
 """
 from __future__ import annotations
 
@@ -108,10 +110,10 @@ def gi_to_clifford(g1: Graph, g2: Graph):
 # Random-Clifford overlap sweeps
 # ----------------------------------------------------------------------
 
-def clifford_overlap_sweep(psi1: StateVector, psi2: StateVector, count: int,
-                           seed: int, threshold: float) -> dict:
-    """Sample ``count`` uniform Cliffords; report the max |<psi1|C|psi2>|
-    and how many exceed ``threshold``."""
+def _overlap_sweep(psi1: StateVector, psi2: StateVector, count: int, seed: int,
+                   threshold: float, draw) -> dict:
+    """The max |<psi1|C|psi2>| over ``count`` Cliffords drawn a block at a time
+    by ``draw(n, rng, size)``, and how many exceed ``threshold``."""
     n = psi1.n_qubits
     if psi2.n_qubits != n:
         raise ReductionError("state size mismatch")
@@ -121,14 +123,20 @@ def clifford_overlap_sweep(psi1: StateVector, psi2: StateVector, count: int,
     max_ov = 0.0
     exceed = 0
     step = batch_block_size(1 << n)
-    with obs.span("reductions.clifford_overlap_sweep"):
-        for lo in range(0, count, step):
-            batch = random_clifford_batch(n, rng, min(step, count - lo))
-            ov = np.abs(batch_overlaps(batch, psi1, psi2))
-            max_ov = max(max_ov, ov.max())
-            exceed += int(np.count_nonzero(ov > threshold))
+    for lo in range(0, count, step):
+        ov = np.abs(batch_overlaps(draw(n, rng, min(step, count - lo)), psi1, psi2))
+        max_ov = max(max_ov, ov.max())
+        exceed += int(np.count_nonzero(ov > threshold))
     return {"count": count, "seed": seed, "threshold": threshold,
             "max_overlap": float(max_ov), "exceed_count": exceed}
+
+
+def clifford_overlap_sweep(psi1: StateVector, psi2: StateVector, count: int,
+                           seed: int, threshold: float) -> dict:
+    """Sample ``count`` uniform Cliffords; report the max |<psi1|C|psi2>|
+    and how many exceed ``threshold``."""
+    with obs.span("reductions.clifford_overlap_sweep"):
+        return _overlap_sweep(psi1, psi2, count, seed, threshold, random_clifford_batch)
 
 
 NONISO_LIBRARY = (
@@ -142,11 +150,21 @@ NONISO_LIBRARY = (
 # Permutation lemma sweeps
 # ----------------------------------------------------------------------
 
+def _check_kept(n: int, kept: int) -> None:
+    """Refuse ``kept`` Cliffords over ``linalg.check_budget``: each holds three
+    int64 rows of 2n entries, a report tuple of 2n (phase, x, z) tuples and a
+    list slot, 64 + 192 n bytes (tracemalloc: 442 at n = 2, 673 at n = 3, 998
+    at n = 5), plus 32 per mask from n = 9, where masks pass 256."""
+    check_budget(math.log2(max(kept, 1) * (64 + 192 * n + (n > 8) * 128 * n)),
+                 f"{kept} {n}-qubit Cliffords at or above the threshold", ReductionError)
+
+
 def _above_threshold(n: int, mode: str, samples: int, seed: int, threshold: float):
     """(checked, batch): how many Cliffords were scored, and those scoring at
-    or above the threshold, in scoring order.  Only those few become rows."""
+    or above the threshold, in scoring order.  Only those few become rows;
+    more than ``_check_kept`` admits raise ReductionError."""
     step = batch_block_size(3 ** n)
-    high = []
+    high, kept = [], 0
     if mode == "exhaustive":
         # all 4^n sign patterns of a block of symplectic indices at once;
         # only the positions of high scores are kept
@@ -154,12 +172,16 @@ def _above_threshold(n: int, mode: str, samples: int, seed: int, threshold: floa
         for lo in range(0, order, step):
             scores = sign_factored_r_overlap_sq(n, np.arange(lo, min(lo + step, order)))
             high.append((lo << 2 * n) + np.flatnonzero(scores >= threshold))
+            kept += len(high[-1])
+            _check_kept(n, kept)
         return order << 2 * n, clifford_elements(n, np.concatenate(high))
     rng = np.random.default_rng(seed)
     for lo in range(0, samples, step):
         batch = random_clifford_batch(n, rng, min(step, samples - lo))
         at = np.flatnonzero(batch_r_overlap_sq(batch) >= threshold)
         high.append(np.stack([a[at] for a in batch[1:]]))
+        kept += len(at)
+        _check_kept(n, kept)
     return samples, CliffordBatch(n, *np.concatenate(high, axis=1))
 
 
@@ -301,7 +323,27 @@ def lowrank_gi_instance(g1: Graph, g2: Graph, graph_weight: Optional[float] = No
     return states[0], states[1], lowrank_thresholds(n)
 
 
-_PHASES = np.array([1, 1j, -1, -1j])
+def _diagonal_permutation_batch(n: int, rng: np.random.Generator, count: int) -> CliffordBatch:
+    """``count`` Cliffords D P, P a uniform qubit permutation and D =
+    prod_q S_q^{a_q} prod_{q<r} CZ_qr^{c_qr}, which sends X_q to i^{a_q} X_q
+    Z_q^{a_q} prod_r Z_r^{c_qr} and fixes each Z_q.  One integers call with the
+    bounds [n!, 4 x n, 2 x n(n-1)/2] tiled draws like scalar calls, in order."""
+    q, r = np.triu_indices(n, 1)
+    draws = rng.integers(np.tile([math.factorial(n)] + [4] * n + [2] * len(q), count))
+    p, a, c = np.split(draws.reshape(count, -1), [1, 1 + n], axis=1)
+    # the p-th permutation of itertools.permutations(range(n)) from its
+    # Lehmer digits: each digit counts the unused qubits below its entry
+    perm = p // [math.factorial(k) for k in range(n - 1, -1, -1)] % np.arange(n, 0, -1)
+    for k in range(n - 2, -1, -1):
+        perm[:, k + 1:] += perm[:, k + 1:] >= perm[:, k, None]
+    cz = np.zeros((count, n, n), dtype=np.int64)
+    cz[:, q, r] = cz[:, r, q] = c
+    bits = 1 << np.arange(n)
+    # P sends X_k and Z_k to X_pi(k) and Z_pi(k), so D P takes D's images there
+    images = (a, np.broadcast_to(bits, a.shape), (a & 1) * bits | (cz * bits).sum(axis=2))
+    ph, x, z = (np.take_along_axis(t, perm, axis=1) for t in images)
+    zero = np.zeros_like(x)
+    return CliffordBatch(n, np.hstack((ph, zero)), np.hstack((x, zero)), np.hstack((z, x)))
 
 
 def diagonal_permutation_overlap_sweep(psi1: StateVector, psi2: StateVector,
@@ -309,37 +351,7 @@ def diagonal_permutation_overlap_sweep(psi1: StateVector, psi2: StateVector,
                                        threshold: float) -> dict:
     """Sample permutation x diagonal-Clifford unitaries and report the
     max |<psi1|D P|psi2>| (soundness sweep for the low-rank encoding)."""
-    n = psi1.n_qubits
-    rng = np.random.default_rng(seed)
-    d = 1 << n
-    idx = np.arange(d)
-    bits = [(idx >> (n - 1 - q)) & 1 for q in range(n)]
-    a1 = psi1.amplitudes.conj()
-    max_ov = 0.0
-    exceed = 0
-    perms = list(permutations(range(n)))
-    for _ in range(count):
-        perm = perms[int(rng.integers(len(perms)))]
-        # P|x_0..x_{n-1}> sends qubit q to perm[q]
-        target = np.zeros(d, dtype=np.int64)
-        for q in range(n):
-            target |= bits[q] << (n - 1 - perm[q])
-        permuted = np.zeros(d, dtype=complex)
-        permuted[target] = psi2.amplitudes
-        # diagonal Clifford: i^{q_i x_i} and (-1)^{r_ij x_i x_j}
-        phase = np.zeros(d, dtype=np.int64)
-        for q in range(n):
-            phase += int(rng.integers(4)) * bits[q]
-        for q in range(n):
-            for r in range(q + 1, n):
-                phase += 2 * int(rng.integers(2)) * bits[q] * bits[r]
-        ov = abs(np.dot(a1, _PHASES[phase & 3] * permuted))
-        if ov > max_ov:
-            max_ov = ov
-        if ov > threshold:
-            exceed += 1
-    return {"count": count, "seed": seed, "threshold": threshold,
-            "max_overlap": float(max_ov), "exceed_count": exceed}
+    return _overlap_sweep(psi1, psi2, count, seed, threshold, _diagonal_permutation_batch)
 
 
 # ----------------------------------------------------------------------

@@ -193,6 +193,14 @@ class TestVerifyCommands:
         assert isinstance(res.exception, SystemExit)
         assert "budget" in res.output and "Traceback" not in res.output
 
+    def test_lemma_perm_kept_over_budget_is_config_error(self, runner, monkeypatch):
+        # threshold 1e-12 keeps 11,390 of the 2-qubit group, about 5 MiB
+        from stateiso import linalg
+        monkeypatch.setattr(linalg, "_DENSE_BUDGET", 1 << 20)
+        res = runner.invoke(main, ["verify", "lemma-perm", "--n", "2", "--threshold", "1e-12"])
+        _assert_config_error(res)
+        assert "budget" in res.stderr
+
     def test_lemma_perm_n4_is_config_error(self, runner):
         # the 4-qubit group has 1.2e13 elements: refused, not enumerated
         res = runner.invoke(main, ["verify", "lemma-perm", "--n", "4"])
@@ -741,12 +749,12 @@ class TestDeterminism:
     def test_trace_transfer_stdout_pinned(self, runner):
         # recorded while the involution h was found by scanning the group for
         # the first non-identity element that squares to the identity; that
-        # scan picked (0, 0, 1), Z on qubit 0, and the gap's last bits pin it
+        # scan picked (0, 0, 1), Z on qubit 0, which the document now names
         res = runner.invoke(main, ["verify", "trace-transfer", "--count", "50",
                                    "--seed", "5"])
         assert res.exit_code == 0
-        assert res.stdout == ('{\n  "count": 50,\n  "passed": true,\n  "version": 1,\n'
-                              '  "worst_gap": 1.3322676295501878e-15\n}\n')
+        assert res.stdout == ('{\n  "count": 50,\n  "h": "(0, 0, 1)",\n  "passed": true,\n'
+                              '  "version": 1,\n  "worst_gap": 1.3322676295501878e-15\n}\n')
 
     @pytest.mark.parametrize("args, stdout", [
         (["psgi", "--quantum", "--same-state", "--n", "2", "--seed", "1"],

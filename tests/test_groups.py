@@ -86,6 +86,19 @@ class TestGroupConstructions:
         for g in rep.elements:          # every element is an involution
             assert rep.multiply(g, g) == rep.identity
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_two_copy_pauli_stack_is_kron(self, n):
+        # each element is one 2n-qubit Pauli; it equals +-B x B, with
+        # B = X^x Z^z the kron of its single-qubit factors, qubit 0 first
+        x1, z1 = np.array([[0, 1], [1, 0]]), np.diag([1, -1])
+        rep = two_copy_pauli(n)
+        for (x, z, s), u in zip(rep.elements, rep.unitaries):
+            b = np.eye(1)
+            for q in range(n):
+                b = np.kron(b, np.linalg.matrix_power(x1, x >> q & 1)
+                            @ np.linalg.matrix_power(z1, z >> q & 1))
+            assert np.array_equal(u, (-1) ** s * np.kron(b, b)), (x, z, s)
+
     def test_cyclic_groups(self):
         for kind in ("phase", "shift"):
             rep = cyclic_group(6, kind)

@@ -10,6 +10,7 @@ from stateiso.linalg import (Circuit, DensityMatrix, random_density, run_circuit
                              sqrt_fidelity, trace_norm)
 from stateiso.paulis import (
     CliffordElement,
+    PauliOp,
     random_clifford,
 )
 from stateiso.psgi import PsgiVerdict
@@ -253,6 +254,17 @@ class TestLemmaPerm:
         assert report["violations"] == []
         assert report["fraction_permutations"] == 1.0
 
+    @pytest.mark.parametrize("mode, samples", [("exhaustive", 0), ("sampled", 20000)])
+    def test_kept_cliffords_over_budget_refused(self, monkeypatch, mode, samples):
+        # at threshold 1e-12 the 2-qubit group keeps 11,390 elements (about
+        # 5 MiB); under a 1 MiB budget they are refused, the default
+        # threshold's two are not
+        from stateiso import linalg
+        monkeypatch.setattr(linalg, "_DENSE_BUDGET", 1 << 20)
+        assert verify_lemma_perm(2, mode, samples)["violations"] == []
+        with pytest.raises(ReductionError, match="budget"):
+            verify_lemma_perm(2, mode, samples, threshold=1e-12)
+
     def test_first_qubit_claim(self):
         pairs = [(Graph.path(3), Graph.path(3).relabel((1, 0, 2))),
                  (Graph.cycle(4), Graph.cycle(4))]
@@ -334,6 +346,74 @@ class TestLowRank:
             lr1.materialize(), lr2.materialize(), count=500, seed=0,
             threshold=th.alpha)
         assert report["max_overlap"] <= 1.0 + 1e-12
+
+
+def _scalar_sweep_overlaps(psi1, psi2, count, rng):
+    """The per-draw loop the sweep replaced: a uniform qubit permutation by
+    a basis-index gather, then i^{a_q} and (-1)^{c_qr} phases drawn one
+    scalar call each, scored as |<psi1|D P|psi2>| one draw at a time."""
+    from itertools import permutations
+    n = psi1.n_qubits
+    d = 1 << n
+    idx = np.arange(d)
+    bits = [(idx >> (n - 1 - q)) & 1 for q in range(n)]
+    perms = list(permutations(range(n)))
+    out = []
+    for _ in range(count):
+        perm = perms[int(rng.integers(len(perms)))]
+        # P|x_0..x_{n-1}> sends qubit q to perm[q]
+        target = np.zeros(d, dtype=np.int64)
+        for q in range(n):
+            target |= bits[q] << (n - 1 - perm[q])
+        permuted = np.zeros(d, dtype=complex)
+        permuted[target] = psi2.amplitudes
+        phase = np.zeros(d, dtype=np.int64)
+        for q in range(n):
+            phase += int(rng.integers(4)) * bits[q]
+        for q in range(n):
+            for r in range(q + 1, n):
+                phase += 2 * int(rng.integers(2)) * bits[q] * bits[r]
+        ov = np.dot(psi1.amplitudes.conj(), np.array([1, 1j, -1, -1j])[phase & 3] * permuted)
+        out.append(abs(ov))
+    return np.array(out)
+
+
+class TestDiagonalPermutationStream:
+    """The sweep's blocks of D P Cliffords against the scalar loop it
+    replaced: the same draws in the same order, the same overlaps."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_blocks_match_scalar_loop(self, n):
+        from stateiso.paulis import batch_block_size, batch_overlaps
+        from stateiso.psgi import random_state
+        from stateiso.reductions import _diagonal_permutation_batch
+        states = np.random.default_rng(n)
+        psi1, psi2 = random_state(n, states), random_state(n, states)
+        # past one block of the sweep, so that two integers calls are made
+        count = batch_block_size(1 << n) + 7
+        rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+        want = _scalar_sweep_overlaps(psi1, psi2, count, ref)
+        batch = _diagonal_permutation_batch(n, rng, count)
+        got = np.abs(batch_overlaps(batch, psi1, psi2))
+        assert np.abs(got - want).max() < 1e-12
+        # the rows are Cliffords: Hermitian images that anticommute exactly
+        # for X_q and Z_q.  The overlaps alone would not see a missing Z_q in
+        # the image of X_q under S_q, nor wrong images of the Z_q
+        for b in range(min(count, 64)):
+            images = [PauliOp(n, *t) for t in zip(*(a[b].tolist() for a in batch[1:]))]
+            for i, p in enumerate(images):
+                assert p.is_hermitian(), (b, i)
+                for j, o in enumerate(images):
+                    assert ((p * o).key() != (o * p).key()) == (abs(i - j) == n), (b, i, j)
+        assert rng.bit_generator.state == ref.bit_generator.state
+        # the sweep draws its blocks from the same stream; the threshold sits
+        # mid-way in the widest gap between overlaps, clear of round-off
+        v = np.sort(want)
+        gap = int(np.argmax(np.diff(v)))
+        threshold = float(v[gap] + v[gap + 1]) / 2
+        report = diagonal_permutation_overlap_sweep(psi1, psi2, count, 3, threshold)
+        assert report["exceed_count"] == int(np.count_nonzero(want > threshold))
+        assert abs(report["max_overlap"] - want.max()) < 1e-12
 
 
 class TestBqpHardness:
