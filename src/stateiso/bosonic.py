@@ -27,6 +27,7 @@ from itertools import permutations, product
 from typing import Optional
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from . import obs
 from .graphs import Graph
@@ -36,6 +37,11 @@ from .linalg import UnitaryMatrix
 ModeUnitary = UnitaryMatrix
 
 PHOTON_CAP = 4
+
+# the QR factorization in place (numpy < 2 names its m <= n case qr_r_raw_m)
+# and the Q it builds from the reflectors, as numpy's own qr resolves them
+_qr_r_raw = getattr(_umath_linalg, "qr_r_raw", None) or _umath_linalg.qr_r_raw_m
+_qr_reduced = _umath_linalg.qr_reduced
 
 
 class BosonicError(ValueError):
@@ -510,9 +516,14 @@ def _overlap_plan(src: dict, tgt: dict, n: int):
 
 
 def _qr_retract(m: np.ndarray) -> np.ndarray:
-    """Q of m = QR with R's diagonal made positive, over a stack (R, n, n)."""
-    q, r = np.linalg.qr(m)
-    d = r.diagonal(0, 1, 2)
+    """Q of m = QR with R's diagonal made positive, over a stack (R, n, n).
+
+    The two LAPACK gufuncs (geqrf, then ungqr) on a copy of m, as numpy's
+    own qr calls them without its per-call wrapper, so Q is bit for bit its
+    Q; the factored copy holds R in its upper triangle."""
+    a = np.array(m, dtype=complex)
+    q = _qr_reduced(a, _qr_r_raw(a))
+    d = a.diagonal(0, 1, 2)
     return q * (d / np.abs(d))[:, None]
 
 

@@ -219,18 +219,25 @@ def cmd_psgi(instance_path, use_oracle, group, n_qubits, same_state, kind,
                        random_pauli_psgi_instance, random_state)
     if instance_path:
         bundle = _read_json(instance_path)
-        if bundle.get("type") == "gi_clifford":
+        bundle_type = bundle.get("type", "psgi")
+        if bundle_type == "gi_clifford":
             return _run_gi_clifford_bundle(bundle, sweep_count, seed)
+        if bundle_type != "psgi":
+            # every other reduce output is an instance of another problem
+            _config_error(f"psgi --instance decides bundles of type 'psgi' or "
+                          f"'gi_clifford', not {bundle_type!r}")
         inst = _psgi_from_bundle(bundle)
     else:
         thresholds = DecisionThresholds(alpha, beta)
         rep = group_from_spec({"type": group, "n": n_qubits})
+        # the group's own qubit count: two_copy_pauli(n) acts on 2n qubits
+        qubits = rep.dim.bit_length() - 1
         rng = np.random.default_rng(seed)
         if same_state:
-            psi = random_state(n_qubits, rng)
+            psi = random_state(qubits, rng)
             inst = PsgiInstance(psi, psi, rep, thresholds)
         else:
-            inst = random_pauli_psgi_instance(n_qubits, thresholds, kind, rng,
+            inst = random_pauli_psgi_instance(qubits, thresholds, kind, rng,
                                               rep=rep)
     if use_oracle:
         verdict = psgi_oracle(inst)

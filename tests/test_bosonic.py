@@ -509,6 +509,25 @@ class TestLockstepAscent:
             d = np.diagonal(r)
             assert np.abs(stacked[i] - q * (d / np.abs(d))).max() <= 1e-14
 
+    @pytest.mark.parametrize("rows", [1, 3, 50])
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_retraction_is_np_linalg_qr_exactly(self, rows, n):
+        """The LAPACK gufuncs np.linalg.qr calls, called directly: the same
+        bits, on Ginibre stacks and on the near-unitary stacks of an ascent
+        step, and the argument left as it was."""
+        rng = np.random.default_rng(100 * rows + n)
+        ginibre = rng.normal(size=(rows, n, n)) + 1j * rng.normal(size=(rows, n, n))
+        v = _haar_stack(n, rng, rows)
+        f = rng.normal(size=(rows, 1, 1)) + 1j * rng.normal(size=(rows, 1, 1))
+        grad = rng.normal(size=(rows, n, n)) + 1j * rng.normal(size=(rows, n, n))
+        rgrad = bosonic._rgrad(v, f, grad)
+        for m in [ginibre] + [v + s * rgrad for s in (0.5, 1e-3, 1e-9)]:
+            before = m.copy()
+            q, r = np.linalg.qr(m)
+            d = r.diagonal(0, 1, 2)
+            assert np.array_equal(_qr_retract(m), q * (d / np.abs(d))[:, None])
+            assert np.array_equal(m, before)
+
     def test_optimize_overlap_pinned(self, tmp_path):
         """P4 vs K_{1,3}, 6 restarts from seed 0: the values of the
         sequential per-restart ascent that the lockstep kernel replaced."""

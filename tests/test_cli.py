@@ -75,6 +75,74 @@ class TestPsgiCommand:
         res = runner.invoke(main, ["psgi", "--instance", "/nonexistent.json"])
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("flags, code, decision", [
+        (["--kind", "yes"], 0, "YES"),
+        (["--kind", "no"], 1, "NO"),
+        (["--same-state"], 0, "YES"),
+    ], ids=["yes", "no", "same-state"])
+    def test_two_copy_pauli_draws_on_its_2n_qubits(self, runner, flags, code, decision):
+        res = runner.invoke(main, ["psgi", "--group", "two_copy_pauli", "--n", "1", *flags])
+        assert res.exit_code == code, res.output
+        assert _json_body(res.output)["decision"] == decision
+
+
+def _bundle_of_type(runner, tmp_path, bundle_type):
+    """A bundle as ``reduce`` writes it for that type."""
+    g = _write_graph(tmp_path / "g.txt", Graph.path(3))
+    rho = tmp_path / "rho.json"
+    rho.write_text(json.dumps(DensityMatrix(1, np.diag([0.7, 0.3]).astype(complex)).to_obj()))
+    psgi_bundle = tmp_path / "psgi.json"
+    # the state-HSP reduction needs an abelian group
+    psgi_bundle.write_text(json.dumps(_psgi_bundle(group={"type": "cyclic", "N": 2,
+                                                          "rep": "shift"})))
+    args = {"gi_lowrank": ["gi-lowrank", g, g],
+            "gi_bosonic": ["gi-bosonic", g, g],
+            "msgi": ["qsd-msgi", str(rho), str(rho)],
+            "mixed_hsp": ["qsd-mixedhsp", str(rho), str(rho)],
+            "state_hsp": ["psgi-statehsp", str(psgi_bundle)]}[bundle_type]
+    path = tmp_path / "bundle.json"
+    res = runner.invoke(main, ["reduce", *args, "--out", str(path)])
+    assert res.exit_code == 0, res.output
+    assert json.loads(path.read_text())["type"] == bundle_type
+    return path
+
+
+def _psgi_bundle(**fields):
+    state = {"n_qubits": 1, "amplitudes": [[0.6, 0.0], [0.0, 0.8]]}
+    return {"version": 1, "type": "psgi", "psi1": state, "psi2": state,
+            "group": {"type": "pauli", "n": 1}, "alpha": 0.6, "beta": 0.99, **fields}
+
+
+class TestInstanceBundleType:
+    @pytest.mark.parametrize("bundle_type",
+                             ["gi_lowrank", "gi_bosonic", "msgi", "mixed_hsp", "state_hsp"])
+    def test_other_reduce_outputs_are_refused(self, runner, tmp_path, bundle_type):
+        path = _bundle_of_type(runner, tmp_path, bundle_type)
+        res = runner.invoke(main, ["psgi", "--instance", str(path)])
+        _assert_config_error(res)
+        assert repr(bundle_type) in res.stderr
+
+    @pytest.mark.parametrize("bundle_type", [None, 5, ["psgi"], {"type": "psgi"}],
+                             ids=["null", "number", "list", "object"])
+    def test_non_string_type_is_refused(self, runner, tmp_path, bundle_type):
+        path = tmp_path / "bundle.json"
+        path.write_text(json.dumps(_psgi_bundle(type=bundle_type)))
+        res = runner.invoke(main, ["psgi", "--instance", str(path)])
+        _assert_config_error(res)
+        assert repr(bundle_type) in res.stderr
+
+    def test_bundle_without_type_is_decided_as_psgi(self, runner, tmp_path):
+        typed, untyped = tmp_path / "typed.json", tmp_path / "untyped.json"
+        typed.write_text(json.dumps(_psgi_bundle()))
+        bundle = _psgi_bundle()
+        del bundle["type"]
+        untyped.write_text(json.dumps(bundle))
+        res = runner.invoke(main, ["psgi", "--instance", str(untyped)])
+        assert res.exit_code == 0
+        assert _json_body(res.output)["decision"] == "YES"
+        assert _json_body(res.output) == _json_body(
+            runner.invoke(main, ["psgi", "--instance", str(typed)]).output)
+
 
 class TestReducePipeline:
     def test_gi_clifford_isomorphic_pipeline(self, runner, tmp_path):
