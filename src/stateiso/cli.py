@@ -11,6 +11,16 @@ import math
 import os
 import sys
 
+# stateiso's kernels work on small matrices, where a threaded BLAS costs more
+# than it saves: its workers spin for ~0.1 s after start-up and after each
+# threaded call, and the last bits of a seeded output follow the thread count.
+# So the CLI runs BLAS on one thread unless the environment names a count.
+# Once numpy is loaded its BLAS is set up, and the variables would reach only
+# child processes, so they are then left alone.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if "numpy" not in sys.modules and not any(v in os.environ for v in _BLAS_THREAD_VARS):
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+
 import click
 import numpy as np
 
@@ -30,6 +40,9 @@ EXIT_PROMISE = 3
 # the Clifford action (count * n * 2^n).  Sweeps cost about 40 ns per entry
 # at n = 9..13 (2 vCPUs, numpy 2.4), so this is about a minute.
 SWEEP_ENTRY_BUDGET = 1_500_000_000
+
+GROUP_N_HELP = ("The group's parameter: pauli(n) and clifford(n) act on n qubits, "
+                "two_copy_pauli(n) on 2n.")
 
 
 def _resolve_out(out: str) -> str:
@@ -197,7 +210,8 @@ def main():
 @click.option("--oracle/--quantum", "use_oracle", default=True,
               help="Exact orbit scan vs the character-sampling solver.")
 @click.option("--group", default="pauli", show_default=True)
-@click.option("--n", "n_qubits", type=int, default=1, show_default=True)
+@click.option("--n", "n_qubits", type=int, default=1, show_default=True,
+              help=GROUP_N_HELP)
 @click.option("--same-state", is_flag=True, help="psi1 = psi2 (trivial YES).")
 @click.option("--kind", type=click.Choice(["yes", "no"]), default="yes",
               show_default=True, help="Random instance kind when built from flags.")
@@ -219,13 +233,8 @@ def cmd_psgi(instance_path, use_oracle, group, n_qubits, same_state, kind,
                        random_pauli_psgi_instance, random_state)
     if instance_path:
         bundle = _read_json(instance_path)
-        bundle_type = bundle.get("type", "psgi")
-        if bundle_type == "gi_clifford":
+        if bundle.get("type") == "gi_clifford":
             return _run_gi_clifford_bundle(bundle, sweep_count, seed)
-        if bundle_type != "psgi":
-            # every other reduce output is an instance of another problem
-            _config_error(f"psgi --instance decides bundles of type 'psgi' or "
-                          f"'gi_clifford', not {bundle_type!r}")
         inst = _psgi_from_bundle(bundle)
     else:
         thresholds = DecisionThresholds(alpha, beta)
@@ -262,6 +271,10 @@ def _psgi_from_bundle(bundle: dict):
     from .groups import DecisionThresholds, group_from_spec
     from .linalg import StateVector
     from .psgi import PsgiInstance
+    bundle_type = bundle.get("type", "psgi")
+    if bundle_type != "psgi":
+        # every other reduce output is an instance of another problem
+        _config_error(f"a bundle of type {bundle_type!r} is not a psgi instance")
     psi1 = StateVector.from_obj(_field(bundle, "psi1", dict, "an object"))
     psi2 = StateVector.from_obj(_field(bundle, "psi2", dict, "an object"))
     rep = group_from_spec(_field(bundle, "group", dict, "an object"))
@@ -369,7 +382,8 @@ def reduce_gi_bosonic(graph1, graph2):
 @click.argument("sigma1", type=str)
 @click.argument("sigma2", type=str)
 @click.option("--group", default="pauli", show_default=True)
-@click.option("--n", "n_qubits", type=int, default=1, show_default=True)
+@click.option("--n", "n_qubits", type=int, default=1, show_default=True,
+              help=GROUP_N_HELP)
 @click.option("--seed", type=int, default=0, show_default=True)
 def reduce_qsd_msgi(sigma1, sigma2, group, n_qubits, seed):
     from .groups import group_from_spec
@@ -392,7 +406,8 @@ def reduce_qsd_msgi(sigma1, sigma2, group, n_qubits, seed):
 @click.argument("sigma1", type=str)
 @click.argument("sigma2", type=str)
 @click.option("--group", default="pauli", show_default=True)
-@click.option("--n", "n_qubits", type=int, default=1, show_default=True)
+@click.option("--n", "n_qubits", type=int, default=1, show_default=True,
+              help=GROUP_N_HELP)
 @click.option("--h-index", type=int, default=1, show_default=True,
               help="Index of the involution h in the group's element list.")
 def reduce_qsd_mixedhsp(sigma1, sigma2, group, n_qubits, h_index):

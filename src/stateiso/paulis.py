@@ -497,8 +497,10 @@ def batch_overlaps(batch: CliffordBatch, psi1: StateVector, psi2: StateVector) -
     for rows, f in _blocks(batch):
         w = _hadamard(_PHASES.take(f.phi) * bra.take(f.idx), f.s, n)
         amps = _PHASES.take(f.a[cols]) * w[f.pi[cols], np.arange(len(f.s))]
-        # einsum keeps this small product off the threaded BLAS, whose
-        # wake-up can cost milliseconds between numpy calls
+        # einsum keeps this small product off a threaded BLAS, whose wake-up
+        # can cost milliseconds between numpy calls; the CLI runs BLAS on one
+        # thread, so this protects in-process callers whose BLAS is threaded,
+        # such as library users and perfbench's in-process workloads
         out[rows] = np.einsum("m,mb->b", ket, amps) / np.sqrt(1 << f.h)
     obs.count("paulis.cliffords_applied", len(batch.ph))
     obs.count("paulis.action_entries", len(batch.ph) * n << n)
@@ -899,7 +901,9 @@ def sign_factored_r_overlap_sq(n: int, indices: np.ndarray) -> np.ndarray:
     terms, _ = batch_r_overlap_terms(_rows_to_batch(rows, np.zeros(len(rows), np.int64), n))
     obs.count("paulis.cliffords_scored", len(rows) << 2 * n)
     # row chunks keep each product within OpenBLAS's one-thread size
-    # (m k n <= 2^18), past which its threads spin between calls
+    # (m k n <= 2^18), past which its threads spin between calls; the CLI
+    # runs BLAS on one thread, so this protects in-process callers whose BLAS
+    # is threaded, such as library users and perfbench's in-process workloads
     out, step = np.empty((len(rows), 1 << 2 * n)), (1 << 18) // 12 ** n
     for lo in range(0, len(rows), step):
         np.matmul(terms[lo:lo + step], _sign_matrix(n).T, out=out[lo:lo + step])

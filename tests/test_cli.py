@@ -95,7 +95,8 @@ def _bundle_of_type(runner, tmp_path, bundle_type):
     # the state-HSP reduction needs an abelian group
     psgi_bundle.write_text(json.dumps(_psgi_bundle(group={"type": "cyclic", "N": 2,
                                                           "rep": "shift"})))
-    args = {"gi_lowrank": ["gi-lowrank", g, g],
+    args = {"gi_clifford": ["gi-clifford", g, g],
+            "gi_lowrank": ["gi-lowrank", g, g],
             "gi_bosonic": ["gi-bosonic", g, g],
             "msgi": ["qsd-msgi", str(rho), str(rho)],
             "mixed_hsp": ["qsd-mixedhsp", str(rho), str(rho)],
@@ -128,6 +129,23 @@ class TestInstanceBundleType:
         path = tmp_path / "bundle.json"
         path.write_text(json.dumps(_psgi_bundle(type=bundle_type)))
         res = runner.invoke(main, ["psgi", "--instance", str(path)])
+        _assert_config_error(res)
+        assert repr(bundle_type) in res.stderr
+
+    @pytest.mark.parametrize("bundle_type", ["gi_clifford", "gi_lowrank", "gi_bosonic",
+                                             "msgi", "mixed_hsp", "state_hsp"])
+    def test_statehsp_refuses_other_reduce_outputs(self, runner, tmp_path, bundle_type):
+        path = _bundle_of_type(runner, tmp_path, bundle_type)
+        res = runner.invoke(main, ["reduce", "psgi-statehsp", str(path)])
+        _assert_config_error(res)
+        assert repr(bundle_type) in res.stderr
+
+    @pytest.mark.parametrize("bundle_type", [None, 5, ["psgi"], {"type": "psgi"}],
+                             ids=["null", "number", "list", "object"])
+    def test_statehsp_refuses_a_non_string_type(self, runner, tmp_path, bundle_type):
+        path = tmp_path / "bundle.json"
+        path.write_text(json.dumps(_psgi_bundle(type=bundle_type)))
+        res = runner.invoke(main, ["reduce", "psgi-statehsp", str(path)])
         _assert_config_error(res)
         assert repr(bundle_type) in res.stderr
 
@@ -390,6 +408,18 @@ class TestProtocolCommands:
         text = path.read_text()
         assert text.splitlines()[0].startswith("instance,")
         assert "iso" in text
+
+    @pytest.mark.parametrize("k, seed", [(4, 0), (4, 3), (5, 1)])
+    def test_qszk_mixed_isomorphic_distance_is_exactly_zero(self, runner, k, seed):
+        # the isomorphic pair's twirls are equal bit for bit, and the trace
+        # norm of their zero difference is read without a decomposition
+        res = runner.invoke(main, ["protocol", "qszk-mixed", "--k", str(k), "--trials", "1",
+                                   "--seed", str(seed)])
+        assert res.exit_code == 0, res.output
+        rows = [json.loads(ln) for ln in res.stdout.splitlines()]
+        assert rows[0]["instance"] == "isomorphic"
+        assert rows[0]["twirled_distance"] == 0.0
+        assert rows[1]["twirled_distance"] > 0.9
 
 
 P4_TEXT = Graph.path(4).to_edge_list_text()
@@ -801,7 +831,9 @@ class TestDeterminism:
         ]
 
     def test_qszk_mixed_stdout_pinned(self, runner):
-        # rows recorded while k_twirl's output still went through the eigenvalue check
+        # rows recorded while k_twirl's output still went through the eigenvalue
+        # check; the alpha-far distance re-recorded with BLAS on one thread, the
+        # CLI's default (its last digit differs under a threaded BLAS)
         res = runner.invoke(main, ["protocol", "qszk-mixed", "--k", "4", "--trials", "20",
                                    "--seed", "3"])
         assert res.exit_code == 0
@@ -810,7 +842,7 @@ class TestDeterminism:
             '"twirled_distance": 0.0, "wilson_high": 0.7418049791429071, '
             '"wilson_low": 0.3420820083075997}',
             '{"accept_rate": 1.0, "accepts": 20, "instance": "alpha-far", "trials": 20, '
-            '"twirled_distance": 0.9920614591379662, "wilson_high": 1.0, '
+            '"twirled_distance": 0.992061459137966, "wilson_high": 1.0, '
             '"wilson_low": 0.8388698745050667}',
         ]
 
@@ -902,14 +934,49 @@ class TestConfigLine:
             assert set(config) == {"command"} | {p.name for p in cmd.params}, name
 
 
-def _python(code, cwd):
-    """A fresh interpreter running ``code`` on this checkout's sources."""
+def _python(code, cwd, blas=None):
+    """A fresh interpreter running ``code`` on this checkout's sources; given
+    ``blas``, its BLAS thread variables are exactly those."""
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     env.pop("STATEISO_OUT_DIR", None)
+    if blas is not None:
+        for var in cli._BLAS_THREAD_VARS:
+            env.pop(var, None)
+        env.update(blas)
     return subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+class TestBlasThreadPolicy:
+    """The CLI runs BLAS on one thread unless the environment names a count."""
+
+    SHOW = ("import os, stateiso.cli; "
+            "print([os.environ.get(v) for v in stateiso.cli._BLAS_THREAD_VARS])")
+
+    def test_seeded_stdout_does_not_follow_the_core_count(self, tmp_path):
+        # the installed `stateiso` command runs exactly this
+        run = ("from stateiso.cli import main; "
+               "main(['protocol', 'qszk-mixed', '--k', '4', '--trials', '20', '--seed', '3'])")
+        unset = _python(run, tmp_path, blas={})
+        one = _python(run, tmp_path, blas={"OPENBLAS_NUM_THREADS": "1"})
+        assert unset.returncode == one.returncode == 0, unset.stderr + one.stderr
+        assert unset.stdout == one.stdout
+        assert "0.992061459137966," in one.stdout
+
+    def test_unset_variables_are_set_to_one(self, tmp_path):
+        proc = _python(self.SHOW, tmp_path, blas={})
+        assert proc.stdout.split("\n")[0] == "['1', '1', '1']", proc.stderr
+
+    def test_a_thread_count_the_user_sets_is_kept(self, tmp_path):
+        proc = _python(self.SHOW, tmp_path, blas={"OPENBLAS_NUM_THREADS": "3"})
+        assert proc.stdout.split("\n")[0] == "['3', None, None]", proc.stderr
+
+    def test_left_alone_once_numpy_is_loaded(self, tmp_path):
+        # numpy's BLAS is set up by then: the variables would reach only children
+        proc = _python("import numpy; " + self.SHOW, tmp_path, blas={})
+        assert proc.stdout.split("\n")[0] == "[None, None, None]", proc.stderr
 
 
 class TestNoNetworkx:

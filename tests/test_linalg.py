@@ -171,3 +171,11 @@ class TestMetrics:
         m = a.matrix - b.matrix
         want = np.abs(np.linalg.eigvalsh(m)).sum()
         assert abs(trace_norm(m) - want) < 1e-10
+
+    def test_trace_norm_of_zero_skips_the_decomposition(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("decomposed a zero matrix")
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        for m in (np.zeros((8, 8)), np.zeros((3, 5), dtype=complex)):
+            assert trace_norm(m) == 0.0
