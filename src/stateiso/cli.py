@@ -284,7 +284,7 @@ def _psgi_from_bundle(bundle: dict):
 
 
 def _run_gi_clifford_bundle(bundle: dict, sweep_count: int, seed: int) -> dict:
-    from .graphs import Graph, find_isomorphism
+    from .graphs import Graph
     from .reductions import clifford_overlap_sweep, gi_to_clifford
     g1 = Graph.from_edge_list_text(_field(bundle, "graph1", str, "a string"))
     g2 = Graph.from_edge_list_text(_field(bundle, "graph2", str, "a string"))
@@ -292,9 +292,8 @@ def _run_gi_clifford_bundle(bundle: dict, sweep_count: int, seed: int) -> dict:
     if hasattr(inst, "decision"):        # mismatched counts: immediate NO
         return {"version": SCHEMA_VERSION, "decision": "NO", "witness": None,
                 "achieved_overlap": [0.0, 0.0]}
-    perm = find_isomorphism(g1, g2)
-    if perm is not None:
-        witness = inst.permutation_witness()
+    witness = inst.permutation_witness()
+    if witness is not None:
         overlap = inst.overlap(witness)
         return {"version": SCHEMA_VERSION, "decision": "YES", "witness": repr(witness),
                 "achieved_overlap": [overlap.real, overlap.imag]}

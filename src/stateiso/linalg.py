@@ -50,6 +50,12 @@ def check_budget(log2_bytes: float, what: str, error) -> None:
                     f"{_DENSE_BUDGET >> 20} MiB budget")
 
 
+def kron_vectors(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The tensor product of two vectors, entry i len(b) + j = a[i] b[j]: one
+    broadcast product, bit for bit ``np.kron`` without its overhead."""
+    return (a[:, None] * b).reshape(-1)
+
+
 @dataclass(frozen=True)
 class StateVector:
     """Normalized pure state on ``n_qubits`` qubits (big-endian basis order:

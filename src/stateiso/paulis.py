@@ -31,7 +31,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from . import obs
-from .linalg import StateVector, UnitaryMatrix, check_budget
+from .linalg import StateVector, UnitaryMatrix, check_budget, kron_vectors
 
 _PHASE = (1, 1j, -1, -1j)
 
@@ -319,19 +319,28 @@ def _walk(ph, x, z, n: int):
     return p & 3, xs
 
 
+@functools.cache
+def _selector_bits(m: int):
+    """(bits, later) for m selected Paulis, read-only: bits[q] = 2^(m - 1 - q)
+    selects [q], and later[q] holds the bits of the q' > q."""
+    bits = 1 << np.arange(m - 1, -1, -1)
+    later = bits * (np.arange(m)[:, None] < np.arange(m))
+    for a in (bits, later):
+        a.setflags(write=False)
+    return bits, later
+
+
 def _product_phases(sel, ph, x, z, n: int):
     """Phase exponents of the products, in the order of q, of the n-qubit
     Paulis i^ph X^x Z^z at [q], q < m = len(ph), that the m-bit masks
     ``sel[k]`` select (bit m - 1 - q selects [q]): the sum of their phases
     plus 2 |z_q & x_q'| over the selected pairs q < q'."""
     m = len(ph)
-    bits = 1 << np.arange(m - 1, -1, -1)
+    bits, later = _selector_bits(m)
     # anti[q]: selector mask of the q' > q with |z_q & x_q'| odd
-    later = bits * (np.arange(m)[:, None] < np.arange(m))
     anti = (_parity(z[:, None] & x, n) * later[..., None]).sum(axis=1)
     on = (sel[:, None] & bits[:, None]) != 0
-    pairs = on & _parity(sel[:, None] & anti, m)
-    return (on * ph).sum(axis=1) + 2 * pairs.sum(axis=1, dtype=np.int64)
+    return (on * (ph + 2 * _parity(sel[:, None] & anti, m))).sum(axis=1)
 
 
 class _Factors(NamedTuple):
@@ -421,15 +430,35 @@ def _factor(batch: CliffordBatch) -> _Factors:
                     s, _popcount(s, n).astype(np.int64))
 
 
+def _permutation_factors(batch: CliffordBatch) -> _Factors:
+    """``_factor`` of rows that are all qubit permutations, by construction:
+    S is empty, F1 the identity, every phase 0, and F2 the gather of basis
+    indices that moves the index bit of each qubit q to that of pi(q)."""
+    n, b = batch.n, len(batch.ph)
+    d = 1 << n
+    x = _index_masks(batch.x[:, :n].T, n)
+    # entry j + 2^t is entry j with the image of index bit t, as in ``_walk``
+    pi = np.zeros((d, b), dtype=np.int64)
+    for t in range(n):
+        np.bitwise_xor(pi[:1 << t], x[n - 1 - t], out=pi[1 << t:2 << t])
+    zeros = np.zeros_like(pi)
+    none = np.zeros(b, dtype=np.int64)
+    return _Factors(zeros, np.arange(d)[:, None].repeat(b, axis=1), zeros, pi, none, none)
+
+
 def _blocks(batch: CliffordBatch):
     """(rows, factors) over the batch, so many rows at a time that no array
     of the factorization, the two stacked (d, B) walk tables included,
-    exceeds ``_BLOCK_ENTRIES`` entries."""
+    exceeds ``_BLOCK_ENTRIES`` entries.  A block of qubit permutations gets
+    its factors by construction; any X image with a Z part rules a block
+    out before the full test."""
     n = batch.n
     step = batch_block_size(max(2 << n, n * n))
     for lo in range(0, len(batch.ph), step):
         rows = slice(lo, lo + step)
-        yield rows, _factor(CliffordBatch(n, *(a[rows] for a in batch[1:])))
+        block = CliffordBatch(n, *(a[rows] for a in batch[1:]))
+        perm = not block.z[:, :n].any() and block.permutation_mask().all()
+        yield rows, _permutation_factors(block) if perm else _factor(block)
 
 
 def _hadamard(v: np.ndarray, s: np.ndarray, n: int) -> np.ndarray:
@@ -646,13 +675,21 @@ def _symplectic_rows(indices, n: int) -> np.ndarray:
     return rows
 
 
+# the even (X) bits of each byte, packed into four bits; int64, so that the
+# shifts below cannot wrap on numpy < 2
+_EVEN8 = (((np.arange(256)[:, None] >> np.arange(0, 8, 2)) & 1) << np.arange(4)).sum(axis=1)
+_ODD8 = _EVEN8[np.arange(256) >> 1]
+
+
 def _rows_to_batch(rows: np.ndarray, signs: np.ndarray, n: int) -> CliffordBatch:
-    """Generator j reads packed row 2 (j mod n) + j // n and sign bit j."""
+    """Generator j reads packed row 2 (j mod n) + j // n and sign bit j; the
+    X and Z bits of each row are unpacked a byte at a time."""
     rows = np.hstack((rows[:, 0::2], rows[:, 1::2]))
-    x = z = np.zeros_like(rows)
-    for q in range(n):
-        x = x | ((rows >> (2 * q)) & 1) << q
-        z = z | ((rows >> (2 * q + 1)) & 1) << q
+    x, z = _EVEN8.take(rows & 255), _ODD8.take(rows & 255)
+    for k in range(8, 2 * n, 8):
+        byte = rows >> k & 255
+        x = x | _EVEN8.take(byte) << k // 2
+        z = z | _ODD8.take(byte) << k // 2
     ph = _parity(x & z, n) + 2 * ((signs[:, None] >> np.arange(2 * n)) & 1)
     return CliffordBatch(n, ph, x, z)
 
@@ -757,7 +794,7 @@ def r_state_product(n: int) -> StateVector:
     amps = np.ones(1, dtype=complex)
     single = r_state().amplitudes
     for _ in range(n):
-        amps = np.kron(amps, single)
+        amps = kron_vectors(amps, single)
     return StateVector(n, amps)
 
 

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from . import obs
-from .linalg import StateVector, check_budget
+from .linalg import StateVector, check_budget, kron_vectors
 from .groups import DecisionThresholds, FiniteGroupRep, dihedralize
 from .paulis import PauliOp, pauli_table, walsh_hadamard
 
@@ -166,7 +166,7 @@ def psgi_to_statehsp(inst: PsgiInstance, m: int = 1):
         raise PsgiError("reduction requires an abelian group")
     drep = dihedralize(rep)
     single = np.concatenate([inst.psi1.amplitudes, inst.psi2.amplitudes]) / np.sqrt(2)
-    amps = functools.reduce(np.kron, [single] * m, np.ones(1, dtype=complex))
+    amps = functools.reduce(kron_vectors, [single] * m, np.ones(1, dtype=complex))
     eps = 1 - inst.thresholds.beta
     bounds = {
         "m": m,

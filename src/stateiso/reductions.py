@@ -18,8 +18,8 @@ import numpy as np
 
 from . import obs
 from .linalg import (
-    Circuit, DensityMatrix, StateVector, check_budget, run_circuit, sqrt_fidelity,
-    trace_norm,
+    Circuit, DensityMatrix, StateVector, check_budget, kron_vectors, run_circuit,
+    sqrt_fidelity, trace_norm,
 )
 from .graphs import Graph, find_isomorphism
 from .groups import DecisionThresholds, FiniteGroupRep, max_conjugate_fidelity
@@ -90,8 +90,8 @@ def _check_encoding(n_qubits: int, states: int) -> None:
 
 def _encode_graph_clifford(g: Graph) -> StateVector:
     left = r_minus_state().amplitudes
-    amps = np.kron(r_state().amplitudes, r_state_product(g.n).amplitudes)
-    amps = amps + np.kron(left, graph_state(g).amplitudes)
+    amps = kron_vectors(r_state().amplitudes, r_state_product(g.n).amplitudes)
+    amps = amps + kron_vectors(left, graph_state(g).amplitudes)
     return StateVector(g.n + 1, amps / math.sqrt(2))
 
 
@@ -266,7 +266,7 @@ class LowRankState:
                     part = _FACTORS[f]
                 else:
                     raise ReductionError(f"unknown factor {f!r}")
-                amps = np.kron(amps, part)
+                amps = kron_vectors(amps, part)
             if len(amps) != 1 << self.n_qubits:
                 raise ReductionError("term width does not match n_qubits")
             total += coeff * amps

@@ -178,6 +178,22 @@ class TestReducePipeline:
         assert body["decision"] == "YES"
         assert abs(body["achieved_overlap"][0] - 1) < 1e-9
 
+    def test_gi_clifford_yes_searches_once(self, runner, tmp_path, monkeypatch):
+        # the witness is the one isomorphism search of a YES bundle
+        from stateiso import graphs, reductions
+        p1 = _write_graph(tmp_path / "g1.txt", Graph.cycle(5))
+        p2 = _write_graph(tmp_path / "g2.txt", Graph.cycle(5).relabel((3, 0, 4, 1, 2)))
+        bundle = tmp_path / "bundle.json"
+        runner.invoke(main, ["reduce", "gi-clifford", p1, p2, "--out", str(bundle)])
+        calls = []
+        real = graphs.find_isomorphism
+        for module in (graphs, reductions):
+            monkeypatch.setattr(module, "find_isomorphism",
+                                lambda g1, g2: calls.append(1) or real(g1, g2))
+        res = runner.invoke(main, ["psgi", "--instance", str(bundle)])
+        assert res.exit_code == 0 and _json_body(res.output)["decision"] == "YES"
+        assert len(calls) == 1
+
     def test_gi_clifford_witness_is_stable(self, runner, tmp_path):
         p1 = _write_graph(tmp_path / "g1.txt", Graph.path(4))
         p2 = _write_graph(tmp_path / "g2.txt", Graph.path(4).relabel((2, 0, 3, 1)))

@@ -13,6 +13,7 @@ from stateiso.linalg import (
     UnitaryMatrix,
     check_budget,
     fidelity_matrices,
+    kron_vectors,
     matrix_sqrt_psd,
     random_density,
     run_circuit,
@@ -37,6 +38,17 @@ def test_check_budget_admits_256_mib_and_refuses_above(error):
         check_budget(math.log2(257 << 20), "a 257 MiB stack", error)
     with pytest.raises(error, match="budget"):
         check_budget(math.nextafter(28, math.inf), "one byte more", error)
+
+
+def test_kron_vectors_is_np_kron_bit_for_bit():
+    # complex by complex and by real, with signed zeros among the entries
+    for la, lb in ((1, 2), (2, 1), (3, 5), (8, 16)):
+        a = RNG.normal(size=la) + 1j * RNG.normal(size=la)
+        b = RNG.normal(size=lb) + 1j * RNG.normal(size=lb)
+        a[::2] = complex(-0.0, 0.0)
+        b[1::3] = complex(0.0, -0.0)
+        for right in (b, b.real.copy()):
+            assert kron_vectors(a, right).tobytes() == np.kron(a, right).tobytes()
 
 
 def random_state(n):

@@ -487,6 +487,12 @@ class TestRStates:
             want = pauli_expectation(psi, p).real
             assert abs(_r_state_pauli_expectation(p) - want) < 1e-12
 
+    def test_product_is_the_kron_chain_bit_for_bit(self):
+        amps, single = np.ones(1, dtype=complex), r_state().amplitudes
+        for n in range(11):
+            assert r_state_product(n).amplitudes.tobytes() == amps.tobytes(), n
+            amps = np.kron(amps, single)
+
     def test_r_overlap_matches_dense(self):
         for n in (1, 2, 3):
             psi = r_state_product(n).amplitudes
@@ -690,6 +696,26 @@ class TestBatchedKernel:
         with pytest.raises(ValueError):
             masks[0] = 1
 
+    def test_product_phases_match_pauli_products(self):
+        # the phase of each selected product against PauliOp multiplication
+        # in order; the selector tables are cached and read-only
+        from stateiso.paulis import _product_phases, _selector_bits
+        rng = np.random.default_rng(12)
+        for n, m in ((1, 2), (3, 3), (4, 8), (6, 12)):
+            ph, x, z = (rng.integers(lim, size=(m, 5)) for lim in (4, 1 << n, 1 << n))
+            sel = rng.integers(1 << m, size=(7, 5))
+            got = _product_phases(sel, ph, x, z, n)
+            for k, b in np.ndindex(sel.shape):
+                want = PauliOp(n, 0, 0, 0)
+                for q in range(m):
+                    if sel[k, b] >> (m - 1 - q) & 1:
+                        want = want * PauliOp(n, int(ph[q, b]), int(x[q, b]), int(z[q, b]))
+                assert got[k, b] & 3 == want.phase, (n, m, k, b)
+        bits, later = _selector_bits(5)
+        assert _selector_bits(5)[0] is bits and _selector_bits(5)[1] is later
+        with pytest.raises(ValueError):
+            later[0, 1] = 0
+
     def test_overlap_terms_peak_within_estimate(self):
         # the kernel's measured peak at n = 10 on one Clifford is what its
         # byte budget assumes, within a factor of two
@@ -776,6 +802,107 @@ class TestLevelImages:
             with pytest.raises(ValueError):
                 t[0, 0] = 1
         assert sum(t.nbytes for t in tables) <= 192 << 10
+
+
+def _reference_rows_to_batch(rows, signs, n):
+    """The tableau of packed rows by one shift per qubit and half."""
+    rows = np.hstack((rows[:, 0::2], rows[:, 1::2]))
+    x = z = np.zeros_like(rows)
+    for q in range(n):
+        x = x | ((rows >> (2 * q)) & 1) << q
+        z = z | ((rows >> (2 * q + 1)) & 1) << q
+    parity = np.array([[v.bit_count() & 1 for v in row] for row in (x & z).tolist()])
+    return parity + 2 * ((signs[:, None] >> np.arange(2 * n)) & 1), x, z
+
+
+class TestRowUnpack:
+    """_rows_to_batch's byte tables against the per-qubit loop."""
+
+    def test_rows_unpack_matches_loop(self):
+        # above n = 4 a row spans more bytes than one, and above n = 8 each
+        # of its X and Z halves does
+        from stateiso.paulis import _draw, _rows_to_batch
+        rng = np.random.default_rng(31)
+        for n in range(1, 17):
+            rows, signs = _draw(rng, n, 300 if n <= 8 else 30)
+            got = _rows_to_batch(rows, signs, n)
+            for a, b in zip(got[1:], _reference_rows_to_batch(rows, signs, n)):
+                assert a.dtype == np.int64 and np.array_equal(a, b), n
+
+
+def _permutation_matrix(perm, n):
+    """The dense matrix of the qubit permutation sending qubit q to perm[q],
+    qubit 0 the most significant index bit, one entry per basis state."""
+    d = 1 << n
+    m = np.zeros((d, d), dtype=complex)
+    for j in range(d):
+        image = sum(((j >> (n - 1 - q)) & 1) << (n - 1 - perm[q]) for q in range(n))
+        m[image, j] = 1
+    return m
+
+
+def _all_or_sampled_permutations(n):
+    """Every permutation of n <= 4 qubits, else 300 drawn ones."""
+    from itertools import permutations
+    if n <= 4:
+        return list(permutations(range(n)))
+    rng = np.random.default_rng(n)
+    return [tuple(int(i) for i in rng.permutation(n)) for _ in range(300)]
+
+
+class TestPermutationFactors:
+    """Blocks of qubit permutations get C = F1 H_S F2 by construction."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 7])
+    def test_constructed_factors_equal_elimination(self, n):
+        from stateiso.paulis import _factor, _permutation_factors
+        batch = qubit_permutation_batch(_all_or_sampled_permutations(n), n)
+        want, got = _factor(batch), _permutation_factors(batch)
+        for field, a, b in zip(want._fields, want, got):
+            assert a.dtype == b.dtype and a.shape == b.shape, (n, field)
+            assert np.array_equal(a, b), (n, field)
+
+    def test_other_blocks_take_the_elimination(self, monkeypatch):
+        # one row that is no permutation, caught by the Z-part pre-test (an
+        # S gate's X -> Y) or by the full test (a CNOT, or a sign), sends the
+        # whole block through _factor
+        from stateiso import paulis
+        n = 3
+        perms = qubit_permutation_batch(_all_or_sampled_permutations(n), n)
+        cnot = CliffordElement(n, np.zeros((1, 6), dtype=np.int64),
+                               np.array([[3, 2, 4, 0, 0, 0]]), np.array([[0, 0, 0, 1, 3, 4]]))
+        phase_gate = CliffordElement(n, np.array([[1, 0, 0, 0, 0, 0]]),
+                                     np.array([[1, 2, 4, 0, 0, 0]]),
+                                     np.array([[1, 0, 0, 1, 2, 4]]))
+        signed = perms.row(3)
+        signed = CliffordElement(n, signed.ph + np.array([[0, 2, 0, 0, 0, 0]]), *signed[2:])
+        calls = []
+        monkeypatch.setattr(paulis, "_factor",
+                            lambda b, real=paulis._factor: calls.append("elim") or real(b))
+        monkeypatch.setattr(paulis, "_permutation_factors",
+                            lambda b, real=paulis._permutation_factors:
+                            calls.append("perm") or real(b))
+        amps = RNG.normal(size=(8, 2)) + 1j * RNG.normal(size=(8, 2))
+        for odd in (cnot, phase_gate, signed):
+            assert not odd.permutation_mask()[0]
+            block = CliffordBatch(n, *(np.vstack((a, b)) for a, b in zip(perms[1:], odd[1:])))
+            calls.clear()
+            got = batch_apply(block, amps)
+            assert calls == ["elim"]
+            want = np.stack([c.to_unitary().matrix for c in map(block.row, range(7))]) @ amps
+            assert np.allclose(got, want, rtol=0, atol=1e-12)
+        calls.clear()
+        batch_apply(perms, amps)
+        assert calls == ["perm"]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_apply_is_the_permutation_matrix_exactly(self, n):
+        d = 1 << n
+        perms = _all_or_sampled_permutations(n)[:60]
+        amps = RNG.normal(size=(d, 3)) + 1j * RNG.normal(size=(d, 3))
+        got = batch_apply(qubit_permutation_batch(perms, n), amps)
+        for b, perm in enumerate(perms):
+            assert np.array_equal(got[b], _permutation_matrix(perm, n) @ amps), (n, perm)
 
 
 class TestGraphStates:

@@ -317,6 +317,16 @@ class TestStateHspReduction:
                                rep.unitary(h) @ psi2.amplitudes).real ** m
                 assert abs(got - want) < 1e-10
 
+    def test_phi_is_the_kron_power_bit_for_bit(self):
+        rng = np.random.default_rng(21)
+        psi1, psi2 = random_state(2, rng), random_state(2, rng)
+        inst = PsgiInstance(psi1, psi2, cyclic_group(4, "shift"), THRESHOLDS)
+        single = np.concatenate([psi1.amplitudes, psi2.amplitudes]) / np.sqrt(2)
+        want = np.ones(1, dtype=complex)
+        for m in (1, 2, 3):
+            want = np.kron(want, single)
+            assert psgi_to_statehsp(inst, m=m)[0].amplitudes.tobytes() == want.tobytes(), m
+
     @pytest.mark.parametrize("m", [0, -1, 30, 10**9])
     def test_copies_refused_before_building(self, m):
         # no copies is no state; 30 copies of a 2-qubit |Phi> would take 16 EiB,

@@ -69,6 +69,50 @@ class TestGiClifford:
             assert inst.permutation_witness() is None
 
 
+def _kron_encoding(g):
+    """The Clifford encoding of g by np.kron: (|R>|R^n> + |R->|G>)/sqrt(2)."""
+    from stateiso.paulis import graph_state, r_minus_state, r_state
+    r = np.ones(1, dtype=complex)
+    for _ in range(g.n):
+        r = np.kron(r, r_state().amplitudes)
+    amps = np.kron(r_state().amplitudes, r)
+    amps = amps + np.kron(r_minus_state().amplitudes, graph_state(g).amplitudes)
+    return amps / math.sqrt(2)
+
+
+def _kron_materialize(lr):
+    """LowRankState.materialize by an np.kron chain over each term's factors."""
+    from stateiso.paulis import graph_state
+    from stateiso.reductions import _FACTORS
+    total = np.zeros(1 << lr.n_qubits, dtype=complex)
+    for coeff, factors in lr.terms:
+        amps = np.ones(1, dtype=complex)
+        for f in factors:
+            amps = np.kron(amps, graph_state(f[1]).amplitudes if isinstance(f, tuple)
+                           else _FACTORS[f])
+        total += coeff * amps
+    return total
+
+
+class TestBroadcastProducts:
+    """The encodings' broadcast products against np.kron, bit for bit."""
+
+    def test_clifford_encodings(self):
+        for g1, g2 in NONISO_LIBRARY + ((Graph.path(4), Graph.path(4).relabel((2, 0, 3, 1))),):
+            inst = gi_to_clifford(g1, g2)
+            assert inst.psi1.amplitudes.tobytes() == _kron_encoding(g1).tobytes()
+            assert inst.psi2.amplitudes.tobytes() == _kron_encoding(g2).tobytes()
+
+    def test_lowrank_materializations(self):
+        for n in range(2, 7):
+            m = build_m_state(n)
+            assert m.materialize().amplitudes.tobytes() == _kron_materialize(m).tobytes(), n
+        for g1, g2, weight in ((Graph.path(4), Graph.star(4), None),
+                               (Graph.cycle(5), Graph.cycle(5).relabel((3, 0, 4, 1, 2)), 0.7)):
+            for lr in lowrank_gi_instance(g1, g2, graph_weight=weight)[:2]:
+                assert lr.materialize().amplitudes.tobytes() == _kron_materialize(lr).tobytes()
+
+
 def _lowrank_states(g1, g2):
     lr1, lr2, _ = lowrank_gi_instance(g1, g2)
     return lr1.materialize(), lr2.materialize()
