@@ -448,7 +448,7 @@ def estimate_tv_gap(c1: CoreState, c2: CoreState, sigma: float, n_samples: int,
         b = math.sqrt(max(2.0 - 2.0 * best_abs, 0.0))
     z = np.array([szk_sampler(c, sigma, rng, basis)[0]
                   for c in (c1, c2) for _ in range(n_samples)])
-    align = np.array([[abs(np.vdot(ref, row)) for ref in refs] for row in z])
+    align = np.abs(z @ refs.conj().T)
     order = np.argsort(align, axis=1)[:, ::-1][:, :n_warm]
     dist = orbit_distance(z, basis, c1, us[order], good_enough=b / 2)
     hits = np.count_nonzero((dist <= b / 2).reshape(2, n_samples), axis=1).tolist()

@@ -542,10 +542,10 @@ def verify_trace_transfer(count, n_qubits, seed):
 @click.option("--seed", type=int, default=0, show_default=True)
 def verify_shadow_unbiased(seed):
     """Exact single-shadow expectation at one qubit by full enumeration."""
-    from .paulis import batch_unitaries, clifford_batches
+    from .groups import clifford_group
     from .psgi import random_state
     rng = np.random.default_rng(seed)
-    units = batch_unitaries(next(clifford_batches(1, 24)))
+    units = clifford_group(1).unitaries
     worst = 0.0
     for _ in range(20):
         psi = random_state(1, rng)

@@ -1,14 +1,14 @@
 """Finite groups with unitary representations, twirls, and dihedralization.
 
 Groups are desk scale: elements are opaque hashable labels with explicit
-multiply/inverse callbacks, and the action is one read-only
-(order, dim, dim) stack of unitaries in element order, built on first use
-within ``linalg.check_budget``.  Every orbit scan (the oracle, the
-twirls, the fidelity maxima) is a batched product over that stack, summed
-in the fixed element order so results are bit-stable.
+multiply/inverse callbacks, and one vectorized action through the group's
+structure (a signed index gather for the Pauli family, say).  Orbit scans
+read ``orbit`` and the twirls ``unitaries``, in the fixed element order,
+so results are bit-stable.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import sys
@@ -17,9 +17,10 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import DensityMatrix, _pairs, check_budget, fidelity_matrices, sqrt_fidelity
-from .paulis import (PauliOp, CliffordElement, batch_unitaries, clifford_batches,
-                     clifford_group_order)
+from .linalg import (UNITARY_TOL, DensityMatrix, _pairs, check_budget, fidelity_matrices,
+                     sqrt_fidelity)
+from .paulis import (PauliOp, batch_unitaries, clifford_batches, clifford_group_order,
+                     pauli_action)
 
 MATCH_TOL = 1e-8             # entrywise distance at which explicit_group matches a product
 TWIRL_SLACK_TOL = 1e-7       # rounding allowed below the twirl fidelity bound
@@ -48,22 +49,21 @@ class DecisionThresholds:
 class FiniteGroupRep:
     """A finite group together with a unitary action on C^dim.
 
-    ``multiply`` and ``inverse`` operate on labels; ``unitary`` returns a
-    dense matrix per label and ``unitaries`` stacks them all.  The action
-    must be a homomorphism, exactly for most built-ins and up to a global
-    phase for the Clifford group.
+    ``multiply`` and ``inverse`` operate on labels.  ``act(at, amps)`` is
+    R(g) amps, shape (len(at),) + amps.shape, for the elements at the int
+    positions ``at`` and amps of shape (dim,) or (dim, k): a homomorphism,
+    up to a global phase for the Clifford group.
     """
 
     def __init__(self, elements, identity, multiply: Callable, inverse: Callable,
-                 unitary: Callable, dim: int, name: str = ""):
+                 act: Callable, dim: int, name: str = ""):
         self.elements = tuple(elements)
         if identity not in self.elements:
             raise GroupError("identity label missing from element list")
         self.identity = identity
         self.multiply = multiply
         self.inverse = inverse
-        self._unitary = unitary
-        self._stack = None
+        self.act = act
         self.dim = dim
         self.name = name
 
@@ -71,26 +71,34 @@ class FiniteGroupRep:
     def order(self) -> int:
         return len(self.elements)
 
-    def unitary(self, g) -> np.ndarray:
-        u = np.asarray(self._unitary(g), dtype=complex)
-        if u.shape != (self.dim, self.dim):
-            raise GroupError(f"unitary for {g!r} has wrong shape {u.shape}")
-        return u
+    @functools.cached_property
+    def positions(self) -> dict:
+        """Each label's position in ``elements``."""
+        return {g: i for i, g in enumerate(self.elements)}
 
-    @property
+    def orbit(self, amps: np.ndarray) -> np.ndarray:
+        """R(g) amps for every element in order; a peak over
+        ``linalg.check_budget`` raises GroupError before any allocation."""
+        # per element: 16 bytes per output entry and 40 per basis state for
+        # the index and coefficient rows of an action; by tracemalloc the
+        # Pauli gather peaks at 2.55 output vectors at n = 5 and 6 (this
+        # model: 3.5), and 1.14 outputs on the identity at n = 4
+        check_budget(math.log2(self.order) + math.log2(16 * amps.size + 40 * self.dim),
+                     f"an orbit of shape {amps.shape} under {self.name} at its peak",
+                     GroupError)
+        return self.act(np.arange(self.order), amps)
+
+    def unitary(self, g) -> np.ndarray:
+        """The dense matrix R(g): the action on the identity."""
+        return self.act(np.array([self.positions[g]]), np.eye(self.dim, dtype=complex))[0]
+
+    @functools.cached_property
     def unitaries(self) -> np.ndarray:
         """R(g) for every element, as one read-only (order, dim, dim) stack
-        in element order; a stack over ``linalg.check_budget`` raises
-        GroupError before anything is allocated."""
-        if self._stack is None:
-            check_budget(4 + math.log2(self.order) + 2 * math.log2(self.dim),
-                         f"the unitaries of {self.name}", GroupError)
-            stack = np.empty((self.order, self.dim, self.dim), dtype=complex)
-            for i, g in enumerate(self.elements):
-                stack[i] = self.unitary(g)
-            stack.flags.writeable = False
-            self._stack = stack
-        return self._stack
+        in element order: the orbit of the identity."""
+        stack = self.orbit(np.eye(self.dim, dtype=complex))
+        stack.flags.writeable = False
+        return stack
 
     def trivial_mask(self) -> np.ndarray:
         """Mask of the elements that leave every state unchanged: the
@@ -102,35 +110,27 @@ class FiniteGroupRep:
         # only the few elements of unit |trace| are compared entry by entry
         near[near] = np.abs(u[near] - tr[near, None, None] * np.eye(self.dim)).max(
             axis=(1, 2)) < 1e-10
-        near[self.elements.index(self.identity)] = True
+        near[self.positions[self.identity]] = True
         return near
 
     def is_abelian(self) -> bool:
-        els = self.elements
-        if len(els) <= 512:
-            pairs = itertools.combinations(range(len(els)), 2)
-        else:
-            rng = np.random.default_rng(0)
-            pairs = (
-                tuple(rng.integers(len(els), size=2))
-                for _ in range(min(len(els) ** 2, ABELIAN_PAIRS))
-            )
-        for i, j in pairs:
-            a, b = els[i], els[j]
-            if self.multiply(a, b) != self.multiply(b, a):
-                return False
-        return True
+        els, rng = self.elements, np.random.default_rng(0)
+        pairs = (itertools.combinations(range(len(els)), 2) if len(els) <= 512 else
+                 (rng.integers(len(els), size=2) for _ in range(ABELIAN_PAIRS)))
+        return all(self.multiply(els[i], els[j]) == self.multiply(els[j], els[i])
+                   for i, j in pairs)
 
 
 def dihedralize(base: FiniteGroupRep) -> FiniteGroupRep:
     """Generalized dihedral extension of an abelian rep.
 
-    Elements are (g, a) with a in Z2; the action doubles the dimension:
-    R'(g, 0) = |0><0| x R(g) + |1><1| x R(-g) and R'(0, 1) = X x I.
+    Elements are (g, a), a in Z2, at position 2 i + a for g at position i:
+    R'(g, 0) = |0><0| x R(g) + |1><1| x R(-g), R'(g, 1) = R'(g, 0) (X x I).
     """
     if not base.is_abelian():
         raise GroupError("dihedralization requires an abelian base group")
-    elements = [(g, a) for g in base.elements for a in (0, 1)]
+    elements = list(itertools.product(base.elements, (0, 1)))
+    inv = np.array([base.positions[base.inverse(g)] for g in base.elements])
 
     def multiply(p, q):
         (g, a), (h, b) = p, q
@@ -141,15 +141,16 @@ def dihedralize(base: FiniteGroupRep) -> FiniteGroupRep:
         g, a = p
         return (g, a) if a else (base.inverse(g), 0)
 
-    def unitary(p):
-        g, a = p
-        d = base.dim
-        u = np.zeros((2 * d, 2 * d), dtype=complex)
-        u[:d, :d] = base.unitary(g)
-        u[d:, d:] = base.unitary(base.inverse(g))
-        return np.roll(u, d, axis=1) if a else u      # times X x I
+    def act(at, amps):
+        # X x I swaps the halves where a = 1, then R(g) acts on the top half
+        # and R(-g) on the bottom one
+        top, bottom = amps.reshape((2, base.dim) + amps.shape[1:])
+        g, a = at >> 1, (at & 1).astype(bool).reshape((-1,) + (1,) * amps.ndim)
+        return np.concatenate((np.where(a, base.act(g, bottom), base.act(g, top)),
+                               np.where(a, base.act(inv[g], top), base.act(inv[g], bottom))),
+                              axis=1)
 
-    return FiniteGroupRep(elements, (base.identity, 0), multiply, inverse, unitary,
+    return FiniteGroupRep(elements, (base.identity, 0), multiply, inverse, act,
                           2 * base.dim, name=f"dihedral({base.name})")
 
 
@@ -259,16 +260,13 @@ def _check_labels(bits: float, label) -> None:
 
 
 def pauli_group(n: int) -> FiniteGroupRep:
-    """The full phased Pauli group on n qubits: 4^{n+1} elements (phase, x, z)."""
+    """The full phased Pauli group on n qubits: 4^{n+1} labels (p, x, z) at
+    positions p 4^n + x 2^n + z."""
     if n < 1:
         raise GroupError(f"the Pauli group needs at least one qubit, got n={n}")
     _check_labels(2 * n + 2, (0, 0, 0))
-    elements = [
-        (p, x, z)
-        for p in range(4)
-        for x in range(1 << n)
-        for z in range(1 << n)
-    ]
+    elements = itertools.product(range(4), range(1 << n), range(1 << n))
+    mask = (1 << n) - 1
 
     def multiply(a, b):
         return (PauliOp(n, *a) * PauliOp(n, *b)).key()
@@ -278,94 +276,111 @@ def pauli_group(n: int) -> FiniteGroupRep:
         # Paulis are unitary, so the inverse is the adjoint
         return p.hermitian_conjugate().key()
 
-    def unitary(a):
-        return PauliOp(n, *a).to_matrix()
+    def act(at, amps):
+        return pauli_action(n, at >> 2 * n, at >> n & mask, at & mask, amps)
 
-    return FiniteGroupRep(elements, (0, 0, 0), multiply, inverse, unitary,
+    return FiniteGroupRep(elements, (0, 0, 0), multiply, inverse, act,
                           1 << n, name=f"pauli({n})")
 
 
 def two_copy_pauli(n: int) -> FiniteGroupRep:
     """The two-copy Pauli group {+-B x B : B = X^x Z^z} = Z2^{2n+1}.
 
-    Labels are (x, z, s); signs compose by XOR because the sign picked up
-    when multiplying the B factors appears squared.
+    Labels are (x, z, s), at position x 2^{n+1} + z 2 + s; signs compose by
+    XOR because the sign picked up when multiplying the B factors appears
+    squared.
     """
     _check_labels(2 * n + 1, (0, 0, 0))
-    elements = [
-        (x, z, s) for x in range(1 << n) for z in range(1 << n) for s in (0, 1)
-    ]
+    elements = itertools.product(range(1 << n), range(1 << n), (0, 1))
+    mask = (1 << n) - 1
 
     def multiply(a, b):
         return (a[0] ^ b[0], a[1] ^ b[1], a[2] ^ b[2])
 
-    def unitary(a):
+    def act(at, amps):
         # B x B is one 2n-qubit Pauli, and -1 is its phase i^2
-        x, z, s = a
-        return PauliOp(2 * n, 2 * s, x | x << n, z | z << n).to_matrix()
+        x, z = at >> n + 1, at >> 1 & mask
+        return pauli_action(2 * n, 2 * (at & 1), x | x << n, z | z << n, amps)
 
-    return FiniteGroupRep(elements, (0, 0, 0), multiply, lambda a: a, unitary,
+    return FiniteGroupRep(elements, (0, 0, 0), multiply, lambda a: a, act,
                           1 << (2 * n), name=f"two_copy_pauli({n})")
 
 
+def _stack_group(elements, identity, multiply, inverse, mats, name) -> FiniteGroupRep:
+    """A group acting by a stored (order, dim, dim) stack, its ``unitaries``."""
+    mats.flags.writeable = False
+    rep = FiniteGroupRep(elements, identity, multiply, inverse,
+                         lambda at, amps: mats[at] @ amps, len(mats[0]), name)
+    rep.unitaries = mats
+    return rep
+
+
+@functools.cache
 def clifford_group(n: int) -> FiniteGroupRep:
-    """The Clifford group modulo global phase (n <= 2), labels are indices."""
+    """The Clifford group modulo global phase (n <= 2), one cached instance
+    per n.  Labels are enumeration indices, 0 the identity; multiply and
+    inverse build their index on first call."""
     if n > 2:
         raise GroupError("explicit Clifford group supported for n <= 2")
     group = next(clifford_batches(n, clifford_group_order(n)))
-    rows = np.stack((group.ph, group.x, group.z), axis=-1).tolist()
-    index = {tuple(map(tuple, row)): i for i, row in enumerate(rows)}
     mats = batch_unitaries(group)
 
+    @functools.cache
+    def index():
+        rows = np.stack((group.ph, group.x, group.z), axis=-1).tolist()
+        return {tuple(map(tuple, row)): i for i, row in enumerate(rows)}
+
     def multiply(a, b):
-        return index[group.row(a).compose(group.row(b)).key()]
+        return index()[group.row(a).compose(group.row(b)).key()]
 
     def inverse(a):
-        return index[group.row(a).inverse().key()]
+        return index()[group.row(a).inverse().key()]
 
-    def unitary(a):
-        return mats[a]
-
-    ident = index[CliffordElement.identity(n).key()]
-    return FiniteGroupRep(range(len(rows)), ident, multiply, inverse, unitary,
-                          1 << n, name=f"clifford({n})")
+    return _stack_group(range(len(mats)), 0, multiply, inverse, mats, f"clifford({n})")
 
 
 def cyclic_group(order: int, rep_kind: str = "phase") -> FiniteGroupRep:
     """Z_N: 'phase' acts as powers of diag(1, w, ..., w^{N-1}); 'shift'
-    acts by cyclic permutation matrices."""
+    acts by cyclic permutations, |j> -> |j + k>."""
     if rep_kind not in ("phase", "shift"):
         raise GroupError(f"unknown cyclic rep {rep_kind!r}")
     _check_labels(math.log2(order), 1)
     w = np.exp(2j * np.pi / order)
 
-    def unitary(k):
+    def act(at, amps):
+        j = np.arange(order)
         if rep_kind == "phase":
-            return np.diag(w ** (k * np.arange(order)))
-        return np.roll(np.eye(order, dtype=complex), k, axis=0)   # |j> -> |j + k>
+            ph = w ** (at[:, None] * j)
+            return ph.reshape(ph.shape + (1,) * (amps.ndim - 1)) * amps
+        return amps[(j - at[:, None]) % order].astype(complex, copy=False)
 
     return FiniteGroupRep(range(order), 0,
                           lambda a, b: (a + b) % order,
                           lambda a: (-a) % order,
-                          unitary, order, name=f"cyclic({order},{rep_kind})")
+                          act, order, name=f"cyclic({order},{rep_kind})")
 
 
 def z2k_group(k: int) -> FiniteGroupRep:
     """Z2^k acting by X^v on k qubits."""
     _check_labels(k, 1)
 
-    def unitary(v):
-        return PauliOp(k, 0, v, 0).to_matrix()
+    def act(at, amps):
+        return pauli_action(k, 0 * at, at, 0 * at, amps)
 
     return FiniteGroupRep(range(1 << k), 0,
                           lambda a, b: a ^ b, lambda a: a,
-                          unitary, 1 << k, name=f"z2k({k})")
+                          act, 1 << k, name=f"z2k({k})")
 
 
 def explicit_group(elements, matrices, identity=None) -> FiniteGroupRep:
     """Group from an explicit label -> matrix list; multiplication is
-    recovered by matching products back to the list."""
-    labels, mats = list(elements), np.asarray(matrices, dtype=complex)
+    recovered by matching products back to the list.  Matrices that are not
+    square and unitary within ``linalg.UNITARY_TOL`` raise GroupError."""
+    labels, mats = list(elements), np.array(matrices, dtype=complex)
+    if mats.ndim != 3 or mats.shape[1] != mats.shape[2] or np.any(
+            np.linalg.norm(mats.conj().transpose(0, 2, 1) @ mats - np.eye(mats.shape[1]),
+                           axis=(1, 2)) > UNITARY_TOL):
+        raise GroupError("an explicit group needs square unitary matrices")
     index = {e: i for i, e in enumerate(labels)}
 
     def match(m, error="explicit group is not closed under multiplication"):
@@ -376,10 +391,8 @@ def explicit_group(elements, matrices, identity=None) -> FiniteGroupRep:
 
     if identity is None:
         identity = match(np.eye(len(mats[0])), "no identity matrix found in explicit group")
-    return FiniteGroupRep(labels, identity,
-                          lambda a, b: match(mats[index[a]] @ mats[index[b]]),
-                          lambda a: match(mats[index[a]].conj().T),
-                          lambda e: mats[index[e]], len(mats[0]), name="explicit")
+    return _stack_group(labels, identity, lambda a, b: match(mats[index[a]] @ mats[index[b]]),
+                        lambda a: match(mats[index[a]].conj().T), mats, "explicit")
 
 
 def _spec_int(spec: dict, key: str) -> int:
@@ -406,11 +419,10 @@ def group_from_spec(spec: dict) -> FiniteGroupRep:
     if kind == "explicit":
         labels, identity = spec["elements"], spec.get("identity")
         mats = _pairs(spec["matrices"])
-        if (mats is None or mats.ndim != 3 or mats.shape[1] != mats.shape[2]
-                or not isinstance(labels, list) or len(labels) != len(mats)
+        if (mats is None or not isinstance(labels, list) or len(labels) != len(mats)
                 or any(type(e) not in (str, int) for e in labels)
                 or identity is not None and type(identity) not in (str, int)):
             raise GroupError("an explicit group needs one str or int label per finite "
-                             "[re, im] square matrix, all of one shape")
+                             "[re, im] matrix, all of one shape")
         return explicit_group(labels, mats, identity)
     raise GroupError(f"unknown group type {kind!r}")

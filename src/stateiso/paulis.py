@@ -1,10 +1,11 @@
 """Symplectic Pauli algebra and tableau Cliffords.
 
 A Pauli is stored as ``i^phase * X^x Z^z`` with ``x``, ``z`` bitmasks
-(bit i = qubit i) and the phase exponent tracked exactly mod 4.  It acts by
-one index gather with signs (``PauliOp.apply``), and its dense matrix is
-that gather on the identity.  ``pauli_table`` gives <a|X^x Z^z|c> for all
-4^n Paulis at once, by one gather and one Walsh-Hadamard transform.
+(bit i = qubit i) and the phase exponent tracked exactly mod 4.  A batch of
+Paulis acts by one index gather with signs (``pauli_action``, whose
+one-Pauli case is ``PauliOp.apply``), and a dense matrix is that gather on
+the identity.  ``pauli_table`` gives <a|X^x Z^z|c> for all 4^n Paulis at
+once, by one gather and one Walsh-Hadamard transform.
 
 A Clifford has one format, packed tableau rows: a ``CliffordBatch`` holds
 B Cliffords as (B, 2n) int64 arrays of the (phase, x, z) images of the
@@ -33,7 +34,7 @@ import numpy as np
 from . import obs
 from .linalg import StateVector, UnitaryMatrix, check_budget, kron_vectors
 
-_PHASE = (1, 1j, -1, -1j)
+_PHASES = np.array((1, 1j, -1, -1j))
 
 COS8 = math.cos(math.pi / 8)
 SIN8 = math.sin(math.pi / 8)
@@ -129,18 +130,8 @@ class PauliOp:
     # -- dense action -------------------------------------------------
     def apply(self, amps: np.ndarray) -> np.ndarray:
         """Apply to a dense amplitude vector, or to each column of a (d, k)
-        array (qubit 0 = most significant), by one index gather."""
-        n = self.n
-        xi, zi = _index_masks(np.array([self.x, self.z]), n).tolist()
-        idx = np.arange(1 << n)
-        signs = 1.0 - 2.0 * _parity(idx & zi, n)
-        out = np.empty_like(amps, dtype=complex)
-        out[idx ^ xi] = (_PHASE[self.phase] * signs * amps.T).T
-        return out
-
-    def to_matrix(self) -> np.ndarray:
-        """The dense matrix: ``apply`` on the identity."""
-        return self.apply(np.eye(1 << self.n, dtype=complex))
+        array: the one-Pauli case of ``pauli_action``."""
+        return pauli_action(self.n, *np.array([[self.phase], [self.x], [self.z]]), amps)[0]
 
     # -- misc ---------------------------------------------------------
     def key(self) -> tuple:
@@ -153,6 +144,19 @@ class PauliOp:
         return prefix + "".join(
             "IXZY"[((self.x >> q) & 1) + 2 * ((self.z >> q) & 1)] for q in range(self.n)
         )
+
+
+def pauli_action(n: int, ph: np.ndarray, x: np.ndarray, z: np.ndarray,
+                 amps: np.ndarray) -> np.ndarray:
+    """i^ph X^x Z^z amps, shape (B,) + amps.shape, for B Paulis given as int
+    arrays and amps of shape (d,) or (d, k): row j of each reads entry j ^ x
+    times i^ph (-1)^{|(j ^ x) & z|} (qubit 0 = most significant)."""
+    xi, zi = _index_masks(x, n)[:, None], _index_masks(z, n)[:, None]
+    src = np.arange(1 << n) ^ xi
+    coef = _PHASES[ph & 3][:, None] * (1.0 - 2.0 * _parity(src & zi, n))
+    out = amps[src].astype(complex, copy=False)
+    out *= coef.reshape(coef.shape + (1,) * (amps.ndim - 1))
+    return out
 
 
 def pauli_expectation(psi: StateVector, p: PauliOp) -> complex:
@@ -296,7 +300,6 @@ class CliffordElement(CliffordBatch):
 #   C|j> = 2^{-h/2} sum_{z ^ pi[j] in S} i^{phi[z] + a[j] + 2 |z & pi[j]|} |idx[z]>,
 # h = |S|, so C|psi> costs two phase-gathers and one Hadamard layer.
 
-_PHASES = np.array(_PHASE)
 _BLOCK_ENTRIES = 1 << 14     # entries of one intermediate kernel array
 
 

@@ -13,17 +13,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
 from itertools import permutations
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import obs
-from .groups import k_twirl
+from .groups import clifford_group, k_twirl
 from .linalg import check_budget, trace_distance
-from .paulis import (batch_apply, batch_unitaries, clifford_batches, clifford_group_order,
-                     qubit_permutation_batch, random_clifford_batch)
+from .paulis import batch_apply, batch_unitaries, qubit_permutation_batch, random_clifford_batch
 from .psgi import PsgiInstance
 from .reductions import MsgiInstance
 
@@ -49,12 +47,6 @@ class ProtocolTranscript:
 # Classical shadows
 # ----------------------------------------------------------------------
 
-@cache
-def _clifford_unitaries(n: int) -> Optional[np.ndarray]:
-    """Stacked unitaries of the full n-qubit Clifford group (n <= 2)."""
-    return batch_unitaries(next(clifford_batches(n, clifford_group_order(n)))) if n <= 2 else None
-
-
 def _median_of_means(singles: np.ndarray, n_targets: int,
                      delta: float) -> np.ndarray:
     """Aggregate per-shadow estimates (N x M) with 2*ceil(log(2M/delta))
@@ -79,8 +71,9 @@ def _shadow_estimates(state: np.ndarray, target_mat: np.ndarray,
     Each shadow draws a uniform Clifford U and a Born-rule outcome b of
     U|state>; its single-shot estimate (2^n + 1) |<b|U|target>|^2 - 1 is
     aggregated by median of means.  ``target_mat`` has one target per
-    column; uses the cached full Clifford group when available.  An (N, dim,
-    dim) unitary stack over ``linalg.check_budget`` is refused.
+    column; at n <= 2 the Cliffords are drawn from the cached
+    ``groups.clifford_group(n)``.  An (N, dim, dim) unitary stack over
+    ``linalg.check_budget`` is refused.
     """
     if n_shadows < 1:
         raise ProtocolError(f"need at least one shadow, got {n_shadows}")
@@ -89,10 +82,9 @@ def _shadow_estimates(state: np.ndarray, target_mat: np.ndarray,
     check_budget(4 + math.log2(n_shadows) + 2 * n, f"the unitaries of {n_shadows} shadows "
                  f"of a {n}-qubit state", ProtocolError)
     obs.count("protocols.shadows_drawn", n_shadows)
-    unitaries = _clifford_unitaries(n)
-    if unitaries is not None:
-        idx = rng.integers(0, len(unitaries), size=n_shadows)
-        us = unitaries[idx]
+    if n <= 2:
+        unitaries = clifford_group(n).unitaries
+        us = unitaries[rng.integers(0, len(unitaries), size=n_shadows)]
     else:
         us = batch_unitaries(random_clifford_batch(n, rng, n_shadows))
     rotated = us @ state                       # (N, dim)
@@ -146,8 +138,9 @@ def _shadow_round(ctx: dict, n_shadows: int, seed: int, delta: float) -> Protoco
 
 def qcszk_context(inst: PsgiInstance) -> dict:
     """The prover's orbit targets under the instance's group."""
-    us = inst.rep.unitaries
-    return _context((us @ inst.psi1.amplitudes, us @ inst.psi2.amplitudes), inst.rep.elements)
+    rep = inst.rep
+    return _context((rep.orbit(inst.psi1.amplitudes), rep.orbit(inst.psi2.amplitudes)),
+                    rep.elements)
 
 
 def qcszk_round(ctx: dict, n_shadows: int = 2000, seed: int = 0) -> ProtocolTranscript:

@@ -52,13 +52,13 @@ class PsgiVerdict:
 
 
 def psgi_oracle(inst: PsgiInstance) -> PsgiVerdict:
-    """Exact decision by one product over the group's unitary stack.
+    """Exact decision by one product over the orbit of psi2.
 
     Ties in the Re-argmax (within 1e-15) break toward the earliest element
     in the group's fixed ordering, so verdicts are deterministic.
     """
     rep = inst.rep
-    ovs = (rep.unitaries @ inst.psi2.amplitudes) @ inst.psi1.amplitudes.conj()
+    ovs = rep.orbit(inst.psi2.amplitudes) @ inst.psi1.amplitudes.conj()
     i = int(np.flatnonzero(ovs.real >= ovs.real.max() - 1e-15)[0])
     best_re, best_g, best_ov = ovs[i].real, rep.elements[i], complex(ovs[i])
     max_abs = np.abs(ovs).max()

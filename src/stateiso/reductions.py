@@ -365,8 +365,8 @@ def bqp_hardness_instance(q: Circuit, phi: Circuit, rep: FiniteGroupRep):
     psi2 = run_circuit(phi)
     inst = PsgiInstance(psi1, psi2, rep, PROMISE_THRESHOLDS)
     a = psi2.amplitudes
-    hiding = np.abs(rep.unitaries[:, :, 0] @ a.conj()).max()
-    self_ov = np.abs((rep.unitaries @ a) @ a.conj())[~rep.trivial_mask()].max(initial=0.0)
+    hiding = np.abs(rep.orbit(np.eye(rep.dim, 1, dtype=complex)[:, 0]) @ a.conj()).max()
+    self_ov = np.abs(rep.orbit(a) @ a.conj())[~rep.trivial_mask()].max(initial=0.0)
     diag = {"max_hiding_overlap": float(hiding),
             "max_self_overlap": float(self_ov)}
     return inst, diag

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 from stateiso import bosonic, cli, psgi
 from stateiso.cli import main
 from stateiso.graphs import Graph
-from stateiso.linalg import DensityMatrix
+from stateiso.linalg import DensityMatrix, to_pairs
 
 
 @pytest.fixture
@@ -84,6 +84,29 @@ class TestPsgiCommand:
         res = runner.invoke(main, ["psgi", "--group", "two_copy_pauli", "--n", "1", *flags])
         assert res.exit_code == code, res.output
         assert _json_body(res.output)["decision"] == decision
+
+
+    @pytest.mark.parametrize("kind, code, decision", [("yes", 0, "YES"), ("no", 1, "NO")])
+    def test_six_qubits_decide_through_the_orbit(self, runner, kind, code, decision):
+        # pauli(6)'s 16,384 matrices would take 1 GiB; the orbit of psi2
+        # that the oracle reads takes 16 MiB
+        res = runner.invoke(main, ["psgi", "--n", "6", "--kind", kind, "--seed", "3"])
+        assert res.exit_code == code, res.output
+        assert _json_body(res.output)["decision"] == decision
+
+    def test_non_unitary_explicit_group_is_config_error(self, runner, tmp_path):
+        # with 2 X as an element, |<0| 2X |psi2>| = 1.6 used to decide YES
+        bundle = tmp_path / "scaled.json"
+        bundle.write_text(json.dumps({
+            "version": 1, "type": "psgi",
+            "psi1": {"n_qubits": 1, "amplitudes": [[1.0, 0.0], [0.0, 0.0]]},
+            "psi2": {"n_qubits": 1, "amplitudes": [[0.6, 0.0], [0.8, 0.0]]},
+            "group": {"type": "explicit", "elements": ["e", "m"],
+                      "matrices": [to_pairs(np.eye(2)), to_pairs(np.array([[0, 2], [2, 0]]))]},
+            "alpha": 0.6, "beta": 0.99}))
+        res = runner.invoke(main, ["psgi", "--instance", str(bundle)])
+        _assert_config_error(res)
+        assert "unitary" in res.stderr
 
 
 def _bundle_of_type(runner, tmp_path, bundle_type):
@@ -684,7 +707,9 @@ class TestConfigErrorBoundary:
         ["psgi", "--quantum", "--n", "12"],
     ], ids=["oracle-pauli7-stack", "quantum-pauli12-labels"])
     def test_group_over_budget(self, runner, args):
-        # pauli(7) needs a 16 GiB unitary stack; pauli(12) has 4^13 labels
+        # pauli(7)'s orbit of one state peaks near 2^28.8 bytes (16 per entry
+        # and 40 per basis state of each of 65,536 elements); pauli(12) has
+        # 4^13 labels
         t0 = time.perf_counter()
         res = runner.invoke(main, args)
         assert time.perf_counter() - t0 < 1.0
@@ -819,11 +844,132 @@ class TestGroupSpecFuzz:
             with open("bundle.json", "w") as fh:
                 json.dump({"version": 1, "type": "psgi", "psi1": state, "psi2": state,
                            "group": group, "alpha": 0.6, "beta": 0.99}, fh)
-            res = runner.invoke(main, ["psgi", "--instance", "bundle.json"])
-        # a crash is caught by the runner as an exception other than SystemExit
-        assert res.exception is None or isinstance(res.exception, SystemExit), res.exc_info
-        assert res.exit_code in (0, 1, 2, 3)
-        assert "Traceback" not in res.output
+            _assert_exit_contract(runner.invoke(main, ["psgi", "--instance", "bundle.json"]))
+
+
+def _assert_exit_contract(res):
+    """Exit 0-3 with no traceback, and exit 1 only with a document that
+    decides NO or reports a failed check."""
+    # a crash is caught by the runner as an exception other than SystemExit
+    assert res.exception is None or isinstance(res.exception, SystemExit), res.exc_info
+    assert res.exit_code in (0, 1, 2, 3)
+    assert "Traceback" not in res.output
+    if res.exit_code == 1:
+        doc = json.loads(res.stdout)
+        assert doc.get("decision") == "NO" or doc.get("passed") is False, res.stdout
+
+
+def _mostly(plausible, other):
+    """``plausible`` three times in four, else ``other``."""
+    return st.sampled_from((plausible, plausible, plausible, other)).flatmap(lambda s: s)
+
+
+_STATE1 = {"n_qubits": 1, "amplitudes": [[0.6, 0.0], [0.8, 0.0]]}
+_STATE2 = {"n_qubits": 2, "amplitudes": [[0.5, 0.0], [0.5, 0.0], [0.5, 0.0], [0.0, 0.5]]}
+# edge-list texts: a vertex count, then edge lines of small ints, with some
+# counts and tokens out of range or junk; or any short text
+_TOKEN = _mostly(st.integers(0, 5).map(str),
+                 st.integers(-1, 9).map(str) | st.text("x0 -#", max_size=3))
+_EDGE_TEXT = _mostly(st.builds(
+    lambda count, edges: "\n".join([count] + [" ".join(e) for e in edges]) + "\n",
+    _mostly(st.integers(2, 6).map(str),
+            st.integers(-2, 1).map(str) | st.sampled_from(["40", "", "2.5", "#"])),
+    st.lists(_mostly(st.lists(_TOKEN, min_size=2, max_size=2),
+                     st.lists(_TOKEN, min_size=1, max_size=3)), max_size=5),
+), st.text(max_size=8))
+_BUNDLE_FIELDS = {
+    "psi1": st.sampled_from([_STATE1, _STATE2]), "psi2": st.sampled_from([_STATE1, _STATE2]),
+    "group": st.sampled_from([{"type": "pauli", "n": 1}, {"type": "z2k", "k": 1},
+                              {"type": "two_copy_pauli", "n": 1}]),
+    "alpha": st.sampled_from([0.6, 0.0, 1.0]) | st.floats(0, 1),
+    "beta": st.sampled_from([0.99, 1.0]) | st.floats(0, 1),
+    "graph1": _EDGE_TEXT, "graph2": _EDGE_TEXT,
+}
+
+
+@st.composite
+def _bundles(draw):
+    """Bundles of a known, unknown or non-string ``type``, or of none, whose
+    fields are plausible but for up to two, each of any JSON kind or absent."""
+    bundle = {"version": 1}
+    kind = draw(_mostly(st.sampled_from(["psgi", None, "gi_clifford", "gi_lowrank",
+                                         "gi_bosonic", "msgi", "mixed_hsp", "state_hsp"]),
+                        st.text(max_size=4) | _JSON))
+    if kind is not None:
+        bundle["type"] = kind
+    wrong = draw(st.sets(st.sampled_from(sorted(_BUNDLE_FIELDS)), max_size=2))
+    for key, plausible in _BUNDLE_FIELDS.items():
+        if key not in wrong:
+            bundle[key] = draw(plausible)
+        elif draw(st.booleans()):
+            bundle[key] = draw(_JSON)
+    return bundle
+
+
+_COUNT = st.integers(-2, 3)
+_OPTION_RUNS = st.one_of(
+    st.tuples(st.just(("psgi",)), st.tuples(
+        st.just("--n"), st.integers(-1, 5) | st.sampled_from([7, 13, 2**40]),
+        st.just("--kind"), st.sampled_from(["yes", "no"]), st.just("--seed"), _COUNT)),
+    st.tuples(st.just(("protocol", "qcszk")), st.tuples(
+        st.just("--n"), st.integers(-1, 3) | st.sampled_from([7, 2**40]),
+        st.just("--trials"), _COUNT, st.just("--shadows"),
+        st.integers(-2, 40) | st.sampled_from([10**9, 2**70]))),
+    st.tuples(st.just(("protocol", "qszk-mixed")), st.tuples(
+        st.just("--k"), st.integers(-1, 3) | st.sampled_from([6, 10**8]),
+        st.just("--trials"), _COUNT)),
+    st.tuples(st.just(("bosonic", "tv-gap", "c.json", "c.json")), st.tuples(
+        st.just("--samples"), _COUNT)),
+)
+
+
+class TestExitContractFuzz:
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(bundle=_bundles())
+    @example(bundle={"version": 1, "type": 3, "psi1": _STATE1, "psi2": _STATE1})
+    @example(bundle={"version": 1, "type": "gi_clifford", "graph1": "3\n0 1\n",
+                     "graph2": "3\n1 2\n"})
+    def test_bundles(self, bundle):
+        runner = CliRunner()
+        with runner.isolated_filesystem():
+            with open("bundle.json", "w") as fh:
+                json.dump(bundle, fh)
+            for args in (["psgi", "--instance", "bundle.json", "--sweep-count", "20"],
+                         ["reduce", "psgi-statehsp", "bundle.json"]):
+                _assert_exit_contract(runner.invoke(main, args))
+
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(text1=_EDGE_TEXT, text2=_EDGE_TEXT)
+    @example(text1="4\n0 1\n1 2\n2 3\n", text2="4\n0 1\n0 2\n0 3\n")
+    def test_edge_lists(self, text1, text2):
+        runner = CliRunner()
+        with runner.isolated_filesystem():
+            for name, text in (("g1.txt", text1), ("g2.txt", text2)):
+                with open(name, "w") as fh:
+                    fh.write(text)
+            with open("bundle.json", "w") as fh:
+                json.dump({"version": 1, "type": "gi_clifford",
+                           "graph1": text1, "graph2": text2}, fh)
+            for args in (["reduce", "gi-clifford", "g1.txt", "g2.txt"],
+                         ["reduce", "gi-lowrank", "g1.txt", "g2.txt"],
+                         ["bosonic", "encode", "g1.txt"],
+                         ["psgi", "--instance", "bundle.json", "--sweep-count", "20"]):
+                _assert_exit_contract(runner.invoke(main, args))
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(run=_OPTION_RUNS)
+    @example(run=(("psgi",), ("--n", 2, "--kind", "no", "--seed", 2)))
+    @example(run=(("protocol", "qcszk"), ("--n", 2, "--trials", 1, "--shadows", 10)))
+    def test_numeric_options(self, run):
+        command, options = run
+        runner = CliRunner()
+        with runner.isolated_filesystem():
+            core = Graph.path(3).to_edge_list_text()
+            with open("g.txt", "w") as fh:
+                fh.write(core)
+            assert runner.invoke(main, ["bosonic", "encode", "g.txt", "--out", "c.json"]
+                                 ).exit_code == 0
+            _assert_exit_contract(runner.invoke(main, [*command, *map(str, options)]))
 
 
 class TestDeterminism:

@@ -21,6 +21,7 @@ from stateiso.groups import (
     z2k_group,
 )
 from stateiso.linalg import StateVector, fidelity_matrices, random_density
+from stateiso.paulis import CliffordElement, batch_unitaries, clifford_batches, clifford_elements
 
 RNG = np.random.default_rng(99)
 
@@ -224,6 +225,176 @@ class TestUnitaryStack:
         want = max((abs(np.trace(rep.unitary(g)) / rep.dim) for g in rep.elements
                     if g != rep.identity and not _acts_trivially(rep, g)), default=0.0)
         assert _max_trace_ratio(rep) == pytest.approx(want, rel=0, abs=1e-15)
+
+
+_X1, _Z1 = np.array([[0, 1], [1, 0]]), np.diag([1, -1])
+
+
+def _kron_pauli(n, x, z):
+    """X^x Z^z as a kron chain of one-qubit factors, qubit 0 first."""
+    out = np.eye(1)
+    for q in range(n):
+        out = np.kron(out, np.linalg.matrix_power(_X1, x >> q & 1)
+                      @ np.linalg.matrix_power(_Z1, z >> q & 1))
+    return out.astype(complex)
+
+
+def _dihedral(base, base_ref):
+    """The dihedral group of ``base``, and the block construction of each of
+    its elements from the base's matrices."""
+    def ref(rep, label):
+        g, a = label
+        d = base.dim
+        u = np.zeros((2 * d, 2 * d), dtype=complex)
+        u[:d, :d] = base_ref(base, g)
+        u[d:, d:] = base_ref(base, base.inverse(g))
+        return np.roll(u, d, axis=1) if a else u
+    return lambda: dihedralize(base), ref
+
+
+def _cyclic_reference(rep, k):
+    n = rep.dim
+    if rep.name.endswith("phase)"):
+        return np.diag(np.exp(2j * np.pi / n) ** (k * np.arange(n)))
+    return np.roll(np.eye(n, dtype=complex), k, axis=0)
+
+
+_CLIFFORD1 = batch_unitaries(next(clifford_batches(1, 24)))
+_SIGN = [np.eye(2), -np.eye(2)]
+
+# (make, reference): each reference builds R(g) from the label alone, the
+# way each group built its matrices before it acted through ``act``
+REFERENCE_GROUPS = {
+    "pauli1": (lambda: pauli_group(1), lambda r, g: 1j ** g[0] * _kron_pauli(1, *g[1:])),
+    "pauli2": (lambda: pauli_group(2), lambda r, g: 1j ** g[0] * _kron_pauli(2, *g[1:])),
+    "pauli3": (lambda: pauli_group(3), lambda r, g: 1j ** g[0] * _kron_pauli(3, *g[1:])),
+    "clifford1": (lambda: clifford_group(1), lambda r, g: _CLIFFORD1[g]),
+    "cyclic5-shift": (lambda: cyclic_group(5, "shift"), _cyclic_reference),
+    "cyclic6-phase": (lambda: cyclic_group(6, "phase"), _cyclic_reference),
+    "two-copy1": (lambda: two_copy_pauli(1),
+                  lambda r, g: (-1) ** g[2] * np.kron(*[_kron_pauli(1, *g[:2])] * 2)),
+    "two-copy2": (lambda: two_copy_pauli(2),
+                  lambda r, g: (-1) ** g[2] * np.kron(*[_kron_pauli(2, *g[:2])] * 2)),
+    "z2k2": (lambda: z2k_group(2), lambda r, g: _kron_pauli(2, g, 0)),
+    "dihedral-cyclic4": _dihedral(cyclic_group(4, "shift"), _cyclic_reference),
+    "dihedral-z2k2": _dihedral(z2k_group(2), lambda r, g: _kron_pauli(2, g, 0)),
+    "explicit-sign": (lambda: explicit_group(["e", "m"], _SIGN),
+                      lambda r, g: _SIGN[r.elements.index(g)].astype(complex)),
+}
+
+
+class TestActionMatchesReference:
+    """Every group acts through ``act``; its matrices and orbit rows equal
+    the matrices each group used to build one label at a time.  Equality is
+    of values: a matrix product with the stored Clifford stack can flip the
+    sign of an exact zero."""
+
+    @pytest.mark.parametrize("name", REFERENCE_GROUPS)
+    def test_unitary_and_stack_equal_reference(self, name):
+        make, ref = REFERENCE_GROUPS[name]
+        rep = make()
+        stack = rep.unitaries
+        for i, g in enumerate(rep.elements):
+            want = ref(rep, g)
+            assert np.array_equal(rep.unitary(g), want), g
+            assert np.array_equal(stack[i], want), g
+
+    @pytest.mark.parametrize("name", REFERENCE_GROUPS)
+    @pytest.mark.parametrize("cols", [None, 3], ids=["vector", "three-columns"])
+    def test_orbit_rows_equal_reference_products(self, name, cols):
+        make, ref = REFERENCE_GROUPS[name]
+        rep = make()
+        rng = np.random.default_rng(8)
+        shape = (rep.dim,) if cols is None else (rep.dim, cols)
+        amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        orbit = rep.orbit(amps)
+        assert orbit.shape == (rep.order,) + shape
+        want = np.stack([ref(rep, g) @ amps for g in rep.elements])
+        if name == "cyclic6-phase":
+            # a product with the diagonal matrix rounds through BLAS, the
+            # phases multiply entry by entry: equal to the last bit or so
+            assert np.abs(orbit - want).max() <= 4e-16
+        else:
+            assert np.array_equal(orbit.view(np.float64), want.view(np.float64))
+
+    @pytest.mark.parametrize("name", REFERENCE_GROUPS)
+    def test_act_at_any_positions(self, name):
+        rep = REFERENCE_GROUPS[name][0]()
+        at = np.random.default_rng(2).integers(rep.order, size=7)
+        amps = np.random.default_rng(3).normal(size=rep.dim) + 0j
+        assert np.array_equal(rep.act(at, amps), rep.orbit(amps)[at])
+
+
+class TestOrbitBudget:
+    def test_refused_before_allocating(self):
+        # pauli(7)'s orbit of one state is 128 MiB, with a peak model of 448
+        rep, six = pauli_group(7), pauli_group(6)
+        psi = np.ones(rep.dim, dtype=complex)
+        tracemalloc.start()
+        try:
+            with pytest.raises(GroupError, match="orbit"):
+                rep.orbit(psi)
+            with pytest.raises(GroupError, match="orbit"):
+                six.unitaries
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("make, cols", [
+        (lambda: pauli_group(6), None), (lambda: z2k_group(10), None),
+        (lambda: pauli_group(4), "eye"), (lambda: two_copy_pauli(4), 4),
+    ], ids=["pauli6-vector", "z2k10-vector", "pauli4-identity", "two-copy4-columns"])
+    def test_estimate_covers_traced_bytes(self, make, cols):
+        # the budget's model: 16 bytes per output entry and 40 per basis
+        # state, per element
+        rep = make()
+        if cols == "eye":
+            amps = np.eye(rep.dim, dtype=complex)
+        else:
+            shape = (rep.dim,) if cols is None else (rep.dim, cols)
+            amps = np.ones(shape, dtype=complex)
+        tracemalloc.start()
+        try:
+            rep.orbit(amps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.order * (16 * amps.size + 40 * rep.dim) >= peak
+
+
+class TestCliffordGroupCache:
+    def test_cached_and_element_zero_is_identity(self):
+        for n in (1, 2):
+            assert clifford_group(n) is clifford_group(n)
+            rep = clifford_group(n)
+            assert rep.identity == 0
+            assert np.array_equal(rep.unitaries[0], np.eye(1 << n))
+            assert rep.multiply(0, 5) == rep.multiply(5, 0) == 5
+        three = clifford_elements(3, np.array([0]))
+        assert three.row(0) == CliffordElement.identity(3)
+
+    def test_inverse_through_the_index(self):
+        rep = clifford_group(2)
+        for g in (1, 77, 11519):
+            assert rep.multiply(g, rep.inverse(g)) == rep.identity
+
+
+class TestExplicitGroupIsUnitary:
+    @pytest.mark.parametrize("mats", [
+        [np.eye(2), 2 * np.array([[0, 1], [1, 0]])],
+        [np.eye(2), np.array([[1, 1], [0, 1]])],
+        [np.eye(2)[:, :1]],
+        [np.ones(2)],
+    ], ids=["scaled-x", "shear", "not-square", "vectors"])
+    def test_refused(self, mats):
+        with pytest.raises(GroupError, match="unitary"):
+            explicit_group(list(range(len(mats))), mats)
+
+    def test_within_tolerance_accepted(self):
+        eps = 1e-10
+        rep = explicit_group(["e", "z"], [np.eye(2), np.diag([1, -1 + eps])])
+        assert rep.order == 2
 
 
 class TestTwirl:

@@ -69,14 +69,15 @@ class TestPauliOp:
         z = PauliOp.single(1, 0, "Z")
         assert np.allclose(dense_pauli(x * z), -1j * Y)
 
-    def test_to_matrix_matches_dense(self):
-        # to_matrix is apply on the identity: every Pauli at n <= 3
+    def test_apply_on_identity_matches_dense(self):
+        # the dense matrix is apply on the identity: every Pauli at n <= 3
         for n in range(1, 4):
             for ph in range(4):
                 for x in range(1 << n):
                     for z in range(1 << n):
                         p = PauliOp(n, ph, x, z)
-                        assert np.array_equal(p.to_matrix(), dense_pauli(p)), (n, ph, x, z)
+                        assert np.array_equal(p.apply(np.eye(1 << n)), dense_pauli(p)), \
+                            (n, ph, x, z)
 
     def test_apply_matches_matrix(self):
         for _ in range(50):

@@ -77,7 +77,8 @@ class TestOracle:
                          pauli_group(2), THRESHOLDS)
 
     def test_stack_over_budget_refused(self):
-        # pauli(7) has 65,536 elements of 128 x 128: a 16 GiB stack
+        # pauli(7)'s orbit of psi2 is 65,536 rows of 128 entries, 128 MiB,
+        # with a modelled peak of 448 MiB
         rng = np.random.default_rng(5)
         psi = random_state(7, rng)
         inst = PsgiInstance(psi, psi, pauli_group(7), THRESHOLDS)
