@@ -102,9 +102,9 @@ def _config_error(msg: str):
 
 
 def _at_least_one(ctx, param, value: int) -> int:
-    """Option callback: a check run on no instances passes vacuously, and
-    a solver given no copies or shots decides nothing, so a count below 1
-    is a configuration error."""
+    """Option callback: a check run on no instances passes vacuously, a
+    solver given no copies or shots decides nothing, and a protocol of no
+    rounds has no accept rate, so a count below 1 is a configuration error."""
     if value < 1:
         _config_error(f"{param.opts[0]} must be >= 1, got {value}")
     return value
@@ -573,7 +573,8 @@ def cmd_protocol():
 
 
 @cmd_protocol.command("qcszk", out_help="Summary CSV path.")
-@click.option("--trials", type=int, default=500, show_default=True)
+@click.option("--trials", type=int, default=500, show_default=True,
+              callback=_at_least_one)
 @click.option("--shadows", type=int, default=2000, show_default=True)
 @click.option("--n", "n_qubits", type=int, default=2, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
@@ -593,7 +594,8 @@ def protocol_qcszk(trials, shadows, n_qubits, seed):
 
 
 @cmd_protocol.command("qszk-mixed")
-@click.option("--trials", type=int, default=2000, show_default=True)
+@click.option("--trials", type=int, default=2000, show_default=True,
+              callback=_at_least_one)
 @click.option("--k", "k_copies", type=int, default=4, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 def protocol_qszk_mixed(trials, k_copies, seed):
@@ -622,7 +624,8 @@ def protocol_qszk_mixed(trials, k_copies, seed):
 
 
 @cmd_protocol.command("szk-lowrank")
-@click.option("--trials", type=int, default=60, show_default=True)
+@click.option("--trials", type=int, default=60, show_default=True,
+              callback=_at_least_one)
 @click.option("--gamma", type=float, default=0.05, show_default=True)
 @click.option("--graph-weight", type=float, default=0.7, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)

@@ -17,7 +17,9 @@ Cliffords in the Koenig-Smolin order (J. Math. Phys. 55, 122202, 2014);
 enumeration runs to n = 3 (92,897,280 elements).  ``batch_r_overlap_sq``
 scores them against |R^n>; the 4^n sign bits of a Clifford multiply it by a
 Pauli, so ``sign_factored_r_overlap_sq`` scores all sign patterns of a
-symplectic element from one set of per-string |R> terms.  ``batch_apply``
+symplectic element from one set of per-string |R> terms, and
+``batch_x_image_expectations`` reads each <R^n|C X_q C^dag|R^n> off the
+rows, so that most Cliffords are ruled out before scoring.  ``batch_apply``
 is the action C_b|a_c>, O(n 2^n) a column by the factoring C = F1 H_S F2 of
 the kernel section; the element methods and ``batch_unitaries`` call it, and
 ``batch_overlaps`` is the overlap contraction <F1^dag psi1| H_S |F2 psi2>.
@@ -700,7 +702,8 @@ def _rows_to_batch(rows: np.ndarray, signs: np.ndarray, n: int) -> CliffordBatch
 def clifford_elements(n: int, elements: np.ndarray) -> CliffordBatch:
     """The Cliffords at the given positions of the enumeration order, where
     element e has the symplectic index e >> 2n and the sign bits e mod 4^n;
-    each symplectic row is built once."""
+    each symplectic row is built once; n <= 3."""
+    _check_enumerable(n)
     k = 2 * n
     indices, at = np.unique(elements >> k, return_inverse=True)
     return _rows_to_batch(_symplectic_rows(indices, n)[at], elements & ((1 << k) - 1), n)
@@ -715,7 +718,6 @@ def _check_enumerable(n: int) -> None:
 def clifford_batches(n: int, size: int) -> Iterator[CliffordBatch]:
     """The elements of ``enumerate_cliffords``, in its order, as batches of
     at most ``size`` rows; n <= 3."""
-    _check_enumerable(n)
     total = clifford_group_order(n)
     for lo in range(0, total, size):
         yield clifford_elements(n, np.arange(lo, min(lo + size, total)))
@@ -869,6 +871,8 @@ def batch_r_overlap_terms(batch: CliffordBatch):
     check_budget(math.log2(r_overlap_bytes(len(ph), n)),
                  f"the |R> overlap of {len(ph)} {n}-qubit Cliffords", PauliError)
     coef, masks = _pauli_strings(n)
+    if not len(ph):
+        return np.zeros((0, 3 ** n)), masks
     # one string per row, so that each block of strings below is contiguous
     ps, xs, zs = (np.zeros((3 ** n, len(ph)), dtype=np.int64) for _ in range(3))
     for q in range(n):
@@ -920,6 +924,19 @@ def batch_r_overlap_sq(batch: CliffordBatch) -> np.ndarray:
     ``batch_r_overlap_terms``."""
     obs.count("paulis.cliffords_scored", len(batch.ph))
     return batch_r_overlap_terms(batch)[0].sum(axis=1)
+
+
+def batch_x_image_expectations(batch: CliffordBatch) -> np.ndarray:
+    """(B, n) <R^n| C_b X_q C_b^dag |R^n>: the image i^phase X^x Z^z of X_q
+    read a letter at a time by the rule of ``batch_r_overlap_terms``, I -> 1,
+    X -> cos(pi/8), Y -> sin(pi/8) and Z -> 0, with the sign i^(phase - #Y)."""
+    n, ph, x, z = batch
+    x, z = x[:, :n], z[:, :n]
+    y = x & z
+    ny = _popcount(y, n)
+    powers = np.arange(n + 1)
+    sign = _SIGNS.take((ph[:, :n] - ny) & 3 | (z != y) << 2)
+    return sign * (COS8 ** powers).take(_popcount(x ^ y, n)) * (SIN8 ** powers).take(ny)
 
 
 @functools.cache

@@ -114,8 +114,12 @@ def _context(orbits: tuple, labels) -> dict:
         top = orbit[np.arange(len(orbit)), mag.argmax(axis=1)]
         rel = np.angle(orbit * np.exp(-1j * np.angle(top))[:, None])
         key = np.hstack((np.round(mag, 10), np.round(rel, 8))) + 0.0
-        first = np.unique(key, axis=0, return_index=True)[1]
-        reps.append(orbit[np.sort(first)])
+        # keyed by the row bytes, which the + 0.0 makes alike for -0.0 and
+        # 0.0; a dict keeps each key's first index, in insertion order
+        first = {}
+        for i, row in enumerate(key):
+            first.setdefault(row.tobytes(), i)
+        reps.append(orbit[list(first.values())])
     return {"orbits": orbits, "labels": labels,
             "targets": np.vstack(reps).T, "split": len(reps[0])}
 

@@ -3,7 +3,8 @@ and distinguishability problems, with numeric verifiers.
 
 Includes the Clifford encoding of graphs via |R>-padded graph states, the
 low-stabilizer-rank variant, the BQP-hardness instance builder, the
-distinguishability paddings, and the permutation-lemma sweeps.  Both overlap
+distinguishability paddings, and the permutation-lemma sweeps, which score
+only the Cliffords that their X images leave in play.  Both overlap
 sweeps (uniform Cliffords; the low-rank soundness check's permutation x
 diagonal-Clifford products D P) score blocks of tableau rows by ``batch_overlaps``.
 """
@@ -24,10 +25,11 @@ from .linalg import (
 from .graphs import Graph, find_isomorphism
 from .groups import DecisionThresholds, FiniteGroupRep, max_conjugate_fidelity
 from .paulis import (
-    CliffordBatch, CliffordElement, batch_block_size, batch_overlaps,
-    batch_r_overlap_sq, clifford_elements, graph_state, qubit_permutation_batch,
-    qubit_permutation_clifford, r_minus_state, r_state, r_state_product, random_clifford_batch,
-    sign_factored_r_overlap_sq, symplectic_group_order,
+    COS8, CliffordBatch, CliffordElement, PauliError, batch_block_size, batch_overlaps,
+    batch_r_overlap_sq, batch_x_image_expectations, clifford_elements, graph_state,
+    qubit_permutation_batch, qubit_permutation_clifford, r_minus_state, r_overlap_bytes,
+    r_state, r_state_product, random_clifford_batch, sign_factored_r_overlap_sq,
+    symplectic_group_order,
 )
 from .psgi import PsgiInstance, PsgiVerdict
 
@@ -159,29 +161,56 @@ def _check_kept(n: int, kept: int) -> None:
                  f"{kept} {n}-qubit Cliffords at or above the threshold", ReductionError)
 
 
+def _may_reach(e: np.ndarray, threshold: float) -> np.ndarray:
+    """Whether each row of X image expectations e_q = <R^n|C X_q C^dag|R^n>
+    (``batch_x_image_expectations``) leaves |<R^n|C|R^n>|^2 >= threshold
+    possible.  By Fuchs-van de Graaf such a C moves every expectation of
+    |R^n> by at most 2 sqrt(1 - threshold), and <R^n|X_q|R^n> = cos(pi/8).
+    The 1e-6 margin covers float scores: a row scored at or above the
+    threshold is truly within 1e-14 of it, which loosens the bound by 2e-7."""
+    return (np.abs(e - COS8) <= 2 * math.sqrt(1 - threshold) + 1e-6).all(axis=1)
+
+
 def _above_threshold(n: int, mode: str, samples: int, seed: int, threshold: float):
-    """(checked, batch): how many Cliffords were scored, and those scoring at
-    or above the threshold, in scoring order.  Only those few become rows;
-    more than ``_check_kept`` admits raise ReductionError."""
-    step = batch_block_size(3 ** n)
+    """(checked, batch): how many Cliffords were checked, and those scoring at
+    or above the threshold, in scoring order.  Blocks are sized for their
+    (B, 2n) rows; the Cliffords whose X images rule them out (``_may_reach``)
+    are counted as certified and never scored, and only the rest reach the
+    3^n-string |R> scorer.  Only the high scorers become rows; more than
+    ``_check_kept`` admits raise ReductionError."""
+    step = batch_block_size(2 * n)
     high, kept = [], 0
     if mode == "exhaustive":
-        # all 4^n sign patterns of a block of symplectic indices at once;
-        # only the positions of high scores are kept
+        # a block of symplectic indices at sign 0; the sign bits only flip
+        # the signs of the e_q, so an index passes on the |e_q| and all 4^n
+        # of its sign patterns are scored at once; only the positions of
+        # high scores are kept
         order = symplectic_group_order(n)
         for lo in range(0, order, step):
-            scores = sign_factored_r_overlap_sq(n, np.arange(lo, min(lo + step, order)))
-            high.append((lo << 2 * n) + np.flatnonzero(scores >= threshold))
-            kept += len(high[-1])
+            indices = np.arange(lo, min(lo + step, order))
+            e = batch_x_image_expectations(clifford_elements(n, indices << 2 * n))
+            live = indices[_may_reach(np.abs(e), threshold)]
+            obs.count("reductions.cliffords_certified", (len(indices) - len(live)) << 2 * n)
+            row, sign = np.nonzero(sign_factored_r_overlap_sq(n, live) >= threshold)
+            high.append(live[row] << 2 * n | sign)
+            kept += len(row)
             _check_kept(n, kept)
         return order << 2 * n, clifford_elements(n, np.concatenate(high))
+    # the 3^n tables of a single Clifford are refused before any draw
+    check_budget(math.log2(r_overlap_bytes(1, n)),
+                 f"the |R> overlap of one {n}-qubit Clifford", PauliError)
     rng = np.random.default_rng(seed)
+    score_step = batch_block_size(3 ** n)
     for lo in range(0, samples, step):
         batch = random_clifford_batch(n, rng, min(step, samples - lo))
-        at = np.flatnonzero(batch_r_overlap_sq(batch) >= threshold)
-        high.append(np.stack([a[at] for a in batch[1:]]))
-        kept += len(at)
-        _check_kept(n, kept)
+        live = np.flatnonzero(_may_reach(batch_x_image_expectations(batch), threshold))
+        obs.count("reductions.cliffords_certified", len(batch.ph) - len(live))
+        for rows in np.split(live, range(score_step, len(live), score_step)):
+            part = CliffordBatch(n, *(a[rows] for a in batch[1:]))
+            at = np.flatnonzero(batch_r_overlap_sq(part) >= threshold)
+            high.append(np.stack([a[at] for a in part[1:]]))
+            kept += len(at)
+            _check_kept(n, kept)
     return samples, CliffordBatch(n, *np.concatenate(high, axis=1))
 
 

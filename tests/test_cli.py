@@ -460,6 +460,15 @@ class TestProtocolCommands:
         assert rows[0]["twirled_distance"] == 0.0
         assert rows[1]["twirled_distance"] > 0.9
 
+    @pytest.mark.parametrize("command", ["qcszk", "qszk-mixed", "szk-lowrank"])
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_nonpositive_trials_refused_before_any_work(self, runner, command, trials):
+        # no rounds give no accept rate; refused while the options are read,
+        # before the configuration line and before any instance is built
+        res = runner.invoke(main, ["protocol", command, "--trials", trials])
+        _assert_config_error(res)
+        assert res.stderr == f"config error: --trials must be >= 1, got {trials}\n"
+
 
 P4_TEXT = Graph.path(4).to_edge_list_text()
 

@@ -28,7 +28,9 @@ def test_counts_repeat_under_a_seed():
         _work()
     assert first.counts == second.counts == {
         "paulis.cliffords_drawn": 300 + 500 + 7,
-        "paulis.cliffords_scored": 500,
+        # the X images rule out 497 of the lemma's 500 draws; 3 are scored
+        "paulis.cliffords_scored": 3,
+        "reductions.cliffords_certified": 497,
         "paulis.cliffords_applied": 300 + 7,
         "paulis.action_entries": 300 * 5 * 32 + 7 * 4 * 4,
     }
@@ -36,11 +38,13 @@ def test_counts_repeat_under_a_seed():
 
 
 def test_exhaustive_lemma_counts_every_element():
-    # the sign-factored lemma scores each symplectic element once for its
-    # 4^n sign patterns, and counts them all
+    # the sign-factored lemma scores each symplectic element that its X
+    # images leave in play once for its 4^n sign patterns, and counts them
+    # all; the other 704 of the 720 are certified, 16 patterns each
     with obs.recording() as rec:
         verify_lemma_perm(2)
-    assert rec.counts == {"paulis.cliffords_scored": 11520}
+    assert rec.counts == {"paulis.cliffords_scored": 16 * 16,
+                          "reductions.cliffords_certified": 704 * 16}
 
 
 def test_outputs_same_with_counting_on_and_off():

@@ -19,6 +19,7 @@ from stateiso.paulis import (
     batch_r_overlap_sq,
     batch_r_overlap_terms,
     batch_unitaries,
+    batch_x_image_expectations,
     clifford_batches,
     clifford_elements,
     clifford_group_order,
@@ -829,6 +830,66 @@ class TestRowUnpack:
             got = _rows_to_batch(rows, signs, n)
             for a, b in zip(got[1:], _reference_rows_to_batch(rows, signs, n)):
                 assert a.dtype == np.int64 and np.array_equal(a, b), n
+
+
+class TestCertificateKernel:
+    """The X image expectations against dense matrices, and the |R> scorers
+    on the empty survivor sets that the lemma's certificate leaves."""
+
+    @staticmethod
+    def _dense_x(n, q):
+        # qubit 0 is the most significant bit of a basis index
+        out = np.eye(1, dtype=complex)
+        for k in range(n):
+            out = np.kron(out, X if k == q else I2)
+        return out
+
+    def test_x_image_expectations_match_dense(self):
+        # <R^n|U X_q U^dag|R^n> from each Clifford's dense unitary: the whole
+        # group at n = 1 and random draws with all sign patterns at n <= 3
+        rng = np.random.default_rng(41)
+        for n, batch in ((1, next(clifford_batches(1, 24))),
+                         (2, random_clifford_batch(2, rng, 60)),
+                         (3, random_clifford_batch(3, rng, 60))):
+            psi = r_state_product(n).amplitudes
+            got = batch_x_image_expectations(batch)
+            assert got.shape == (len(batch.ph), n)
+            for b in range(len(batch.ph)):
+                u = batch.row(b).to_unitary().matrix
+                for q in range(n):
+                    want = np.vdot(psi, u @ self._dense_x(n, q) @ u.conj().T @ psi)
+                    assert abs(want.imag) < 1e-12
+                    assert abs(got[b, q] - want.real) < 1e-12, (n, b, q)
+
+    def test_x_image_expectations_of_permutations(self):
+        # a qubit permutation fixes |R^n>, so every X image reads cos(pi/8)
+        for n in range(1, 7):
+            perms = _all_or_sampled_permutations(n)
+            got = batch_x_image_expectations(qubit_permutation_batch(perms, n))
+            assert np.array_equal(got, np.full((len(perms), n), COS8))
+
+    def test_x_image_expectations_match_product_rule(self):
+        # past dense sizes, one image at a time against the product rule
+        rng = np.random.default_rng(42)
+        for n in (8, 16):
+            batch = random_clifford_batch(n, rng, 40)
+            got = batch_x_image_expectations(batch)
+            for b in range(40):
+                for q in range(n):
+                    p = PauliOp(n, int(batch.ph[b, q]), int(batch.x[b, q]), int(batch.z[b, q]))
+                    assert got[b, q] == pytest.approx(_r_state_pauli_expectation(p), abs=1e-15)
+
+    def test_r_overlap_of_empty_batches(self):
+        rng = np.random.default_rng(43)
+        for n in (1, 2, 3, 5):
+            empty = CliffordBatch(n, *(a[:0] for a in random_clifford_batch(n, rng, 2)[1:]))
+            assert batch_r_overlap_sq(empty).shape == (0,)
+            terms, masks = batch_r_overlap_terms(empty)
+            assert terms.shape == (0, 3 ** n) and masks.shape == (3 ** n,)
+            assert batch_x_image_expectations(empty).shape == (0, n)
+        for n in (1, 2, 3):
+            for indices in ([], np.zeros(0, dtype=np.int64)):
+                assert sign_factored_r_overlap_sq(n, indices).shape == (0, 1 << 2 * n)
 
 
 def _permutation_matrix(perm, n):

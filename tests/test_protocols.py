@@ -11,6 +11,7 @@ from stateiso.protocols import (
     DEFAULT_SHADOW_DELTA,
     ProtocolError,
     ProtocolTranscript,
+    _context,
     _median_of_means,
     _shadow_estimates,
     qcszk_context,
@@ -170,6 +171,43 @@ class TestQcszk:
             ctx = qcszk_context(inst)
             assert ctx["split"] == len(o1)
             assert np.array_equal(ctx["targets"], np.stack(o1 + o2).T)
+
+
+def _unique_context_reps(orbit):
+    """The representatives by the np.unique(axis=0) pass that _context used
+    before its dictionary pass: the first index of each sorted key row."""
+    mag = np.abs(orbit)
+    top = orbit[np.arange(len(orbit)), mag.argmax(axis=1)]
+    rel = np.angle(orbit * np.exp(-1j * np.angle(top))[:, None])
+    key = np.hstack((np.round(mag, 10), np.round(rel, 8))) + 0.0
+    return orbit[np.sort(np.unique(key, axis=0, return_index=True)[1])]
+
+
+class TestContextDedup:
+    def test_first_rows_match_np_unique(self):
+        # rows drawn from a small pool, each under a random global phase and
+        # with one entry's angle nudged by +-1e-12, so that its key rounds to
+        # -0.0 or 0.0; two rows of the pool are equal up to phase
+        rng = np.random.default_rng(61)
+        for n, pool_size, rows in ((1, 3, 40), (2, 6, 200), (3, 20, 500)):
+            d = 1 << n
+            pool = rng.normal(size=(pool_size, d)) + 1j * rng.normal(size=(pool_size, d))
+            pool[1] = pool[2] * np.exp(0.7j)
+            pick = rng.integers(pool_size, size=rows)
+            orbit = pool[pick] * np.exp(1j * rng.uniform(0, 2 * np.pi, size=(rows, 1)))
+            nudge = np.ones((rows, d), dtype=complex)
+            nudge[np.arange(rows), rng.integers(d, size=rows)] = np.exp(
+                1j * rng.choice([-1e-12, 1e-12], size=rows))
+            orbit = orbit * nudge
+            other = orbit[rng.permutation(rows)]
+            ctx = _context((orbit, other), None)
+            want = [_unique_context_reps(o) for o in (orbit, other)]
+            assert ctx["split"] == len(want[0])
+            assert np.array_equal(ctx["targets"], np.vstack(want).T)
+            # signed zeros and phases merge: one representative per distinct
+            # pool row drawn, less the pair equal up to phase
+            drawn = set(pick.tolist())
+            assert ctx["split"] == len(drawn) - ({1, 2} <= drawn)
 
 
 class TestQszkMixed:

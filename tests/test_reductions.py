@@ -8,14 +8,27 @@ from stateiso.graphs import Graph
 from stateiso.groups import clifford_group, cyclic_group, pauli_group
 from stateiso.linalg import (Circuit, DensityMatrix, random_density, run_circuit,
                              sqrt_fidelity, trace_norm)
+from stateiso import obs
 from stateiso.paulis import (
+    COS8,
+    CliffordBatch,
     CliffordElement,
+    PauliError,
     PauliOp,
+    batch_r_overlap_sq,
+    batch_x_image_expectations,
+    clifford_batches,
+    clifford_elements,
+    clifford_group_order,
     random_clifford,
+    random_clifford_batch,
+    sign_factored_r_overlap_sq,
+    symplectic_group_order,
 )
 from stateiso.psgi import PsgiVerdict
 from stateiso.reductions import (
     GI_THRESHOLDS,
+    LEMMA_PERM_THRESHOLD,
     NONISO_LIBRARY,
     ReductionError,
     bqp_hardness_instance,
@@ -32,6 +45,7 @@ from stateiso.reductions import (
     verify_first_qubit_claim,
     verify_lemma_perm,
 )
+from stateiso.reductions import _may_reach
 
 RNG = np.random.default_rng(2024)
 
@@ -317,6 +331,108 @@ class TestLemmaPerm:
         assert report["high_overlap_permutations"]
         for rec in report["high_overlap_permutations"]:
             assert rec["fixes_control"]
+
+
+def _unpruned_lemma_report(n, mode, samples=0, seed=0, threshold=LEMMA_PERM_THRESHOLD):
+    """verify_lemma_perm's report with every Clifford scored and none ruled
+    out: the whole group through the sign-factored scorer, or all the draws
+    through batch_r_overlap_sq."""
+    if mode == "exhaustive":
+        order = symplectic_group_order(n)
+        scores = sign_factored_r_overlap_sq(n, np.arange(order))
+        checked, high = order << 2 * n, clifford_elements(n, np.flatnonzero(scores >= threshold))
+    else:
+        batch = random_clifford_batch(n, np.random.default_rng(seed), samples)
+        at = batch_r_overlap_sq(batch) >= threshold
+        checked, high = samples, CliffordBatch(n, *(a[at] for a in batch[1:]))
+    perm = high.permutation_mask()
+    above, perms = len(perm), int(perm.sum())
+    return {
+        "n": n, "mode": mode, "checked": checked, "threshold": threshold,
+        "above_threshold": above, "permutations": perms,
+        "violations": [high.row(b).key() for b in np.flatnonzero(~perm)],
+        "fraction_permutations": (perms / above) if above else 1.0,
+    }
+
+
+class TestLemmaCertificate:
+    """The X image bound that rules Cliffords out before the |R> scorer."""
+
+    @pytest.mark.parametrize("threshold", [0.5, 0.7, 0.9, 0.99, 0.9999, 1.0])
+    def test_ruled_out_rows_score_below_threshold(self, threshold):
+        # the whole group at n <= 2, and seeded draws at n = 1..4
+        rng = np.random.default_rng(51)
+        batches = [next(clifford_batches(n, clifford_group_order(n))) for n in (1, 2)]
+        batches += [random_clifford_batch(n, rng, 3000) for n in (1, 2, 3, 4)]
+        for batch in batches:
+            ruled = ~_may_reach(batch_x_image_expectations(batch), threshold)
+            assert (batch_r_overlap_sq(batch)[ruled] < threshold).all(), batch.n
+            if threshold >= 0.9:
+                assert ruled.mean() > 0.5, batch.n
+
+    def test_sign_patterns_pass_on_moduli(self):
+        # a symplectic element passes at sign 0 on its |e_q| exactly when
+        # one of its 4^n sign patterns passes on its e_q
+        for n in (1, 2):
+            group = next(clifford_batches(n, clifford_group_order(n)))
+            e = batch_x_image_expectations(group).reshape(-1, 1 << 2 * n, n)
+            for threshold in (0.5, 0.9, 0.9999):
+                any_sign = _may_reach(e.reshape(-1, n), threshold).reshape(-1, 1 << 2 * n)
+                assert np.array_equal(any_sign.any(axis=1),
+                                      _may_reach(np.abs(e[:, 0]), threshold))
+
+    @pytest.mark.parametrize("threshold", [0.75, 0.8, 0.9, 0.9999])
+    def test_exhaustive_certifies_what_every_sign_rules_out(self, threshold):
+        # a symplectic element is certified, with its 4^n sign patterns, when
+        # the bound rules out each pattern from its own signed X images
+        for n in (1, 2):
+            group = next(clifford_batches(n, clifford_group_order(n)))
+            ruled = ~_may_reach(batch_x_image_expectations(group), threshold)
+            with obs.recording() as rec:
+                verify_lemma_perm(n, threshold=threshold)
+            every = ruled.reshape(-1, 1 << 2 * n).all(axis=1)
+            assert rec.counts["reductions.cliffords_certified"] == int(every.sum()) << 2 * n
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("threshold", [0.9999, 0.99, 0.9, 0.5, 1.0, COS8 ** 2])
+    def test_exhaustive_reports_match_unpruned(self, n, threshold):
+        assert (verify_lemma_perm(n, threshold=threshold)
+                == _unpruned_lemma_report(n, "exhaustive", threshold=threshold))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("threshold", [0.9999, 0.95, 0.7])
+    def test_sampled_reports_match_unpruned(self, n, threshold):
+        for seed in range(4):
+            assert (verify_lemma_perm(n, "sampled", 2000, seed, threshold)
+                    == _unpruned_lemma_report(n, "sampled", 2000, seed, threshold))
+
+    @pytest.mark.parametrize("n, mode, samples, threshold", [
+        (1, "exhaustive", 0, 0.9999), (2, "exhaustive", 0, 0.9999), (2, "exhaustive", 0, 0.5),
+        (3, "sampled", 5000, 0.9999), (2, "sampled", 5000, 0.5), (5, "sampled", 2000, 0.9999),
+    ])
+    def test_scored_and_certified_make_checked(self, n, mode, samples, threshold):
+        with obs.recording() as rec:
+            report = verify_lemma_perm(n, mode, samples, 1, threshold)
+        scored = rec.counts.get("paulis.cliffords_scored", 0)
+        certified = rec.counts["reductions.cliffords_certified"]
+        assert scored + certified == report["checked"]
+        assert scored >= report["above_threshold"]
+        # at 0.5 the bound, 2 sqrt(1/2), is wider than any ||e_q| - cos(pi/8)|,
+        # so only a Clifford that flips the sign of some e_q is ruled out
+        assert certified > 0 or (mode, threshold) == ("exhaustive", 0.5)
+
+    def test_over_budget_draws_refused_before_drawing(self):
+        # the 3^16-wide tables of one Clifford are refused before any of a
+        # million draws is made
+        tracemalloc.start()
+        try:
+            with obs.recording() as rec, pytest.raises(PauliError, match="budget"):
+                verify_lemma_perm(16, mode="sampled", samples=1_000_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert rec.counts == {}
 
 
 def pairwise_gram_total(n: int) -> float:
