@@ -41,9 +41,6 @@ EXIT_PROMISE = 3
 # at n = 9..13 (2 vCPUs, numpy 2.4), so this is about a minute.
 SWEEP_ENTRY_BUDGET = 1_500_000_000
 
-GROUP_N_HELP = ("The group's parameter: pauli(n) and clifford(n) act on n qubits, "
-                "two_copy_pauli(n) on 2n.")
-
 
 def _resolve_out(out: str) -> str:
     base = os.environ.get("STATEISO_OUT_DIR")
@@ -99,6 +96,16 @@ def write_summary_csv(path: str, rows: list) -> None:
 def _config_error(msg: str):
     click.echo(f"config error: {msg}", err=True)
     sys.exit(EXIT_CONFIG)
+
+
+def _group_options(command):
+    """``--group`` and its parameter ``--n``.  ``--group`` takes only the
+    groups that ``--n`` alone builds; a bundle may name any group type."""
+    command = click.option("--n", "n_qubits", type=int, default=1, show_default=True,
+                           help="The group's parameter: pauli(n) and clifford(n) act on "
+                           "n qubits, two_copy_pauli(n) on 2n.")(command)
+    return click.option("--group", type=click.Choice(["pauli", "clifford", "two_copy_pauli"]),
+                        default="pauli", show_default=True)(command)
 
 
 def _at_least_one(ctx, param, value: int) -> int:
@@ -209,9 +216,7 @@ def main():
               help="Instance bundle JSON (from `reduce`).")
 @click.option("--oracle/--quantum", "use_oracle", default=True,
               help="Exact orbit scan vs the character-sampling solver.")
-@click.option("--group", default="pauli", show_default=True)
-@click.option("--n", "n_qubits", type=int, default=1, show_default=True,
-              help=GROUP_N_HELP)
+@_group_options
 @click.option("--same-state", is_flag=True, help="psi1 = psi2 (trivial YES).")
 @click.option("--kind", type=click.Choice(["yes", "no"]), default="yes",
               show_default=True, help="Random instance kind when built from flags.")
@@ -380,9 +385,7 @@ def reduce_gi_bosonic(graph1, graph2):
 @cmd_reduce.command("qsd-msgi")
 @click.argument("sigma1", type=str)
 @click.argument("sigma2", type=str)
-@click.option("--group", default="pauli", show_default=True)
-@click.option("--n", "n_qubits", type=int, default=1, show_default=True,
-              help=GROUP_N_HELP)
+@_group_options
 @click.option("--seed", type=int, default=0, show_default=True)
 def reduce_qsd_msgi(sigma1, sigma2, group, n_qubits, seed):
     from .groups import group_from_spec
@@ -404,9 +407,7 @@ def reduce_qsd_msgi(sigma1, sigma2, group, n_qubits, seed):
 @cmd_reduce.command("qsd-mixedhsp")
 @click.argument("sigma1", type=str)
 @click.argument("sigma2", type=str)
-@click.option("--group", default="pauli", show_default=True)
-@click.option("--n", "n_qubits", type=int, default=1, show_default=True,
-              help=GROUP_N_HELP)
+@_group_options
 @click.option("--h-index", type=int, default=1, show_default=True,
               help="Index of the involution h in the group's element list.")
 def reduce_qsd_mixedhsp(sigma1, sigma2, group, n_qubits, h_index):
@@ -543,22 +544,17 @@ def verify_trace_transfer(count, n_qubits, seed):
 def verify_shadow_unbiased(seed):
     """Exact single-shadow expectation at one qubit by full enumeration."""
     from .groups import clifford_group
+    from .protocols import shadow_single_shots
     from .psgi import random_state
     rng = np.random.default_rng(seed)
-    units = clifford_group(1).unitaries
+    # every <b|U of the 24 Cliffords; the mean weighs each by 1/24 and by its
+    # Born probability |<b|U|psi>|^2
+    rows = clifford_group(1).unitaries.reshape(-1, 2)
     worst = 0.0
     for _ in range(20):
-        psi = random_state(1, rng)
-        phi = random_state(1, rng)
-        expect = 0.0
-        for u in units:
-            rot_psi = u @ psi.amplitudes
-            rot_phi = u @ phi.amplitudes
-            for b in range(2):
-                p = abs(rot_psi[b]) ** 2
-                expect += p * (3 * abs(rot_phi[b]) ** 2 - 1) / 24
-        true = abs(np.vdot(phi.amplitudes, psi.amplitudes)) ** 2
-        worst = max(worst, abs(expect - true))
+        psi, phi = (random_state(1, rng).amplitudes for _ in range(2))
+        expect = np.abs(rows @ psi) ** 2 @ shadow_single_shots(rows, phi[:, None])[:, 0] / 24
+        worst = max(worst, abs(expect - abs(np.vdot(phi, psi)) ** 2))
     return {"version": SCHEMA_VERSION, "cases": 20, "worst_bias": worst,
             "passed": worst <= 1e-10}
 

@@ -327,8 +327,7 @@ def clifford_group(n: int) -> FiniteGroupRep:
 
     @functools.cache
     def index():
-        rows = np.stack((group.ph, group.x, group.z), axis=-1).tolist()
-        return {tuple(map(tuple, row)): i for i, row in enumerate(rows)}
+        return {group.row(i).key(): i for i in range(len(mats))}
 
     def multiply(a, b):
         return index()[group.row(a).compose(group.row(b)).key()]
@@ -374,14 +373,17 @@ def z2k_group(k: int) -> FiniteGroupRep:
 
 def explicit_group(elements, matrices, identity=None) -> FiniteGroupRep:
     """Group from an explicit label -> matrix list; multiplication is
-    recovered by matching products back to the list.  Matrices that are not
-    square and unitary within ``linalg.UNITARY_TOL`` raise GroupError."""
+    recovered by matching products back to the list.  GroupError refuses
+    matrices not square and unitary within ``linalg.UNITARY_TOL``, repeated
+    labels and a declared identity not within ``MATCH_TOL`` of I."""
     labels, mats = list(elements), np.array(matrices, dtype=complex)
     if mats.ndim != 3 or mats.shape[1] != mats.shape[2] or np.any(
             np.linalg.norm(mats.conj().transpose(0, 2, 1) @ mats - np.eye(mats.shape[1]),
                            axis=(1, 2)) > UNITARY_TOL):
         raise GroupError("an explicit group needs square unitary matrices")
     index = {e: i for i, e in enumerate(labels)}
+    if len(index) != len(labels):
+        raise GroupError("an explicit group needs distinct labels")
 
     def match(m, error="explicit group is not closed under multiplication"):
         hits = np.flatnonzero(np.abs(mats - m).max(axis=(1, 2)) < MATCH_TOL)
@@ -389,8 +391,11 @@ def explicit_group(elements, matrices, identity=None) -> FiniteGroupRep:
             raise GroupError(error)
         return labels[hits[0]]
 
+    eye = np.eye(len(mats[0]))
     if identity is None:
-        identity = match(np.eye(len(mats[0])), "no identity matrix found in explicit group")
+        identity = match(eye, "no identity matrix found in explicit group")
+    elif identity not in index or not np.abs(mats[index[identity]] - eye).max() < MATCH_TOL:
+        raise GroupError(f"the identity label {identity!r} names no identity matrix")
     return _stack_group(labels, identity, lambda a, b: match(mats[index[a]] @ mats[index[b]]),
                         lambda a: match(mats[index[a]].conj().T), mats, "explicit")
 

@@ -16,8 +16,8 @@ is carried.  A ``CliffordElement`` is a batch of one row.  ``compose`` and
 Cliffords in the Koenig-Smolin order (J. Math. Phys. 55, 122202, 2014);
 enumeration runs to n = 3 (92,897,280 elements).  ``batch_r_overlap_sq``
 scores them against |R^n>; the 4^n sign bits of a Clifford multiply it by a
-Pauli, so ``sign_factored_r_overlap_sq`` scores all sign patterns of a
-symplectic element from one set of per-string |R> terms, and
+Pauli, so ``sign_factored_r_overlap_sq`` scores all sign patterns of a row
+from that row's one set of per-string |R> terms, and
 ``batch_x_image_expectations`` reads each <R^n|C X_q C^dag|R^n> off the
 rows, so that most Cliffords are ruled out before scoring.  ``batch_apply``
 is the action C_b|a_c>, O(n 2^n) a column by the factoring C = F1 H_S F2 of
@@ -826,6 +826,29 @@ def qubit_permutation_batch(perms, n: int) -> CliffordBatch:
     return CliffordBatch(n, np.zeros_like(x), x, np.roll(x, n, axis=1))
 
 
+def diagonal_permutation_batch(n: int, rng: np.random.Generator, count: int) -> CliffordBatch:
+    """``count`` Cliffords D P, P a uniform qubit permutation and D =
+    prod_q S_q^{a_q} prod_{q<r} CZ_qr^{c_qr}, which sends X_q to i^{a_q} X_q
+    Z_q^{a_q} prod_r Z_r^{c_qr} and fixes each Z_q.  One integers call with the
+    bounds [n!, 4 x n, 2 x n(n-1)/2] tiled draws like scalar calls, in order."""
+    q, r = np.triu_indices(n, 1)
+    draws = rng.integers(np.tile([math.factorial(n)] + [4] * n + [2] * len(q), count))
+    p, a, c = np.split(draws.reshape(count, -1), [1, 1 + n], axis=1)
+    # the p-th permutation of itertools.permutations(range(n)) from its
+    # Lehmer digits: each digit counts the unused qubits below its entry
+    perm = p // [math.factorial(k) for k in range(n - 1, -1, -1)] % np.arange(n, 0, -1)
+    for k in range(n - 2, -1, -1):
+        perm[:, k + 1:] += perm[:, k + 1:] >= perm[:, k, None]
+    cz = np.zeros((count, n, n), dtype=np.int64)
+    cz[:, q, r] = cz[:, r, q] = c
+    bits = 1 << np.arange(n)
+    # P sends X_k and Z_k to X_pi(k) and Z_pi(k), so D P takes D's images there
+    images = (a, np.broadcast_to(bits, a.shape), (a & 1) * bits | (cz * bits).sum(axis=2))
+    ph, x, z = (np.take_along_axis(t, perm, axis=1) for t in images)
+    zero = np.zeros_like(x)
+    return CliffordBatch(n, np.hstack((ph, zero)), np.hstack((x, zero)), np.hstack((z, x)))
+
+
 def qubit_permutation_clifford(perm, n: int) -> CliffordElement:
     """The Clifford sending qubit i to qubit perm[i]."""
     return CliffordElement(*qubit_permutation_batch([perm], n))
@@ -947,21 +970,19 @@ def _sign_matrix(n: int) -> np.ndarray:
     return s
 
 
-def sign_factored_r_overlap_sq(n: int, indices: np.ndarray) -> np.ndarray:
-    """|<R^n| C |R^n>|^2 of all 4^n sign patterns of the symplectic elements
-    with the given Koenig-Smolin indices, shape (len(indices), 4^n): column
-    s of row r scores the element indices[r] << 2n | s of the enumeration.
-    The sign bits multiply C by a Pauli, so one terms kernel at sign 0 and
-    one product with the fixed sign matrix score every pattern; n <= 3."""
+def sign_factored_r_overlap_sq(batch: CliffordBatch) -> np.ndarray:
+    """(B, 4^n) |<R^n| C |R^n>|^2 of row b with its sign bits XOR s at [b, s].
+    The sign bits multiply C by a Pauli, so one terms kernel and one product
+    with the fixed sign matrix score all 4^n sign patterns of a row; n <= 3."""
+    n = batch.n
     _check_enumerable(n)
-    rows = _symplectic_rows(indices, n)
-    terms, _ = batch_r_overlap_terms(_rows_to_batch(rows, np.zeros(len(rows), np.int64), n))
-    obs.count("paulis.cliffords_scored", len(rows) << 2 * n)
+    terms, _ = batch_r_overlap_terms(batch)
+    obs.count("paulis.cliffords_scored", len(terms) << 2 * n)
     # row chunks keep each product within OpenBLAS's one-thread size
     # (m k n <= 2^18), past which its threads spin between calls; the CLI
     # runs BLAS on one thread, so this protects in-process callers whose BLAS
     # is threaded, such as library users and perfbench's in-process workloads
-    out, step = np.empty((len(rows), 1 << 2 * n)), (1 << 18) // 12 ** n
-    for lo in range(0, len(rows), step):
+    out, step = np.empty((len(terms), 1 << 2 * n)), (1 << 18) // 12 ** n
+    for lo in range(0, len(terms), step):
         np.matmul(terms[lo:lo + step], _sign_matrix(n).T, out=out[lo:lo + step])
     return out

@@ -22,8 +22,6 @@ from . import obs
 from .groups import clifford_group, k_twirl
 from .linalg import check_budget, trace_distance
 from .paulis import batch_apply, batch_unitaries, qubit_permutation_batch, random_clifford_batch
-from .psgi import PsgiInstance
-from .reductions import MsgiInstance
 
 DEFAULT_SHADOW_DELTA = 0.05
 WILSON_Z = 1.96              # two-sided 95% normal quantile
@@ -64,12 +62,20 @@ def _median_of_means(singles: np.ndarray, n_targets: int,
     return (p[h - 1] + p[h]) / 2
 
 
+def shadow_single_shots(rows: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """(N, M) single-shot global-Clifford shadow estimates
+    (d + 1) |<b|U|t>|^2 - 1, from each row <b|U of ``rows`` (N, d), for each
+    column t of ``targets`` (d, M).  Over uniform Cliffords U and Born-rule
+    outcomes b of U|psi>, the mean is |<t|psi>|^2."""
+    return (rows.shape[1] + 1) * np.abs(rows @ targets) ** 2 - 1
+
+
 def _shadow_estimates(state: np.ndarray, target_mat: np.ndarray,
                       n_shadows: int, rng, delta: float) -> np.ndarray:
     """Global-Clifford classical-shadow estimates of |<target_i|state>|^2.
 
     Each shadow draws a uniform Clifford U and a Born-rule outcome b of
-    U|state>; its single-shot estimate (2^n + 1) |<b|U|target>|^2 - 1 is
+    U|state>; its single-shot estimates (``shadow_single_shots``) are
     aggregated by median of means.  ``target_mat`` has one target per
     column; at n <= 2 the Cliffords are drawn from the cached
     ``groups.clifford_group(n)``.  An (N, dim, dim) unitary stack over
@@ -77,8 +83,7 @@ def _shadow_estimates(state: np.ndarray, target_mat: np.ndarray,
     """
     if n_shadows < 1:
         raise ProtocolError(f"need at least one shadow, got {n_shadows}")
-    dim = state.shape[0]
-    n = dim.bit_length() - 1
+    n = state.shape[0].bit_length() - 1
     check_budget(4 + math.log2(n_shadows) + 2 * n, f"the unitaries of {n_shadows} shadows "
                  f"of a {n}-qubit state", ProtocolError)
     obs.count("protocols.shadows_drawn", n_shadows)
@@ -93,8 +98,7 @@ def _shadow_estimates(state: np.ndarray, target_mat: np.ndarray,
     cum = np.cumsum(probs, axis=1)
     b = (cum < rng.random(size=(n_shadows, 1))).sum(axis=1)
     rows = us[np.arange(n_shadows), b]         # <b| U
-    singles = (dim + 1) * np.abs(rows @ target_mat) ** 2 - 1
-    return _median_of_means(singles, target_mat.shape[1], delta)
+    return _median_of_means(shadow_single_shots(rows, target_mat), target_mat.shape[1], delta)
 
 
 # ----------------------------------------------------------------------
@@ -140,7 +144,7 @@ def _shadow_round(ctx: dict, n_shadows: int, seed: int, delta: float) -> Protoco
     return ProtocolTranscript(j=j, j_prime=j_prime)
 
 
-def qcszk_context(inst: PsgiInstance) -> dict:
+def qcszk_context(inst) -> dict:
     """The prover's orbit targets under the instance's group."""
     rep = inst.rep
     return _context((rep.orbit(inst.psi1.amplitudes), rep.orbit(inst.psi2.amplitudes)),
@@ -152,7 +156,7 @@ def qcszk_round(ctx: dict, n_shadows: int = 2000, seed: int = 0) -> ProtocolTran
     return _shadow_round(ctx, n_shadows, seed, DEFAULT_SHADOW_DELTA)
 
 
-def qszk_mixed_context(inst: MsgiInstance, k: int) -> dict:
+def qszk_mixed_context(inst, k: int) -> dict:
     """Exact k-twirled states and their trace distance."""
     tau1 = k_twirl(inst.rep, inst.sigma1, k)
     tau2 = k_twirl(inst.rep, inst.sigma2, k)

@@ -5,8 +5,9 @@ Includes the Clifford encoding of graphs via |R>-padded graph states, the
 low-stabilizer-rank variant, the BQP-hardness instance builder, the
 distinguishability paddings, and the permutation-lemma sweeps, which score
 only the Cliffords that their X images leave in play.  Both overlap
-sweeps (uniform Cliffords; the low-rank soundness check's permutation x
-diagonal-Clifford products D P) score blocks of tableau rows by ``batch_overlaps``.
+sweeps (uniform Cliffords; the low-rank soundness check's diagonal x qubit
+permutation Cliffords D P, from ``paulis``) score blocks of tableau rows by
+``batch_overlaps``.
 """
 from __future__ import annotations
 
@@ -26,10 +27,10 @@ from .graphs import Graph, find_isomorphism
 from .groups import DecisionThresholds, FiniteGroupRep, max_conjugate_fidelity
 from .paulis import (
     COS8, CliffordBatch, CliffordElement, PauliError, batch_block_size, batch_overlaps,
-    batch_r_overlap_sq, batch_x_image_expectations, clifford_elements, graph_state,
-    qubit_permutation_batch, qubit_permutation_clifford, r_minus_state, r_overlap_bytes,
-    r_state, r_state_product, random_clifford_batch, sign_factored_r_overlap_sq,
-    symplectic_group_order,
+    batch_r_overlap_sq, batch_x_image_expectations, clifford_elements,
+    diagonal_permutation_batch, graph_state, qubit_permutation_batch,
+    qubit_permutation_clifford, r_minus_state, r_overlap_bytes, r_state, r_state_product,
+    random_clifford_batch, sign_factored_r_overlap_sq, symplectic_group_order,
 )
 from .psgi import PsgiInstance, PsgiVerdict
 
@@ -173,26 +174,26 @@ def _may_reach(e: np.ndarray, threshold: float) -> np.ndarray:
 
 def _above_threshold(n: int, mode: str, samples: int, seed: int, threshold: float):
     """(checked, batch): how many Cliffords were checked, and those scoring at
-    or above the threshold, in scoring order.  Blocks are sized for their
-    (B, 2n) rows; the Cliffords whose X images rule them out (``_may_reach``)
-    are counted as certified and never scored, and only the rest reach the
-    3^n-string |R> scorer.  Only the high scorers become rows; more than
-    ``_check_kept`` admits raise ReductionError."""
+    or above the threshold, in scoring order.  Each block of (B, 2n) rows is
+    built once; the Cliffords whose X images rule them out (``_may_reach``)
+    count as certified, the rest reach the 3^n-string |R> scorer, and more
+    high scorers than ``_check_kept`` admits raise ReductionError."""
     step = batch_block_size(2 * n)
     high, kept = [], 0
     if mode == "exhaustive":
-        # a block of symplectic indices at sign 0; the sign bits only flip
-        # the signs of the e_q, so an index passes on the |e_q| and all 4^n
-        # of its sign patterns are scored at once; only the positions of
-        # high scores are kept
+        # a block of symplectic indices, its rows built once at sign 0; the
+        # sign bits only flip the signs of the e_q, so an index passes on the
+        # |e_q| and all 4^n of its sign patterns are scored at once from its
+        # row; only the positions of high scores are kept
         order = symplectic_group_order(n)
         for lo in range(0, order, step):
             indices = np.arange(lo, min(lo + step, order))
-            e = batch_x_image_expectations(clifford_elements(n, indices << 2 * n))
-            live = indices[_may_reach(np.abs(e), threshold)]
+            block = clifford_elements(n, indices << 2 * n)
+            live = np.flatnonzero(_may_reach(np.abs(batch_x_image_expectations(block)), threshold))
             obs.count("reductions.cliffords_certified", (len(indices) - len(live)) << 2 * n)
-            row, sign = np.nonzero(sign_factored_r_overlap_sq(n, live) >= threshold)
-            high.append(live[row] << 2 * n | sign)
+            scores = sign_factored_r_overlap_sq(CliffordBatch(n, *(a[live] for a in block[1:])))
+            row, sign = np.nonzero(scores >= threshold)
+            high.append(indices[live[row]] << 2 * n | sign)
             kept += len(row)
             _check_kept(n, kept)
         return order << 2 * n, clifford_elements(n, np.concatenate(high))
@@ -352,35 +353,12 @@ def lowrank_gi_instance(g1: Graph, g2: Graph, graph_weight: Optional[float] = No
     return states[0], states[1], lowrank_thresholds(n)
 
 
-def _diagonal_permutation_batch(n: int, rng: np.random.Generator, count: int) -> CliffordBatch:
-    """``count`` Cliffords D P, P a uniform qubit permutation and D =
-    prod_q S_q^{a_q} prod_{q<r} CZ_qr^{c_qr}, which sends X_q to i^{a_q} X_q
-    Z_q^{a_q} prod_r Z_r^{c_qr} and fixes each Z_q.  One integers call with the
-    bounds [n!, 4 x n, 2 x n(n-1)/2] tiled draws like scalar calls, in order."""
-    q, r = np.triu_indices(n, 1)
-    draws = rng.integers(np.tile([math.factorial(n)] + [4] * n + [2] * len(q), count))
-    p, a, c = np.split(draws.reshape(count, -1), [1, 1 + n], axis=1)
-    # the p-th permutation of itertools.permutations(range(n)) from its
-    # Lehmer digits: each digit counts the unused qubits below its entry
-    perm = p // [math.factorial(k) for k in range(n - 1, -1, -1)] % np.arange(n, 0, -1)
-    for k in range(n - 2, -1, -1):
-        perm[:, k + 1:] += perm[:, k + 1:] >= perm[:, k, None]
-    cz = np.zeros((count, n, n), dtype=np.int64)
-    cz[:, q, r] = cz[:, r, q] = c
-    bits = 1 << np.arange(n)
-    # P sends X_k and Z_k to X_pi(k) and Z_pi(k), so D P takes D's images there
-    images = (a, np.broadcast_to(bits, a.shape), (a & 1) * bits | (cz * bits).sum(axis=2))
-    ph, x, z = (np.take_along_axis(t, perm, axis=1) for t in images)
-    zero = np.zeros_like(x)
-    return CliffordBatch(n, np.hstack((ph, zero)), np.hstack((x, zero)), np.hstack((z, x)))
-
-
 def diagonal_permutation_overlap_sweep(psi1: StateVector, psi2: StateVector,
                                        count: int, seed: int,
                                        threshold: float) -> dict:
     """Sample permutation x diagonal-Clifford unitaries and report the
     max |<psi1|D P|psi2>| (soundness sweep for the low-rank encoding)."""
-    return _overlap_sweep(psi1, psi2, count, seed, threshold, _diagonal_permutation_batch)
+    return _overlap_sweep(psi1, psi2, count, seed, threshold, diagonal_permutation_batch)
 
 
 # ----------------------------------------------------------------------

@@ -108,6 +108,43 @@ class TestPsgiCommand:
         _assert_config_error(res)
         assert "unitary" in res.stderr
 
+    @pytest.mark.parametrize("labels, identity", [
+        (["a", "a"], None), (["e", "x"], "x"), (["e", "x"], "q"),
+    ], ids=["repeated-label", "identity-not-I", "identity-not-a-label"])
+    def test_explicit_group_refusals_are_config_errors(self, runner, tmp_path, labels, identity):
+        # the first two decided |1> ~ |0> YES with the witness "identity",
+        # which was X
+        group = {"type": "explicit", "elements": labels,
+                 "matrices": [to_pairs(np.eye(2)), to_pairs(np.array([[0, 1], [1, 0]]))]}
+        if identity is not None:
+            group["identity"] = identity
+        bundle = tmp_path / "explicit.json"
+        bundle.write_text(json.dumps({
+            "version": 1, "type": "psgi",
+            "psi1": {"n_qubits": 1, "amplitudes": [[0.0, 0.0], [1.0, 0.0]]},
+            "psi2": {"n_qubits": 1, "amplitudes": [[1.0, 0.0], [0.0, 0.0]]},
+            "group": group, "alpha": 0.6, "beta": 0.99}))
+        res = runner.invoke(main, ["psgi", "--instance", str(bundle)])
+        _assert_config_error(res)
+        assert "missing field" not in res.stderr
+
+
+class TestGroupFlag:
+    @pytest.mark.parametrize("command", [["psgi"], ["reduce", "qsd-msgi"],
+                                         ["reduce", "qsd-mixedhsp"]],
+                             ids=["psgi", "qsd-msgi", "qsd-mixedhsp"])
+    @pytest.mark.parametrize("group", ["z2k", "cyclic", "explicit"])
+    def test_only_groups_that_n_builds(self, runner, tmp_path, command, group):
+        # these groups need fields (k, N, elements) that --n does not give;
+        # they used to exit 2 with "missing field" for a field never written
+        rho = tmp_path / "rho.json"
+        rho.write_text(json.dumps(DensityMatrix(1, np.diag([0.7, 0.3]).astype(complex)).to_obj()))
+        states = [str(rho), str(rho)] if command[0] == "reduce" else []
+        res = runner.invoke(main, command + states + ["--group", group])
+        assert res.exit_code == 2, res.output
+        assert "Invalid value for '--group'" in res.stderr
+        assert "missing field" not in res.stderr
+
 
 def _bundle_of_type(runner, tmp_path, bundle_type):
     """A bundle as ``reduce`` writes it for that type."""
@@ -1194,6 +1231,21 @@ class TestImportFootprint:
         g = _write_graph(tmp_path / "g.txt", Graph.path(4))
         assert self._loaded(["bosonic", "encode", g], tmp_path) == {
             "cli", "bosonic", "graphs", "linalg", "obs"}
+
+    @pytest.mark.parametrize("args", [["protocol", "qcszk", "--trials", "1", "--shadows", "10"],
+                                      ["verify", "shadow-unbiased"]],
+                             ids=["qcszk", "shadow-unbiased"])
+    def test_shadow_commands_skip_reductions(self, tmp_path, args):
+        loaded = self._loaded(args, tmp_path)
+        assert "protocols" in loaded
+        assert "reductions" not in loaded
+
+    def test_protocols_loads_only_its_kernels(self, tmp_path):
+        proc = _python("import sys\nimport stateiso.protocols\nprint(' '.join(sorted("
+                       "m.removeprefix('stateiso.') for m in sys.modules "
+                       "if m.startswith('stateiso.'))))", tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert set(proc.stdout.split()) == {"protocols", "groups", "linalg", "paulis", "obs"}
 
     def test_psgi_skips_reductions_protocols_and_bosonic(self, tmp_path):
         loaded = self._loaded(["psgi", "--n", "2", "--kind", "no"], tmp_path)

@@ -129,6 +129,19 @@ class TestGroupConstructions:
         assert rep.multiply("z", "z") == "e"
         assert rep.inverse("z") == "z"
 
+    @pytest.mark.parametrize("labels, identity, match", [
+        (["a", "a"], None, "distinct"),
+        (["e", "x"], "x", "names no identity matrix"),
+        (["e", "x"], "q", "names no identity matrix"),
+    ], ids=["repeated-label", "identity-not-I", "identity-not-a-label"])
+    def test_explicit_group_refusals(self, labels, identity, match):
+        # with X at a repeated label, or declared the identity, the oracle
+        # decided |1> ~ |0> by the "identity" witness X
+        with pytest.raises(GroupError, match=match):
+            explicit_group(labels, [np.eye(2), np.array([[0, 1], [1, 0]])], identity)
+        rep = explicit_group(["e", "x"], [np.eye(2), np.array([[0, 1], [1, 0]])], "e")
+        assert rep.identity == "e" and rep.multiply("x", "x") == "e"
+
     def test_group_from_spec_roundtrip(self):
         rep = group_from_spec({"type": "pauli", "n": 1})
         assert rep.order == 16

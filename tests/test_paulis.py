@@ -681,11 +681,27 @@ class TestBatchedKernel:
         for n, step in ((1, 1), (2, 1), (3, 997)):
             k = 2 * n
             indices = np.arange(0, symplectic_group_order(n), step)
-            got = sign_factored_r_overlap_sq(n, indices)
+            got = sign_factored_r_overlap_sq(clifford_elements(n, indices << k))
             assert got.shape == (len(indices), 1 << k)
             elements = (indices[:, None] << k | np.arange(1 << k)).ravel()
             want = batch_r_overlap_sq(clifford_elements(n, elements))
             assert np.abs(got.ravel() - want).max() <= 1e-15
+
+    def test_sign_factored_scores_rows_at_any_sign(self):
+        # column s of a row whose sign bits are t scores that row at t ^ s
+        rng = np.random.default_rng(61)
+        for n in (1, 2, 3):
+            k = 2 * n
+            elements = rng.integers(clifford_group_order(n), size=40)
+            got = sign_factored_r_overlap_sq(clifford_elements(n, elements))
+            flipped = (elements[:, None] ^ np.arange(1 << k)).ravel()
+            want = batch_r_overlap_sq(clifford_elements(n, flipped))
+            assert np.abs(got.ravel() - want).max() <= 1e-15
+
+    def test_sign_factored_refuses_four_qubits(self):
+        # its sign matrix is 4^n x 3^n
+        with pytest.raises(PauliError, match="n <= 3"):
+            sign_factored_r_overlap_sq(random_clifford_batch(4, np.random.default_rng(0), 1))
 
     def test_pauli_strings_cached_read_only(self):
         # built once per n and shared by every block of the kernel
@@ -888,8 +904,8 @@ class TestCertificateKernel:
             assert terms.shape == (0, 3 ** n) and masks.shape == (3 ** n,)
             assert batch_x_image_expectations(empty).shape == (0, n)
         for n in (1, 2, 3):
-            for indices in ([], np.zeros(0, dtype=np.int64)):
-                assert sign_factored_r_overlap_sq(n, indices).shape == (0, 1 << 2 * n)
+            empty = clifford_elements(n, np.zeros(0, dtype=np.int64))
+            assert sign_factored_r_overlap_sq(empty).shape == (0, 1 << 2 * n)
 
 
 def _permutation_matrix(perm, n):

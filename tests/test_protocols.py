@@ -19,6 +19,7 @@ from stateiso.protocols import (
     qszk_mixed_context,
     qszk_mixed_round,
     run_trials,
+    shadow_single_shots,
     szk_lowrank_context,
     szk_lowrank_round,
     wilson_interval,
@@ -82,9 +83,22 @@ class TestShadows:
             rotated = u @ psi.amplitudes
             for b in range(2):
                 p = abs(rotated[b]) ** 2
-                est = 3 * abs(np.vdot(u[b].conj(), t.amplitudes)) ** 2 - 1
+                est = shadow_single_shots(u[b:b + 1], t.amplitudes[:, None])[0, 0]
                 total += p * est / 24
         assert abs(total - abs(np.vdot(t.amplitudes, psi.amplitudes)) ** 2) < 1e-10
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_single_shots_unbiased_over_the_group(self, n):
+        # the exact mean of the estimator's rule over all 24 or 11,520
+        # Cliffords U and the Born-rule outcomes b of U|psi> is |<phi|psi>|^2
+        unitaries = clifford_group(n).unitaries
+        rows = unitaries.reshape(-1, 1 << n)         # every <b|U
+        rng = np.random.default_rng(12)
+        for _ in range(5):
+            psi, phi = random_state(n, rng).amplitudes, random_state(n, rng).amplitudes
+            born = np.abs(rows @ psi) ** 2 / len(unitaries)
+            expect = born @ shadow_single_shots(rows, phi[:, None])[:, 0]
+            assert abs(expect - abs(np.vdot(phi, psi)) ** 2) < 1e-12
 
     def test_fidelity_from_shadows_converges(self):
         rng = np.random.default_rng(2)

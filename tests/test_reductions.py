@@ -339,7 +339,7 @@ def _unpruned_lemma_report(n, mode, samples=0, seed=0, threshold=LEMMA_PERM_THRE
     through batch_r_overlap_sq."""
     if mode == "exhaustive":
         order = symplectic_group_order(n)
-        scores = sign_factored_r_overlap_sq(n, np.arange(order))
+        scores = sign_factored_r_overlap_sq(clifford_elements(n, np.arange(order) << 2 * n))
         checked, high = order << 2 * n, clifford_elements(n, np.flatnonzero(scores >= threshold))
     else:
         batch = random_clifford_batch(n, np.random.default_rng(seed), samples)
@@ -420,6 +420,22 @@ class TestLemmaCertificate:
         # at 0.5 the bound, 2 sqrt(1/2), is wider than any ||e_q| - cos(pi/8)|,
         # so only a Clifford that flips the sign of some e_q is ruled out
         assert certified > 0 or (mode, threshold) == ("exhaustive", 0.5)
+
+    @pytest.mark.parametrize("threshold", [0.9999, 0.5])
+    def test_exhaustive_builds_each_row_once(self, monkeypatch, threshold):
+        # each block's rows serve the X test and the scorer alike, so the
+        # 720 symplectic elements at n = 2 are built once; only the high
+        # scorers' symplectic elements are built again, for the report
+        from stateiso import paulis
+        n = 2
+        order = symplectic_group_order(n)
+        scores = sign_factored_r_overlap_sq(clifford_elements(n, np.arange(order) << 2 * n))
+        high = np.unique(np.flatnonzero(scores >= threshold) >> 2 * n)
+        built, rows = [], paulis._symplectic_rows
+        monkeypatch.setattr(paulis, "_symplectic_rows",
+                            lambda indices, n: built.append(len(indices)) or rows(indices, n))
+        verify_lemma_perm(n, threshold=threshold)
+        assert sum(built) == order + len(high)
 
     def test_over_budget_draws_refused_before_drawing(self):
         # the 3^16-wide tables of one Clifford are refused before any of a
@@ -544,16 +560,15 @@ class TestDiagonalPermutationStream:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_blocks_match_scalar_loop(self, n):
-        from stateiso.paulis import batch_block_size, batch_overlaps
+        from stateiso.paulis import batch_block_size, batch_overlaps, diagonal_permutation_batch
         from stateiso.psgi import random_state
-        from stateiso.reductions import _diagonal_permutation_batch
         states = np.random.default_rng(n)
         psi1, psi2 = random_state(n, states), random_state(n, states)
         # past one block of the sweep, so that two integers calls are made
         count = batch_block_size(1 << n) + 7
         rng, ref = np.random.default_rng(3), np.random.default_rng(3)
         want = _scalar_sweep_overlaps(psi1, psi2, count, ref)
-        batch = _diagonal_permutation_batch(n, rng, count)
+        batch = diagonal_permutation_batch(n, rng, count)
         got = np.abs(batch_overlaps(batch, psi1, psi2))
         assert np.abs(got - want).max() < 1e-12
         # the rows are Cliffords: Hermitian images that anticommute exactly
