@@ -358,24 +358,25 @@ def _check_sigma(sigma: float) -> None:
         raise BosonicError(f"noise scale sigma must be finite and > 0, got {sigma}")
 
 
-def szk_sampler(c: CoreState, sigma: float, seed,
-                basis: Optional[list] = None) -> tuple:
-    """One sample |c_U> + eta with U Haar and eta ~ N_C(0, sigma^2 I).
-
-    Returns (noisy dense vector, basis, U).  A sample whose squared norm is
-    not finite (the noise overflowed) raises BosonicError.
+def szk_samples(c: CoreState, sigma: float, rng: np.random.Generator,
+                basis: list, count: int) -> tuple:
+    """``count`` samples |c_U> + eta over ``basis``, U Haar and eta ~
+    N_C(0, sigma^2 I), from one block of normals whose rows hold, in turn,
+    the draws of one sample: U's Ginibre matrix, then eta's real and
+    imaginary parts.  Returns (z, us), shapes (count, len(basis)) and
+    (count, n, n).  A sample whose squared norm is not finite (the noise
+    overflowed) raises BosonicError.
     """
     _check_sigma(sigma)
-    rng = np.random.default_rng(seed)
-    u = haar_mode_unitary(c.n_modes, rng)
-    basis = basis or truncated_basis(c.n_modes, c.r_max)
-    vec = _orbit_points(c, u.matrix[None], basis)[0]
-    d = len(basis)
+    n, d = c.n_modes, len(basis)
+    g = rng.normal(size=(count, 2 * n * n + 2 * d))
+    ginibre, re, im = np.split(g, [2 * n * n, 2 * n * n + d], axis=1)
+    us = _ginibre_unitaries(ginibre.reshape(count, 2, n, n))
     with np.errstate(over="ignore", invalid="ignore"):    # refused below
-        z = vec + sigma / math.sqrt(2) * (rng.normal(size=d) + 1j * rng.normal(size=d))
-        if not math.isfinite(np.vdot(z, z).real):
+        z = _orbit_points(c, us, basis) + sigma / math.sqrt(2) * (re + 1j * im)
+        if not np.isfinite(np.einsum("sd,sd->s", z.conj(), z).real).all():
             raise BosonicError(f"the squared norm of a noisy sample is not finite at sigma={sigma}")
-    return z, basis, u
+    return z, us
 
 
 # entries of the top-sector target tensors of one block of orbit_distance rows
@@ -446,8 +447,7 @@ def estimate_tv_gap(c1: CoreState, c2: CoreState, sigma: float, n_samples: int,
     if b is None:
         _, best_abs, _ = optimize_overlap(c1, c2, restarts=20, seed=rng.integers(1 << 31))
         b = math.sqrt(max(2.0 - 2.0 * best_abs, 0.0))
-    z = np.array([szk_sampler(c, sigma, rng, basis)[0]
-                  for c in (c1, c2) for _ in range(n_samples)])
+    z = np.concatenate([szk_samples(c, sigma, rng, basis, n_samples)[0] for c in (c1, c2)])
     align = np.abs(z @ refs.conj().T)
     order = np.argsort(align, axis=1)[:, ::-1][:, :n_warm]
     dist = orbit_distance(z, basis, c1, us[order], good_enough=b / 2)
@@ -596,7 +596,12 @@ def _ascend(v: np.ndarray, overlap, iters: int, stop_at: float = np.inf):
 def _haar_stack(n: int, rng: np.random.Generator, count: int) -> np.ndarray:
     """``count`` exact Haar samples: complex Ginibre QR with the phase
     correction; the draws are those of ``count`` single samples in turn."""
-    g = rng.normal(size=(count, 2, n, n))
+    return _ginibre_unitaries(rng.normal(size=(count, 2, n, n)))
+
+
+def _ginibre_unitaries(g: np.ndarray) -> np.ndarray:
+    """Haar unitaries from normals (R, 2, n, n), the real and imaginary
+    parts of R Ginibre matrices: QR with the phase correction."""
     return _qr_retract((g[:, 0] + 1j * g[:, 1]) / math.sqrt(2))
 
 

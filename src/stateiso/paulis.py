@@ -5,7 +5,8 @@ A Pauli is stored as ``i^phase * X^x Z^z`` with ``x``, ``z`` bitmasks
 Paulis acts by one index gather with signs (``pauli_action``, whose
 one-Pauli case is ``PauliOp.apply``), and a dense matrix is that gather on
 the identity.  ``pauli_table`` gives <a|X^x Z^z|c> for all 4^n Paulis at
-once, by one gather and one Walsh-Hadamard transform.
+once, by one gather and one Walsh-Hadamard transform: ``walsh_hadamard``,
+in place, which is also the Clifford action's Hadamard layer.
 
 A Clifford has one format, packed tableau rows: a ``CliffordBatch`` holds
 B Cliffords as (B, 2n) int64 arrays of the (phase, x, z) images of the
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -169,28 +170,14 @@ def pauli_expectation(psi: StateVector, p: PauliOp) -> complex:
     return val.real if p.is_hermitian() else val
 
 
-def walsh_hadamard(v: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard transform along a length-2^k axis,
-    out[u] = sum_w (-1)^{popcount(u & w)} v[w], one butterfly per bit from
-    the lowest; integer input stays integer and exact."""
-    v = np.moveaxis(np.asarray(v), axis, -1)
-    shape, d, h = v.shape, v.shape[-1], 1
-    while h < d:
-        w = v.reshape(*shape[:-1], d // (2 * h), 2, h)
-        lo, hi = w[..., 0, :], w[..., 1, :]
-        v = np.stack((lo + hi, lo - hi), axis=-2)
-        h *= 2
-    return np.moveaxis(v.reshape(shape), -1, axis)
-
-
 def pauli_table(a: np.ndarray, c: np.ndarray, n: int) -> np.ndarray:
     """T[x, z] = <a| X^x Z^z |c> for all 4^n qubit masks (as in PauliOp):
     one gather conj(a[b ^ x]) c[b] and one Walsh-Hadamard transform over b,
-    O(n 4^n) time and 16 4^n bytes."""
+    in place, O(n 4^n) time and 16 4^n bytes."""
     b = np.arange(1 << n)
-    t = walsh_hadamard(a.conj()[b[:, None] ^ b] * c, axis=1)
+    t = walsh_hadamard(a.conj()[b[:, None] ^ b] * c[:, None])
     masks = _index_masks(b, n)
-    return t[np.ix_(masks, masks)]
+    return t[np.ix_(masks, masks)].T
 
 
 # ----------------------------------------------------------------------
@@ -256,10 +243,6 @@ class CliffordElement(CliffordBatch):
     """One Clifford: a CliffordBatch of one row, compared by ``key``."""
 
     __slots__ = ()
-
-    @staticmethod
-    def identity(n: int) -> "CliffordElement":
-        return qubit_permutation_clifford(range(n), n)
 
     def key(self) -> tuple:
         """The images as (phase, x, z) triples of Python ints."""
@@ -466,13 +449,17 @@ def _blocks(batch: CliffordBatch):
         yield rows, _permutation_factors(block) if perm else _factor(block)
 
 
-def _hadamard(v: np.ndarray, s: np.ndarray, n: int) -> np.ndarray:
-    """Unnormalized H, in place, on the qubits of the index mask s[b] of
-    column b of v (shape (d, B)): one butterfly per index bit in some S,
-    over slabs of about ``_BLOCK_ENTRIES`` entries or one pair of halves,
-    as numpy copies an operand whose memory range overlaps the output's."""
-    some, every = np.bitwise_or.reduce(s), np.bitwise_and.reduce(s)
-    for t in range(n):
+def walsh_hadamard(v: np.ndarray, s: Optional[np.ndarray] = None) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform, in place, along axis 0 of a
+    (2^n, B) array v, out[u] = sum_w (-1)^{popcount(u & w)} v[w], column b
+    only on the index bits of the mask s[b], or on every bit with no mask.
+    One butterfly per bit from the lowest, over slabs of about
+    ``_BLOCK_ENTRIES`` entries or one pair of halves, as numpy copies an
+    operand whose memory range overlaps the output's; integer input stays
+    integer and exact.  Returns v."""
+    full = len(v) - 1
+    some, every = (full, full) if s is None else (np.bitwise_or.reduce(s), np.bitwise_and.reduce(s))
+    for t in range(full.bit_length()):
         if some >> t & 1:
             w = v.reshape(-1, 2, 1 << t, v.shape[1])
             rows = max(1, _BLOCK_ENTRIES // w[0].size)
@@ -512,7 +499,7 @@ def batch_apply(batch: CliffordBatch, amps: np.ndarray) -> np.ndarray:
             ph = np.empty((d, len(cols)), dtype=complex)
             ph[f.pi[:, at], cols] = _PHASES.take(f.a[:, at])
             v *= ph[..., None]
-            _hadamard(v.reshape(d, -1), np.repeat(f.s[at], k), n)
+            walsh_hadamard(v.reshape(d, -1), np.repeat(f.s[at], k))
             v *= (_PHASES.take(f.phi[:, at]) / np.sqrt(1 << f.h[at]))[..., None]
             out[rows.start + lo + cols, f.idx[:, at]] = v
     return out
@@ -529,7 +516,7 @@ def batch_overlaps(batch: CliffordBatch, psi1: StateVector, psi2: StateVector) -
     bra, ket = psi1.amplitudes.conj(), psi2.amplitudes[cols]
     out = np.empty(len(batch.ph), dtype=complex)
     for rows, f in _blocks(batch):
-        w = _hadamard(_PHASES.take(f.phi) * bra.take(f.idx), f.s, n)
+        w = walsh_hadamard(_PHASES.take(f.phi) * bra.take(f.idx), f.s)
         amps = _PHASES.take(f.a[cols]) * w[f.pi[cols], np.arange(len(f.s))]
         # einsum keeps this small product off a threaded BLAS, whose wake-up
         # can cost milliseconds between numpy calls; the CLI runs BLAS on one

@@ -88,7 +88,7 @@ def character_distribution(psi1: np.ndarray, psi2: np.ndarray, n: int, m: int) -
                      ((psi1, psi1), (psi2, psi2), (psi1, psi2)))
     even, odd = ((t11**2 + t22**2) / 2).real, (t12**2).real
     f1 = np.stack((even, -even, odd, -odd)).ravel()
-    probs = walsh_hadamard(f1**m) / len(f1)
+    probs = walsh_hadamard((f1**m)[:, None])[:, 0] / len(f1)
     total = probs.sum()
     if abs(total - 1.0) > 1e-8:
         raise PsgiError(f"character distribution sums to {total}")
@@ -99,7 +99,7 @@ def _kernel(chis: np.ndarray, size: int) -> np.ndarray:
     """Mask of the labels u below ``size`` with chi . u even for every
     sampled chi: where the Walsh-Hadamard transform of the sample histogram
     equals the sample count."""
-    return walsh_hadamard(np.bincount(chis, minlength=size)) == len(chis)
+    return walsh_hadamard(np.bincount(chis, minlength=size)[:, None])[:, 0] == len(chis)
 
 
 def pauli_psgi_quantum(inst: PsgiInstance, m: int = DEFAULT_COPIES,

@@ -23,7 +23,7 @@ from stateiso.bosonic import (
     permutation_mode_unitary,
     perturbed_permutation_unitary,
     sector_basis,
-    szk_sampler,
+    szk_samples,
     truncated_basis,
     _ascend,
     _haar_stack,
@@ -579,13 +579,14 @@ class TestSzkSampler:
     def test_sampler_shapes_and_noise(self):
         rng = np.random.default_rng(7)
         c = encode_graph_bosonic(Graph.path(4))
-        z, basis, u = szk_sampler(c, 0.01, rng)
-        assert len(z) == len(basis)
-        assert u.matrix.shape == (4, 4)
+        basis = truncated_basis(4, c.r_max)
+        z, us = szk_samples(c, 0.01, rng, basis, 1)
+        assert z.shape == (1, len(basis))
+        assert us.shape == (1, 4, 4)
         # with tiny noise z is close to the rotated dense vector
-        dense = dense_vector(apply_linear_optical(u, c), basis)
+        dense = dense_vector(apply_linear_optical(ModeUnitary(4, us[0]), c), basis)
         # noise norm concentrates near sigma * sqrt(len(basis))
-        assert np.linalg.norm(z - dense) < 0.01 * math.sqrt(len(basis)) * 3
+        assert np.linalg.norm(z[0] - dense) < 0.01 * math.sqrt(len(basis)) * 3
 
     def test_orbit_distance_same_orbit(self):
         rng = np.random.default_rng(8)
@@ -610,7 +611,7 @@ class TestSzkSampler:
     def test_nonpositive_sigma_rejected(self, sigma):
         c = encode_graph_bosonic(Graph.path(3))
         with pytest.raises(BosonicError, match="sigma"):
-            szk_sampler(c, sigma, 0)
+            szk_samples(c, sigma, np.random.default_rng(0), truncated_basis(3, c.r_max), 1)
         with pytest.raises(BosonicError, match="sigma"):
             estimate_tv_gap(c, c, sigma, n_samples=1, seed=0, n_reference=3,
                             n_warm=1, b=0.5)
@@ -619,7 +620,7 @@ class TestSzkSampler:
     def test_infinite_sigma_rejected(self, sigma):
         c = encode_graph_bosonic(Graph.path(3))
         with pytest.raises(BosonicError, match="sigma"):
-            szk_sampler(c, sigma, 0)
+            szk_samples(c, sigma, np.random.default_rng(0), truncated_basis(3, c.r_max), 1)
         with pytest.raises(BosonicError, match="sigma"):
             estimate_tv_gap(c, c, sigma, n_samples=1, seed=0, n_reference=3,
                             n_warm=1, b=0.5)
@@ -629,7 +630,7 @@ class TestSzkSampler:
         # NaN distances it led to would count as misses and read as tv = 0
         c = encode_graph_bosonic(Graph.path(3))
         with pytest.raises(BosonicError, match="not finite"):
-            szk_sampler(c, 1e308, 0)
+            szk_samples(c, 1e308, np.random.default_rng(0), truncated_basis(3, c.r_max), 1)
         with pytest.raises(BosonicError, match="not finite"):
             estimate_tv_gap(c, c, 1e308, n_samples=2, seed=0, n_reference=3,
                             n_warm=1, b=0.5)
@@ -738,9 +739,8 @@ class TestTvGapStack:
         rng = np.random.default_rng(10)
         c = encode_graph_bosonic(Graph.path(4))
         basis = truncated_basis(4, 3)
-        samples = [szk_sampler(c, 0.05, rng, basis) for _ in range(5)]
-        z = np.array([s[0] for s in samples])
-        starts = np.array([_warm_rows(rng, s[2].matrix, 4)[:3] for s in samples])
+        z, us = szk_samples(c, 0.05, rng, basis, 5)
+        starts = np.array([_warm_rows(rng, u, 4)[:3] for u in us])
         monkeypatch.setattr(bosonic, "_ASCENT_ENTRIES", 2 * 3 * 4 ** 3)
         with obs.recording() as stacked:
             got = orbit_distance(z, basis, c, starts, iters=15, good_enough=0.25)

@@ -21,7 +21,8 @@ from stateiso.groups import (
     z2k_group,
 )
 from stateiso.linalg import StateVector, fidelity_matrices, random_density
-from stateiso.paulis import CliffordElement, batch_unitaries, clifford_batches, clifford_elements
+from stateiso.paulis import (batch_unitaries, clifford_batches, clifford_elements,
+                             qubit_permutation_clifford)
 
 RNG = np.random.default_rng(99)
 
@@ -385,7 +386,7 @@ class TestCliffordGroupCache:
             assert np.array_equal(rep.unitaries[0], np.eye(1 << n))
             assert rep.multiply(0, 5) == rep.multiply(5, 0) == 5
         three = clifford_elements(3, np.array([0]))
-        assert three.row(0) == CliffordElement.identity(3)
+        assert three.row(0) == qubit_permutation_clifford(range(3), 3)
 
     def test_inverse_through_the_index(self):
         rep = clifford_group(2)

@@ -99,12 +99,13 @@ class TestPauliOp:
         assert abs(pauli_expectation(plus, PauliOp.single(1, 0, "Z"))) < 1e-12
 
 
-def _walsh_hadamard_loop(v):
-    """The butterfly loop that ``walsh_hadamard`` replaced."""
+def _walsh_hadamard_loop(v, mask=-1):
+    """The butterfly loop that ``walsh_hadamard`` replaced, on the index bits
+    of ``mask`` (every bit by default)."""
     v = v.copy()
     h = 1
     while h < len(v):
-        for start in range(0, len(v), 2 * h):
+        for start in range(0, len(v), 2 * h) if mask & h else ():
             a = v[start:start + h].copy()
             b = v[start + h:start + 2 * h].copy()
             v[start:start + h] = a + b
@@ -118,11 +119,36 @@ class TestPauliTable:
     def test_walsh_hadamard_matches_loop(self, k):
         rng = np.random.default_rng(k)
         v = rng.normal(size=1 << k) + 1j * rng.normal(size=1 << k)
-        assert np.array_equal(walsh_hadamard(v), _walsh_hadamard_loop(v))
+        assert np.array_equal(walsh_hadamard(v[:, None].copy())[:, 0], _walsh_hadamard_loop(v))
         ints = rng.integers(-9, 9, size=(3, 1 << k))
-        got = walsh_hadamard(ints.T, axis=0).T
+        got = walsh_hadamard(ints.T.copy()).T
         assert got.dtype == ints.dtype
         assert np.array_equal(got, [_walsh_hadamard_loop(row) for row in ints])
+
+    @pytest.mark.parametrize("entries", [8, 1 << 14])
+    @pytest.mark.parametrize("dtype", [complex, np.int64])
+    @pytest.mark.parametrize("k", range(0, 9))
+    def test_walsh_hadamard_masks_columns_in_place(self, k, dtype, entries, monkeypatch):
+        # column b is transformed on the bits of s[b] alone, in the array
+        # given; a budget of 8 entries splits each butterfly into many slabs
+        from stateiso import paulis
+        monkeypatch.setattr(paulis, "_BLOCK_ENTRIES", entries)
+        rng = np.random.default_rng(100 + k)
+        d = 1 << k
+        v = rng.integers(-9, 9, size=(d, 7)).astype(dtype)
+        if dtype is complex:
+            v += 1j * rng.normal(size=v.shape)
+        shared = int(rng.integers(d))
+        masks = [np.append(rng.integers(d, size=5), [0, d - 1]), np.full(7, shared)]
+        for s in masks + [None]:
+            w = v.copy()
+            assert walsh_hadamard(w, s) is w
+            assert w.dtype == v.dtype
+            for b in range(7):
+                mask = -1 if s is None else int(s[b])
+                assert np.array_equal(w[:, b], _walsh_hadamard_loop(v[:, b], mask)), (s, b)
+                if mask == 0:
+                    assert np.array_equal(w[:, b], v[:, b])
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_table_matches_pauli_apply(self, n):
@@ -230,7 +256,7 @@ class TestCliffordElement:
         for _ in range(20):
             n = int(RNG.integers(1, 4))
             c = random_clifford(n, RNG)
-            assert c.compose(c.inverse()) == CliffordElement.identity(n)
+            assert c.compose(c.inverse()) == qubit_permutation_clifford(range(n), n)
 
     def test_compose_every_single_qubit_pair_matches_dense(self):
         # all 24 x 24 pairs at n = 1 in one batched call, against the dense
@@ -250,7 +276,7 @@ class TestCliffordElement:
         # compose(c, inverse(c)) is the identity for all 11,520 elements at
         # n = 2, in one batched call; and so is compose(inverse(c), c)
         group = next(clifford_batches(2, clifford_group_order(2)))
-        ident = CliffordElement.identity(2)
+        ident = qubit_permutation_clifford(range(2), 2)
         for prod in (group.compose(group.inverse()), group.inverse().compose(group)):
             for got, want in zip(prod[1:], ident[1:]):
                 assert np.array_equal(got, np.broadcast_to(want, got.shape))
@@ -295,7 +321,7 @@ class TestCliffordElement:
         # a 1 GiB (13 qubits) or 256 MiB (12 qubits) matrix and its work
         # arrays are over the budget; refused before any allocation
         for n in (13, 12):
-            c = CliffordElement.identity(n)
+            c = qubit_permutation_clifford(range(n), n)
             tracemalloc.start()
             try:
                 with pytest.raises(PauliError, match="budget"):
@@ -586,7 +612,7 @@ class TestBatchedKernel:
             bits, zero = [1 << q for q in range(n)], [0] * n
             every_h = CliffordElement(n, np.zeros((1, 2 * n), dtype=np.int64),
                                       np.array([zero + bits]), np.array([bits + zero]))
-            rows = [c[1:] for c in (CliffordElement.identity(n),
+            rows = [c[1:] for c in (qubit_permutation_clifford(range(n), n),
                                     qubit_permutation_clifford(perm, n), every_h)]
             batch = CliffordBatch(n, *map(np.concatenate, zip(*rows)))
             hn = np.ones((1, 1))
@@ -664,7 +690,7 @@ class TestBatchedKernel:
     def test_unitary_stack_size_guard(self):
         # 4,097 six-qubit matrices of 64 KiB each take 256 MiB + 64 KiB,
         # over the budget; refused before any allocation
-        one = CliffordElement.identity(6)
+        one = qubit_permutation_clifford(range(6), 6)
         stack = CliffordBatch(6, *(np.broadcast_to(a, (4097, 12)) for a in one[1:]))
         tracemalloc.start()
         try:

@@ -153,7 +153,7 @@ def _character_distribution_loop(psi1, psi2, n, m):
         p = PauliOp(2 * n + 1, 2 * s, a | (x << 1) | (x << (n + 1)), (z << 1) | (z << (n + 1)))
         f1[u] = np.vdot(psi, p.apply(psi)).real
     # walsh_hadamard is checked bit for bit against its butterfly loop in test_paulis
-    return np.clip(walsh_hadamard(f1**m) / (1 << k), 0.0, None)
+    return np.clip(walsh_hadamard((f1**m)[:, None])[:, 0] / (1 << k), 0.0, None)
 
 
 class TestFourierSampling:

@@ -12,7 +12,6 @@ from stateiso import obs
 from stateiso.paulis import (
     COS8,
     CliffordBatch,
-    CliffordElement,
     PauliError,
     PauliOp,
     batch_r_overlap_sq,
@@ -20,6 +19,7 @@ from stateiso.paulis import (
     clifford_batches,
     clifford_elements,
     clifford_group_order,
+    qubit_permutation_clifford,
     random_clifford,
     random_clifford_batch,
     sign_factored_r_overlap_sq,
@@ -63,7 +63,7 @@ class TestGiClifford:
         g = Graph.cycle(5)
         inst = gi_to_clifford(g, g)
         c = inst.permutation_witness()
-        assert c == CliffordElement.identity(6)
+        assert c == qubit_permutation_clifford(range(6), 6)
 
     def test_mismatched_counts_rejected(self):
         verdict = gi_to_clifford(Graph.path(3), Graph.path(4))

@@ -16,6 +16,8 @@ KEPT = {
     "CliffordElement.to_unitary": "perfbench's tracer wraps it; the dense reference of the "
                                   "Clifford kernel tests",
     "CliffordElement.stabilized_state": "perfbench's tracer wraps it",
+    "haar_mode_unitary": "perfbench's apply op and the tests draw single Haar unitaries "
+                         "through it",
     "enumerate_cliffords": "the group enumeration the Clifford and shadow tests check "
                            "against; perfbench times it",
     "recording": "the opt-in switch for counters and spans; the tests turn it on",
